@@ -6,7 +6,6 @@ algebra engine (generated subalgebras, Jacobson radical, quotients).
 __version__ = "0.1.0"
 
 from . import config
-from ._kernels import HAVE_NUMBA, USING_NUMBA
 from .config import (NORM_FROBENIUS, NORM_SPECTRAL, get_norm_kind,
                      set_norm_kind)
 from .algebra import (ChainReport, ChainRow, FDAlgebra, Ideal,

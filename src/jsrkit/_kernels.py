@@ -1,34 +1,18 @@
 """Enumeration kernels: product-tree sweeps and branch-and-bound passes.
 
-The same function bodies run two ways: jitted with numba (default) or as
-plain numpy (set JSR_PURE_NUMPY=1).  Both walk the product tree in the
-same lexicographic depth-first order, so prune decisions, witnesses and
-node counts are identical on either path.
+One numpy engine that batches the LAPACK work of the product tree:
+norms come from a batched Gram-matrix `eigvalsh`, spectral radii from a
+batched `eigvals`, and products from a batched `matmul`.  Each matrix in
+a batch goes through the same BLAS/LAPACK call as it would alone, so the
+batched values are bit-identical to one-at-a-time evaluation.
 
 Argmax updates require a relative improvement > 1e-12 so that ulp-level
 eigenvalue noise cannot override the lex/shortest tie-break.
 """
 
-import os
+import math
 
 import numpy as np
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but be graceful
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA and os.environ.get("JSR_PURE_NUMPY", "0") != "1"
-
-if USING_NUMBA:
-    _jit = numba.njit(cache=True)
-else:
-
-    def _jit(fn):
-        return fn
-
 
 # relative slack for "strictly better" in argmax updates
 _TIE = 1e-12
@@ -39,120 +23,171 @@ _RHO_FLOOR = 1e-300
 # pruning, the upper certificate, and convergence all see the same
 # shaved value, keeping upper - lower <= width exact on convergence
 _EIG_SAFETY = 1e-12
+# refine skips eigvals for a child P of length k when
+# ||P||^(1/k) * (1 + _SKIP_SLACK) <= lower: the computed rho of P is at
+# most (1 + O(d u)) ||P||, so its shaved root could not raise lower.
+# Norms under _SKIP_FLOOR come from an underflowed Gram matrix and are
+# not trusted for this.
+_SKIP_SLACK = 1e-9
+_SKIP_FLOOR = 1e-150
+# bytes of product matrices in one block of a sweep
+_BLOCK_BYTES = 64 * 2**10
 
 
-@_jit
-def _all_finite(a):
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            v = a[i, j]
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-                return False
-    return True
-
-
-@_jit
-def mat_norm(a, fro):
-    """Operator 2-norm via the Gram matrix, or Frobenius norm when fro.
+def norms(stack, fro):
+    """Per-matrix operator 2-norm (Gram matrix eigvalsh) or Frobenius norm.
 
     Overflowed products report inf instead of raising, so deep sweeps
-    degrade to budget exhaustion on both execution paths.
+    degrade to budget exhaustion (a Frobenius norm of a product with NaN
+    entries is NaN).
     """
+    n = stack.shape[0]
     if fro:
-        s = 0.0
-        for i in range(a.shape[0]):
-            for j in range(a.shape[1]):
-                v = a[i, j]
-                s += v.real * v.real + v.imag * v.imag
-        return np.sqrt(s)
-    g = np.conj(a.T) @ a
-    if not _all_finite(g):
-        return np.inf
-    w = np.linalg.eigvalsh(g)
-    top = w[w.shape[0] - 1]
-    if top <= 0.0:
-        return 0.0
-    return np.sqrt(top)
+        sq = stack.real * stack.real + stack.imag * stack.imag
+        # accumulate entries in row-major order, one at a time
+        return np.sqrt(np.cumsum(sq.reshape(n, -1), axis=1)[:, -1])
+    g = np.conj(stack.transpose(0, 2, 1)) @ stack
+    if np.isfinite(g).all():
+        top = np.linalg.eigvalsh(g)[:, -1]
+        return np.sqrt(np.where(top > 0.0, top, 0.0))
+    ok = np.isfinite(g).all(axis=(1, 2))
+    out = np.full(n, np.inf)
+    if ok.any():
+        out[ok] = norms(stack[ok], fro)
+    return out
 
 
-@_jit
-def mat_rho(a):
-    """Largest eigenvalue modulus (inf for non-finite input)."""
-    if not _all_finite(a):
-        return np.inf
-    ev = np.linalg.eigvals(a)
-    r = 0.0
-    for i in range(ev.shape[0]):
-        m = abs(ev[i])
-        if m > r:
-            r = m
-    if r < _RHO_FLOOR:
-        return 0.0
-    return r
+def radii(stack):
+    """Per-matrix largest eigenvalue modulus (inf for non-finite input)."""
+    try:
+        ev = np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError:
+        # eigvals refuses non-finite input; solve the finite ones alone
+        ok = np.isfinite(stack).all(axis=(1, 2))
+        if ok.all():
+            raise
+        out = np.full(stack.shape[0], np.inf)
+        if ok.any():
+            out[ok] = radii(stack[ok])
+        return out
+    # hypot matches the scalar complex abs bit for bit; numpy's SIMD
+    # complex abs does not
+    r = np.fmax.reduce(np.hypot(ev.real, ev.imag), axis=1, initial=0.0)
+    return np.where(r < _RHO_FLOOR, 0.0, r)
 
 
-@_jit
+def _records(vals, best, rank, r0):
+    """Running argmax over vals (lexicographic order, first rank r0).
+
+    A value replaces best when it exceeds best * (1 + _TIE); returns the
+    updated (best, rank).  Only strict prefix maxima can ever do that, so
+    only those are visited; short runs (a single generator gives one word
+    per depth) are cheaper to scan directly.
+    """
+    if vals.shape[0] > 8:
+        v = np.where(np.isnan(vals), -np.inf, vals)
+        run = np.maximum.accumulate(v)
+        if not run[-1] > best * (1.0 + _TIE):
+            return best, rank
+        idx = np.flatnonzero(v[1:] > run[:-1]) + 1
+        cand = [0, *idx.tolist()]
+    else:
+        cand = range(vals.shape[0])
+    for i in cand:
+        x = vals[i]
+        if x > best * (1.0 + _TIE):
+            best = x
+            rank = r0 + i
+    return best, rank
+
+
 def sweep_tree(gens, nmax, want_rho, fro):
-    """Evaluate every product of length 1..nmax in lexicographic DFS order.
+    """Evaluate every product of length 1..nmax.
 
     Returns per-depth maxima of the norm and (optionally) the spectral
-    radius, the lexicographically smallest maximizing word per depth, and
-    the number of evaluated words.  Index 0 of the per-depth arrays is
-    unused and stays at -1.
+    radius, the lexicographic rank of the smallest maximizing word per
+    depth (word letters are its base-m digits), and the number of
+    evaluated words.  Index 0 of the per-depth arrays is unused; the
+    maxima stay at -1 there.
+
+    The tree is cut into blocks: one block holds the products of every
+    word below one prefix, down to a few levels, and is evaluated with a
+    single batched norm and eigensolve.  Blocks are walked depth-first
+    with an explicit stack, prefixes in lexicographic order, so each depth
+    sees its words in lexicographic order.  Products are formed left to
+    right, exactly as a one-word-at-a-time walk forms them.
     """
     m, d, _ = gens.shape
     best_norm = np.full(nmax + 1, -1.0)
     best_rho = np.full(nmax + 1, -1.0)
-
-    if m == 1:
-        # the tree is a single path: rolling product, words are all zeros
-        norm_words = np.zeros((1, 1), np.int64)
-        rho_words = np.zeros((1, 1), np.int64)
-        cur = np.eye(d, dtype=np.complex128)
-        nodes = 0
-        for k in range(1, nmax + 1):
-            cur = cur @ gens[0]
-            nodes += 1
-            best_norm[k] = mat_norm(cur, fro)
-            if want_rho:
-                best_rho[k] = mat_rho(cur)
-        return best_norm, best_rho, norm_words, rho_words, nodes
-
-    norm_words = np.zeros((nmax + 1, nmax), np.int64)
-    rho_words = np.zeros((nmax + 1, nmax), np.int64)
-    prod = np.empty((nmax + 1, d, d), np.complex128)
-    prod[0] = np.eye(d, dtype=np.complex128)
-    word = np.zeros(nmax, np.int64)
+    norm_rank = [0] * (nmax + 1)
+    rho_rank = [0] * (nmax + 1)
+    # levels per full block: m + m^2 + ... + m^h products fit the cap
+    cap = max(m, _BLOCK_BYTES // (16 * d * d))
+    h_max, size, total = 0, 1, 0
+    while total + size * m <= cap:
+        size *= m
+        total += size
+        h_max += 1
     nodes = 0
-    depth = 1
-    word[0] = 0
-    while depth > 0:
-        k = depth
-        prod[k] = prod[k - 1] @ gens[word[k - 1]]
-        nodes += 1
-        nrm = mat_norm(prod[k], fro)
-        if nrm > best_norm[k] * (1.0 + _TIE):
-            best_norm[k] = nrm
-            for t in range(k):
-                norm_words[k, t] = word[t]
-        if want_rho:
-            rho = mat_rho(prod[k])
-            if rho > best_rho[k] * (1.0 + _TIE):
-                best_rho[k] = rho
-                for t in range(k):
-                    rho_words[k, t] = word[t]
-        if depth < nmax:
-            depth += 1
-            word[depth - 1] = 0
+    # frame: [prefix products at depth p, p, rank of the first, next index]
+    stack = [[np.eye(d, dtype=np.complex128)[None], 0, 0, 0]]
+    while stack:
+        top = stack[-1]
+        leaves, p, r0, i = top
+        if i == leaves.shape[0] - 1:
+            stack.pop()
         else:
-            while depth > 0 and word[depth - 1] == m - 1:
-                depth -= 1
-            if depth > 0:
-                word[depth - 1] += 1
-    return best_norm, best_rho, norm_words, rho_words, nodes
+            top[3] = i + 1
+        # the first block below the root is the short one, the rest are full
+        h = (nmax - p - 1) % h_max + 1
+        counts = [m**t for t in range(1, h + 1)]
+        buf = np.empty((sum(counts), d, d), np.complex128)
+        prev = leaves[i:i + 1]
+        off = 0
+        for n in counts:
+            out = buf[off:off + n]
+            np.matmul(prev[:, None], gens[None], out=out.reshape(n // m, m, d, d))
+            prev = out
+            off += n
+        nodes += off
+        nrm = norms(buf, fro)
+        rho = radii(buf) if want_rho else None
+        off = 0
+        base = r0 + i
+        for t, n in enumerate(counts, start=1):
+            k = p + t
+            first = base * n
+            best_norm[k], norm_rank[k] = _records(
+                nrm[off:off + n], best_norm[k], norm_rank[k], first)
+            if want_rho:
+                best_rho[k], rho_rank[k] = _records(
+                    rho[off:off + n], best_rho[k], rho_rank[k], first)
+            off += n
+        if p + h < nmax:
+            stack.append([prev.copy(), p + h, base * counts[-1], 0])
+    return best_norm, best_rho, norm_rank, rho_rank, nodes
 
 
-@_jit
+def _children(parent, gens, k, lower, fro):
+    """Norms and radii of the m children (length k) of one product.
+
+    Radii are -1 where eigvals was skipped because the child's norm root
+    cannot beat lower.
+    """
+    kids = parent @ gens
+    nrm = norms(kids, fro).tolist()
+    want = [j for j, x in enumerate(nrm) if math.isfinite(x) and not (
+        lower > 0.0 and x >= _SKIP_FLOOR and x ** (1.0 / k) * (1.0 + _SKIP_SLACK) <= lower)]
+    if len(want) == len(nrm):
+        return nrm, radii(kids).tolist()
+    rho = [-1.0] * len(nrm)
+    if want:
+        for j, r in zip(want, radii(kids[want]).tolist()):
+            rho[j] = r
+    return nrm, rho
+
+
 def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
     """One depth-capped branch-and-bound sweep of the product tree.
 
@@ -161,95 +196,66 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
     sweep, so every cut also holds for the final lower bound.  Nodes that
     reach depth_cap alive form the frontier.
 
+    The walk is a lexicographic depth-first search.  Expanding a node
+    evaluates all of its children in one batch; each depth keeps only its
+    parent product and the children's norms and radii, and is dropped
+    once its last child is entered, so a single generator needs O(1)
+    products however deep the pass goes.
+
     Returns (lower, wit_len, wit_word, frontier_max, saw_frontier,
     completed, nodes, deepest).  wit_len == 0 means no word improved on
     lower_in.  frontier_max is the max norm root over the frontier.
     """
     m, d, _ = gens.shape
     lower = lower_in
+    log_thr = np.log(lower + width)
     wit_len = 0
     wit_word = np.zeros(depth_cap, np.int64)
+    word = [0] * depth_cap
     frontier_max = 0.0
     saw_frontier = False
     nodes = 0
     deepest = 0
     completed = True
 
-    if m == 1:
-        cur = np.eye(d, dtype=np.complex128)
-        k = 0
-        while k < depth_cap:
-            if nodes >= budget:
-                completed = False
-                break
-            k += 1
-            cur = cur @ gens[0]
-            nodes += 1
-            if k > deepest:
-                deepest = k
-            nrm = mat_norm(cur, fro)
-            alive = True
-            if np.isfinite(nrm):
-                v = mat_rho(cur) ** (1.0 / k) * (1.0 - _EIG_SAFETY)
-                if v > lower * (1.0 + _TIE):
-                    lower = v
-                    wit_len = k
-                if nrm <= 0.0 or np.log(nrm) <= k * np.log(lower + width):
-                    alive = False
-            if not alive:
-                break
-            if k == depth_cap:
-                saw_frontier = True
-                fm = nrm ** (1.0 / k)
-                if fm > frontier_max:
-                    frontier_max = fm
-        return (lower, wit_len, wit_word, frontier_max, saw_frontier,
-                completed, nodes, deepest)
-
-    prod = np.empty((depth_cap + 1, d, d), np.complex128)
-    prod[0] = np.eye(d, dtype=np.complex128)
-    word = np.zeros(depth_cap, np.int64)
-    depth = 1
-    word[0] = 0
-    while depth > 0:
+    root = np.eye(d, dtype=np.complex128)
+    # frame: [parent product, child length k, child norms, child radii, next child]
+    stack = [[root, 1, *_children(root, gens, 1, lower, fro), 0]]
+    while stack:
         if nodes >= budget:
             completed = False
             break
-        k = depth
-        prod[k] = prod[k - 1] @ gens[word[k - 1]]
+        top = stack[-1]
+        parent, k, nrms, rhos, j = top
+        if j == m - 1:
+            stack.pop()
+        else:
+            top[4] = j + 1
+        word[k - 1] = j
         nodes += 1
         if k > deepest:
             deepest = k
-        nrm = mat_norm(prod[k], fro)
+        nrm = nrms[j]
         alive = True
-        if np.isfinite(nrm):
-            v = mat_rho(prod[k]) ** (1.0 / k) * (1.0 - _EIG_SAFETY)
-            if v > lower * (1.0 + _TIE):
-                lower = v
-                wit_len = k
-                for t in range(k):
-                    wit_word[t] = word[t]
-            if nrm <= 0.0 or np.log(nrm) <= k * np.log(lower + width):
+        if math.isfinite(nrm):
+            rho = rhos[j]
+            if rho >= 0.0:
+                v = rho ** (1.0 / k) * (1.0 - _EIG_SAFETY)
+                if v > lower * (1.0 + _TIE):
+                    lower = v
+                    log_thr = np.log(lower + width)
+                    wit_len = k
+                    wit_word[:k] = word[:k]
+            if nrm <= 0.0 or np.log(nrm) <= k * log_thr:
                 alive = False
-        descend = False
         if alive:
             if k == depth_cap:
                 saw_frontier = True
-                if np.isfinite(nrm):
-                    fm = nrm ** (1.0 / k)
-                else:
-                    fm = np.inf
+                fm = nrm ** (1.0 / k) if math.isfinite(nrm) else math.inf
                 if fm > frontier_max:
                     frontier_max = fm
             else:
-                descend = True
-        if descend:
-            depth += 1
-            word[depth - 1] = 0
-        else:
-            while depth > 0 and word[depth - 1] == m - 1:
-                depth -= 1
-            if depth > 0:
-                word[depth - 1] += 1
+                child = parent @ gens[j]
+                stack.append([child, k + 1, *_children(child, gens, k + 1, lower, fro), 0])
     return (lower, wit_len, wit_word, frontier_max, saw_frontier,
             completed, nodes, deepest)

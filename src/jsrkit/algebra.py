@@ -551,10 +551,10 @@ def rcq_membership(A: FDAlgebra, x, *, depth: int = 8,
     wit_word = None
     wit_rho = 0.0
     for n in range(1, n_cap + 1):
-        _, best_rho, _, rho_words, _ = _sweep(S, n, True, witness_budget + S.size)
+        _, best_rho, _, rho_ranks, _ = _sweep(S, n, True, witness_budget + S.size)
         v = float(best_rho[n])
         if v > rho_tol:
-            wit_word = _word_at(rho_words, n, S.size)
+            wit_word = _word_at(rho_ranks, n, S.size)
             wit_rho = v
             break
         wit_rho = max(wit_rho, v)

@@ -22,7 +22,8 @@ from ._kernels import refine_pass, sweep_tree
 from .matrices import op_norm
 from .sets import MatrixSet, Word, _sweep, _word_at, tree_size
 
-# product-stack memory allowed per branch-and-bound pass
+# product-stack memory allowed per branch-and-bound pass (one parent
+# product per open depth)
 _STACK_BYTES = 64 * 2**20
 
 
@@ -105,14 +106,14 @@ def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> Lo
     Ties (within 1e-12 relative) resolve to the shortest word, then the
     lexicographically smallest.
     """
-    _, best_rho, _, rho_words, _ = _sweep(M, n, True, budget)
+    _, best_rho, _, rho_ranks, _ = _sweep(M, n, True, budget)
     best = -1.0
     wit: Word = (0,)
     for k in range(1, n + 1):
         v = _root(float(best_rho[k]), k)
         if v > best * (1.0 + 1e-12):
             best = v
-            wit = _word_at(rho_words, k, M.size)
+            wit = _word_at(rho_ranks, k, M.size)
     return LowerBound(max(best, 0.0), wit)
 
 
@@ -143,7 +144,8 @@ def sandwich_profiles(M: MatrixSet, n: int, *,
 
 def _pass_depth_limit(dim: int, size: int, max_depth: int) -> int:
     if size == 1:
-        # singleton trees are paths; the kernel uses a rolling product
+        # singleton trees are paths: the kernel drops each depth as it
+        # enters its only child, so it holds one product at a time
         return max_depth
     per_level = 16 * dim * dim
     return max(2, min(max_depth, _STACK_BYTES // per_level))

@@ -6,7 +6,7 @@ All computation is complex128 regardless of input dtype.
 import numpy as np
 
 from . import config
-from ._kernels import mat_norm, mat_rho
+from ._kernels import norms, radii
 from .errors import DimensionMismatch, DimensionOverflow, NonConvergence, ShapeError
 
 
@@ -23,7 +23,7 @@ def as_matrix(entries, *, index: int | None = None) -> np.ndarray:
 
 def frobenius_norm(a) -> float:
     a = as_matrix(a)
-    return float(mat_norm(a, True))
+    return float(norms(a[None], True)[0])
 
 
 def op_norm(a, *, frobenius: bool | None = None) -> float:
@@ -38,7 +38,7 @@ def op_norm(a, *, frobenius: bool | None = None) -> float:
     a = as_matrix(a)
     fro = config.use_frobenius() if frobenius is None else frobenius
     try:
-        return float(mat_norm(a, fro))
+        return float(norms(a[None], fro)[0])
     except np.linalg.LinAlgError as e:
         raise NonConvergence(f"norm eigensolve failed: {e}") from e
 
@@ -51,7 +51,7 @@ def spectral_radius(a) -> float:
     """
     a = as_matrix(a)
     try:
-        return float(mat_rho(a))
+        return float(radii(a[None])[0])
     except np.linalg.LinAlgError as e:
         raise NonConvergence(f"eigenvalue iteration failed: {e}") from e
 

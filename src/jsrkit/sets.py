@@ -100,10 +100,17 @@ def _sweep(M: MatrixSet, nmax: int, want_rho: bool, budget: int):
     return sweep_tree(M.gens, nmax, want_rho, config.use_frobenius())
 
 
-def _word_at(norm_words: np.ndarray, k: int, size: int) -> Word:
-    if size == 1:
-        return (0,) * k
-    return tuple(int(x) for x in norm_words[k, :k])
+def _word_at(ranks, k: int, size: int) -> Word:
+    """The length-k word whose lexicographic rank is ranks[k].
+
+    Its letters are the rank's base-size digits, most significant first.
+    """
+    r = int(ranks[k])
+    letters = []
+    while r:
+        r, letter = divmod(r, size)
+        letters.append(letter)
+    return (0,) * (k - len(letters)) + tuple(reversed(letters))
 
 
 def set_norm(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> float:
@@ -121,13 +128,13 @@ def leading_products(M: MatrixSet, nmax: int, *,
     lexicographically smallest word.  Norms along the list are
     nondecreasing.
     """
-    best_norm, _, norm_words, _, _ = _sweep(M, nmax, False, budget)
+    best_norm, _, norm_ranks, _, _ = _sweep(M, nmax, False, budget)
     out: list[LeadingProduct] = []
     running = 0.0
     for k in range(1, nmax + 1):
         v = float(best_norm[k])
         if v >= running:
-            out.append(LeadingProduct(k, _word_at(norm_words, k, M.size), v))
+            out.append(LeadingProduct(k, _word_at(norm_ranks, k, M.size), v))
             running = v
     return out
 

@@ -2,6 +2,11 @@
 
 Everything here enumerates with itertools and measures with numpy's svd /
 eigvals directly, sharing no code paths with the package kernels.
+
+The loop_* functions are the product-tree kernels in their one-node-at-a-
+time form: a lexicographic depth-first walk that evaluates one product,
+one Gram eigvalsh and one eigvals per node.  The package's batched engine
+must reproduce their outputs bit for bit.
 """
 
 import itertools
@@ -74,3 +79,216 @@ DIAG_PAIR = [np.diag([2.0, 1.0]).astype(complex),
 
 HAND_PAIR = [np.array([[2, 5], [0, 1]], dtype=complex),
              np.array([[1, 7], [0, 3]], dtype=complex)]
+
+
+# --- one-node-at-a-time reference kernels -----------------------------------
+
+# relative slack for "strictly better" in argmax updates
+_TIE = 1e-12
+# spectral radii below this are reported as exact zeros
+_RHO_FLOOR = 1e-300
+# relative shave of refine's lower-bound candidates
+_EIG_SAFETY = 1e-12
+
+
+def _all_finite(a):
+    return bool(np.isfinite(a).all())
+
+
+def loop_norm(a, fro):
+    """Operator 2-norm via the Gram matrix, or Frobenius norm when fro.
+
+    Overflowed products report inf instead of raising.
+    """
+    if fro:
+        s = 0.0
+        for i in range(a.shape[0]):
+            for j in range(a.shape[1]):
+                v = a[i, j]
+                s += v.real * v.real + v.imag * v.imag
+        return np.sqrt(s)
+    g = np.conj(a.T) @ a
+    if not _all_finite(g):
+        return np.inf
+    w = np.linalg.eigvalsh(g)
+    top = w[w.shape[0] - 1]
+    if top <= 0.0:
+        return 0.0
+    return np.sqrt(top)
+
+
+def loop_rho(a):
+    """Largest eigenvalue modulus (inf for non-finite input)."""
+    if not _all_finite(a):
+        return np.inf
+    ev = np.linalg.eigvals(a)
+    r = 0.0
+    for i in range(ev.shape[0]):
+        m = abs(ev[i])
+        if m > r:
+            r = m
+    if r < _RHO_FLOOR:
+        return 0.0
+    return r
+
+
+def loop_sweep_tree(gens, nmax, want_rho, fro):
+    """Evaluate every product of length 1..nmax in lexicographic DFS order.
+
+    Returns per-depth maxima of the norm and (optionally) the spectral
+    radius, the lexicographically smallest maximizing word per depth, and
+    the number of evaluated words.  Index 0 of the per-depth arrays is
+    unused and stays at -1.
+    """
+    m, d, _ = gens.shape
+    best_norm = np.full(nmax + 1, -1.0)
+    best_rho = np.full(nmax + 1, -1.0)
+
+    if m == 1:
+        # the tree is a single path: rolling product, words are all zeros
+        norm_words = np.zeros((1, 1), np.int64)
+        rho_words = np.zeros((1, 1), np.int64)
+        cur = np.eye(d, dtype=np.complex128)
+        nodes = 0
+        for k in range(1, nmax + 1):
+            cur = cur @ gens[0]
+            nodes += 1
+            best_norm[k] = loop_norm(cur, fro)
+            if want_rho:
+                best_rho[k] = loop_rho(cur)
+        return best_norm, best_rho, norm_words, rho_words, nodes
+
+    norm_words = np.zeros((nmax + 1, nmax), np.int64)
+    rho_words = np.zeros((nmax + 1, nmax), np.int64)
+    prod = np.empty((nmax + 1, d, d), np.complex128)
+    prod[0] = np.eye(d, dtype=np.complex128)
+    word = np.zeros(nmax, np.int64)
+    nodes = 0
+    depth = 1
+    word[0] = 0
+    while depth > 0:
+        k = depth
+        prod[k] = prod[k - 1] @ gens[word[k - 1]]
+        nodes += 1
+        nrm = loop_norm(prod[k], fro)
+        if nrm > best_norm[k] * (1.0 + _TIE):
+            best_norm[k] = nrm
+            for t in range(k):
+                norm_words[k, t] = word[t]
+        if want_rho:
+            rho = loop_rho(prod[k])
+            if rho > best_rho[k] * (1.0 + _TIE):
+                best_rho[k] = rho
+                for t in range(k):
+                    rho_words[k, t] = word[t]
+        if depth < nmax:
+            depth += 1
+            word[depth - 1] = 0
+        else:
+            while depth > 0 and word[depth - 1] == m - 1:
+                depth -= 1
+            if depth > 0:
+                word[depth - 1] += 1
+    return best_norm, best_rho, norm_words, rho_words, nodes
+
+
+def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
+    """One depth-capped branch-and-bound sweep of the product tree.
+
+    A branch is cut at a product P of length k when ||P|| <= (lower+width)^k
+    (compared in log space); the prune threshold only grows during the
+    sweep, so every cut also holds for the final lower bound.  Nodes that
+    reach depth_cap alive form the frontier.
+
+    Returns (lower, wit_len, wit_word, frontier_max, saw_frontier,
+    completed, nodes, deepest).  wit_len == 0 means no word improved on
+    lower_in.  frontier_max is the max norm root over the frontier.
+    """
+    m, d, _ = gens.shape
+    lower = lower_in
+    wit_len = 0
+    wit_word = np.zeros(depth_cap, np.int64)
+    frontier_max = 0.0
+    saw_frontier = False
+    nodes = 0
+    deepest = 0
+    completed = True
+
+    if m == 1:
+        cur = np.eye(d, dtype=np.complex128)
+        k = 0
+        while k < depth_cap:
+            if nodes >= budget:
+                completed = False
+                break
+            k += 1
+            cur = cur @ gens[0]
+            nodes += 1
+            if k > deepest:
+                deepest = k
+            nrm = loop_norm(cur, fro)
+            alive = True
+            if np.isfinite(nrm):
+                v = loop_rho(cur) ** (1.0 / k) * (1.0 - _EIG_SAFETY)
+                if v > lower * (1.0 + _TIE):
+                    lower = v
+                    wit_len = k
+                if nrm <= 0.0 or np.log(nrm) <= k * np.log(lower + width):
+                    alive = False
+            if not alive:
+                break
+            if k == depth_cap:
+                saw_frontier = True
+                fm = nrm ** (1.0 / k)
+                if fm > frontier_max:
+                    frontier_max = fm
+        return (lower, wit_len, wit_word, frontier_max, saw_frontier,
+                completed, nodes, deepest)
+
+    prod = np.empty((depth_cap + 1, d, d), np.complex128)
+    prod[0] = np.eye(d, dtype=np.complex128)
+    word = np.zeros(depth_cap, np.int64)
+    depth = 1
+    word[0] = 0
+    while depth > 0:
+        if nodes >= budget:
+            completed = False
+            break
+        k = depth
+        prod[k] = prod[k - 1] @ gens[word[k - 1]]
+        nodes += 1
+        if k > deepest:
+            deepest = k
+        nrm = loop_norm(prod[k], fro)
+        alive = True
+        if np.isfinite(nrm):
+            v = loop_rho(prod[k]) ** (1.0 / k) * (1.0 - _EIG_SAFETY)
+            if v > lower * (1.0 + _TIE):
+                lower = v
+                wit_len = k
+                for t in range(k):
+                    wit_word[t] = word[t]
+            if nrm <= 0.0 or np.log(nrm) <= k * np.log(lower + width):
+                alive = False
+        descend = False
+        if alive:
+            if k == depth_cap:
+                saw_frontier = True
+                if np.isfinite(nrm):
+                    fm = nrm ** (1.0 / k)
+                else:
+                    fm = np.inf
+                if fm > frontier_max:
+                    frontier_max = fm
+            else:
+                descend = True
+        if descend:
+            depth += 1
+            word[depth - 1] = 0
+        else:
+            while depth > 0 and word[depth - 1] == m - 1:
+                depth -= 1
+            if depth > 0:
+                word[depth - 1] += 1
+    return (lower, wit_len, wit_word, frontier_max, saw_frontier,
+            completed, nodes, deepest)

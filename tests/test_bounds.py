@@ -1,8 +1,5 @@
 import itertools
-import json
-import os
-import subprocess
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +15,12 @@ from jsrkit import (
     refine,
     sandwich_profiles,
     spectral_radius,
+    tree_size,
     upper_bound,
     verify_berger_wang,
 )
+from jsrkit import _kernels, bounds
+from jsrkit.sets import _word_at
 
 import oracles
 
@@ -269,37 +269,134 @@ class TestContinuity:
         assert a == b
 
 
-class TestDualPath:
-    def test_pure_numpy_path_matches(self):
-        """The un-jitted fallback must walk the identical tree."""
-        code = (
-            "import json\n"
-            "import numpy as np\n"
-            "import jsrkit as jk\n"
-            "M = jk.MatrixSet.from_matrices([[[1,1],[0,1]],[[1,0],[1,1]]])\n"
-            "rep = jk.refine(M, 0.02, budget=10**6)\n"
-            "rng = np.random.default_rng(99)\n"
-            "N = jk.MatrixSet.from_matrices(rng.uniform(-1,1,(3,3,3)))\n"
-            "r2 = jk.refine(N, 0.05, budget=50000)\n"
-            "print(json.dumps({'flag': jk.USING_NUMBA,"
-            " 'g': [rep.lower, rep.upper], 'w': list(rep.lower_witness),"
-            " 'n': [r2.lower, r2.upper],"
-            " 'nodes': [rep.nodes_explored, r2.nodes_explored]}))\n"
-        )
-        outs = []
-        for pure in ("0", "1"):
-            env = dict(os.environ, JSR_PURE_NUMPY=pure)
-            proc = subprocess.run([sys.executable, "-c", code],
-                                  capture_output=True, text=True, env=env)
-            assert proc.returncode == 0, proc.stderr
-            outs.append(json.loads(proc.stdout))
-        jit, pure = outs
-        assert pure["flag"] is False
-        assert jit["nodes"] == pure["nodes"]
-        assert jit["w"] == pure["w"]
-        for key in ("g", "n"):
-            for x, y in zip(jit[key], pure[key]):
-                assert x == pytest.approx(y, rel=1e-9, abs=1e-12)
+def _hex(x):
+    """Floats as hex strings, recursively, so comparisons are bit for bit."""
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, np.ndarray):
+        return [_hex(v) for v in x.tolist()]
+    if isinstance(x, (list, tuple)):
+        return [_hex(v) for v in x]
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    return int(x)
+
+
+def _engine_cases():
+    """Inputs on which the batched engine must match the loop kernels."""
+    rng = np.random.default_rng(7)
+    rng.uniform(-1.0, 1.0, (2, 3, 4, 4))  # the 3x4x4 sweep set comes first
+    cases = {
+        "golden": np.stack(oracles.GOLDEN),
+        "refine-2x5x5": rng.uniform(-1.0, 1.0, (2, 5, 5)) + 1j * rng.uniform(-1.0, 1.0, (2, 5, 5)),
+        "overflow": 1e200 * np.stack(oracles.GOLDEN),
+        "zero": np.zeros((2, 3, 3), complex),
+    }
+    rng = np.random.default_rng(31)
+    for i in range(10):
+        d = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 4))
+        cases[f"random-{i}"] = oracles.random_set(rng, d, m, complex_entries=bool(i % 2))
+    return {k: np.ascontiguousarray(v, dtype=complex) for k, v in cases.items()}
+
+
+ENGINE_CASES = _engine_cases()
+
+
+# sweep depth per generator count: about a thousand words for 2 or 3
+SWEEP_DEPTH = {1: 40, 2: 9, 3: 6}
+
+
+def _pass_outputs(fn, gens, fro):
+    """A refine-like chain of passes plus one pass cut by its budget."""
+    out = []
+    lower = 0.0
+    for cap in (1, 2, 3, 5, 7):
+        res = fn(gens, cap, 0.05, lower, 4000, fro)
+        out.append(res[:2] + (res[2][:res[1]],) + res[3:])
+        lower = max(lower, res[0])
+    res = fn(gens, 12, 0.05, 0.0, 37, fro)
+    out.append(res[:2] + (res[2][:res[1]],) + res[3:])
+    return _hex(out)
+
+
+class TestBatchedEngine:
+    """The batched kernels reproduce the one-node-at-a-time loop kernels."""
+
+    @pytest.mark.parametrize("fro", [False, True])
+    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    def test_refine_pass_matches_loop_kernel(self, name, fro):
+        gens = ENGINE_CASES[name]
+        with np.errstate(all="ignore"):
+            want = _pass_outputs(oracles.loop_refine_pass, gens, fro)
+            got = _pass_outputs(_kernels.refine_pass, gens, fro)
+        assert got == want
+
+    @pytest.mark.parametrize("block_bytes", [_kernels._BLOCK_BYTES, 256])
+    @pytest.mark.parametrize("fro", [False, True])
+    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    def test_sweep_tree_matches_loop_kernel(self, name, fro, block_bytes, monkeypatch):
+        # 256 bytes holds one to four products, so blocks nest many levels deep
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
+        gens = ENGINE_CASES[name]
+        m = gens.shape[0]
+        n = SWEEP_DEPTH[m]
+        with np.errstate(all="ignore"):
+            bn, br, nw, rw, nodes = oracles.loop_sweep_tree(gens, n, True, fro)
+            gbn, gbr, gnr, grr, gnodes = _kernels.sweep_tree(gens, n, True, fro)
+        assert gnodes == nodes == tree_size(m, n)
+        assert _hex(gbn) == _hex(bn) and _hex(gbr) == _hex(br)
+        for k in range(1, n + 1):
+            loop_nw = (0,) * k if m == 1 else tuple(nw[k, :k].tolist())
+            loop_rw = (0,) * k if m == 1 else tuple(rw[k, :k].tolist())
+            assert _word_at(gnr, k, m) == loop_nw
+            assert _word_at(grr, k, m) == loop_rw
+
+    @pytest.mark.parametrize("name", ["golden", "refine-2x5x5"])
+    def test_refine_reports_match_loop_kernel(self, name, monkeypatch):
+        M = MatrixSet(ENGINE_CASES[name])
+        width = 0.02 if name == "golden" else 0.005
+        got = refine(M, width, 500_000)
+        monkeypatch.setattr(bounds, "refine_pass", oracles.loop_refine_pass)
+        want = refine(M, width, 500_000)
+        assert _hex(list(got.to_dict().values())) == _hex(list(want.to_dict().values()))
+        if name == "refine-2x5x5":
+            assert got.nodes_explored == 11_910
+
+    def test_spectral_radius_uses_the_scalar_modulus(self):
+        # on this stack numpy's vectorized complex abs differs from the
+        # scalar abs() in the last bit for about a third of the matrices
+        # (on SIMD builds); the reported radius must follow the scalar loop
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((300, 4, 4)) + 1j * rng.standard_normal((300, 4, 4))
+        for a in stack:
+            assert spectral_radius(a).hex() == float(oracles.loop_rho(a)).hex()
+
+    def test_single_generator_deep_sweep_completes(self):
+        # doubling reaches depth 4096 without hitting the recursion limit,
+        # and the per-depth maxima agree with the loop kernel's
+        M = MatrixSet.from_matrices([[[1, 1], [0, 1]]])
+        rep = verify_berger_wang(M, tol=1e-12, budget=8191)
+        assert rep.depth_reached == 4096 and rep.words_evaluated == 8191
+        bn, br, _, _, _ = oracles.loop_sweep_tree(M.gens, 4096, True, False)
+        gbn, gbr, _, _, _ = _kernels.sweep_tree(M.gens, 4096, True, False)
+        assert _hex(gbn) == _hex(bn) and _hex(gbr) == _hex(br)
+
+    def test_single_generator_deep_refine_memory_is_flat(self):
+        # a Jordan block never prunes, so refine walks the single path to
+        # max_depth; the engine keeps O(1) products, not one per depth
+        d = 16
+        J = np.eye(d) + np.diag(np.ones(d - 1), 1)
+        M = MatrixSet.from_matrices([J])
+        refine(M, 1e-6, 10**6, max_depth=16)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            rep = refine(M, 1e-6, 10**6, max_depth=4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.depth_used == 4096
+        assert peak < 384 * 1024
 
 
 class TestNilpotencyHook:
