@@ -5,12 +5,15 @@ norms come from a batched Gram-matrix `eigvalsh`, spectral radii from a
 batched `eigvals`, and products from a batched `matmul`.  Each matrix in
 a batch goes through the same BLAS/LAPACK call as it would alone, so the
 batched values are bit-identical to one-at-a-time evaluation.
+refine_pass keeps what it measures in a Memo, which the deeper passes of
+the same refine replay instead of measuring again.
 
 Argmax updates require a relative improvement > 1e-12 so that ulp-level
 eigenvalue noise cannot override the lex/shortest tie-break.
 """
 
 import math
+from array import array
 
 import numpy as np
 
@@ -26,39 +29,65 @@ _EIG_SAFETY = 1e-12
 # refine skips eigvals for a child P of length k when
 # ||P||^(1/k) * (1 + _SKIP_SLACK) <= lower: the computed rho of P is at
 # most (1 + O(d u)) ||P||, so its shaved root could not raise lower.
-# Norms under _SKIP_FLOOR come from an underflowed Gram matrix and are
-# not trusted for this.
+# Norms under _SKIP_FLOOR belong to products whose entries may have
+# underflowed and are not trusted for this.
 _SKIP_SLACK = 1e-9
 _SKIP_FLOOR = 1e-150
 # bytes of product matrices in one block of a sweep
 _BLOCK_BYTES = 64 * 2**10
+# squared norms below this are subnormal: the Gram matrix (or the sum of
+# squares) has lost digits or underflowed to zero
+_TINY = np.finfo(np.float64).tiny
+
+
+def _squares(stack, fro):
+    """Per-matrix squared norm: top Gram eigenvalue or sum of squares.
+
+    Overflowed products give inf (a product with NaN entries included).
+    """
+    n = stack.shape[0]
+    if fro:
+        sq = stack.real * stack.real + stack.imag * stack.imag
+        # accumulate entries in row-major order, one at a time
+        s = np.cumsum(sq.reshape(n, -1), axis=1)[:, -1]
+        return np.where(np.isnan(s), np.inf, s)
+    g = np.conj(stack.transpose(0, 2, 1)) @ stack
+    if np.isfinite(g).all():
+        return np.linalg.eigvalsh(g)[:, -1]
+    ok = np.isfinite(g).all(axis=(1, 2))
+    out = np.full(n, np.inf)
+    if ok.any():
+        out[ok] = _squares(stack[ok], fro)
+    return out
 
 
 def norms(stack, fro):
     """Per-matrix operator 2-norm (Gram matrix eigvalsh) or Frobenius norm.
 
     Overflowed products report inf instead of raising, so deep sweeps
-    degrade to budget exhaustion (a Frobenius norm of a product with NaN
-    entries is NaN).
+    degrade to budget exhaustion.  Matrices whose squared norm is
+    subnormal are measured again after an exact power-of-two rescale.
     """
-    n = stack.shape[0]
-    if fro:
-        sq = stack.real * stack.real + stack.imag * stack.imag
-        # accumulate entries in row-major order, one at a time
-        return np.sqrt(np.cumsum(sq.reshape(n, -1), axis=1)[:, -1])
-    g = np.conj(stack.transpose(0, 2, 1)) @ stack
-    if np.isfinite(g).all():
-        top = np.linalg.eigvalsh(g)[:, -1]
-        return np.sqrt(np.where(top > 0.0, top, 0.0))
-    ok = np.isfinite(g).all(axis=(1, 2))
-    out = np.full(n, np.inf)
-    if ok.any():
-        out[ok] = norms(stack[ok], fro)
+    sq = _squares(stack, fro)
+    out = np.sqrt(np.where(sq > 0.0, sq, 0.0))
+    low = sq < _TINY
+    if low.any():
+        sub = stack[low]
+        e = np.frexp(np.maximum(abs(sub.real), abs(sub.imag)).max(axis=(1, 2)))[1]
+        scaled = np.empty_like(sub)
+        scaled.real = np.ldexp(sub.real, -e[:, None, None])
+        scaled.imag = np.ldexp(sub.imag, -e[:, None, None])
+        sq = _squares(scaled, fro)
+        out[low] = np.ldexp(np.sqrt(np.where(sq > 0.0, sq, 0.0)), e)
     return out
 
 
 def radii(stack):
-    """Per-matrix largest eigenvalue modulus (inf for non-finite input)."""
+    """Per-matrix largest eigenvalue modulus.
+
+    An overflowed (non-finite) product gives NaN, which never becomes a
+    maximum, so it offers no lower-bound candidate.
+    """
     try:
         ev = np.linalg.eigvals(stack)
     except np.linalg.LinAlgError:
@@ -66,7 +95,7 @@ def radii(stack):
         ok = np.isfinite(stack).all(axis=(1, 2))
         if ok.all():
             raise
-        out = np.full(stack.shape[0], np.inf)
+        out = np.full(stack.shape[0], np.nan)
         if ok.any():
             out[ok] = radii(stack[ok])
         return out
@@ -169,26 +198,77 @@ def sweep_tree(gens, nmax, want_rho, fro):
     return best_norm, best_rho, norm_rank, rho_rank, nodes
 
 
-def _children(parent, gens, k, lower, fro):
-    """Norms and radii of the m children (length k) of one product.
+class Memo:
+    """What a refine's passes have learnt about the product tree.
 
-    Radii are -1 where eigvals was skipped because the child's norm root
-    cannot beat lower.
+    One record per expanded node, holding m slots, one per child: the
+    child's norm, its spectral radius (-1 where eigvals was skipped) and
+    the index of the child's own record (-1 until the child is expanded).
+    Record r fills slots r*m .. r*m + m - 1; record 0 is the root.  No
+    products are kept, so a stored child costs 24 bytes.
     """
+
+    __slots__ = ("norm", "rho", "kid")
+
+    def __init__(self):
+        self.norm = array("d")
+        self.rho = array("d")
+        self.kid = array("q")
+
+    @property
+    def nbytes(self):
+        return 24 * len(self.kid)
+
+
+def _skipped(x, k, lower):
+    """Whether eigvals is skipped for a child of length k and norm x."""
+    return lower > 0.0 and x >= _SKIP_FLOOR and x ** (1.0 / k) * (1.0 + _SKIP_SLACK) <= lower
+
+
+def _children(memo, parent, gens, k, lower, fro):
+    """Append the record of one product's m children (length k) to memo.
+
+    Returns the record's index.  Radii are -1 where eigvals was skipped
+    because the child's norm root cannot beat lower.
+    """
+    m = gens.shape[0]
     kids = parent @ gens
     nrm = norms(kids, fro).tolist()
-    want = [j for j, x in enumerate(nrm) if math.isfinite(x) and not (
-        lower > 0.0 and x >= _SKIP_FLOOR and x ** (1.0 / k) * (1.0 + _SKIP_SLACK) <= lower)]
-    if len(want) == len(nrm):
-        return nrm, radii(kids).tolist()
-    rho = [-1.0] * len(nrm)
-    if want:
-        for j, r in zip(want, radii(kids[want]).tolist()):
-            rho[j] = r
-    return nrm, rho
+    want = [j for j, x in enumerate(nrm) if math.isfinite(x) and not _skipped(x, k, lower)]
+    if len(want) == m:
+        rho = radii(kids).tolist()
+    else:
+        rho = [-1.0] * m
+        if want:
+            for j, r in zip(want, radii(kids[want]).tolist()):
+                rho[j] = r
+    memo.norm.extend(nrm)
+    memo.rho.extend(rho)
+    memo.kid.extend([-1] * m)
+    return len(memo.kid) // m - 1
 
 
-def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
+def _rebuild(stack, word, gens):
+    """Product of the top frame's node, from the deepest frame that has one.
+
+    Each open frame passed on the way stores its product.
+    """
+    i = len(stack) - 1
+    while i >= 0 and stack[i][3] is None:
+        i -= 1
+    if i >= 0:
+        prod, t = stack[i][3], stack[i][1] - 1
+    else:
+        prod, t = np.eye(gens.shape[1], dtype=np.complex128), 0
+    for frame in stack[i + 1:]:
+        while t < frame[1] - 1:
+            prod = prod @ gens[word[t]]
+            t += 1
+        frame[3] = prod
+    return prod
+
+
+def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     """One depth-capped branch-and-bound sweep of the product tree.
 
     A branch is cut at a product P of length k when ||P|| <= (lower+width)^k
@@ -197,16 +277,30 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
     reach depth_cap alive form the frontier.
 
     The walk is a lexicographic depth-first search.  Expanding a node
-    evaluates all of its children in one batch; each depth keeps only its
-    parent product and the children's norms and radii, and is dropped
-    once its last child is entered, so a single generator needs O(1)
-    products however deep the pass goes.
+    evaluates all of its children in one batch and stores their norms and
+    radii in memo; a node that memo already holds is replayed from the
+    stored values.  A replayed radius is ignored where eigvals would be
+    skipped under the lower at the replayed expansion, exactly as a fresh
+    expansion skips it, so a pass reports the same with or without an
+    earlier memo.  The same memo may serve later passes over the same
+    gens and fro whose lower_in is at least the lower every earlier pass
+    returned (refine's deepening does this); without one the pass starts
+    a fresh memo.
+
+    Each open depth keeps at most its parent product; a replayed depth
+    rebuilds it only when a fresh expansion below it needs it.  A depth
+    is dropped once its last child is entered, so a single generator
+    needs O(1) products however deep the pass goes.
 
     Returns (lower, wit_len, wit_word, frontier_max, saw_frontier,
     completed, nodes, deepest).  wit_len == 0 means no word improved on
     lower_in.  frontier_max is the max norm root over the frontier.
+    Every visit counts as a node, replayed or not.
     """
     m, d, _ = gens.shape
+    if memo is None:
+        memo = Memo()
+    mnorm, mrho, mkid = memo.norm, memo.rho, memo.kid
     lower = lower_in
     log_thr = np.log(lower + width)
     wit_len = 0
@@ -219,27 +313,27 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
     completed = True
 
     root = np.eye(d, dtype=np.complex128)
-    # frame: [parent product, child length k, child norms, child radii, next child]
-    stack = [[root, 1, *_children(root, gens, 1, lower, fro), 0]]
+    if not mkid:
+        _children(memo, root, gens, 1, lower, fro)
+    # frame: [record, child length k, lower at expansion, parent product
+    # or None until needed, next child]
+    stack = [[0, 1, lower, root, 0]]
     while stack:
         if nodes >= budget:
             completed = False
             break
         top = stack[-1]
-        parent, k, nrms, rhos, j = top
-        if j == m - 1:
-            stack.pop()
-        else:
-            top[4] = j + 1
+        rec, k, lo, parent, j = top
         word[k - 1] = j
         nodes += 1
         if k > deepest:
             deepest = k
-        nrm = nrms[j]
+        s = rec * m + j
+        nrm = mnorm[s]
         alive = True
         if math.isfinite(nrm):
-            rho = rhos[j]
-            if rho >= 0.0:
+            rho = mrho[s]
+            if rho >= 0.0 and not _skipped(nrm, k, lo):
                 v = rho ** (1.0 / k) * (1.0 - _EIG_SAFETY)
                 if v > lower * (1.0 + _TIE):
                     lower = v
@@ -248,14 +342,25 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
                     wit_word[:k] = word[:k]
             if nrm <= 0.0 or np.log(nrm) <= k * log_thr:
                 alive = False
-        if alive:
-            if k == depth_cap:
-                saw_frontier = True
-                fm = nrm ** (1.0 / k) if math.isfinite(nrm) else math.inf
-                if fm > frontier_max:
-                    frontier_max = fm
-            else:
+        expand = alive and k < depth_cap
+        if alive and not expand:
+            saw_frontier = True
+            fm = nrm ** (1.0 / k) if math.isfinite(nrm) else math.inf
+            if fm > frontier_max:
+                frontier_max = fm
+        child = None
+        if expand:
+            kid = mkid[s]
+            if kid < 0:
+                if parent is None:
+                    parent = _rebuild(stack, word, gens)
                 child = parent @ gens[j]
-                stack.append([child, k + 1, *_children(child, gens, k + 1, lower, fro), 0])
+                kid = mkid[s] = _children(memo, child, gens, k + 1, lower, fro)
+        if j == m - 1:
+            stack.pop()
+        else:
+            top[4] = j + 1
+        if expand:
+            stack.append([kid, k + 1, lower, child, 0])
     return (lower, wit_len, wit_word, frontier_max, saw_frontier,
             completed, nodes, deepest)

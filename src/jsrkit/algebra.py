@@ -43,6 +43,22 @@ def _orthonormal_columns(vectors: np.ndarray, tol: float = 1e-9,
     return np.ascontiguousarray(u[:, :rank])
 
 
+def _find_unit(structure: np.ndarray):
+    """Coefficients of the two-sided unit of an algebra given by its
+    structure constants, or None when it has none (residual 1e-8)."""
+    m = structure.shape[0]
+    left = np.transpose(structure, (1, 2, 0)).reshape(m * m, m)
+    right = np.transpose(structure, (0, 2, 1)).reshape(m * m, m)
+    lhs = np.vstack([left, right])
+    target = np.eye(m, dtype=np.complex128).reshape(-1)
+    rhs = np.concatenate([target, target])
+    xi, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    resid = float(np.linalg.norm(lhs @ xi - rhs))
+    if resid <= 1e-8 * math.sqrt(2 * m):
+        return xi
+    return None
+
+
 class FDAlgebra:
     """A multiplicatively closed span of square complex matrices.
 
@@ -89,7 +105,7 @@ class FDAlgebra:
         self._pinv = pinv
         self.structure = structure
         self.structure.setflags(write=False)
-        self.unit_coeffs = self._find_unit()
+        self.unit_coeffs = _find_unit(structure)
         self.unital = self.unit_coeffs is not None
         self._gram = None
 
@@ -131,20 +147,6 @@ class FDAlgebra:
     def right_mult_matrix(self, u) -> np.ndarray:
         """Matrix of v -> v*u on coefficient space."""
         return np.einsum("j,ijk->ki", np.asarray(u), self.structure)
-
-    def _find_unit(self):
-        m = self.dim
-        c = self.structure
-        left = np.transpose(c, (1, 2, 0)).reshape(m * m, m)
-        right = np.transpose(c, (0, 2, 1)).reshape(m * m, m)
-        lhs = np.vstack([left, right])
-        target = np.eye(m, dtype=np.complex128).reshape(-1)
-        rhs = np.concatenate([target, target])
-        xi, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        resid = float(np.linalg.norm(lhs @ xi - rhs))
-        if resid <= 1e-8 * math.sqrt(2 * m):
-            return xi
-        return None
 
     @property
     def gram(self) -> np.ndarray:
@@ -322,7 +324,7 @@ class QuotientAlgebra:
         else:
             cq = np.zeros((0, 0, 0), np.complex128)
 
-        unit_q = self._find_quotient_unit(cq) if q > 0 else None
+        unit_q = _find_unit(cq) if q > 0 else None
         unital = unit_q is not None
         rep_dim = q if unital else q + 1
 
@@ -335,20 +337,6 @@ class QuotientAlgebra:
         self.rep_dim = rep_dim
         self._tol = tol
         self._self_check()
-
-    @staticmethod
-    def _find_quotient_unit(cq: np.ndarray):
-        qd = cq.shape[0]
-        left = np.transpose(cq, (1, 2, 0)).reshape(qd * qd, qd)
-        right = np.transpose(cq, (0, 2, 1)).reshape(qd * qd, qd)
-        lhs = np.vstack([left, right])
-        target = np.eye(qd, dtype=np.complex128).reshape(-1)
-        rhs = np.concatenate([target, target])
-        xi, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        resid = float(np.linalg.norm(lhs @ xi - rhs))
-        if resid <= 1e-8 * math.sqrt(2 * qd):
-            return xi
-        return None
 
     @property
     def dim(self) -> int:

@@ -18,12 +18,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import config
-from ._kernels import refine_pass, sweep_tree
+from ._kernels import Memo, refine_pass, sweep_tree
 from .matrices import op_norm
 from .sets import MatrixSet, Word, _sweep, _word_at, tree_size
 
 # product-stack memory allowed per branch-and-bound pass (one parent
-# product per open depth)
+# product per open depth); refine also drops its memo of earlier passes
+# once the memo outgrows it
 _STACK_BYTES = 64 * 2**20
 
 
@@ -157,8 +158,11 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
 
     Runs depth-capped passes (depths 1..8, then doubling), each a full
     lexicographic DFS with Gripenberg pruning against the current lower
-    bound.  The budget counts every evaluated word, including
-    re-evaluations across passes, so reports are deterministic.  On budget
+    bound.  The passes share one memo, so a node an earlier pass expanded
+    is replayed from its stored norms and radii instead of measured
+    again; the memo is dropped between passes once it outgrows
+    _STACK_BYTES.  The budget counts every visited word, including
+    replays across passes, so reports are deterministic.  On budget
     exhaustion the best certified interval so far is returned with
     converged=False (at least one depth-1 sweep always runs).
 
@@ -184,6 +188,7 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     converged = False
     depth_cap = 0
     target = 1
+    memo = Memo()
     while True:
         new_cap = min(target, depth_limit)
         if new_cap <= depth_cap:
@@ -191,7 +196,7 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
         depth_cap = new_cap
         (plower, wlen, wword, fmax, saw_frontier, completed, nodes,
          deep) = refine_pass(M.gens, depth_cap, width, lower,
-                             budget - nodes_total, fro)
+                             budget - nodes_total, fro, memo)
         nodes_total += int(nodes)
         deepest = max(deepest, int(deep))
         if plower > lower:
@@ -207,6 +212,8 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
         if converged or not completed or nodes_total >= budget:
             break
         target = target + 1 if target < 8 else target * 2
+        if memo.nbytes > _STACK_BYTES:
+            memo = Memo()
 
     if not math.isfinite(upper):
         upper = max(lower + width, max(op_norm(g) for g in M.generators))

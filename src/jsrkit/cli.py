@@ -4,7 +4,9 @@ Input format (JSON): {"name"?: str, "dim": int, "matrices": [{"re": [[..]],
 "im"?: [[..]]}, ...]} with dim x dim numeric rows.  Reports go to stdout
 (--format text|json); wall time and diagnostics go to stderr so that
 identical (input, parameters, version) invocations produce byte-identical
-report streams.  --workers (or JSR_WORKERS) is accepted and validated as
+report streams.  The wall_time_s line measures from after argument
+parsing to the end of the report: interpreter start and imports are not
+in it.  --workers (or JSR_WORKERS) is accepted and validated as
 a concurrency cap, but the enumeration kernels are sequential so that
 reports stay deterministic for any worker count.
 

@@ -89,16 +89,18 @@ _TIE = 1e-12
 _RHO_FLOOR = 1e-300
 # relative shave of refine's lower-bound candidates
 _EIG_SAFETY = 1e-12
+# smallest normal double
+_TINY = 2.2250738585072014e-308
 
 
 def _all_finite(a):
     return bool(np.isfinite(a).all())
 
 
-def loop_norm(a, fro):
-    """Operator 2-norm via the Gram matrix, or Frobenius norm when fro.
+def _loop_square(a, fro):
+    """Squared norm: top Gram eigenvalue, or the sum of squared moduli.
 
-    Overflowed products report inf instead of raising.
+    Overflowed products give inf, NaN entries included.
     """
     if fro:
         s = 0.0
@@ -106,21 +108,36 @@ def loop_norm(a, fro):
             for j in range(a.shape[1]):
                 v = a[i, j]
                 s += v.real * v.real + v.imag * v.imag
-        return np.sqrt(s)
+        return np.inf if np.isnan(s) else s
     g = np.conj(a.T) @ a
     if not _all_finite(g):
         return np.inf
     w = np.linalg.eigvalsh(g)
-    top = w[w.shape[0] - 1]
-    if top <= 0.0:
-        return 0.0
-    return np.sqrt(top)
+    return w[w.shape[0] - 1]
+
+
+def loop_norm(a, fro):
+    """Operator 2-norm via the Gram matrix, or Frobenius norm when fro.
+
+    Overflowed products report inf instead of raising.  A matrix whose
+    squared norm is subnormal is measured again after scaling it by the
+    power of two that brings its largest real or imaginary part into
+    [0.5, 1).
+    """
+    s = _loop_square(a, fro)
+    if s < _TINY:
+        big = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
+        e = math.frexp(big)[1]
+        scaled = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+        s = _loop_square(scaled, fro)
+        return math.ldexp(math.sqrt(s), e) if s > 0.0 else 0.0
+    return np.sqrt(s) if s > 0.0 else 0.0
 
 
 def loop_rho(a):
-    """Largest eigenvalue modulus (inf for non-finite input)."""
+    """Largest eigenvalue modulus (NaN for non-finite input)."""
     if not _all_finite(a):
-        return np.inf
+        return np.nan
     ev = np.linalg.eigvals(a)
     r = 0.0
     for i in range(ev.shape[0]):

@@ -9,17 +9,19 @@ from jsrkit import (
     MatrixSet,
     continuity_probe,
     interval_distance,
+    lift_set,
     lower_bound_r,
     op_norm,
     perturbation_directions,
     refine,
     sandwich_profiles,
+    set_norm,
     spectral_radius,
     tree_size,
     upper_bound,
     verify_berger_wang,
 )
-from jsrkit import _kernels, bounds
+from jsrkit import _kernels, bounds, config
 from jsrkit.sets import _word_at
 
 import oracles
@@ -290,6 +292,7 @@ def _engine_cases():
         "golden": np.stack(oracles.GOLDEN),
         "refine-2x5x5": rng.uniform(-1.0, 1.0, (2, 5, 5)) + 1j * rng.uniform(-1.0, 1.0, (2, 5, 5)),
         "overflow": 1e200 * np.stack(oracles.GOLDEN),
+        "underflow": 1e-160 * np.stack(oracles.GOLDEN),
         "zero": np.zeros((2, 3, 3), complex),
     }
     rng = np.random.default_rng(31)
@@ -308,16 +311,91 @@ SWEEP_DEPTH = {1: 40, 2: 9, 3: 6}
 
 
 def _pass_outputs(fn, gens, fro):
-    """A refine-like chain of passes plus one pass cut by its budget."""
+    """A refine-like chain of passes sharing one memo, plus one pass cut by
+    its budget that restarts from lower = 0 with a fresh memo."""
     out = []
     lower = 0.0
+    memo = _kernels.Memo()
     for cap in (1, 2, 3, 5, 7):
-        res = fn(gens, cap, 0.05, lower, 4000, fro)
+        res = fn(gens, cap, 0.05, lower, 4000, fro, memo)
         out.append(res[:2] + (res[2][:res[1]],) + res[3:])
         lower = max(lower, res[0])
-    res = fn(gens, 12, 0.05, 0.0, 37, fro)
+    res = fn(gens, 12, 0.05, 0.0, 37, fro, _kernels.Memo())
     out.append(res[:2] + (res[2][:res[1]],) + res[3:])
     return _hex(out)
+
+
+def _loop_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
+    """The loop kernel behind refine_pass's signature; it keeps no memo."""
+    return oracles.loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro)
+
+
+def _memoless_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
+    """The batched kernel called with its six positional arguments only."""
+    return _kernels.refine_pass(gens, depth_cap, width, lower_in, budget, fro)
+
+
+def _a2_member(i):
+    """Member i of the A2 acceptance family (tests/test_acceptance.py)."""
+    rng = np.random.default_rng(20_000 + i)
+    d = int(rng.integers(1, 4))
+    m = int(rng.integers(1, 4))
+    return oracles.random_set(rng, d, m)
+
+
+def _upper_triangular(seed, d, m, complex_entries):
+    rng = np.random.default_rng(seed)
+    g = np.triu(rng.uniform(-1.0, 1.0, (m, d, d)))
+    if complex_entries:
+        g = g + 1j * np.triu(rng.uniform(-1.0, 1.0, (m, d, d)))
+    return g
+
+
+def _jordan_sets():
+    """S J_d S^-1 for d = 2, 3, 4 from rng 3: rho = 1, defective."""
+    rng = np.random.default_rng(3)
+    out = {}
+    for d in (2, 3, 4):
+        s = rng.standard_normal((d, d))
+        j = np.eye(d) + np.diag(np.ones(d - 1), 1)
+        out[f"jordan-d{d}"] = ((s @ j @ np.linalg.inv(s))[None], 1e-3, 20_000)
+    return out
+
+
+def _refine_cases():
+    """name -> (gens, width, budget) for whole-refine comparisons."""
+    cases = {
+        "golden": (ENGINE_CASES["golden"], 0.02, 500_000),
+        "refine-2x5x5": (ENGINE_CASES["refine-2x5x5"], 0.005, 500_000),
+        "triu-3x3x2": (_upper_triangular(317, 3, 2, False), 0.05, 200_000),
+        "triu-2x2x2c": (_upper_triangular(201, 2, 2, True), 0.002, 200_000),
+        "triu-2x2x3": (_upper_triangular(203, 2, 3, False), 0.002, 200_000),
+        # lifts to d = 9 with 4 generators
+        "lift-a2-25": (lift_set(MatrixSet(_a2_member(25))).gens, 0.05, 100_000),
+        **_jordan_sets(),
+    }
+    return {k: (MatrixSet(np.ascontiguousarray(g, dtype=complex)), w, b)
+            for k, (g, w, b) in cases.items()}
+
+
+REFINE_CASES = _refine_cases()
+
+
+def _report(M, width, budget):
+    return {k: _hex(v) for k, v in refine(M, width, budget).to_dict().items()}
+
+
+class _CountNorms:
+    """Wraps _kernels.norms and counts the matrices it measures."""
+
+    def __init__(self, monkeypatch):
+        self.matrices = 0
+        self._norms = _kernels.norms
+        monkeypatch.setattr(_kernels, "norms", self)
+
+    def __call__(self, stack, fro):
+        self.matrices += stack.shape[0]
+        return self._norms(stack, fro)
 
 
 class TestBatchedEngine:
@@ -328,9 +406,11 @@ class TestBatchedEngine:
     def test_refine_pass_matches_loop_kernel(self, name, fro):
         gens = ENGINE_CASES[name]
         with np.errstate(all="ignore"):
-            want = _pass_outputs(oracles.loop_refine_pass, gens, fro)
+            want = _pass_outputs(_loop_pass, gens, fro)
             got = _pass_outputs(_kernels.refine_pass, gens, fro)
+            fresh = _pass_outputs(_memoless_pass, gens, fro)
         assert got == want
+        assert fresh == want
 
     @pytest.mark.parametrize("block_bytes", [_kernels._BLOCK_BYTES, 256])
     @pytest.mark.parametrize("fro", [False, True])
@@ -352,16 +432,45 @@ class TestBatchedEngine:
             assert _word_at(gnr, k, m) == loop_nw
             assert _word_at(grr, k, m) == loop_rw
 
-    @pytest.mark.parametrize("name", ["golden", "refine-2x5x5"])
-    def test_refine_reports_match_loop_kernel(self, name, monkeypatch):
-        M = MatrixSet(ENGINE_CASES[name])
-        width = 0.02 if name == "golden" else 0.005
-        got = refine(M, width, 500_000)
-        monkeypatch.setattr(bounds, "refine_pass", oracles.loop_refine_pass)
-        want = refine(M, width, 500_000)
-        assert _hex(list(got.to_dict().values())) == _hex(list(want.to_dict().values()))
-        if name == "refine-2x5x5":
-            assert got.nodes_explored == 11_910
+    @pytest.mark.parametrize("name,fro", [
+        pytest.param(name, fro, id=f"{name}-frobenius" if fro else name)
+        for name in sorted(REFINE_CASES) for fro in (False, True)])
+    def test_refine_reports_match_loop_kernel(self, name, fro, monkeypatch):
+        M, width, budget = REFINE_CASES[name]
+        if fro:
+            monkeypatch.setattr(config, "_norm_kind", config.NORM_FROBENIUS)
+        got = _report(M, width, budget)
+        monkeypatch.setattr(bounds, "refine_pass", _loop_pass)
+        assert got == _report(M, width, budget)
+        if name == "refine-2x5x5" and not fro:
+            assert got["nodes_explored"] == 11_910
+
+    def test_deepening_measures_each_node_once(self, monkeypatch):
+        # every pass replays the path the passes before it walked, so a
+        # single generator's refine to depth 4096 measures each depth once
+        # but counts every visit against the budget
+        M = MatrixSet.from_matrices([[[1, 1], [0, 1]]])
+        count = _CountNorms(monkeypatch)
+        rep = refine(M, 1e-6, 10**6, max_depth=4096)
+        assert rep.depth_used == 4096
+        assert rep.nodes_explored == sum(range(1, 9)) + sum(2**t for t in range(4, 13))
+        assert count.matrices == 4096
+
+    @pytest.mark.parametrize("name,cap", [("jordan-d2", 16 * 2**10),
+                                          ("refine-2x5x5", 64 * 2**10),
+                                          ("triu-2x2x3", 16 * 2**10)])
+    def test_dropped_memo_keeps_reports(self, name, cap, monkeypatch):
+        # a memo past _STACK_BYTES is dropped between passes, and the
+        # passes after it measure again what they would have replayed;
+        # each cap is below the set's memo but leaves its depth limit alone
+        M, width, budget = REFINE_CASES[name]
+        count = _CountNorms(monkeypatch)
+        kept = _report(M, width, budget)
+        measured = count.matrices
+        monkeypatch.setattr(bounds, "_STACK_BYTES", cap)
+        count.matrices = 0
+        assert _report(M, width, budget) == kept
+        assert count.matrices > measured
 
     def test_spectral_radius_uses_the_scalar_modulus(self):
         # on this stack numpy's vectorized complex abs differs from the
@@ -397,6 +506,43 @@ class TestBatchedEngine:
             tracemalloc.stop()
         assert rep.depth_used == 4096
         assert peak < 384 * 1024
+
+
+@pytest.mark.parametrize("fro", [False, True])
+class TestExtremeScales:
+    """Products that underflow or overflow keep the sandwich ordered."""
+
+    def test_underflowed_squares_keep_upper_above_lower(self, fro, monkeypatch):
+        # length-2 products have entries near 1e-320, so their squared
+        # norms underflow; read as 0 they put the upper end below the lower
+        if fro:
+            monkeypatch.setattr(config, "_norm_kind", config.NORM_FROBENIUS)
+        M = MatrixSet(1e-160 * ENGINE_CASES["golden"])
+        up = upper_bound(M, 2)
+        lb = lower_bound_r(M, 2)
+        assert lb.value <= up
+        assert up == pytest.approx(oracles.PHI * 1e-160, rel=1e-2)
+        # the length-2 radius, about 2.6e-320, sits under the 1e-300 floor
+        # that reads radii as zero, so the lower end is the depth-1 radius
+        assert lb.value == 1e-160 and lb.witness == (0,)
+        if not fro:
+            assert op_norm(M.gens[0]) == pytest.approx(oracles.PHI * 1e-160, rel=1e-15)
+
+    def test_overflowed_products_offer_no_candidates(self, fro, monkeypatch):
+        # length-2 products hold inf and NaN entries: they give no lower
+        # candidate, and their norm is inf in both norms
+        if fro:
+            monkeypatch.setattr(config, "_norm_kind", config.NORM_FROBENIUS)
+        M = MatrixSet(1e200 * ENGINE_CASES["golden"])
+        with np.errstate(all="ignore"):
+            lb = lower_bound_r(M, 6)
+            up = upper_bound(M, 6)
+            top = set_norm(M, 3)
+            bw = verify_berger_wang(M, tol=1e-9, budget=10**4)
+        assert lb.value == 1e200 and lb.witness == (0,)
+        assert up >= lb.value
+        assert top == np.inf
+        assert not bw.passed and bw.gap >= 0.0
 
 
 class TestNilpotencyHook:
