@@ -6,8 +6,7 @@ algebra engine (generated subalgebras, Jacobson radical, quotients).
 __version__ = "0.1.0"
 
 from . import config
-from .config import (NORM_FROBENIUS, NORM_SPECTRAL, get_norm_kind,
-                     set_norm_kind)
+from .config import NORM_FROBENIUS, NORM_SPECTRAL
 from .algebra import (ChainReport, ChainRow, FDAlgebra, Ideal,
                       InessentialReport, NilpotentSpanReport, QuotientAlgebra,
                       RcqReport, check_inessential, check_nilpotent_span,

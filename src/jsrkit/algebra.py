@@ -425,7 +425,8 @@ class InessentialReport(NamedTuple):
 
 def check_inessential(M: MatrixSet, *, width: float = 0.05,
                       budget: int = 200_000, widen: float = 1e-6,
-                      max_dim: int | None = None) -> InessentialReport:
+                      max_dim: int | None = None,
+                      frobenius: bool = False) -> InessentialReport:
     """Does killing the radical of A(M) leave rho unchanged?
 
     Boxes rho(M) in the ambient algebra and rho of the image of M in
@@ -436,8 +437,8 @@ def check_inessential(M: MatrixSet, *, width: float = 0.05,
     A = generated_subalgebra(M, max_dim)
     rad = jacobson_radical(A)
     Q = quotient(A, rad)
-    full = refine(M, width, budget // 2)
-    quot = refine(Q.rep_set(M), width, budget // 2)
+    full = refine(M, width, budget // 2, frobenius=frobenius)
+    quot = refine(Q.rep_set(M), width, budget // 2, frobenius=frobenius)
     gap = interval_distance(full.interval, quot.interval)
     slack = widen * max(1.0, full.upper, quot.upper)
     return InessentialReport(rho_full=full.interval, rho_quotient=quot.interval,
@@ -463,18 +464,26 @@ class RcqReport(NamedTuple):
 
 
 def _power_spans(A: FDAlgebra, base: np.ndarray):
-    """Yield orthonormal spans of I, I^2, I^3, ... (base = span of I)."""
+    """Orthonormal spans of I, I^2, I^3, ... and the nil degree of I.
+
+    base is an orthonormal basis of I.  Returns (spans, nil_degree): the
+    spans of the powers while their dimension strictly falls, and the
+    first k with I^k = 0, or None when the powers stop shrinking at a
+    nonzero span.  The dimensions start at most dim A and must strictly
+    fall, so the iteration ends after at most dim A + 1 products.
+    """
+    spans = []
     cur = base
-    yield cur
     while cur.shape[1] > 0:
-        cols = []
-        for a in range(cur.shape[1]):
-            for b in range(base.shape[1]):
-                cols.append(A.multiply(cur[:, a], base[:, b]))
+        if spans and cur.shape[1] >= spans[-1].shape[1]:
+            return spans, None
+        spans.append(cur)
+        cols = [A.multiply(cur[:, a], base[:, b])
+                for a in range(cur.shape[1]) for b in range(base.shape[1])]
         # inputs are unit coefficient vectors, so a genuinely nonzero
         # product span sits far above the 1e-10 roundoff floor
         cur = _orthonormal_columns(np.stack(cols, axis=1), floor=1e-10)
-        yield cur
+    return spans, len(spans) + 1
 
 
 def rcq_membership(A: FDAlgebra, x, *, depth: int = 8,
@@ -512,18 +521,7 @@ def rcq_membership(A: FDAlgebra, x, *, depth: int = 8,
             cols.append(A.multiply(eye[i], A.multiply(xi, eye[j])))
     ideal_span = _orthonormal_columns(np.stack(cols, axis=1))
 
-    nil_degree = None
-    prev_dim = None
-    for k, span in enumerate(_power_spans(A, ideal_span), start=1):
-        if span.shape[1] == 0:
-            nil_degree = k
-            break
-        if prev_dim is not None and span.shape[1] >= prev_dim:
-            break  # stabilized at a nonzero span: not nilpotent
-        prev_dim = span.shape[1]
-        if k > m + 1:
-            break
-
+    _, nil_degree = _power_spans(A, ideal_span)
     if nil_degree is not None:
         return RcqReport(member=True, nil_degree=nil_degree, witness_word=None,
                          witness_rho=None, ideal_dim=ideal_span.shape[1])
@@ -539,7 +537,7 @@ def rcq_membership(A: FDAlgebra, x, *, depth: int = 8,
     wit_word = None
     wit_rho = 0.0
     for n in range(1, n_cap + 1):
-        _, best_rho, _, rho_ranks, _ = _sweep(S, n, True, witness_budget + S.size)
+        _, best_rho, _, rho_ranks, _ = _sweep(S, n, True, witness_budget + S.size, False)
         v = float(best_rho[n])
         if v > rho_tol:
             wit_word = _word_at(rho_ranks, n, S.size)
@@ -566,15 +564,15 @@ class NilpotentSpanReport(NamedTuple):
 
 
 def check_nilpotent_span(M: MatrixSet, *, width: float = 1e-13,
-                         budget: int = 100_000,
-                         max_dim: int | None = None) -> NilpotentSpanReport:
+                         budget: int = 100_000, max_dim: int | None = None,
+                         frobenius: bool = False) -> NilpotentSpanReport:
     """Certify rho(M) = 0, then verify A(M) is nilpotent by span iteration.
 
     Refuses to proceed (PreconditionNotCertified) unless refine pushes the
     upper bound below 1e-12.  Then checks A(M)^k = 0 for some
     k <= dim(A(M)) + 1.
     """
-    box = refine(M, width, budget)
+    box = refine(M, width, budget, frobenius=frobenius)
     if not (box.upper < 1e-12):
         raise PreconditionNotCertified(
             f"refine only certified upper bound {box.upper:.3e} (need < 1e-12)")
@@ -582,18 +580,7 @@ def check_nilpotent_span(M: MatrixSet, *, width: float = 1e-13,
         return NilpotentSpanReport(passed=True, nil_degree=1,
                                    certified_upper=box.upper, algebra_dim=0)
     A = generated_subalgebra(M, max_dim)
-    full = np.eye(A.dim, dtype=np.complex128)
-    nil_degree = None
-    prev_dim = None
-    for k, span in enumerate(_power_spans(A, full), start=1):
-        if span.shape[1] == 0:
-            nil_degree = k
-            break
-        if prev_dim is not None and span.shape[1] >= prev_dim:
-            break
-        prev_dim = span.shape[1]
-        if k > A.dim + 1:
-            break
+    _, nil_degree = _power_spans(A, np.eye(A.dim, dtype=np.complex128))
     return NilpotentSpanReport(passed=nil_degree is not None,
                                nil_degree=nil_degree,
                                certified_upper=box.upper, algebra_dim=A.dim)
@@ -627,15 +614,15 @@ class ChainReport(NamedTuple):
 
 
 def _quotient_box(A: FDAlgebra, J: Ideal, gen_coeffs, width, budget,
-                  name=None) -> BoundsReport:
+                  name, frobenius) -> BoundsReport:
     Q = quotient(A, J)
     mats = [np.ascontiguousarray(Q.rep_coeffs(c)) for c in gen_coeffs]
-    return refine(MatrixSet(np.stack(mats), name), width, budget)
+    return refine(MatrixSet(np.stack(mats), name), width, budget, frobenius=frobenius)
 
 
 def ideal_chain_monotonicity(M: MatrixSet, chain: Sequence[Ideal], *,
                              width: float = 0.02, budget: int = 100_000,
-                             tol: float = 1e-8) -> ChainReport:
+                             tol: float = 1e-8, frobenius: bool = False) -> ChainReport:
     """rho estimates of M along quotients by a strictly increasing chain.
 
     Validates the chain (shared parent containing M, strictly increasing
@@ -662,14 +649,14 @@ def ideal_chain_monotonicity(M: MatrixSet, chain: Sequence[Ideal], *,
 
     rows = []
     for J in chain:
-        box = _quotient_box(A, J, gen_coeffs, width, budget, M.name)
+        box = _quotient_box(A, J, gen_coeffs, width, budget, M.name, frobenius)
         rows.append(ChainRow(J.dim, box.lower, box.upper, box.converged))
     for k in range(len(rows) - 1):
         if rows[k + 1].upper > rows[k].upper + tol:
             raise SelfCheckFailed(
                 f"upper endpoint grew along the chain: row {k} gives "
                 f"{rows[k].upper:.12g}, row {k + 1} gives {rows[k + 1].upper:.12g}")
-    direct = _quotient_box(A, chain[-1], gen_coeffs, width, budget, M.name)
+    direct = _quotient_box(A, chain[-1], gen_coeffs, width, budget, M.name, frobenius)
     final = ChainRow(chain[-1].dim, direct.lower, direct.upper, direct.converged)
     if (final.lower, final.upper) != (rows[-1].lower, rows[-1].upper):
         raise SelfCheckFailed("direct recomputation of the last quotient differs")
@@ -684,12 +671,5 @@ def radical_power_chain(A: FDAlgebra) -> list[Ideal]:
     rad = jacobson_radical(A)
     if rad.dim == 0:
         return [Ideal.zero(A)]
-    spans = []
-    for span in _power_spans(A, rad.coeffs):
-        if span.shape[1] == 0:
-            break
-        if spans and span.shape[1] >= spans[-1].shape[1]:
-            break
-        spans.append(span)
-    chain = [Ideal(A, s) for s in reversed(spans)]
-    return chain
+    spans, _ = _power_spans(A, rad.coeffs)
+    return [Ideal(A, s) for s in reversed(spans)]

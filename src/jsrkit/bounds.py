@@ -9,6 +9,9 @@ refine() tightens both sides with a branch-and-bound that cuts a branch
 at a product P of length k as soon as ||P|| <= (lower + width)^k: any
 longer word factors into cut pieces and frontier pieces, so the surviving
 frontier (plus the threshold itself) still bounds rho(M) from above.
+
+The sandwich holds for any submultiplicative norm.  ||.|| is the operator
+2-norm, or the Frobenius norm when a bound is called with frobenius=True.
 """
 
 import math
@@ -18,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import config
-from ._kernels import Memo, refine_pass, sweep_tree
+from ._kernels import Memo, refine_pass
 from .matrices import op_norm
 from .sets import MatrixSet, Word, _sweep, _word_at, tree_size
 
@@ -101,13 +104,15 @@ def _root(x: float, k: int) -> float:
     return x ** (1.0 / k)
 
 
-def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> LowerBound:
+def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
+                  frobenius: bool = False) -> LowerBound:
     """Best spectral-radius root over all words of length <= n.
 
     Ties (within 1e-12 relative) resolve to the shortest word, then the
-    lexicographically smallest.
+    lexicographically smallest.  The sweep evaluates the norm named by
+    frobenius along with the radii; the result does not depend on it.
     """
-    _, best_rho, _, rho_ranks, _ = _sweep(M, n, True, budget)
+    _, best_rho, _, rho_ranks, _ = _sweep(M, n, True, budget, frobenius)
     best = -1.0
     wit: Word = (0,)
     for k in range(1, n + 1):
@@ -118,20 +123,21 @@ def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> Lo
     return LowerBound(max(best, 0.0), wit)
 
 
-def upper_bound(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> float:
+def upper_bound(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
+                frobenius: bool = False) -> float:
     """Best norm root min_{k<=n} (max_{|w|=k} ||P_w||)^(1/k)."""
-    best_norm, _, _, _, _ = _sweep(M, n, False, budget)
+    best_norm, _, _, _, _ = _sweep(M, n, False, budget, frobenius)
     return min(_root(float(best_norm[k]), k) for k in range(1, n + 1))
 
 
-def sandwich_profiles(M: MatrixSet, n: int, *,
-                      budget: int = config.MAX_WORDS) -> tuple[np.ndarray, np.ndarray]:
+def sandwich_profiles(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
+                      frobenius: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative (lower, upper) sandwich values for every depth 1..n.
 
     Returns arrays (r, beta) of length n where r[k-1] = lower_bound_r(M, k)
     value and beta[k-1] = upper_bound(M, k), from a single sweep.
     """
-    best_norm, best_rho, _, _, _ = _sweep(M, n, True, budget)
+    best_norm, best_rho, _, _, _ = _sweep(M, n, True, budget, frobenius)
     r = np.empty(n)
     beta = np.empty(n)
     lo, hi = 0.0, math.inf
@@ -153,7 +159,7 @@ def _pass_depth_limit(dim: int, size: int, max_depth: int) -> int:
 
 
 def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
-           max_depth: int = 4096) -> BoundsReport:
+           max_depth: int = 4096, frobenius: bool = False) -> BoundsReport:
     """Branch-and-bound interval for rho(M), aiming at the given width.
 
     Runs depth-capped passes (depths 1..8, then doubling), each a full
@@ -177,7 +183,6 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     if not (width > 0.0):
         raise ValueError("width must be positive")
     budget = max(int(budget), M.size)
-    fro = config.use_frobenius()
     depth_limit = _pass_depth_limit(M.dim, M.size, max_depth)
 
     lower = 0.0
@@ -196,7 +201,7 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
         depth_cap = new_cap
         (plower, wlen, wword, fmax, saw_frontier, completed, nodes,
          deep) = refine_pass(M.gens, depth_cap, width, lower,
-                             budget - nodes_total, fro, memo)
+                             budget - nodes_total, frobenius, memo)
         nodes_total += int(nodes)
         deepest = max(deepest, int(deep))
         if plower > lower:
@@ -216,14 +221,15 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
             memo = Memo()
 
     if not math.isfinite(upper):
-        upper = max(lower + width, max(op_norm(g) for g in M.generators))
+        upper = max(lower + width, max(op_norm(g, frobenius=frobenius) for g in M.generators))
     upper = max(upper, lower)
     return BoundsReport(lower=lower, upper=upper, lower_witness=wit,
                         depth_used=deepest, nodes_explored=nodes_total,
                         converged=converged)
 
 
-def verify_berger_wang(M: MatrixSet, tol: float, budget: int = 10**6) -> BergerWangReport:
+def verify_berger_wang(M: MatrixSet, tol: float, budget: int = 10**6, *,
+                       frobenius: bool = False) -> BergerWangReport:
     """Drive the sandwich until the two sides agree within tol.
 
     Sweeps at doubling depths; every evaluated word (including
@@ -233,7 +239,6 @@ def verify_berger_wang(M: MatrixSet, tol: float, budget: int = 10**6) -> BergerW
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    fro = config.use_frobenius()
     r_best = 0.0
     b_best = math.inf
     depth_reached = 0
@@ -243,18 +248,15 @@ def verify_berger_wang(M: MatrixSet, tol: float, budget: int = 10**6) -> BergerW
         cost = tree_size(M.size, n)
         if nodes_used + cost > budget:
             break
-        best_norm, best_rho, _, _, nodes = sweep_tree(M.gens, n, True, fro)
-        nodes_used += int(nodes)
-        for k in range(1, n + 1):
-            r_best = max(r_best, _root(float(best_rho[k]), k))
-            b_best = min(b_best, _root(float(best_norm[k]), k))
+        r, beta = sandwich_profiles(M, n, budget=cost, frobenius=frobenius)
+        nodes_used += cost
+        r_best, b_best = float(r[-1]), float(beta[-1])
         depth_reached = n
         if b_best - r_best <= tol:
             break
         n *= 2
-    gap = (b_best - r_best) if depth_reached > 0 else math.inf
-    return BergerWangReport(r_lower=r_best,
-                            rho_upper=b_best if depth_reached > 0 else math.inf,
+    gap = b_best - r_best
+    return BergerWangReport(r_lower=r_best, rho_upper=b_best,
                             gap=gap, passed=gap <= tol,
                             depth_reached=depth_reached,
                             words_evaluated=nodes_used)
@@ -265,8 +267,9 @@ def interval_distance(i1: Sequence[float], i2: Sequence[float]) -> float:
     return max(0.0, i2[0] - i1[1], i1[0] - i2[1])
 
 
-def perturbation_directions(M: MatrixSet, trials: int, seed: int) -> list[np.ndarray]:
-    """Per-trial unit-spectral-norm complex Gaussian directions.
+def perturbation_directions(M: MatrixSet, trials: int, seed: int, *,
+                            frobenius: bool = False) -> list[np.ndarray]:
+    """Per-trial unit-norm complex Gaussian directions.
 
     One (size, dim, dim) array per trial, drawn once from the seed; the
     continuity probe reuses the same directions for every eps so that
@@ -280,7 +283,7 @@ def perturbation_directions(M: MatrixSet, trials: int, seed: int) -> list[np.nda
         for g in range(M.size):
             while True:
                 z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                nrm = op_norm(z)
+                nrm = op_norm(z, frobenius=frobenius)
                 if nrm > 1e-8:
                     break
             dirs[g] = z / nrm
@@ -290,7 +293,8 @@ def perturbation_directions(M: MatrixSet, trials: int, seed: int) -> list[np.nda
 
 def continuity_probe(M: MatrixSet, eps_schedule: Sequence[float], trials: int,
                      seed: int, *, budget: int = 50_000,
-                     base_width: float | None = None) -> list[ContinuityRow]:
+                     base_width: float | None = None,
+                     frobenius: bool = False) -> list[ContinuityRow]:
     """Interval deviation of rho under random perturbations of each size.
 
     For each eps, each generator of each trial copy is shifted by eps
@@ -311,11 +315,11 @@ def continuity_probe(M: MatrixSet, eps_schedule: Sequence[float], trials: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    dirs = perturbation_directions(M, trials, seed)
+    dirs = perturbation_directions(M, trials, seed, frobenius=frobenius)
     positive = [e for e in eps_list if e > 0]
     wbase = base_width if base_width is not None else (
         max(min(positive) / 4.0, 1e-9) if positive else 1e-6)
-    base = refine(M, wbase, budget)
+    base = refine(M, wbase, budget, frobenius=frobenius)
     rows = []
     for e in eps_list:
         w = max(e / 4.0, 1e-9)
@@ -323,7 +327,7 @@ def continuity_probe(M: MatrixSet, eps_schedule: Sequence[float], trials: int,
         complete = base.converged
         for t in range(trials):
             gens = np.ascontiguousarray(M.gens + e * dirs[t])
-            rep = refine(MatrixSet(gens), w, budget)
+            rep = refine(MatrixSet(gens), w, budget, frobenius=frobenius)
             complete = complete and rep.converged
             mx = max(mx, interval_distance(base.interval, rep.interval))
         rows.append(ContinuityRow(e, mx, complete))

@@ -6,19 +6,17 @@ Input format (JSON): {"name"?: str, "dim": int, "matrices": [{"re": [[..]],
 identical (input, parameters, version) invocations produce byte-identical
 report streams.  The wall_time_s line measures from after argument
 parsing to the end of the report: interpreter start and imports are not
-in it.  --workers (or JSR_WORKERS) is accepted and validated as
-a concurrency cap, but the enumeration kernels are sequential so that
-reports stay deterministic for any worker count.
+in it.  --norm picks the norm of every bound: --norm frobenius calls
+them with frobenius=True.
 
 Exit status: 0 on pass/converged, 2 when a check computed fine but did
-not pass (or did not converge), 1 on any error.
+not pass (or did not converge) and on a usage error, 1 on any other error.
 """
 
 import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -100,6 +98,13 @@ def _positive_int(text: str) -> int:
     return v
 
 
+def _nonnegative_int(text: str) -> int:
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return v
+
+
 def _positive_float(text: str) -> float:
     v = float(text)
     if not (v > 0) or not math.isfinite(v):
@@ -109,9 +114,16 @@ def _positive_float(text: str) -> float:
 
 def _eps_list(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        eps = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
+    if not eps:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    if not all(math.isfinite(e) and e >= 0.0 for e in eps):
+        raise argparse.ArgumentTypeError("values must be finite and >= 0")
+    if any(b > a for a, b in zip(eps, eps[1:])):
+        raise argparse.ArgumentTypeError("schedule must be nonincreasing")
+    return eps
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--norm", choices=(config.NORM_SPECTRAL, config.NORM_FROBENIUS),
                         default=config.NORM_SPECTRAL)
-        sp.add_argument("--workers", type=_positive_int, default=None,
-                        help="concurrency cap (default: JSR_WORKERS or 1)")
         sp.add_argument("--max-dim", type=_positive_int, default=config.MAX_DIM)
         sp.add_argument("--max-generators", type=_positive_int,
                         default=config.MAX_GENERATORS)
@@ -171,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=_eps_list, default=[0.1, 0.03, 0.01],
                     help="comma-separated nonincreasing schedule")
     sp.add_argument("--trials", type=_positive_int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_nonnegative_int, default=0)
 
     return p
 
@@ -190,44 +200,29 @@ def _enforce_caps(args, M: MatrixSet) -> None:
         raise CapExceeded(f"{M.size} generators exceed cap {args.max_generators}")
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("JSR_WORKERS", "")
-    if env:
-        try:
-            v = int(env)
-        except ValueError:
-            raise CapExceeded(f"JSR_WORKERS must be an integer, got {env!r}")
-        if v < 1:
-            raise CapExceeded("JSR_WORKERS must be >= 1")
-        return v
-    return 1
-
-
-def _run_command(args, M: MatrixSet):
+def _run_command(args, M: MatrixSet, frobenius: bool):
     """Returns (params dict, result dict, exit code)."""
     cmd = args.command
     if cmd == "bounds":
-        lo = lower_bound_r(M, args.depth, budget=args.budget)
-        up = upper_bound(M, args.depth, budget=args.budget)
+        lo = lower_bound_r(M, args.depth, budget=args.budget, frobenius=frobenius)
+        up = upper_bound(M, args.depth, budget=args.budget, frobenius=frobenius)
         params = {"depth": args.depth, "budget": args.budget}
         result = {"lower": lo.value, "lower_witness": list(lo.witness), "upper": up}
         return params, result, 0
 
     if cmd == "refine":
-        rep = refine(M, args.width, args.budget)
+        rep = refine(M, args.width, args.budget, frobenius=frobenius)
         params = {"width": args.width, "budget": args.budget}
         return params, rep.to_dict(), 0 if rep.converged else 2
 
     if cmd == "verify-bw":
-        rep = verify_berger_wang(M, args.tol, args.budget)
+        rep = verify_berger_wang(M, args.tol, args.budget, frobenius=frobenius)
         params = {"tol": args.tol, "budget": args.budget}
         return params, rep.to_dict(), 0 if rep.passed else 2
 
     if cmd == "lift-check":
-        rep = check_lift_identities(M, args.depth, tol=args.tol,
-                                    width=args.width, budget=args.budget)
+        rep = check_lift_identities(M, args.depth, tol=args.tol, width=args.width,
+                                    budget=args.budget, frobenius=frobenius)
         w_resid = 0.0
         w_slack = 0.0
         for a in M.generators:
@@ -254,7 +249,7 @@ def _run_command(args, M: MatrixSet):
 
     if cmd == "inessential":
         rep = check_inessential(M, width=args.width, budget=args.budget,
-                                max_dim=args.max_algebra_dim)
+                                max_dim=args.max_algebra_dim, frobenius=frobenius)
         params = {"width": args.width, "budget": args.budget,
                   "max_algebra_dim": args.max_algebra_dim}
         return params, rep.to_dict(), 0 if rep.passed else 2
@@ -263,14 +258,14 @@ def _run_command(args, M: MatrixSet):
         A = generated_subalgebra(M, args.max_algebra_dim)
         chain = radical_power_chain(A)
         rep = ideal_chain_monotonicity(M, chain, width=args.width,
-                                       budget=args.budget)
+                                       budget=args.budget, frobenius=frobenius)
         params = {"width": args.width, "budget": args.budget,
                   "max_algebra_dim": args.max_algebra_dim}
         return params, rep.to_dict(), 0
 
     if cmd == "continuity":
         rows = continuity_probe(M, args.eps, args.trials, args.seed,
-                                budget=args.budget)
+                                budget=args.budget, frobenius=frobenius)
         params = {"eps": args.eps, "trials": args.trials, "seed": args.seed,
                   "budget": args.budget}
         result = {"rows": [{"eps": r.eps, "max_dev": r.max_dev,
@@ -298,18 +293,14 @@ def _emit_text(report: dict, out) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
+    frobenius = args.norm == config.NORM_FROBENIUS
     try:
-        config.set_norm_kind(args.norm)
-        workers = _workers(args)
         M, digest = load_matrix_set(args.input)
         _enforce_caps(args, M)
-        params, result, code = _run_command(args, M)
+        params, result, code = _run_command(args, M, frobenius)
     except JsrError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    # workers is a validated cap only; kernels are sequential (deterministic
-    # reports for any worker count), so it must not enter the report stream.
-    _ = workers
     report = {
         "tool": "jsrkit",
         "version": __version__,
@@ -319,7 +310,7 @@ def main(argv=None) -> int:
         "name": M.name,
         "dim": M.dim,
         "generators": M.size,
-        "norm": config.get_norm_kind(),
+        "norm": args.norm,
         "params": params,
         "result": result,
         "exit_status": code,

@@ -1,4 +1,4 @@
-"""Global knobs: norm choice and the safety caps used by the CLI."""
+"""Safety caps used by the CLI and the two values of its --norm flag."""
 
 MAX_DIM = 64
 MAX_GENERATORS = 8
@@ -7,25 +7,3 @@ KRON_CAP = 4096
 
 NORM_SPECTRAL = "spectral"
 NORM_FROBENIUS = "frobenius"
-
-_norm_kind = NORM_SPECTRAL
-
-
-def set_norm_kind(kind: str) -> None:
-    """Select the submultiplicative norm used by every bound.
-
-    "spectral" (default, the operator 2-norm) or "frobenius" (cheaper,
-    still submultiplicative, so every certified bound stays valid).
-    """
-    global _norm_kind
-    if kind not in (NORM_SPECTRAL, NORM_FROBENIUS):
-        raise ValueError(f"unknown norm kind {kind!r}")
-    _norm_kind = kind
-
-
-def get_norm_kind() -> str:
-    return _norm_kind
-
-
-def use_frobenius() -> bool:
-    return _norm_kind == NORM_FROBENIUS

@@ -123,18 +123,19 @@ class LiftIdentityReport:
 
 def check_lift_identities(M: MatrixSet, n: int = 4, *, tol: float = 1e-7,
                           width: float = 0.05, budget: int = 200_000,
-                          cap: int = config.KRON_CAP) -> LiftIdentityReport:
+                          cap: int = config.KRON_CAP,
+                          frobenius: bool = False) -> LiftIdentityReport:
     """Check rho(lift) = rho(M)^2 and r_k(lift) = r_k(M)^2 for k <= n."""
     lifted = lift_set(M, cap=cap)
-    r_m, _ = sandwich_profiles(M, n, budget=budget)
-    r_l, _ = sandwich_profiles(lifted, n, budget=budget)
+    r_m, _ = sandwich_profiles(M, n, budget=budget, frobenius=frobenius)
+    r_l, _ = sandwich_profiles(lifted, n, budget=budget, frobenius=frobenius)
     r_gap = 0.0
     for k in range(n):
         want = r_m[k] ** 2
         r_gap = max(r_gap, abs(r_l[k] - want) / max(1.0, want))
 
-    box = refine(M, width, budget)
-    box_l = refine(lifted, width, budget)
+    box = refine(M, width, budget, frobenius=frobenius)
+    box_l = refine(lifted, width, budget, frobenius=frobenius)
     sq = (box.lower ** 2, box.upper ** 2)
     rho_gap = interval_distance(sq, box_l.interval) / max(1.0, sq[1])
     passed = bool(r_gap <= tol and rho_gap <= tol)

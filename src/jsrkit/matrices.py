@@ -26,19 +26,17 @@ def frobenius_norm(a) -> float:
     return float(norms(a[None], True)[0])
 
 
-def op_norm(a, *, frobenius: bool | None = None) -> float:
+def op_norm(a, *, frobenius: bool = False) -> float:
     """Matrix norm used by every bound in this package.
 
     Defaults to the operator 2-norm (largest singular value, computed as
     the root of the top eigenvalue of the Gram matrix a^H a); pass
-    frobenius=True, or flip the global config, for the cheaper Frobenius
-    norm.  Both are submultiplicative, so certified bounds stay valid
-    under either choice.
+    frobenius=True for the cheaper Frobenius norm.  Both are
+    submultiplicative, so certified bounds stay valid under either choice.
     """
     a = as_matrix(a)
-    fro = config.use_frobenius() if frobenius is None else frobenius
     try:
-        return float(norms(a[None], fro)[0])
+        return float(norms(a[None], frobenius)[0])
     except np.linalg.LinAlgError as e:
         raise NonConvergence(f"norm eigensolve failed: {e}") from e
 

@@ -90,14 +90,14 @@ def tree_size(size: int, nmax: int) -> int:
     return (size ** (nmax + 1) - size) // (size - 1)
 
 
-def _sweep(M: MatrixSet, nmax: int, want_rho: bool, budget: int):
+def _sweep(M: MatrixSet, nmax: int, want_rho: bool, budget: int, fro: bool):
     if nmax < 1:
         raise ShapeError("depth must be >= 1")
     total = tree_size(M.size, nmax)
     if total > budget:
         raise BudgetExceeded(
             f"sweep to depth {nmax} needs {total} words, budget is {budget}")
-    return sweep_tree(M.gens, nmax, want_rho, config.use_frobenius())
+    return sweep_tree(M.gens, nmax, want_rho, fro)
 
 
 def _word_at(ranks, k: int, size: int) -> Word:
@@ -113,14 +113,15 @@ def _word_at(ranks, k: int, size: int) -> Word:
     return (0,) * (k - len(letters)) + tuple(reversed(letters))
 
 
-def set_norm(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> float:
+def set_norm(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
+             frobenius: bool = False) -> float:
     """max over words w of length n of ||product(w)||, by full enumeration."""
-    best_norm, _, _, _, _ = _sweep(M, n, False, budget)
+    best_norm, _, _, _, _ = _sweep(M, n, False, budget, frobenius)
     return float(best_norm[n])
 
 
-def leading_products(M: MatrixSet, nmax: int, *,
-                     budget: int = config.MAX_WORDS) -> list[LeadingProduct]:
+def leading_products(M: MatrixSet, nmax: int, *, budget: int = config.MAX_WORDS,
+                     frobenius: bool = False) -> list[LeadingProduct]:
     """Products achieving the running norm maximum at their own length.
 
     An entry (n, word, norm) is emitted exactly when the maximum norm over
@@ -128,7 +129,7 @@ def leading_products(M: MatrixSet, nmax: int, *,
     lexicographically smallest word.  Norms along the list are
     nondecreasing.
     """
-    best_norm, _, norm_ranks, _, _ = _sweep(M, nmax, False, budget)
+    best_norm, _, norm_ranks, _, _ = _sweep(M, nmax, False, budget, frobenius)
     out: list[LeadingProduct] = []
     running = 0.0
     for k in range(1, nmax + 1):
@@ -140,14 +141,15 @@ def leading_products(M: MatrixSet, nmax: int, *,
 
 
 def normalized_leading_sequence(M: MatrixSet, nmax: int, *,
-                                budget: int = config.MAX_WORDS) -> list[np.ndarray]:
+                                budget: int = config.MAX_WORDS,
+                                frobenius: bool = False) -> list[np.ndarray]:
     """The leading products, each scaled to unit norm.
 
     Entries whose product is the zero matrix are skipped (nothing to
     normalize).
     """
     out = []
-    for n, word, norm in leading_products(M, nmax, budget=budget):
+    for n, word, norm in leading_products(M, nmax, budget=budget, frobenius=frobenius):
         if norm <= 0.0:
             continue
         t = evaluate(M, word)

@@ -8,6 +8,7 @@ from jsrkit import (
     BudgetExceeded,
     MatrixSet,
     continuity_probe,
+    frobenius_norm,
     interval_distance,
     lift_set,
     lower_bound_r,
@@ -21,7 +22,7 @@ from jsrkit import (
     upper_bound,
     verify_berger_wang,
 )
-from jsrkit import _kernels, bounds, config
+from jsrkit import _kernels, bounds
 from jsrkit.sets import _word_at
 
 import oracles
@@ -245,6 +246,13 @@ class TestContinuity:
             for g in range(2):
                 assert op_norm(d1[t][g]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_frobenius_directions_have_unit_frobenius_norm(self):
+        dirs = perturbation_directions(golden(), 2, 0, frobenius=True)
+        for d in dirs:
+            for g in d:
+                assert frobenius_norm(g) == pytest.approx(1.0, abs=1e-12)
+                assert op_norm(g) < 1.0
+
     def test_zero_eps_gives_zero_deviation(self):
         rows = continuity_probe(diag_pair(), [0.0], trials=3, seed=1, budget=10**4)
         assert rows[0].eps == 0.0
@@ -381,8 +389,9 @@ def _refine_cases():
 REFINE_CASES = _refine_cases()
 
 
-def _report(M, width, budget):
-    return {k: _hex(v) for k, v in refine(M, width, budget).to_dict().items()}
+def _report(M, width, budget, fro=False):
+    return {k: _hex(v)
+            for k, v in refine(M, width, budget, frobenius=fro).to_dict().items()}
 
 
 class _CountNorms:
@@ -437,11 +446,9 @@ class TestBatchedEngine:
         for name in sorted(REFINE_CASES) for fro in (False, True)])
     def test_refine_reports_match_loop_kernel(self, name, fro, monkeypatch):
         M, width, budget = REFINE_CASES[name]
-        if fro:
-            monkeypatch.setattr(config, "_norm_kind", config.NORM_FROBENIUS)
-        got = _report(M, width, budget)
+        got = _report(M, width, budget, fro)
         monkeypatch.setattr(bounds, "refine_pass", _loop_pass)
-        assert got == _report(M, width, budget)
+        assert got == _report(M, width, budget, fro)
         if name == "refine-2x5x5" and not fro:
             assert got["nodes_explored"] == 11_910
 
@@ -512,14 +519,12 @@ class TestBatchedEngine:
 class TestExtremeScales:
     """Products that underflow or overflow keep the sandwich ordered."""
 
-    def test_underflowed_squares_keep_upper_above_lower(self, fro, monkeypatch):
+    def test_underflowed_squares_keep_upper_above_lower(self, fro):
         # length-2 products have entries near 1e-320, so their squared
         # norms underflow; read as 0 they put the upper end below the lower
-        if fro:
-            monkeypatch.setattr(config, "_norm_kind", config.NORM_FROBENIUS)
         M = MatrixSet(1e-160 * ENGINE_CASES["golden"])
-        up = upper_bound(M, 2)
-        lb = lower_bound_r(M, 2)
+        up = upper_bound(M, 2, frobenius=fro)
+        lb = lower_bound_r(M, 2, frobenius=fro)
         assert lb.value <= up
         assert up == pytest.approx(oracles.PHI * 1e-160, rel=1e-2)
         # the length-2 radius, about 2.6e-320, sits under the 1e-300 floor
@@ -528,17 +533,15 @@ class TestExtremeScales:
         if not fro:
             assert op_norm(M.gens[0]) == pytest.approx(oracles.PHI * 1e-160, rel=1e-15)
 
-    def test_overflowed_products_offer_no_candidates(self, fro, monkeypatch):
+    def test_overflowed_products_offer_no_candidates(self, fro):
         # length-2 products hold inf and NaN entries: they give no lower
         # candidate, and their norm is inf in both norms
-        if fro:
-            monkeypatch.setattr(config, "_norm_kind", config.NORM_FROBENIUS)
         M = MatrixSet(1e200 * ENGINE_CASES["golden"])
         with np.errstate(all="ignore"):
-            lb = lower_bound_r(M, 6)
-            up = upper_bound(M, 6)
-            top = set_norm(M, 3)
-            bw = verify_berger_wang(M, tol=1e-9, budget=10**4)
+            lb = lower_bound_r(M, 6, frobenius=fro)
+            up = upper_bound(M, 6, frobenius=fro)
+            top = set_norm(M, 3, frobenius=fro)
+            bw = verify_berger_wang(M, tol=1e-9, budget=10**4, frobenius=fro)
         assert lb.value == 1e200 and lb.witness == (0,)
         assert up >= lb.value
         assert top == np.inf

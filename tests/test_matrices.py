@@ -4,13 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from jsrkit import (
     DimensionOverflow,
-    NORM_FROBENIUS,
     ShapeError,
     as_matrix,
     frobenius_norm,
     kron,
     op_norm,
-    set_norm_kind,
     spectral_radius,
 )
 
@@ -133,12 +131,4 @@ class TestKron:
 class TestNormConfig:
     def test_frobenius_mode_switches_op_norm(self):
         a = np.array([[1, 1], [0, 1]], dtype=complex)
-        try:
-            set_norm_kind(NORM_FROBENIUS)
-            assert op_norm(a) == pytest.approx(np.sqrt(3.0), rel=1e-12)
-        finally:
-            set_norm_kind("spectral")
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            set_norm_kind("nuclear")
+        assert op_norm(a, frobenius=True) == pytest.approx(np.sqrt(3.0), rel=1e-12)
