@@ -537,7 +537,8 @@ def rcq_membership(A: FDAlgebra, x, *, depth: int = 8,
     wit_word = None
     wit_rho = 0.0
     for n in range(1, n_cap + 1):
-        _, best_rho, _, rho_ranks, _ = _sweep(S, n, True, witness_budget + S.size, False)
+        # only the radii are read; the norms are discarded (Frobenius is cheapest)
+        _, best_rho, _, rho_ranks, _ = _sweep(S, n, True, witness_budget + S.size, True)
         v = float(best_rho[n])
         if v > rho_tol:
             wit_word = _word_at(rho_ranks, n, S.size)

@@ -16,7 +16,7 @@ The sandwich holds for any submultiplicative norm.  ||.|| is the operator
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,15 +104,15 @@ def _root(x: float, k: int) -> float:
     return x ** (1.0 / k)
 
 
-def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
-                  frobenius: bool = False) -> LowerBound:
+def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> LowerBound:
     """Best spectral-radius root over all words of length <= n.
 
     Ties (within 1e-12 relative) resolve to the shortest word, then the
-    lexicographically smallest.  The sweep evaluates the norm named by
-    frobenius along with the radii; the result does not depend on it.
+    lexicographically smallest.
     """
-    _, best_rho, _, rho_ranks, _ = _sweep(M, n, True, budget, frobenius)
+    # only the radii are read; the sweep's norms are discarded, so they
+    # are taken in the cheaper Frobenius norm
+    _, best_rho, _, rho_ranks, _ = _sweep(M, n, True, budget, True)
     best = -1.0
     wit: Word = (0,)
     for k in range(1, n + 1):
@@ -291,6 +291,19 @@ def perturbation_directions(M: MatrixSet, trials: int, seed: int, *,
     return out
 
 
+def _eps_schedule(values: Iterable[float]) -> list[float]:
+    """The values as floats; ValueError unless nonempty, finite, >= 0, nonincreasing."""
+    eps_list = [float(e) for e in values]
+    if not eps_list:
+        raise ValueError("eps_schedule must be nonempty")
+    for i, e in enumerate(eps_list):
+        if e < 0.0 or not math.isfinite(e):
+            raise ValueError("eps values must be finite and >= 0")
+        if i > 0 and e > eps_list[i - 1]:
+            raise ValueError("eps_schedule must be nonincreasing")
+    return eps_list
+
+
 def continuity_probe(M: MatrixSet, eps_schedule: Sequence[float], trials: int,
                      seed: int, *, budget: int = 50_000,
                      base_width: float | None = None,
@@ -304,14 +317,7 @@ def continuity_probe(M: MatrixSet, eps_schedule: Sequence[float], trials: int,
     run) hit the budget before converging; its deviations are still valid
     bounds.
     """
-    eps_list = [float(e) for e in eps_schedule]
-    if not eps_list:
-        raise ValueError("eps_schedule must be nonempty")
-    for i, e in enumerate(eps_list):
-        if e < 0.0 or not math.isfinite(e):
-            raise ValueError("eps values must be finite and >= 0")
-        if i > 0 and e > eps_list[i - 1]:
-            raise ValueError("eps_schedule must be nonincreasing")
+    eps_list = _eps_schedule(eps_schedule)
     if trials < 1:
         raise ValueError("trials must be >= 1")
 

@@ -27,8 +27,8 @@ from . import __version__, config
 from .algebra import (check_inessential, generated_subalgebra,
                       ideal_chain_monotonicity, jacobson_radical, quotient,
                       radical_power_chain)
-from .bounds import (continuity_probe, lower_bound_r, refine, upper_bound,
-                     verify_berger_wang)
+from .bounds import (_eps_schedule, continuity_probe, lower_bound_r, refine,
+                     upper_bound, verify_berger_wang)
 from .errors import CapExceeded, JsrError, ParseError, ShapeError
 from .lift import check_lift_identities, check_w_product_identity
 from .matrices import frobenius_norm
@@ -114,16 +114,9 @@ def _positive_float(text: str) -> float:
 
 def _eps_list(text: str) -> list[float]:
     try:
-        eps = [float(x) for x in text.split(",") if x.strip()]
+        return _eps_schedule(float(x) for x in text.split(",") if x.strip())
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
-    if not eps:
-        raise argparse.ArgumentTypeError("needs at least one value")
-    if not all(math.isfinite(e) and e >= 0.0 for e in eps):
-        raise argparse.ArgumentTypeError("values must be finite and >= 0")
-    if any(b > a for a, b in zip(eps, eps[1:])):
-        raise argparse.ArgumentTypeError("schedule must be nonincreasing")
-    return eps
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +197,7 @@ def _run_command(args, M: MatrixSet, frobenius: bool):
     """Returns (params dict, result dict, exit code)."""
     cmd = args.command
     if cmd == "bounds":
-        lo = lower_bound_r(M, args.depth, budget=args.budget, frobenius=frobenius)
+        lo = lower_bound_r(M, args.depth, budget=args.budget)
         up = upper_bound(M, args.depth, budget=args.budget, frobenius=frobenius)
         params = {"depth": args.depth, "budget": args.budget}
         result = {"lower": lo.value, "lower_witness": list(lo.witness), "upper": up}

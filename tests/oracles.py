@@ -30,6 +30,10 @@ def svd_norm(a) -> float:
     return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)[0])
 
 
+def fro_norm(a) -> float:
+    return float(np.linalg.norm(np.asarray(a, dtype=complex), "fro"))
+
+
 def eig_rho(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(a, dtype=complex)))))
 
@@ -49,9 +53,10 @@ def brute_interval(mats, nmax: int) -> tuple[float, float]:
     return lo, hi
 
 
-def brute_set_norm(mats, n: int) -> float:
+def brute_set_norm(mats, n: int, frobenius: bool = False) -> float:
     mats = [np.asarray(m, dtype=complex) for m in mats]
-    return max(svd_norm(word_product(mats, w)) for w in words(len(mats), n))
+    norm = fro_norm if frobenius else svd_norm
+    return max(norm(word_product(mats, w)) for w in words(len(mats), n))
 
 
 def random_set(rng, dim: int, size: int, complex_entries: bool = False) -> np.ndarray:

@@ -524,7 +524,7 @@ class TestExtremeScales:
         # norms underflow; read as 0 they put the upper end below the lower
         M = MatrixSet(1e-160 * ENGINE_CASES["golden"])
         up = upper_bound(M, 2, frobenius=fro)
-        lb = lower_bound_r(M, 2, frobenius=fro)
+        lb = lower_bound_r(M, 2)
         assert lb.value <= up
         assert up == pytest.approx(oracles.PHI * 1e-160, rel=1e-2)
         # the length-2 radius, about 2.6e-320, sits under the 1e-300 floor
@@ -538,7 +538,7 @@ class TestExtremeScales:
         # candidate, and their norm is inf in both norms
         M = MatrixSet(1e200 * ENGINE_CASES["golden"])
         with np.errstate(all="ignore"):
-            lb = lower_bound_r(M, 6, frobenius=fro)
+            lb = lower_bound_r(M, 6)
             up = upper_bound(M, 6, frobenius=fro)
             top = set_norm(M, 3, frobenius=fro)
             bw = verify_berger_wang(M, tol=1e-9, budget=10**4, frobenius=fro)

@@ -158,18 +158,23 @@ class TestLeadingProducts:
         # a depth appears iff its best norm ties or beats every earlier best
         rng = np.random.default_rng(16)
         M = MatrixSet.from_matrices(oracles.random_set(rng, 2, 2))
-        rows = leading_products(M, 6)
-        best, expect = 0.0, []
-        for n in range(1, 7):
-            top = oracles.brute_set_norm(list(M.gens), n)
-            if top >= best:
-                expect.append(n)
-                best = top
-        assert [r.n for r in rows] == expect
+        for fro in (False, True):
+            rows = leading_products(M, 6, frobenius=fro)
+            best, expect = 0.0, []
+            for n in range(1, 7):
+                top = oracles.brute_set_norm(list(M.gens), n, frobenius=fro)
+                if top >= best:
+                    expect.append(n)
+                    best = top
+            assert [r.n for r in rows] == expect
+            for r in rows:
+                want = oracles.brute_set_norm(list(M.gens), r.n, frobenius=fro)
+                assert r.norm == pytest.approx(want, rel=1e-12)
 
     def test_normalized_sequence_has_unit_norms(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
             M = MatrixSet.from_matrices(oracles.random_set(rng, 3, 2, complex_entries=True))
-            for mat in normalized_leading_sequence(M, 5):
-                assert op_norm(mat) == pytest.approx(1.0, abs=1e-10)
+            for fro in (False, True):
+                for mat in normalized_leading_sequence(M, 5, frobenius=fro):
+                    assert op_norm(mat, frobenius=fro) == pytest.approx(1.0, abs=1e-10)
