@@ -5,8 +5,10 @@ norms come from a batched Gram-matrix `eigvalsh`, spectral radii from a
 batched `eigvals`, and products from a batched `matmul`.  Each matrix in
 a batch goes through the same BLAS/LAPACK call as it would alone, so the
 batched values are bit-identical to one-at-a-time evaluation.
-refine_pass keeps what it measures in a Memo, which the deeper passes of
-the same refine replay instead of measuring again.
+sweep_tree evaluates only the measures its caller passes (norms, radii
+or both), so a radius-only sweep pays no norm.  refine_pass keeps what
+it measures in a Memo, which the deeper passes of the same refine
+replay instead of measuring again.
 
 Argmax updates require a relative improvement > 1e-12 so that ulp-level
 eigenvalue noise cannot override the lex/shortest tie-break.
@@ -130,27 +132,27 @@ def _records(vals, best, rank, r0):
     return best, rank
 
 
-def sweep_tree(gens, nmax, want_rho, fro):
-    """Evaluate every product of length 1..nmax.
+def sweep_tree(gens, nmax, measures):
+    """Evaluate every product of length 1..nmax under each measure.
 
-    Returns per-depth maxima of the norm and (optionally) the spectral
-    radius, the lexicographic rank of the smallest maximizing word per
-    depth (word letters are its base-m digits), and the number of
-    evaluated words.  Index 0 of the per-depth arrays is unused; the
-    maxima stay at -1 there.
+    measures is a tuple of functions, each mapping an (N, d, d) stack of
+    products to N floats: radii, or norms with fro bound by
+    functools.partial.  Only these are evaluated.  Returns one
+    (best, ranks) pair per measure: best[k] is the measure's maximum over
+    the words of length k and ranks[k] the lexicographic rank of the
+    smallest maximizing word (word letters are its base-m digits).
+    Index 0 is unused; best stays at -1 there.
 
     The tree is cut into blocks: one block holds the products of every
     word below one prefix, down to a few levels, and is evaluated with a
-    single batched norm and eigensolve.  Blocks are walked depth-first
+    single batched call per measure.  Blocks are walked depth-first
     with an explicit stack, prefixes in lexicographic order, so each depth
     sees its words in lexicographic order.  Products are formed left to
     right, exactly as a one-word-at-a-time walk forms them.
     """
     m, d, _ = gens.shape
-    best_norm = np.full(nmax + 1, -1.0)
-    best_rho = np.full(nmax + 1, -1.0)
-    norm_rank = [0] * (nmax + 1)
-    rho_rank = [0] * (nmax + 1)
+    best = [np.full(nmax + 1, -1.0) for _ in measures]
+    ranks = [[0] * (nmax + 1) for _ in measures]
     # levels per full block: m + m^2 + ... + m^h products fit the cap
     cap = max(m, _BLOCK_BYTES // (16 * d * d))
     h_max, size, total = 0, 1, 0
@@ -158,7 +160,6 @@ def sweep_tree(gens, nmax, want_rho, fro):
         size *= m
         total += size
         h_max += 1
-    nodes = 0
     # frame: [prefix products at depth p, p, rank of the first, next index]
     stack = [[np.eye(d, dtype=np.complex128)[None], 0, 0, 0]]
     while stack:
@@ -179,23 +180,18 @@ def sweep_tree(gens, nmax, want_rho, fro):
             np.matmul(prev[:, None], gens[None], out=out.reshape(n // m, m, d, d))
             prev = out
             off += n
-        nodes += off
-        nrm = norms(buf, fro)
-        rho = radii(buf) if want_rho else None
+        vals = [f(buf) for f in measures]
         off = 0
         base = r0 + i
         for t, n in enumerate(counts, start=1):
             k = p + t
             first = base * n
-            best_norm[k], norm_rank[k] = _records(
-                nrm[off:off + n], best_norm[k], norm_rank[k], first)
-            if want_rho:
-                best_rho[k], rho_rank[k] = _records(
-                    rho[off:off + n], best_rho[k], rho_rank[k], first)
+            for b, r, v in zip(best, ranks, vals):
+                b[k], r[k] = _records(v[off:off + n], b[k], r[k], first)
             off += n
         if p + h < nmax:
             stack.append([prev.copy(), p + h, base * counts[-1], 0])
-    return best_norm, best_rho, norm_rank, rho_rank, nodes
+    return tuple(zip(best, ranks))
 
 
 class Memo:

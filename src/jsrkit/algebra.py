@@ -14,7 +14,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import BoundsReport, interval_distance, refine
+from . import _kernels
+from .bounds import BoundsReport, _as_dict, interval_distance, refine
 from .errors import (DimensionCap, IllConditioned, InvalidBasis, NotAChain,
                      NotAnIdeal, NotClosed, NotInAlgebra,
                      PreconditionNotCertified, SelfCheckFailed, ShapeError)
@@ -412,15 +413,7 @@ class InessentialReport(NamedTuple):
     algebra_dim: int
     radical_dim: int
 
-    def to_dict(self) -> dict:
-        return {
-            "rho_full": list(self.rho_full),
-            "rho_quotient": list(self.rho_quotient),
-            "gap": self.gap,
-            "pass": self.passed,
-            "algebra_dim": self.algebra_dim,
-            "radical_dim": self.radical_dim,
-        }
+    to_dict = _as_dict
 
 
 def check_inessential(M: MatrixSet, *, width: float = 0.05,
@@ -453,14 +446,7 @@ class RcqReport(NamedTuple):
     witness_rho: float | None
     ideal_dim: int
 
-    def to_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "nil_degree": self.nil_degree,
-            "witness_word": None if self.witness_word is None else list(self.witness_word),
-            "witness_rho": self.witness_rho,
-            "ideal_dim": self.ideal_dim,
-        }
+    to_dict = _as_dict
 
 
 def _power_spans(A: FDAlgebra, base: np.ndarray):
@@ -537,8 +523,7 @@ def rcq_membership(A: FDAlgebra, x, *, depth: int = 8,
     wit_word = None
     wit_rho = 0.0
     for n in range(1, n_cap + 1):
-        # only the radii are read; the norms are discarded (Frobenius is cheapest)
-        _, best_rho, _, rho_ranks, _ = _sweep(S, n, True, witness_budget + S.size, True)
+        [(best_rho, rho_ranks)] = _sweep(S, n, (_kernels.radii,), witness_budget + S.size)
         v = float(best_rho[n])
         if v > rho_tol:
             wit_word = _word_at(rho_ranks, n, S.size)
@@ -555,13 +540,7 @@ class NilpotentSpanReport(NamedTuple):
     certified_upper: float
     algebra_dim: int
 
-    def to_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "nil_degree": self.nil_degree,
-            "certified_upper": self.certified_upper,
-            "algebra_dim": self.algebra_dim,
-        }
+    to_dict = _as_dict
 
 
 def check_nilpotent_span(M: MatrixSet, *, width: float = 1e-13,
@@ -598,20 +577,7 @@ class ChainReport(NamedTuple):
     rows: tuple[ChainRow, ...]
     final_direct: ChainRow
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {"ideal_dim": r.ideal_dim, "lower": r.lower, "upper": r.upper,
-                 "converged": r.converged}
-                for r in self.rows
-            ],
-            "final_direct": {
-                "ideal_dim": self.final_direct.ideal_dim,
-                "lower": self.final_direct.lower,
-                "upper": self.final_direct.upper,
-                "converged": self.final_direct.converged,
-            },
-        }
+    to_dict = _as_dict
 
 
 def _quotient_box(A: FDAlgebra, J: Ideal, gen_coeffs, width, budget,

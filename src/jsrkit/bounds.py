@@ -14,13 +14,15 @@ The sandwich holds for any submultiplicative norm.  ||.|| is the operator
 2-norm, or the Frobenius norm when a bound is called with frobenius=True.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import config
+from . import _kernels, config
 from ._kernels import Memo, refine_pass
 from .matrices import op_norm
 from .sets import MatrixSet, Word, _sweep, _word_at, tree_size
@@ -29,6 +31,23 @@ from .sets import MatrixSet, Word, _sweep, _word_at, tree_size
 # product per open depth); refine also drops its memo of earlier passes
 # once the memo outgrows it
 _STACK_BYTES = 64 * 2**20
+
+
+def _as_dict(value):
+    """The JSON-ready dict of a report record, fields in declaration order.
+
+    The passed field is written as "pass", nested records become dicts
+    and tuples become lists; other values are kept as they are.
+    """
+    if dataclasses.is_dataclass(value):
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    elif hasattr(value, "_asdict"):
+        fields = value._asdict()
+    elif isinstance(value, tuple):
+        return [_as_dict(v) for v in value]
+    else:
+        return value
+    return {"pass" if k == "passed" else k: _as_dict(v) for k, v in fields.items()}
 
 
 class LowerBound(NamedTuple):
@@ -65,15 +84,7 @@ class BoundsReport:
     def interval(self) -> tuple[float, float]:
         return (self.lower, self.upper)
 
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "lower_witness": list(self.lower_witness),
-            "depth_used": self.depth_used,
-            "nodes_explored": self.nodes_explored,
-            "converged": self.converged,
-        }
+    to_dict = _as_dict
 
 
 @dataclass(frozen=True)
@@ -87,15 +98,7 @@ class BergerWangReport:
     depth_reached: int
     words_evaluated: int
 
-    def to_dict(self) -> dict:
-        return {
-            "r_lower": self.r_lower,
-            "rho_upper": self.rho_upper,
-            "gap": self.gap,
-            "pass": self.passed,
-            "depth_reached": self.depth_reached,
-            "words_evaluated": self.words_evaluated,
-        }
+    to_dict = _as_dict
 
 
 def _root(x: float, k: int) -> float:
@@ -104,15 +107,23 @@ def _root(x: float, k: int) -> float:
     return x ** (1.0 / k)
 
 
+def _profile(best, op, start):
+    """Running op (max or min) of the roots best[k]^(1/k), k = 1..len(best)-1."""
+    out = np.empty(len(best) - 1)
+    acc = start
+    for k in range(1, len(best)):
+        acc = op(acc, _root(float(best[k]), k))
+        out[k - 1] = acc
+    return out
+
+
 def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> LowerBound:
     """Best spectral-radius root over all words of length <= n.
 
     Ties (within 1e-12 relative) resolve to the shortest word, then the
     lexicographically smallest.
     """
-    # only the radii are read; the sweep's norms are discarded, so they
-    # are taken in the cheaper Frobenius norm
-    _, best_rho, _, rho_ranks, _ = _sweep(M, n, True, budget, True)
+    [(best_rho, rho_ranks)] = _sweep(M, n, (_kernels.radii,), budget)
     best = -1.0
     wit: Word = (0,)
     for k in range(1, n + 1):
@@ -126,7 +137,7 @@ def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> Lo
 def upper_bound(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
                 frobenius: bool = False) -> float:
     """Best norm root min_{k<=n} (max_{|w|=k} ||P_w||)^(1/k)."""
-    best_norm, _, _, _, _ = _sweep(M, n, False, budget, frobenius)
+    [(best_norm, _)] = _sweep(M, n, (partial(_kernels.norms, fro=frobenius),), budget)
     return min(_root(float(best_norm[k]), k) for k in range(1, n + 1))
 
 
@@ -137,16 +148,15 @@ def sandwich_profiles(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
     Returns arrays (r, beta) of length n where r[k-1] = lower_bound_r(M, k)
     value and beta[k-1] = upper_bound(M, k), from a single sweep.
     """
-    best_norm, best_rho, _, _, _ = _sweep(M, n, True, budget, frobenius)
-    r = np.empty(n)
-    beta = np.empty(n)
-    lo, hi = 0.0, math.inf
-    for k in range(1, n + 1):
-        lo = max(lo, _root(float(best_rho[k]), k))
-        hi = min(hi, _root(float(best_norm[k]), k))
-        r[k - 1] = lo
-        beta[k - 1] = hi
-    return r, beta
+    [(best_norm, _), (best_rho, _)] = _sweep(
+        M, n, (partial(_kernels.norms, fro=frobenius), _kernels.radii), budget)
+    return _profile(best_rho, max, 0.0), _profile(best_norm, min, math.inf)
+
+
+def _lower_profile(M: MatrixSet, n: int, budget: int) -> np.ndarray:
+    """The r array of sandwich_profiles alone, from a radius-only sweep."""
+    [(best_rho, _)] = _sweep(M, n, (_kernels.radii,), budget)
+    return _profile(best_rho, max, 0.0)
 
 
 def _pass_depth_limit(dim: int, size: int, max_depth: int) -> int:
@@ -158,6 +168,7 @@ def _pass_depth_limit(dim: int, size: int, max_depth: int) -> int:
     return max(2, min(max_depth, _STACK_BYTES // per_level))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
            max_depth: int = 4096, frobenius: bool = False) -> BoundsReport:
     """Branch-and-bound interval for rho(M), aiming at the given width.
@@ -178,7 +189,9 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     the witness product; on convergence upper - lower <= width holds
     exactly.  Widths below about 1e-12 times rho sit under that margin
     and typically exhaust the budget instead of converging (except at
-    rho = 0, where certification is exact).
+    rho = 0, where certification is exact).  Overflowed products are
+    measured as inf or NaN by design, so numpy's overflow and
+    invalid-value warnings are silenced for the whole call.
     """
     if not (width > 0.0):
         raise ValueError("width must be positive")

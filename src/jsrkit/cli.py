@@ -27,8 +27,8 @@ from . import __version__, config
 from .algebra import (check_inessential, generated_subalgebra,
                       ideal_chain_monotonicity, jacobson_radical, quotient,
                       radical_power_chain)
-from .bounds import (_eps_schedule, continuity_probe, lower_bound_r, refine,
-                     upper_bound, verify_berger_wang)
+from .bounds import (_as_dict, _eps_schedule, continuity_probe,
+                     lower_bound_r, refine, upper_bound, verify_berger_wang)
 from .errors import CapExceeded, JsrError, ParseError, ShapeError
 from .lift import check_lift_identities, check_w_product_identity
 from .matrices import frobenius_norm
@@ -261,8 +261,7 @@ def _run_command(args, M: MatrixSet, frobenius: bool):
                                 budget=args.budget, frobenius=frobenius)
         params = {"eps": args.eps, "trials": args.trials, "seed": args.seed,
                   "budget": args.budget}
-        result = {"rows": [{"eps": r.eps, "max_dev": r.max_dev,
-                            "complete": r.complete} for r in rows]}
+        result = {"rows": [_as_dict(r) for r in rows]}
         code = 0 if all(r.complete for r in rows) else 2
         return params, result, code
 

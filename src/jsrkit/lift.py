@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .bounds import interval_distance, refine, sandwich_profiles
+from .bounds import _as_dict, _lower_profile, interval_distance, refine
 from .errors import DimensionOverflow, SelfCheckFailed
 from .matrices import as_matrix, frobenius_norm, kron, require_same_dim
 from .sets import MatrixSet
@@ -110,15 +110,7 @@ class LiftIdentityReport:
     interval: tuple[float, float]
     lifted_interval: tuple[float, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "rho_sq_gap": self.rho_sq_gap,
-            "r_exact_gap": self.r_exact_gap,
-            "pass": self.passed,
-            "depth": self.depth,
-            "interval": list(self.interval),
-            "lifted_interval": list(self.lifted_interval),
-        }
+    to_dict = _as_dict
 
 
 def check_lift_identities(M: MatrixSet, n: int = 4, *, tol: float = 1e-7,
@@ -127,8 +119,8 @@ def check_lift_identities(M: MatrixSet, n: int = 4, *, tol: float = 1e-7,
                           frobenius: bool = False) -> LiftIdentityReport:
     """Check rho(lift) = rho(M)^2 and r_k(lift) = r_k(M)^2 for k <= n."""
     lifted = lift_set(M, cap=cap)
-    r_m, _ = sandwich_profiles(M, n, budget=budget, frobenius=frobenius)
-    r_l, _ = sandwich_profiles(lifted, n, budget=budget, frobenius=frobenius)
+    r_m = _lower_profile(M, n, budget)
+    r_l = _lower_profile(lifted, n, budget)
     r_gap = 0.0
     for k in range(n):
         want = r_m[k] ** 2

@@ -1,12 +1,12 @@
 """Finite matrix sets, product words, and exhaustive norm sweeps."""
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from . import config
-from ._kernels import sweep_tree
+from . import _kernels, config
 from .errors import BudgetExceeded, DimensionMismatch, IndexOutOfRange, ShapeError
 from .matrices import as_matrix
 
@@ -90,14 +90,20 @@ def tree_size(size: int, nmax: int) -> int:
     return (size ** (nmax + 1) - size) // (size - 1)
 
 
-def _sweep(M: MatrixSet, nmax: int, want_rho: bool, budget: int, fro: bool):
+@np.errstate(over="ignore", invalid="ignore")
+def _sweep(M: MatrixSet, nmax: int, measures: tuple, budget: int):
+    """_kernels.sweep_tree of M under the given measures, within budget.
+
+    Overflowed products are measured as inf or NaN by design, so numpy's
+    overflow and invalid-value warnings are silenced for the sweep.
+    """
     if nmax < 1:
         raise ShapeError("depth must be >= 1")
     total = tree_size(M.size, nmax)
     if total > budget:
         raise BudgetExceeded(
             f"sweep to depth {nmax} needs {total} words, budget is {budget}")
-    return sweep_tree(M.gens, nmax, want_rho, fro)
+    return _kernels.sweep_tree(M.gens, nmax, measures)
 
 
 def _word_at(ranks, k: int, size: int) -> Word:
@@ -116,7 +122,7 @@ def _word_at(ranks, k: int, size: int) -> Word:
 def set_norm(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
              frobenius: bool = False) -> float:
     """max over words w of length n of ||product(w)||, by full enumeration."""
-    best_norm, _, _, _, _ = _sweep(M, n, False, budget, frobenius)
+    [(best_norm, _)] = _sweep(M, n, (partial(_kernels.norms, fro=frobenius),), budget)
     return float(best_norm[n])
 
 
@@ -129,7 +135,8 @@ def leading_products(M: MatrixSet, nmax: int, *, budget: int = config.MAX_WORDS,
     lexicographically smallest word.  Norms along the list are
     nondecreasing.
     """
-    best_norm, _, norm_ranks, _, _ = _sweep(M, nmax, False, budget, frobenius)
+    [(best_norm, norm_ranks)] = _sweep(
+        M, nmax, (partial(_kernels.norms, fro=frobenius),), budget)
     out: list[LeadingProduct] = []
     running = 0.0
     for k in range(1, nmax + 1):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -9,11 +10,14 @@ from jsrkit import (
     MatrixSet,
     continuity_probe,
     frobenius_norm,
+    generated_subalgebra,
     interval_distance,
+    leading_products,
     lift_set,
     lower_bound_r,
     op_norm,
     perturbation_directions,
+    rcq_membership,
     refine,
     sandwich_profiles,
     set_norm,
@@ -430,16 +434,30 @@ class TestBatchedEngine:
         gens = ENGINE_CASES[name]
         m = gens.shape[0]
         n = SWEEP_DEPTH[m]
+        norm = functools.partial(_kernels.norms, fro=fro)
         with np.errstate(all="ignore"):
-            bn, br, nw, rw, nodes = oracles.loop_sweep_tree(gens, n, True, fro)
-            gbn, gbr, gnr, grr, gnodes = _kernels.sweep_tree(gens, n, True, fro)
-        assert gnodes == nodes == tree_size(m, n)
-        assert _hex(gbn) == _hex(bn) and _hex(gbr) == _hex(br)
-        for k in range(1, n + 1):
-            loop_nw = (0,) * k if m == 1 else tuple(nw[k, :k].tolist())
-            loop_rw = (0,) * k if m == 1 else tuple(rw[k, :k].tolist())
-            assert _word_at(gnr, k, m) == loop_nw
-            assert _word_at(grr, k, m) == loop_rw
+            bn, br, nw, rw, _ = oracles.loop_sweep_tree(gens, n, True, fro)
+        loop = {norm: (bn, nw), _kernels.radii: (br, rw)}
+        for measures in ((norm,), (_kernels.radii,), (norm, _kernels.radii)):
+            with np.errstate(all="ignore"):
+                got = _kernels.sweep_tree(gens, n, measures)
+            assert len(got) == len(measures)
+            for f, (best, ranks) in zip(measures, got):
+                want, words = loop[f]
+                assert _hex(best) == _hex(want)
+                for k in range(1, n + 1):
+                    loop_w = (0,) * k if m == 1 else tuple(words[k, :k].tolist())
+                    assert _word_at(ranks, k, m) == loop_w
+        # every word is measured exactly once
+        sizes = []
+
+        def size(stack):
+            sizes.append(stack.shape[0])
+            return np.zeros(stack.shape[0])
+
+        with np.errstate(all="ignore"):
+            _kernels.sweep_tree(gens, n, (size,))
+        assert sum(sizes) == tree_size(m, n)
 
     @pytest.mark.parametrize("name,fro", [
         pytest.param(name, fro, id=f"{name}-frobenius" if fro else name)
@@ -495,8 +513,37 @@ class TestBatchedEngine:
         rep = verify_berger_wang(M, tol=1e-12, budget=8191)
         assert rep.depth_reached == 4096 and rep.words_evaluated == 8191
         bn, br, _, _, _ = oracles.loop_sweep_tree(M.gens, 4096, True, False)
-        gbn, gbr, _, _, _ = _kernels.sweep_tree(M.gens, 4096, True, False)
-        assert _hex(gbn) == _hex(bn) and _hex(gbr) == _hex(br)
+        norm = functools.partial(_kernels.norms, fro=False)
+        for measures, want in (((norm,), [bn]), ((_kernels.radii,), [br]),
+                               ((norm, _kernels.radii), [bn, br])):
+            got = _kernels.sweep_tree(M.gens, 4096, measures)
+            assert [_hex(best) for best, _ in got] == [_hex(w) for w in want]
+
+    def test_sweeps_compute_only_what_they_read(self, monkeypatch):
+        # the lower end reads only radii and the upper end only norms
+        calls = {"norms": 0, "radii": 0}
+
+        def counted(name, real):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return spy
+
+        A = generated_subalgebra(MatrixSet.from_matrices(oracles.GOLDEN))
+        for name in calls:
+            monkeypatch.setattr(_kernels, name, counted(name, getattr(_kernels, name)))
+        M = MatrixSet(ENGINE_CASES["refine-2x5x5"])
+        lower_bound_r(M, 4)
+        # A is all of 2x2, so the identity is no member and the witness sweep runs
+        rep = rcq_membership(A, np.eye(2))
+        assert not rep.member and rep.witness_word is not None
+        assert calls["norms"] == 0 and calls["radii"] > 0
+        calls["radii"] = 0
+        for fro in (False, True):
+            upper_bound(M, 4, frobenius=fro)
+            set_norm(M, 4, frobenius=fro)
+            leading_products(M, 4, frobenius=fro)
+        assert calls["radii"] == 0 and calls["norms"] > 0
 
     def test_single_generator_deep_refine_memory_is_flat(self):
         # a Jordan block never prunes, so refine walks the single path to
@@ -535,13 +582,13 @@ class TestExtremeScales:
 
     def test_overflowed_products_offer_no_candidates(self, fro):
         # length-2 products hold inf and NaN entries: they give no lower
-        # candidate, and their norm is inf in both norms
+        # candidate, and their norm is inf in both norms; the sweeps keep
+        # numpy's overflow warnings to themselves
         M = MatrixSet(1e200 * ENGINE_CASES["golden"])
-        with np.errstate(all="ignore"):
-            lb = lower_bound_r(M, 6)
-            up = upper_bound(M, 6, frobenius=fro)
-            top = set_norm(M, 3, frobenius=fro)
-            bw = verify_berger_wang(M, tol=1e-9, budget=10**4, frobenius=fro)
+        lb = lower_bound_r(M, 6)
+        up = upper_bound(M, 6, frobenius=fro)
+        top = set_norm(M, 3, frobenius=fro)
+        bw = verify_berger_wang(M, tol=1e-9, budget=10**4, frobenius=fro)
         assert lb.value == 1e200 and lb.witness == (0,)
         assert up >= lb.value
         assert top == np.inf

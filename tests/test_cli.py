@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from jsrkit import _kernels, cli
+from jsrkit import _kernels
 from jsrkit.cli import load_matrix_set, main
 
 import oracles
@@ -168,28 +168,15 @@ class TestReports:
     def test_norm_reaches_every_norm_evaluation(self, capsys, monkeypatch, hand_file,
                                                 argv, norm):
         # every sweep and branch-and-bound expansion measures its products
-        # through _kernels.norms, so --norm must arrive at each call whose
-        # norms are read.  lower_bound_r reads only radii and discards its
-        # sweep's norms, so its calls are left out.
+        # through _kernels.norms, so --norm must arrive at each call
         seen = []
-        in_lower = []
         norms = _kernels.norms
-        lower_bound_r = cli.lower_bound_r
 
         def spy(stack, fro):
-            if not in_lower:
-                seen.append(fro)
+            seen.append(fro)
             return norms(stack, fro)
 
-        def lower_spy(*args, **kwargs):
-            in_lower.append(True)
-            try:
-                return lower_bound_r(*args, **kwargs)
-            finally:
-                in_lower.pop()
-
         monkeypatch.setattr(_kernels, "norms", spy)
-        monkeypatch.setattr(cli, "lower_bound_r", lower_spy)
         code = main([argv[0], hand_file, "--norm", norm, *argv[1:]])
         capsys.readouterr()
         assert code in (0, 2)
