@@ -8,7 +8,11 @@ batched values are bit-identical to one-at-a-time evaluation.
 sweep_tree evaluates only the measures its caller passes (norms, radii
 or both), so a radius-only sweep pays no norm.  refine_pass keeps what
 it measures in a Memo, which the deeper passes of the same refine
-replay instead of measuring again.
+replay instead of measuring again.  A single generator's product tree is
+a path, so refine_pass measures it ahead in blocks: one batched norms
+and one batched radii call per block, and the memo keeps the product at
+the block's end, from which the next block (in this pass or a deeper
+one) starts.
 
 Argmax updates require a relative improvement > 1e-12 so that ulp-level
 eigenvalue noise cannot override the lex/shortest tie-break.
@@ -35,7 +39,8 @@ _EIG_SAFETY = 1e-12
 # underflowed and are not trusted for this.
 _SKIP_SLACK = 1e-9
 _SKIP_FLOOR = 1e-150
-# bytes of product matrices in one block of a sweep
+# bytes of product matrices in one block of a sweep; a block of a single
+# generator's path fits its products and their norm temporaries in it
 _BLOCK_BYTES = 64 * 2**10
 # squared norms below this are subnormal: the Gram matrix (or the sum of
 # squares) has lost digits or underflowed to zero
@@ -200,16 +205,20 @@ class Memo:
     One record per expanded node, holding m slots, one per child: the
     child's norm, its spectral radius (-1 where eigvals was skipped) and
     the index of the child's own record (-1 until the child is expanded).
-    Record r fills slots r*m .. r*m + m - 1; record 0 is the root.  No
-    products are kept, so a stored child costs 24 bytes.
+    Record r fills slots r*m .. r*m + m - 1; record 0 is the root, and a
+    stored child costs 24 bytes.  With m >= 2 no products are kept.  With
+    one generator the records form a chain, one slot each, measured in
+    blocks, and end keeps the product of the chain's last node (one d x d
+    matrix), from which the next block starts.
     """
 
-    __slots__ = ("norm", "rho", "kid")
+    __slots__ = ("norm", "rho", "kid", "end")
 
     def __init__(self):
         self.norm = array("d")
         self.rho = array("d")
         self.kid = array("q")
+        self.end = None
 
     @property
     def nbytes(self):
@@ -221,27 +230,53 @@ def _skipped(x, k, lower):
     return lower > 0.0 and x >= _SKIP_FLOOR and x ** (1.0 / k) * (1.0 + _SKIP_SLACK) <= lower
 
 
-def _children(memo, parent, gens, k, lower, fro):
-    """Append the record of one product's m children (length k) to memo.
+def _measure(memo, kids, lengths, lower, fro):
+    """Append one slot per product in kids to memo, with no child record yet.
 
-    Returns the record's index.  Radii are -1 where eigvals was skipped
-    because the child's norm root cannot beat lower.
+    lengths[i] is the word length of kids[i].  One batched norms call
+    measures them all, and one batched radii call every finite one whose
+    norm root can beat lower; the other radii are stored as -1.
     """
-    m = gens.shape[0]
-    kids = parent @ gens
     nrm = norms(kids, fro).tolist()
-    want = [j for j, x in enumerate(nrm) if math.isfinite(x) and not _skipped(x, k, lower)]
-    if len(want) == m:
+    want = [i for i, (x, k) in enumerate(zip(nrm, lengths))
+            if math.isfinite(x) and not _skipped(x, k, lower)]
+    if len(want) == len(nrm):
         rho = radii(kids).tolist()
     else:
-        rho = [-1.0] * m
+        rho = [-1.0] * len(nrm)
         if want:
-            for j, r in zip(want, radii(kids[want]).tolist()):
-                rho[j] = r
+            for i, r in zip(want, radii(kids[want]).tolist()):
+                rho[i] = r
     memo.norm.extend(nrm)
     memo.rho.extend(rho)
-    memo.kid.extend([-1] * m)
-    return len(memo.kid) // m - 1
+    memo.kid.extend([-1] * len(nrm))
+
+
+def _expand(memo, prod, gens, k, room, lower, fro):
+    """Measure what lies below a node of length k with product prod.
+
+    Returns the index of the record that holds the node's children.  With
+    m >= 2 generators that is one record of m siblings.  With one the tree
+    is a path: the next min(room, block) nodes are measured as one block
+    of one-slot records, each the child of the one before, and memo.end
+    keeps the last product.  The block's products are formed one at a
+    time, left to right, as a walk one node at a time forms them.  A
+    block's products, and the conjugate transposes and Gram matrices its
+    norms make, fit in _BLOCK_BYTES together.
+    """
+    m, d, _ = gens.shape
+    first = len(memo.kid)
+    if m > 1:
+        _measure(memo, prod @ gens, [k + 1] * m, lower, fro)
+        return first // m
+    n = max(1, min(room, _BLOCK_BYTES // (3 * 16 * d * d)))
+    block = np.empty((n, d, d), np.complex128)
+    for t in range(n):
+        prod = np.matmul(prod, gens[0], out=block[t])
+    _measure(memo, block, range(k + 1, k + n + 1), lower, fro)
+    memo.kid[first:first + n - 1] = array("q", range(first + 1, first + n))
+    memo.end = prod.copy()
+    return first
 
 
 def _rebuild(stack, word, gens):
@@ -285,8 +320,14 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
 
     Each open depth keeps at most its parent product; a replayed depth
     rebuilds it only when a fresh expansion below it needs it.  A depth
-    is dropped once its last child is entered, so a single generator
-    needs O(1) products however deep the pass goes.
+    is dropped once its last child is entered.  With a single generator
+    the tree is a path and a fresh expansion measures the next block of
+    it (see _expand), never past depth_cap or the budget left; the walk
+    replays the block and asks for the next one only when it reaches the
+    block's end, so a cut block is the last one measured.  The block
+    starts from the product memo.end keeps, not from a rebuilt one, so a
+    single generator holds O(1) products however deep the pass goes.
+    A fresh expansion the budget leaves no node to enter is not made.
 
     Returns (lower, wit_len, wit_word, frontier_max, saw_frontier,
     completed, nodes, deepest).  wit_len == 0 means no word improved on
@@ -310,7 +351,7 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
 
     root = np.eye(d, dtype=np.complex128)
     if not mkid:
-        _children(memo, root, gens, 1, lower, fro)
+        _expand(memo, root, gens, 0, min(depth_cap, budget), lower, fro)
     # frame: [record, child length k, lower at expansion, parent product
     # or None until needed, next child]
     stack = [[0, 1, lower, root, 0]]
@@ -348,10 +389,19 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
         if expand:
             kid = mkid[s]
             if kid < 0:
-                if parent is None:
-                    parent = _rebuild(stack, word, gens)
-                child = parent @ gens[j]
-                kid = mkid[s] = _children(memo, child, gens, k + 1, lower, fro)
+                if nodes >= budget:
+                    # the walk would stop before entering the child
+                    completed = False
+                    break
+                if m == 1:
+                    # a single generator expands only the chain's last node
+                    child = memo.end
+                else:
+                    if parent is None:
+                        parent = _rebuild(stack, word, gens)
+                    child = parent @ gens[j]
+                kid = mkid[s] = _expand(memo, child, gens, k, min(depth_cap - k, budget - nodes),
+                                        lower, fro)
         if j == m - 1:
             stack.pop()
         else:

@@ -162,7 +162,7 @@ def _lower_profile(M: MatrixSet, n: int, budget: int) -> np.ndarray:
 def _pass_depth_limit(dim: int, size: int, max_depth: int) -> int:
     if size == 1:
         # singleton trees are paths: the kernel drops each depth as it
-        # enters its only child, so it holds one product at a time
+        # enters its only child and holds one block of the path at a time
         return max_depth
     per_level = 16 * dim * dim
     return max(2, min(max_depth, _STACK_BYTES // per_level))
@@ -248,7 +248,10 @@ def verify_berger_wang(M: MatrixSet, tol: float, budget: int = 10**6, *,
     Sweeps at doubling depths; every evaluated word (including
     re-evaluations at the shallower depths of later sweeps) counts against
     the budget.  pass=False with the diagnostics retained when the budget
-    runs out first.
+    runs out first, and when the norm side ends below the radius side by
+    more than a relative 1e-12: the two sides bound the same rho, so they
+    can only cross once deep products underflow, and a crossing proves
+    nothing.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -269,8 +272,9 @@ def verify_berger_wang(M: MatrixSet, tol: float, budget: int = 10**6, *,
             break
         n *= 2
     gap = b_best - r_best
+    crossed = b_best < r_best * (1.0 - 1e-12)
     return BergerWangReport(r_lower=r_best, rho_upper=b_best,
-                            gap=gap, passed=gap <= tol,
+                            gap=gap, passed=gap <= tol and not crossed,
                             depth_reached=depth_reached,
                             words_evaluated=nodes_used)
 

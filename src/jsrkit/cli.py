@@ -10,7 +10,8 @@ in it.  --norm picks the norm of every bound: --norm frobenius calls
 them with frobenius=True.
 
 Exit status: 0 on pass/converged, 2 when a check computed fine but did
-not pass (or did not converge) and on a usage error, 1 on any other error.
+not pass (or did not converge), 64 (EX_USAGE) on a usage error, 1 on any
+other error.
 """
 
 import argparse
@@ -119,8 +120,20 @@ def _eps_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(e))
 
 
+# sysexits.h EX_USAGE: argparse's own code, 2, means a check did not pass
+EX_USAGE = 64
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit EX_USAGE; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="jsr",
         description="Certified joint-spectral-radius bounds and algebra checks")
     p.add_argument("--version", action="version", version=f"jsrkit {__version__}")

@@ -223,6 +223,13 @@ class TestBergerWang:
         assert rep.gap > 1e-6
         assert rep.words_evaluated <= 50
 
+    def test_crossed_sides_do_not_pass(self):
+        # A2 member 11 is one 2x2 generator with rho about 0.4456; its powers
+        # underflow by depth 1024, so the norm side reads 0 below the radius side
+        rep = verify_berger_wang(MatrixSet(_a2_member(11)), 1e-9, 3000)
+        assert rep.rho_upper == 0.0 and rep.gap < -0.4
+        assert not rep.passed
+
     def test_report_dict_has_pass_key(self):
         rep = verify_berger_wang(diag_pair(), tol=1e-6, budget=10**4)
         d = rep.to_dict()
@@ -469,6 +476,59 @@ class TestBatchedEngine:
         assert got == _report(M, width, budget, fro)
         if name == "refine-2x5x5" and not fro:
             assert got["nodes_explored"] == 11_910
+
+    @pytest.mark.parametrize("fro", [False, True])
+    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    def test_single_generator_blocks_match_loop_kernel(self, name, fro, monkeypatch):
+        # 768 bytes hold one to four products of d = 2..5 with their norm
+        # temporaries, so a pass chains many short blocks
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 768)
+        gens = np.ascontiguousarray(ENGINE_CASES[name][:1])
+        with np.errstate(all="ignore"):
+            want = _pass_outputs(_loop_pass, gens, fro)
+            assert _pass_outputs(_kernels.refine_pass, gens, fro) == want
+            assert _pass_outputs(_memoless_pass, gens, fro) == want
+
+    @pytest.mark.parametrize("fro", [False, True])
+    @pytest.mark.parametrize("name", ["jordan-d2", "jordan-d3", "jordan-d4"])
+    def test_short_blocks_keep_single_generator_reports(self, name, fro, monkeypatch):
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 768)
+        M, width, budget = REFINE_CASES[name]
+        got = _report(M, width, budget, fro)
+        monkeypatch.setattr(bounds, "refine_pass", _loop_pass)
+        assert got == _report(M, width, budget, fro)
+
+    def test_single_generator_pass_measures_one_block_past_its_cut(self, monkeypatch):
+        # the walk asks for the next block only at the end of the last one,
+        # so a pass cut at depth c has measured fewer than c + block depths
+        M, width, budget = REFINE_CASES["jordan-d4"]
+        block = _kernels._BLOCK_BYTES // (3 * 16 * M.dim**2)
+        passes = []
+
+        def spy(gens, depth_cap, width, lower_in, budget, fro, memo):
+            res = _kernels.refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo)
+            passes.append((depth_cap, res[7], len(memo.kid)))
+            return res
+
+        count = _CountNorms(monkeypatch)
+        monkeypatch.setattr(bounds, "refine_pass", spy)
+        rep = refine(M, width, budget)
+        assert rep.converged and rep.depth_used == 1166
+        cut = [(deep, measured) for cap, deep, measured in passes if deep < cap]
+        assert cut
+        for deep, measured in cut:
+            assert measured < deep + block
+        assert count.matrices == passes[-1][2]
+
+    def test_single_generator_measures_nothing_past_its_budget(self, monkeypatch):
+        # caps 1..8, 16, ..., 1024 visit 2,068 nodes, so the cap-2048 pass
+        # runs out of budget at depth 1,524, inside a block of 341 products
+        M = REFINE_CASES["jordan-d2"][0]
+        count = _CountNorms(monkeypatch)
+        rep = refine(M, 1e-3, 2068 + 1524)
+        assert not rep.converged and rep.nodes_explored == 2068 + 1524
+        assert rep.depth_used == 1524
+        assert count.matrices == 1524
 
     def test_deepening_measures_each_node_once(self, monkeypatch):
         # every pass replays the path the passes before it walked, so a

@@ -195,8 +195,17 @@ class TestErrors:
                                                           flag, value):
         with pytest.raises(SystemExit) as info:
             main(["continuity", diag_file, flag, value])
-        assert info.value.code == 2
+        assert info.value.code == 64
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["no-such-command"], ["--no-such-flag"],
+                                      ["refine", "set.json", "--width", "0"]])
+    def test_usage_errors_exit_ex_usage(self, capsys, argv):
+        # 64 keeps a mistyped command apart from a check that did not pass (2)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 64
+        assert "usage:" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         code, err = self.err(capsys, ["refine", "/nonexistent/set.json"])
