@@ -253,16 +253,13 @@ def _measure(memo, kids, lengths, lower, fro):
 
 
 def _expand(memo, prod, gens, k, room, lower, fro):
-    """Measure what lies below a node of length k with product prod.
+    """Measure the children of a node of length k whose product is prod.
 
-    Returns the index of the record that holds the node's children.  With
-    m >= 2 generators that is one record of m siblings.  With one the tree
-    is a path: the next min(room, block) nodes are measured as one block
-    of one-slot records, each the child of the one before, and memo.end
-    keeps the last product.  The block's products are formed one at a
-    time, left to right, as a walk one node at a time forms them.  A
-    block's products, and the conjugate transposes and Gram matrices its
-    norms make, fit in _BLOCK_BYTES together.
+    Returns the index of their record: m siblings for m >= 2.  With one
+    generator the next min(room, block) nodes of the path are measured as
+    one block of chained one-slot records, their products formed one at a
+    time, left to right; memo.end keeps the last.  A block's products and
+    its norms' two temporaries of the same size fit in _BLOCK_BYTES.
     """
     m, d, _ = gens.shape
     first = len(memo.kid)
@@ -320,14 +317,13 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
 
     Each open depth keeps at most its parent product; a replayed depth
     rebuilds it only when a fresh expansion below it needs it.  A depth
-    is dropped once its last child is entered.  With a single generator
-    the tree is a path and a fresh expansion measures the next block of
-    it (see _expand), never past depth_cap or the budget left; the walk
-    replays the block and asks for the next one only when it reaches the
-    block's end, so a cut block is the last one measured.  The block
-    starts from the product memo.end keeps, not from a rebuilt one, so a
-    single generator holds O(1) products however deep the pass goes.
-    A fresh expansion the budget leaves no node to enter is not made.
+    is dropped once its last child is entered.  A single generator's tree
+    is a path: a fresh expansion measures the next block of it from the
+    product memo.end keeps (see _expand), never past depth_cap or the
+    budget left, and the walk asks for the next block only at the end of
+    this one, so no block past a cut is measured and O(1) products are
+    held however deep the pass goes.  No fresh expansion is made when the
+    budget leaves no node to enter.
 
     Returns (lower, wit_len, wit_word, frontier_max, saw_frontier,
     completed, nodes, deepest).  wit_len == 0 means no word improved on
