@@ -18,7 +18,6 @@ Argmax updates require a relative improvement > 1e-12 so that ulp-level
 eigenvalue noise cannot override the lex/shortest tie-break.
 """
 
-import math
 from array import array
 
 import numpy as np
@@ -234,12 +233,13 @@ def _measure(memo, kids, lengths, lower, fro):
     """Append one slot per product in kids to memo, with no child record yet.
 
     lengths[i] is the word length of kids[i].  One batched norms call
-    measures them all, and one batched radii call every finite one whose
-    norm root can beat lower; the other radii are stored as -1.
+    measures them all, and one batched radii call every one whose norm
+    root can beat lower, an infinite norm included: a product whose Gram
+    matrix overflows may still have a finite radius.  The other radii are
+    stored as -1.
     """
     nrm = norms(kids, fro).tolist()
-    want = [i for i, (x, k) in enumerate(zip(nrm, lengths))
-            if math.isfinite(x) and not _skipped(x, k, lower)]
+    want = [i for i, (x, k) in enumerate(zip(nrm, lengths)) if not _skipped(x, k, lower)]
     if len(want) == len(nrm):
         rho = radii(kids).tolist()
     else:
@@ -363,22 +363,20 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
             deepest = k
         s = rec * m + j
         nrm = mnorm[s]
-        alive = True
-        if math.isfinite(nrm):
-            rho = mrho[s]
-            if rho >= 0.0 and not _skipped(nrm, k, lo):
-                v = rho ** (1.0 / k) * (1.0 - _EIG_SAFETY)
-                if v > lower * (1.0 + _TIE):
-                    lower = v
-                    log_thr = np.log(lower + width)
-                    wit_len = k
-                    wit_word[:k] = word[:k]
-            if nrm <= 0.0 or np.log(nrm) <= k * log_thr:
-                alive = False
+        rho = mrho[s]
+        if rho >= 0.0 and not _skipped(nrm, k, lo):
+            v = rho ** (1.0 / k) * (1.0 - _EIG_SAFETY)
+            if v > lower * (1.0 + _TIE):
+                lower = v
+                log_thr = np.log(lower + width)
+                wit_len = k
+                wit_word[:k] = word[:k]
+        # an overflowed (infinite) norm never prunes
+        alive = not (nrm <= 0.0 or np.log(nrm) <= k * log_thr)
         expand = alive and k < depth_cap
         if alive and not expand:
             saw_frontier = True
-            fm = nrm ** (1.0 / k) if math.isfinite(nrm) else math.inf
+            fm = nrm ** (1.0 / k)
             if fm > frontier_max:
                 frontier_max = fm
         child = None

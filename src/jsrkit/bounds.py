@@ -12,6 +12,13 @@ frontier (plus the threshold itself) still bounds rho(M) from above.
 
 The sandwich holds for any submultiplicative norm.  ||.|| is the operator
 2-norm, or the Frobenius norm when a bound is called with frobenius=True.
+
+If a permutation makes every generator block upper-triangular, rho(M) is
+the largest rho of the diagonal blocks (Jungers, "The Joint Spectral
+Radius", 2009, section 1.2): the finite-dimensional form of splitting
+rho over an invariant subspace and its quotient.  refine() finds these
+blocks exactly, from the zero pattern of the generators, and runs its
+branch-and-bound on each block in turn.
 """
 
 import dataclasses
@@ -25,7 +32,7 @@ import numpy as np
 from . import _kernels, config
 from ._kernels import Memo, refine_pass
 from .matrices import op_norm
-from .sets import MatrixSet, Word, _sweep, _word_at, tree_size
+from .sets import MatrixSet, Word, _sweep, _word_at, evaluate, tree_size
 
 # product-stack memory allowed per branch-and-bound pass (one parent
 # product per open depth); refine also drops its memo of earlier passes
@@ -67,6 +74,9 @@ class BoundsReport:
 
     lower_witness is a word whose product's spectral radius root attains
     lower; converged means upper - lower came within the requested width.
+    blocks holds the sizes of the diagonal blocks of the set's exact
+    block-triangular form, in the order refine ran them: (dim,) when the
+    set is irreducible.
     """
 
     lower: float
@@ -75,6 +85,7 @@ class BoundsReport:
     depth_used: int
     nodes_explored: int
     converged: bool
+    blocks: tuple[int, ...]
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -168,20 +179,146 @@ def _pass_depth_limit(dim: int, size: int, max_depth: int) -> int:
     return max(2, min(max_depth, _STACK_BYTES // per_level))
 
 
+def _blocks(gens: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the diagonal blocks of the set's exact block-triangular form.
+
+    They are the strongly connected components of the union sparsity
+    graph (i -> j when some gens[k, i, j] != 0), in topological order,
+    each in increasing index order; an iterative Tarjan finds them.  A
+    vertex without a self-loop is a 1 x 1 block that is zero in every
+    generator, with rho 0, and is left out.  When every vertex is one,
+    the set is nilpotent and stays one block.
+    """
+    adj = np.any(gens != 0, axis=0)
+    d = adj.shape[0]
+    succ = [np.flatnonzero(row).tolist() for row in adj]
+    index = [-1] * d
+    low = [0] * d
+    on_stack = [False] * d
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    count = 0
+    for root in range(d):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(sorted(comp))
+    # Tarjan closes a component after every component it reaches
+    comps.reverse()
+    blocks = [np.array(c) for c in comps if len(c) > 1 or adj[c[0], c[0]]]
+    return blocks or [np.arange(d)]
+
+
+def _deepen(gens: np.ndarray, width: float, budget: int, lower_in: float,
+            max_depth: int, frobenius: bool):
+    """refine's deepening passes over one set, from the lower end lower_in.
+
+    Returns (lower, witness, upper, nodes, depth_used, converged); the
+    witness is None when no word beat lower_in.  With no budget no pass
+    runs, and the upper end comes from the generator norms.
+    """
+    depth_limit = _pass_depth_limit(gens.shape[1], gens.shape[0], max_depth)
+    lower = lower_in
+    wit = None
+    upper = math.inf
+    nodes_total = 0
+    deepest = 0
+    converged = False
+    depth_cap = 0
+    target = 1
+    memo = Memo()
+    while nodes_total < budget:
+        new_cap = min(target, depth_limit)
+        if new_cap <= depth_cap:
+            break  # cannot deepen any further
+        depth_cap = new_cap
+        (plower, wlen, wword, fmax, saw_frontier, completed, nodes,
+         deep) = refine_pass(gens, depth_cap, width, lower,
+                             budget - nodes_total, frobenius, memo)
+        nodes_total += int(nodes)
+        deepest = max(deepest, int(deep))
+        if plower > lower:
+            lower = float(plower)
+            if wlen > 0:
+                wit = tuple(int(x) for x in wword[:wlen])
+        if completed:
+            cand = lower + width
+            if saw_frontier:
+                cand = max(cand, float(fmax))
+            upper = min(upper, cand)
+        converged = (upper - lower) <= width * (1.0 + 1e-9)
+        if converged or not completed:
+            break
+        target = target + 1 if target < 8 else target * 2
+        if memo.nbytes > _STACK_BYTES:
+            memo = Memo()
+
+    if not math.isfinite(upper):
+        upper = max(lower + width, max(op_norm(g, frobenius=frobenius) for g in gens))
+    return lower, wit, max(upper, lower), nodes_total, deepest, converged
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
            max_depth: int = 4096, frobenius: bool = False) -> BoundsReport:
     """Branch-and-bound interval for rho(M), aiming at the given width.
 
-    Runs depth-capped passes (depths 1..8, then doubling), each a full
-    lexicographic DFS with Gripenberg pruning against the current lower
-    bound.  The passes share one memo, so a node an earlier pass expanded
-    is replayed from its stored norms and radii instead of measured
-    again; the memo is dropped between passes once it outgrows
+    The set is first split exactly into the diagonal blocks of its
+    block-triangular form (see _blocks): rho(M) is the largest rho of the
+    blocks, and a set with one strongly connected component is one
+    block.  Blocks run in descending order of their largest generator
+    norm, each starting from the best lower end so far, so a dominated
+    block is cut at depth 1.  The budget is shared: each block gets what
+    the blocks before it left.  Nodes are summed, depth_used is the
+    deepest block's, upper is the largest block upper, and the run has
+    converged only when every block has.  blocks lists the block sizes in
+    the order they ran.
+
+    Each block runs depth-capped passes (depths 1..8, then doubling),
+    each a full lexicographic DFS with Gripenberg pruning against the
+    current lower bound.  The passes share one memo, so a node an earlier
+    pass expanded is replayed from its stored norms and radii instead of
+    measured again; the memo is dropped between passes once it outgrows
     _STACK_BYTES.  The budget counts every visited word, including
     replays across passes, so reports are deterministic.  On budget
     exhaustion the best certified interval so far is returned with
-    converged=False (at least one depth-1 sweep always runs).
+    converged=False (at least one depth-1 sweep always runs); a block
+    left with no certified upper end, or with no budget at all, takes its
+    largest generator norm (at least lower + width) as its upper end.
+
+    A witness is a word over the original generators, and its product's
+    spectrum holds every block's.  With more than one block it is
+    measured again on the whole set, and lower rises to that root when it
+    is higher, so the witness attains lower.
 
     Lower-bound candidates are shaved by a relative 1e-12 margin before
     entering the bound (and the pruning threshold), so eigenvalue-solver
@@ -196,49 +333,32 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     if not (width > 0.0):
         raise ValueError("width must be positive")
     budget = max(int(budget), M.size)
-    depth_limit = _pass_depth_limit(M.dim, M.size, max_depth)
+    parts = sorted((np.ascontiguousarray(M.gens[:, b[:, None], b]) for b in _blocks(M.gens)),
+                   key=lambda g: max(op_norm(a, frobenius=frobenius) for a in g), reverse=True)
 
     lower = 0.0
     wit: Word = (0,)
-    upper = math.inf
-    nodes_total = 0
+    upper = 0.0
+    nodes = 0
     deepest = 0
-    converged = False
-    depth_cap = 0
-    target = 1
-    memo = Memo()
-    while True:
-        new_cap = min(target, depth_limit)
-        if new_cap <= depth_cap:
-            break  # cannot deepen any further
-        depth_cap = new_cap
-        (plower, wlen, wword, fmax, saw_frontier, completed, nodes,
-         deep) = refine_pass(M.gens, depth_cap, width, lower,
-                             budget - nodes_total, frobenius, memo)
-        nodes_total += int(nodes)
-        deepest = max(deepest, int(deep))
-        if plower > lower:
-            lower = float(plower)
-            if wlen > 0:
-                wit = tuple(int(x) for x in wword[:wlen])
-        if completed:
-            cand = lower + width
-            if saw_frontier:
-                cand = max(cand, float(fmax))
-            upper = min(upper, cand)
-        converged = (upper - lower) <= width * (1.0 + 1e-9)
-        if converged or not completed or nodes_total >= budget:
-            break
-        target = target + 1 if target < 8 else target * 2
-        if memo.nbytes > _STACK_BYTES:
-            memo = Memo()
-
-    if not math.isfinite(upper):
-        upper = max(lower + width, max(op_norm(g, frobenius=frobenius) for g in M.generators))
-    upper = max(upper, lower)
-    return BoundsReport(lower=lower, upper=upper, lower_witness=wit,
-                        depth_used=deepest, nodes_explored=nodes_total,
-                        converged=converged)
+    converged = True
+    for gens in parts:
+        lower, bwit, bupper, bnodes, bdeep, bconv = _deepen(
+            gens, width, budget - nodes, lower, max_depth, frobenius)
+        wit = bwit or wit
+        upper = max(upper, bupper)
+        nodes += bnodes
+        deepest = max(deepest, bdeep)
+        converged = converged and bconv
+    if len(parts) > 1:
+        rho = float(_kernels.radii(evaluate(M, wit)[None])[0])
+        v = _root(rho, len(wit)) * (1.0 - _kernels._EIG_SAFETY)
+        if math.isfinite(v) and v > lower:
+            lower = v
+    return BoundsReport(lower=lower, upper=max(upper, lower), lower_witness=wit,
+                        depth_used=deepest, nodes_explored=nodes,
+                        converged=converged,
+                        blocks=tuple(g.shape[1] for g in parts))
 
 
 def verify_berger_wang(M: MatrixSet, tol: float, budget: int = 10**6, *,

@@ -249,12 +249,12 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
             if k > deepest:
                 deepest = k
             nrm = loop_norm(cur, fro)
+            v = loop_rho(cur) ** (1.0 / k) * (1.0 - _EIG_SAFETY)
+            if v > lower * (1.0 + _TIE):
+                lower = v
+                wit_len = k
             alive = True
             if np.isfinite(nrm):
-                v = loop_rho(cur) ** (1.0 / k) * (1.0 - _EIG_SAFETY)
-                if v > lower * (1.0 + _TIE):
-                    lower = v
-                    wit_len = k
                 if nrm <= 0.0 or np.log(nrm) <= k * np.log(lower + width):
                     alive = False
             if not alive:
@@ -282,14 +282,14 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
         if k > deepest:
             deepest = k
         nrm = loop_norm(prod[k], fro)
+        v = loop_rho(prod[k]) ** (1.0 / k) * (1.0 - _EIG_SAFETY)
+        if v > lower * (1.0 + _TIE):
+            lower = v
+            wit_len = k
+            for t in range(k):
+                wit_word[t] = word[t]
         alive = True
         if np.isfinite(nrm):
-            v = loop_rho(prod[k]) ** (1.0 / k) * (1.0 - _EIG_SAFETY)
-            if v > lower * (1.0 + _TIE):
-                lower = v
-                wit_len = k
-                for t in range(k):
-                    wit_word[t] = word[t]
             if nrm <= 0.0 or np.log(nrm) <= k * np.log(lower + width):
                 alive = False
         descend = False

@@ -370,6 +370,45 @@ def _upper_triangular(seed, d, m, complex_entries):
     return g
 
 
+def _haar_frame(seed, gens):
+    """Q gens Q^H for a Haar-random orthogonal (real gens) or unitary Q.
+
+    A triangular set framed this way is dense, so refine takes it as one
+    block, and its rho is unchanged in exact arithmetic.
+    """
+    rng = np.random.default_rng(seed)
+    d = gens.shape[1]
+    real = not np.any(gens.imag)
+    z = rng.standard_normal((d, d))
+    if not real:
+        z = z + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    out = q @ gens @ q.conj().T
+    return out.real if real else out
+
+
+def _unipotent(d):
+    """I + u v^T with u all ones and v alternating signs, so v^T u = 0.
+
+    An exact integer S J S^-1 whose J has one 2 x 2 Jordan block: every
+    entry is nonzero, so the set is one block, rho = 1, and the powers
+    I + k u v^T have norms that grow with k, so refine never prunes them.
+    """
+    return np.eye(d) + np.outer(np.ones(d), (-1.0) ** np.arange(d))
+
+
+def _a4_member(i):
+    """Member i of the A4 block-upper family and its split (tests/test_acceptance.py)."""
+    rng = np.random.default_rng(40_000 + i)
+    d = int(rng.integers(2, 5))
+    m = int(rng.integers(1, 4))
+    split = int(rng.integers(1, d))
+    g = rng.uniform(-1.0, 1.0, (m, d, d))
+    g[:, split:, :split] = 0.0
+    return g, split
+
+
 def _jordan_sets():
     """S J_d S^-1 for d = 2, 3, 4 from rng 3: rho = 1, defective."""
     rng = np.random.default_rng(3)
@@ -389,6 +428,13 @@ def _refine_cases():
         "triu-3x3x2": (_upper_triangular(317, 3, 2, False), 0.05, 200_000),
         "triu-2x2x2c": (_upper_triangular(201, 2, 2, True), 0.002, 200_000),
         "triu-2x2x3": (_upper_triangular(203, 2, 3, False), 0.002, 200_000),
+        # dense copies of the triangular sets drive the multi-generator engine
+        "triu-3x3x2-haar": (_haar_frame(1317, _upper_triangular(317, 3, 2, False)),
+                            0.05, 200_000),
+        "triu-2x2x2c-haar": (_haar_frame(1201, _upper_triangular(201, 2, 2, True)),
+                             0.002, 200_000),
+        "triu-2x2x3-haar": (_haar_frame(1203, _upper_triangular(203, 2, 3, False)),
+                            0.002, 200_000),
         # lifts to d = 9 with 4 generators
         "lift-a2-25": (lift_set(MatrixSet(_a2_member(25))).gens, 0.05, 100_000),
         **_jordan_sets(),
@@ -534,7 +580,7 @@ class TestBatchedEngine:
         # every pass replays the path the passes before it walked, so a
         # single generator's refine to depth 4096 measures each depth once
         # but counts every visit against the budget
-        M = MatrixSet.from_matrices([[[1, 1], [0, 1]]])
+        M = MatrixSet.from_matrices([_unipotent(2)])
         count = _CountNorms(monkeypatch)
         rep = refine(M, 1e-6, 10**6, max_depth=4096)
         assert rep.depth_used == 4096
@@ -543,7 +589,7 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("name,cap", [("jordan-d2", 16 * 2**10),
                                           ("refine-2x5x5", 64 * 2**10),
-                                          ("triu-2x2x3", 16 * 2**10)])
+                                          ("triu-2x2x3-haar", 16 * 2**10)])
     def test_dropped_memo_keeps_reports(self, name, cap, monkeypatch):
         # a memo past _STACK_BYTES is dropped between passes, and the
         # passes after it measure again what they would have replayed;
@@ -606,11 +652,9 @@ class TestBatchedEngine:
         assert calls["radii"] == 0 and calls["norms"] > 0
 
     def test_single_generator_deep_refine_memory_is_flat(self):
-        # a Jordan block never prunes, so refine walks the single path to
-        # max_depth; the engine keeps O(1) products, not one per depth
-        d = 16
-        J = np.eye(d) + np.diag(np.ones(d - 1), 1)
-        M = MatrixSet.from_matrices([J])
+        # a unipotent generator never prunes, so refine walks the single
+        # path to max_depth; the engine keeps O(1) products, not one per depth
+        M = MatrixSet.from_matrices([_unipotent(16)])
         refine(M, 1e-6, 10**6, max_depth=16)  # warm caches outside the trace
         tracemalloc.start()
         try:
@@ -620,6 +664,119 @@ class TestBatchedEngine:
             tracemalloc.stop()
         assert rep.depth_used == 4096
         assert peak < 384 * 1024
+
+
+def _closed_form(M):
+    """rho of a triangular set: the largest modulus on the diagonals."""
+    return float(np.abs(np.diagonal(M.gens, axis1=1, axis2=2)).max())
+
+
+def _block_bracket(g, split, n=6):
+    """An interval holding rho(g): the widest brute-force bracket of its two blocks."""
+    brs = [oracles.brute_interval(list(b), n)
+           for b in (g[:, :split, :split], g[:, split:, split:])]
+    return max(lo for lo, _ in brs), max(hi for _, hi in brs)
+
+
+# one-block sets: (nodes_explored, depth_used, witness length, converged)
+# per norm, as refine gave them before it split sets into blocks
+ONE_BLOCK_REPORTS = {
+    "golden": ((6, 2, 2, True), (8, 2, 2, True)),
+    "refine-2x5x5": ((11_910, 106, 5, True), (13_160, 106, 5, True)),
+    "jordan-d2": ((8212, 4096, 1636, False),) * 2,
+    "jordan-d3": ((8212, 4096, 2361, False),) * 2,
+    "jordan-d4": ((3234, 1166, 107, True),) * 2,
+}
+
+
+@pytest.mark.parametrize("fro", [False, True])
+class TestBlockReduction:
+    """refine splits a set over the diagonal blocks of its exact triangular form."""
+
+    @pytest.mark.parametrize("name", ["triu-3x3x2", "triu-2x2x2c", "triu-2x2x3"])
+    def test_triangular_sets_contain_the_closed_form(self, name, fro):
+        # every diagonal entry is its own 1 x 1 block, certified at depth 1
+        M, width, budget = REFINE_CASES[name]
+        rep = refine(M, width, budget, frobenius=fro)
+        assert rep.blocks == (1,) * M.dim
+        assert rep.converged and rep.depth_used == 1
+        assert rep.nodes_explored == M.dim * M.size
+        assert rep.lower <= _closed_form(M) <= rep.upper
+
+    @pytest.mark.parametrize("i", range(8))
+    def test_a4_members_meet_their_block_brackets(self, i, fro):
+        g, split = _a4_member(i)
+        rep = refine(MatrixSet(g), 0.05, 100_000, frobenius=fro)
+        assert sorted(rep.blocks) == sorted((split, g.shape[1] - split))
+        assert rep.converged
+        lo, hi = _block_bracket(g, split)
+        assert rep.lower <= hi * (1 + 1e-9) and lo <= rep.upper * (1 + 1e-9)
+        if all(n == 1 for n in rep.blocks):
+            assert rep.lower <= _closed_form(MatrixSet(g)) <= rep.upper
+
+    def test_permuted_set_keeps_its_blocks(self, fro):
+        # P M P^T has the same blocks up to their order inside the matrix
+        g, split = _a4_member(5)
+        perm = np.random.default_rng(5).permutation(g.shape[1])
+        cases = {"triu-3x3x2": (REFINE_CASES["triu-3x3x2"][0].gens, None),
+                 "a4-5": (g, _block_bracket(g, split))}
+        for name, (gens, bracket) in cases.items():
+            a = refine(MatrixSet(gens), 0.01, 100_000, frobenius=fro)
+            b = refine(MatrixSet(gens[:, perm][:, :, perm]), 0.01, 100_000, frobenius=fro)
+            assert a.blocks == b.blocks and len(a.blocks) > 1
+            assert interval_distance(a.interval, b.interval) == 0.0
+            if bracket is None:
+                rho = _closed_form(MatrixSet(gens))
+                assert a.lower <= rho <= a.upper and b.lower <= rho <= b.upper
+            else:
+                assert b.lower <= bracket[1] * (1 + 1e-9) and bracket[0] <= b.upper * (1 + 1e-9)
+
+    def test_witness_is_measured_on_the_whole_set(self, fro):
+        # block 0 (norm 2) runs first and finds the witness (0, 1) with root 1;
+        # block 1 (norm s) is cut at depth 1 without measuring (0, 1), whose
+        # root there is s.  lower must rise to s so the witness attains it.
+        s = 1.005
+        g = np.zeros((2, 4, 4))
+        g[0, 0, 1], g[1, 1, 0] = 2.0, 0.5
+        g[0, 2, 3], g[1, 3, 2] = s, s
+        g[:, :2, 2:] = 1.0
+        rep = refine(MatrixSet(g), 0.01, 10_000, frobenius=fro)
+        assert rep.blocks == (2, 2)
+        assert rep.lower_witness == (0, 1)
+        root = oracles.eig_rho(oracles.word_product(list(g), (0, 1))) ** 0.5
+        assert rep.lower == pytest.approx(root, rel=1e-12)
+        assert rep.lower > 1.0
+        assert rep.lower <= s <= rep.upper
+        assert rep.converged and rep.upper - rep.lower <= 0.01 * (1 + 1e-9)
+
+    def test_budget_too_small_for_every_block(self, fro):
+        # the first block takes the whole budget; the others never run and
+        # keep their largest generator norm as their upper end
+        M, width, _ = REFINE_CASES["triu-3x3x2"]
+        rep = refine(M, width, M.size, frobenius=fro)
+        assert not rep.converged
+        assert rep.nodes_explored == M.size and rep.blocks == (1, 1, 1)
+        assert rep.lower <= _closed_form(M) <= rep.upper
+
+    @pytest.mark.parametrize("name", sorted(ONE_BLOCK_REPORTS) + ["zero"])
+    def test_one_block_sets_keep_their_reports(self, name, fro):
+        # a set with one strongly connected component, or one whose every
+        # vertex is a zero 1 x 1 block, runs the plain deepening loop
+        if name == "zero":
+            M, width, budget = MatrixSet(ENGINE_CASES["zero"]), 0.02, 500_000
+            want = (2, 1, 1, True)
+        else:
+            M, width, budget = REFINE_CASES[name]
+            want = ONE_BLOCK_REPORTS[name][fro]
+        rep = refine(M, width, budget, frobenius=fro)
+        assert rep.blocks == (M.dim,)
+        got = (rep.nodes_explored, rep.depth_used, len(rep.lower_witness), rep.converged)
+        assert got == want
+        lower, wit, upper, _, _, _ = bounds._deepen(M.gens, width, budget, 0.0, 4096, fro)
+        assert (rep.lower, rep.upper) == (lower, upper)
+        assert rep.lower_witness == (wit or (0,))
+        if name == "zero":
+            assert (rep.lower, rep.upper) == (0.0, width)
 
 
 @pytest.mark.parametrize("fro", [False, True])
@@ -653,6 +810,15 @@ class TestExtremeScales:
         assert up >= lb.value
         assert top == np.inf
         assert not bw.passed and bw.gap >= 0.0
+
+    def test_overflowed_norms_keep_finite_radii(self, fro):
+        # the generators' Gram matrices (and sums of squares) overflow, so
+        # every norm reads inf, but their radii are finite and give the lower end
+        M = MatrixSet(1e200 * ENGINE_CASES["golden"])
+        rep = refine(M, 1e-3, 10_000, frobenius=fro)
+        assert rep.lower >= 1e200 * (1 - 1e-12)
+        assert rep.lower_witness == (0,)
+        assert rep.upper >= rep.lower
 
 
 class TestNilpotencyHook:
