@@ -333,8 +333,9 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     if not (width > 0.0):
         raise ValueError("width must be positive")
     budget = max(int(budget), M.size)
-    parts = sorted((np.ascontiguousarray(M.gens[:, b[:, None], b]) for b in _blocks(M.gens)),
-                   key=lambda g: max(op_norm(a, frobenius=frobenius) for a in g), reverse=True)
+    parts = [np.ascontiguousarray(M.gens[:, b[:, None], b]) for b in _blocks(M.gens)]
+    if len(parts) > 1:
+        parts.sort(key=lambda g: _kernels.norms(g, frobenius).max(), reverse=True)
 
     lower = 0.0
     wit: Word = (0,)

@@ -78,6 +78,17 @@ class TestReports:
         assert r["lower"] == pytest.approx(1.6180339887482762, abs=1e-13)
         assert r["lower_witness"] == [0, 1]
 
+    def test_refine_reports_its_blocks(self, capsys, golden_file, hand_file):
+        # blocks comes last; the hand pair is triangular: two 1 x 1 blocks,
+        # the one holding 3 first
+        for path, want in ((golden_file, [2]), (hand_file, [1, 1])):
+            _, rep = run_json(capsys, ["refine", path, "--width", "0.01", "--format", "json"])
+            assert list(rep["result"])[-1] == "blocks"
+            assert rep["result"]["blocks"] == want
+        main(["refine", hand_file, "--width", "0.01"])
+        out = capsys.readouterr().out
+        assert "result.blocks[0] = 1\nresult.blocks[1] = 1\n" in out
+
     def test_text_format_flattens_keys(self, capsys, golden_file):
         code = main(["refine", golden_file, "--width", "0.02"])
         out = capsys.readouterr().out
