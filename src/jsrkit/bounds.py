@@ -185,9 +185,9 @@ def _blocks(gens: np.ndarray) -> list[np.ndarray]:
     They are the strongly connected components of the union sparsity
     graph (i -> j when some gens[k, i, j] != 0), in topological order,
     each in increasing index order; an iterative Tarjan finds them.  A
-    vertex without a self-loop is a 1 x 1 block that is zero in every
-    generator, with rho 0, and is left out.  When every vertex is one,
-    the set is nilpotent and stays one block.
+    component of one vertex without a self-loop is a 1 x 1 block that is
+    zero in every generator, with rho 0, and is left out.  When every
+    component is one, the set is nilpotent and stays one block.
     """
     adj = np.any(gens != 0, axis=0)
     d = adj.shape[0]
@@ -335,6 +335,7 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     budget = max(int(budget), M.size)
     parts = [np.ascontiguousarray(M.gens[:, b[:, None], b]) for b in _blocks(M.gens)]
     if len(parts) > 1:
+        # the block with the largest norm is the likeliest to hold rho(M)
         parts.sort(key=lambda g: _kernels.norms(g, frobenius).max(), reverse=True)
 
     lower = 0.0
@@ -352,6 +353,7 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
         deepest = max(deepest, bdeep)
         converged = converged and bconv
     if len(parts) > 1:
+        # one block measured the witness on itself alone, not on the others
         rho = float(_kernels.radii(evaluate(M, wit)[None])[0])
         v = _root(rho, len(wit)) * (1.0 - _kernels._EIG_SAFETY)
         if math.isfinite(v) and v > lower:
