@@ -75,8 +75,9 @@ class BoundsReport:
     lower_witness is a word whose product's spectral radius root attains
     lower; converged means upper - lower came within the requested width.
     blocks holds the sizes of the diagonal blocks of the set's exact
-    block-triangular form, in the order refine ran them: (dim,) when the
-    set is irreducible.
+    block-triangular form, in the order refine ran them (largest
+    generator norm first, ties to the block with the smaller smallest
+    index): (dim,) when the set is irreducible.
     """
 
     lower: float
@@ -176,65 +177,35 @@ def _pass_depth_limit(dim: int, size: int, max_depth: int) -> int:
         # enters its only child and holds one block of the path at a time
         return max_depth
     per_level = 16 * dim * dim
-    return max(2, min(max_depth, _STACK_BYTES // per_level))
+    return min(max_depth, max(2, _STACK_BYTES // per_level))
 
 
 def _blocks(gens: np.ndarray) -> list[np.ndarray]:
     """Index sets of the diagonal blocks of the set's exact block-triangular form.
 
-    They are the strongly connected components of the union sparsity
-    graph (i -> j when some gens[k, i, j] != 0), in topological order,
-    each in increasing index order; an iterative Tarjan finds them.  A
-    component of one vertex without a self-loop is a 1 x 1 block that is
-    zero in every generator, with rho 0, and is left out.  When every
-    component is one, the set is nilpotent and stays one block.
+    They are the classes of mutual reachability in the union sparsity
+    graph (i -> j when some gens[k, i, j] != 0), read from its reflexive
+    transitive closure; squaring the 0/1 reachability matrix is exact in
+    floating point, since a path count is at most d.  Blocks are in
+    increasing index order and listed by their smallest index.  A class
+    of one vertex without a self-loop is a 1 x 1 block that is zero in
+    every generator, with rho 0, and is left out.  When every class is
+    one, the set is nilpotent and stays one block.
     """
     adj = np.any(gens != 0, axis=0)
     d = adj.shape[0]
-    succ = [np.flatnonzero(row).tolist() for row in adj]
-    index = [-1] * d
-    low = [0] * d
-    on_stack = [False] * d
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    count = 0
-    for root in range(d):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if index[w] < 0:
-                    index[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(sorted(comp))
-    # Tarjan closes a component after every component it reaches
-    comps.reverse()
-    blocks = [np.array(c) for c in comps if len(c) > 1 or adj[c[0], c[0]]]
+    reach = adj | np.eye(d, dtype=bool)
+    while True:
+        # complex, like every product the engine forms: a float64 product
+        # would load a second BLAS kernel and raise peak memory
+        closer = (reach @ reach.astype(complex)).real > 0
+        if (closer == reach).all():
+            break
+        reach = closer
+    # a vertex's class is named by its smallest member
+    first = (reach & reach.T).argmax(axis=1)
+    blocks = [np.flatnonzero(first == v) for v in np.flatnonzero(first == np.arange(d))]
+    blocks = [b for b in blocks if len(b) > 1 or adj[b[0], b[0]]]
     return blocks or [np.arange(d)]
 
 
@@ -283,7 +254,7 @@ def _deepen(gens: np.ndarray, width: float, budget: int, lower_in: float,
             memo = Memo()
 
     if not math.isfinite(upper):
-        upper = max(lower + width, max(op_norm(g, frobenius=frobenius) for g in gens))
+        upper = max(lower + width, float(_kernels.norms(gens, frobenius).max()))
     return lower, wit, max(upper, lower), nodes_total, deepest, converged
 
 
@@ -294,26 +265,27 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
 
     The set is first split exactly into the diagonal blocks of its
     block-triangular form (see _blocks): rho(M) is the largest rho of the
-    blocks, and a set with one strongly connected component is one
-    block.  Blocks run in descending order of their largest generator
-    norm, each starting from the best lower end so far, so a dominated
-    block is cut at depth 1.  The budget is shared: each block gets what
-    the blocks before it left.  Nodes are summed, depth_used is the
-    deepest block's, upper is the largest block upper, and the run has
-    converged only when every block has.  blocks lists the block sizes in
-    the order they ran.
+    blocks, and a set whose indices all reach each other is one block.
+    Blocks run in descending order of their largest generator norm, ties
+    in the order of their smallest index, each starting from the best
+    lower end so far, so a dominated block is cut at depth 1.  The budget
+    is shared: each block gets what the blocks before it left.  Nodes are
+    summed, depth_used is the deepest block's, upper is the largest block
+    upper, and the run has converged only when every block has.  blocks
+    lists the block sizes in the order they ran.
 
-    Each block runs depth-capped passes (depths 1..8, then doubling),
-    each a full lexicographic DFS with Gripenberg pruning against the
-    current lower bound.  The passes share one memo, so a node an earlier
-    pass expanded is replayed from its stored norms and radii instead of
-    measured again; the memo is dropped between passes once it outgrows
-    _STACK_BYTES.  The budget counts every visited word, including
-    replays across passes, so reports are deterministic.  On budget
-    exhaustion the best certified interval so far is returned with
-    converged=False (at least one depth-1 sweep always runs); a block
-    left with no certified upper end, or with no budget at all, takes its
-    largest generator norm (at least lower + width) as its upper end.
+    Each block runs depth-capped passes (depths 1..8, then doubling, to
+    at most max_depth, which must be >= 1), each a full lexicographic
+    DFS with Gripenberg pruning against the current lower bound.  The
+    passes share one memo, so a node an earlier pass expanded is replayed
+    from its stored norms and radii instead of measured again; the memo
+    is dropped between passes once it outgrows _STACK_BYTES.  The budget
+    counts every visited word, including replays across passes, so
+    reports are deterministic.  On budget exhaustion the best certified
+    interval so far is returned with converged=False (at least one
+    depth-1 sweep always runs); a block left with no certified upper end,
+    or with no budget at all, takes its largest generator norm (at least
+    lower + width) as its upper end.
 
     A witness is a word over the original generators, and its product's
     spectrum holds every block's.  With more than one block it is
@@ -332,6 +304,8 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     """
     if not (width > 0.0):
         raise ValueError("width must be positive")
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
     budget = max(int(budget), M.size)
     parts = [np.ascontiguousarray(M.gens[:, b[:, None], b]) for b in _blocks(M.gens)]
     if len(parts) > 1:

@@ -49,6 +49,9 @@ def load_matrix_set(path: str) -> tuple[MatrixSet, str]:
         raise ParseError(f"input is not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno) from e
+    except (ValueError, RecursionError) as e:
+        # integers past Python's digit limit, or nesting past the stack
+        raise ParseError(f"input exceeds the JSON parser's limits: {e}") from e
 
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
@@ -77,9 +80,12 @@ def load_matrix_set(path: str) -> tuple[MatrixSet, str]:
             for c, v in enumerate(row):
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ShapeError(f'"{key}"[{r}][{c}] is not a number', index)
-                if not math.isfinite(v):
+                try:
+                    out[r, c] = v
+                except OverflowError:  # an integer beyond the float range
+                    out[r, c] = math.inf
+                if not math.isfinite(out[r, c]):
                     raise ShapeError(f'"{key}"[{r}][{c}] is not finite', index)
-                out[r, c] = v
         return out
 
     arrays = []

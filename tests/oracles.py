@@ -74,6 +74,34 @@ def random_block_upper(rng, dim: int, size: int) -> np.ndarray:
     return np.ascontiguousarray(g, dtype=complex)
 
 
+def warshall_blocks(gens) -> list[list[int]]:
+    """Diagonal blocks of a set's exact block-triangular form, by brute force.
+
+    Warshall's closure of the union sparsity graph (i -> j when some
+    gens[k][i][j] != 0) in plain loops.  A block is a class of mutually
+    reachable indices, in increasing order, and the blocks are listed by
+    their smallest index.  A one-index class that is zero in every
+    generator is dropped, and a set made only of those is one block.
+    """
+    d = len(gens[0])
+    reach = [[i == j or any(g[i][j] != 0 for g in gens) for j in range(d)]
+             for i in range(d)]
+    for k in range(d):
+        for i in range(d):
+            for j in range(d):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    blocks = []
+    placed = set()
+    for i in range(d):
+        if i in placed:
+            continue
+        cls = [j for j in range(d) if reach[i][j] and reach[j][i]]
+        placed.update(cls)
+        if len(cls) > 1 or any(g[i][i] != 0 for g in gens):
+            blocks.append(cls)
+    return blocks or [list(range(d))]
+
+
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 GOLDEN = [np.array([[1, 1], [0, 1]], dtype=complex),

@@ -202,6 +202,21 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine(golden(), 0.0)
 
+    @pytest.mark.parametrize("max_depth", [0, -1])
+    def test_max_depth_validation(self, max_depth):
+        # a single generator with max_depth 0 used to run no pass at all
+        for M in (golden(), MatrixSet.from_matrices([_unipotent(3)])):
+            with pytest.raises(ValueError):
+                refine(M, 0.1, max_depth=max_depth)
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_max_depth_caps_every_generator_count(self, fro):
+        # golden converges at depth 2 and the unipotent generator never
+        # prunes: a cap of 1 stops both after the depth-1 pass
+        for M in (golden(), MatrixSet.from_matrices([_unipotent(3)])):
+            rep = refine(M, 1e-6, 10**4, max_depth=1, frobenius=fro)
+            assert rep.depth_used == 1 and not rep.converged
+
 
 class TestBergerWang:
     def test_golden_gap_closes(self):
@@ -777,6 +792,46 @@ class TestBlockReduction:
         assert rep.lower_witness == (wit or (0,))
         if name == "zero":
             assert (rep.lower, rep.upper) == (0.0, width)
+
+
+def _blocks_of(gens):
+    return [b.tolist() for b in bounds._blocks(np.asarray(gens))]
+
+
+class TestBlockFinder:
+    """_blocks against Warshall's closure in plain loops."""
+
+    def test_random_patterns_match_warshall(self):
+        rng = np.random.default_rng(88)
+        for _ in range(2000):
+            d = int(rng.integers(1, 9))
+            m = int(rng.integers(1, 4))
+            g = (rng.random((m, d, d)) < rng.random()).astype(float)
+            assert _blocks_of(g) == oracles.warshall_blocks(g)
+
+    def test_named_patterns(self):
+        rng = np.random.default_rng(89)
+        d = 5
+        tri = np.triu(rng.uniform(1.0, 2.0, (2, d, d)))
+        perm = rng.permutation(d)
+        cases = {
+            "zero": (np.zeros((2, d, d)), [list(range(d))]),
+            "dense": (np.ones((3, d, d)), [list(range(d))]),
+            "diagonal": (np.diag(np.arange(1.0, d + 1))[None], [[i] for i in range(d)]),
+            "strictly-triangular": (np.triu(tri, 1), [list(range(d))]),
+            "permuted-triangular": (tri[:, perm][:, :, perm], [[i] for i in range(d)]),
+        }
+        for name, (g, want) in cases.items():
+            assert _blocks_of(g) == want == oracles.warshall_blocks(g), name
+
+    def test_tied_blocks_run_in_index_order(self):
+        # equal diagonal entries are blocks of equal norm: they keep the
+        # index order, and the first block run finds the witness
+        assert _blocks_of(np.eye(3)[None]) == [[0], [1], [2]]
+        M = MatrixSet(np.array([np.diag([1.0, 0.5]), np.diag([0.5, 1.0])]))
+        for fro in (False, True):
+            rep = refine(M, 0.01, 1000, frobenius=fro)
+            assert rep.blocks == (1, 1) and rep.lower_witness == (0,)
 
 
 @pytest.mark.parametrize("fro", [False, True])

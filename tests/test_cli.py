@@ -241,6 +241,17 @@ class TestErrors:
         code, err = self.err(capsys, ["refine", str(p)])
         assert code == 1 and "not a number" in err
 
+    @pytest.mark.parametrize("text,fragment", [
+        ('{"dim": 1, "matrices": [{"re": [[' + "9" * 400 + ']]}]}', "not finite"),
+        ('{"dim": 1, "matrices": [{"re": [[' + "9" * 5000 + ']]}]}', "limits"),
+        ("[" * 100_000, "limits"),
+    ], ids=["400-digit-integer", "5000-digit-integer", "deep-nesting"])
+    def test_hostile_numbers_and_nesting(self, capsys, tmp_path, text, fragment):
+        p = tmp_path / "hostile.json"
+        p.write_text(text)
+        code, err = self.err(capsys, ["refine", str(p)])
+        assert code == 1 and err.startswith("error:") and fragment in err
+
     def test_boolean_entry_rejected(self, capsys, tmp_path):
         p = tmp_path / "bool.json"
         p.write_text(json.dumps({"dim": 1, "matrices": [{"re": [[True]]}]}))
