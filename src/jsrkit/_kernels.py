@@ -1,31 +1,28 @@
 """Enumeration kernels: product-tree sweeps and branch-and-bound passes.
 
-One numpy engine that batches the LAPACK work of the product tree:
-norms come from a batched Gram-matrix `eigvalsh`, spectral radii from a
-batched `eigvals`, and products from a batched `matmul`.  Each matrix in
-a batch goes through the same BLAS/LAPACK call as it would alone, so the
-batched values are bit-identical to one-at-a-time evaluation.
-sweep_tree evaluates only the measures its caller passes (norms, radii
-or both), so a radius-only sweep pays no norm.  refine_pass keeps what
-it measures in a Memo, which the deeper passes of the same refine
-replay instead of measuring again.  A single generator's product tree is
-a path, so refine_pass measures it ahead in blocks: one batched norms
-and one batched radii call per block, and the memo keeps the product at
-the block's end, from which the next block (in this pass or a deeper
-one) starts.
+One numpy engine batches the product tree's `matmul`, Gram-matrix
+`eigvalsh` (norms) and `eigvals` (radii), each matrix through the call
+it would get alone, so batched values are bit-identical to one at a time.
 
-Argmax updates require a relative improvement > 1e-12 so that ulp-level
-eigenvalue noise cannot override the lex/shortest tie-break.
+Every batch of products (the siblings of one refine_pass expansion, one
+level of a sweep_tree block, one step of a single-generator block)
+carries an integer exponent e and holds its products divided by 2**e.
+A product becomes a factor only after _fit scales it by an exact power
+of two where its largest entry has left the band, and a generator set
+outside the band is fitted once.  In-band products are never rescaled,
+so at e = 0 the arithmetic is that of the unscaled products.  A value x
+reads as x * 2**e, its k-th root as root(x, e, k), and prunes compare
+log(x) + e ln 2.
 """
 
+import math
 from array import array
 
 import numpy as np
 
-# relative slack for "strictly better" in argmax updates
+# relative slack for "strictly better" in argmax updates, so that ulp-level
+# eigenvalue noise cannot override the lex/shortest tie-break
 _TIE = 1e-12
-# spectral radii below this are reported as exact zeros
-_RHO_FLOOR = 1e-300
 # refine's lower-bound candidates are shaved by this relative margin so
 # the certificate stays below the true value under eigensolver noise;
 # pruning, the upper certificate, and convergence all see the same
@@ -34,97 +31,92 @@ _EIG_SAFETY = 1e-12
 # refine skips eigvals for a child P of length k when
 # ||P||^(1/k) * (1 + _SKIP_SLACK) <= lower: the computed rho of P is at
 # most (1 + O(d u)) ||P||, so its shaved root could not raise lower.
-# Norms under _SKIP_FLOOR belong to products whose entries may have
-# underflowed and are not trusted for this.
 _SKIP_SLACK = 1e-9
-_SKIP_FLOOR = 1e-150
 # bytes of product matrices in one block of a sweep; a block of a single
 # generator's path fits its products and their norm temporaries in it
 _BLOCK_BYTES = 64 * 2**10
-# squared norms below this are subnormal: the Gram matrix (or the sum of
-# squares) has lost digits or underflowed to zero
-_TINY = np.finfo(np.float64).tiny
+# A factor's largest real or imaginary part lies in [2**-_BAND, 2**_BAND)
+# or is 0.  For d <= 64 = 2**6 an in-band entry has modulus below
+# 2**(_BAND + 1/2), so an in-band product times an in-band generator has
+# entries below 2**(2 _BAND + 7), Gram entries below 2**(4 _BAND + 20)
+# and a sum of squares below 2**(4 _BAND + 26) = 2**1018: no overflow.
+# Entries of two in-band factors, short of cancellation, exceed
+# 2**(-2 _BAND), so their squares stay normal.  The benchmark's products
+# (largest entries 2**-7.3 to 2**112) never leave the band.
+_BAND = 248
+_HI, _LO = 2.0**_BAND, 2.0**-_BAND
+_LN2 = math.log(2.0)
 
 
-def _squares(stack, fro):
-    """Per-matrix squared norm: top Gram eigenvalue or sum of squares.
+def _fit(stack):
+    """(stack / 2**e, e): e = 0 in band, else the largest part goes to [0.5, 1)."""
+    top = float(abs(stack.view(np.float64)).max())
+    if _LO <= top < _HI or top == 0.0:
+        return stack, 0
+    e = math.frexp(top)[1]
+    return np.ldexp(stack.view(np.float64), -e).view(np.complex128), e
 
-    Overflowed products give inf (a product with NaN entries included).
-    """
-    n = stack.shape[0]
-    if fro:
-        sq = stack.real * stack.real + stack.imag * stack.imag
-        # accumulate entries in row-major order, one at a time
-        s = np.cumsum(sq.reshape(n, -1), axis=1)[:, -1]
-        return np.where(np.isnan(s), np.inf, s)
-    g = np.conj(stack.transpose(0, 2, 1)) @ stack
-    if np.isfinite(g).all():
-        return np.linalg.eigvalsh(g)[:, -1]
-    ok = np.isfinite(g).all(axis=(1, 2))
-    out = np.full(n, np.inf)
-    if ok.any():
-        out[ok] = _squares(stack[ok], fro)
-    return out
+
+def scale(x, e):
+    """x * 2**e, inf past the double range; x <= 0 (an unset -1) stays."""
+    if x <= 0.0:
+        return x
+    return math.ldexp(x, e) if math.frexp(x)[1] + e <= 1024 else math.inf
+
+
+def root(x, e, k):
+    """(x * 2**e) ** (1/k) for x >= 0; 2**(e/k) goes in halves that cannot overflow."""
+    h = 2.0 ** (e / (2 * k))
+    return x ** (1.0 / k) * h * h
+
+
+def peak(measure, stack):
+    """The largest measure (a norm or a radius) of the matrices in stack."""
+    stack, e = _fit(stack)
+    return scale(float(measure(stack).max()), e)
+
+
+def word_product(gens, word):
+    """(P, e): P * 2**e is the left-to-right product of gens[word], fitted as sweeps fit."""
+    gens, e1 = _fit(gens)
+    prod, e = gens[word[0]], e1 * len(word)
+    for i in word[1:]:
+        prod, s = _fit(prod)
+        prod, e = prod @ gens[i], e + s
+    return prod, e
 
 
 def norms(stack, fro):
-    """Per-matrix operator 2-norm (Gram matrix eigvalsh) or Frobenius norm.
-
-    Overflowed products report inf instead of raising, so deep sweeps
-    degrade to budget exhaustion.  Matrices whose squared norm is
-    subnormal are measured again after an exact power-of-two rescale.
-    """
-    sq = _squares(stack, fro)
-    out = np.sqrt(np.where(sq > 0.0, sq, 0.0))
-    low = sq < _TINY
-    if low.any():
-        sub = stack[low]
-        e = np.frexp(np.maximum(abs(sub.real), abs(sub.imag)).max(axis=(1, 2)))[1]
-        scaled = np.empty_like(sub)
-        scaled.real = np.ldexp(sub.real, -e[:, None, None])
-        scaled.imag = np.ldexp(sub.imag, -e[:, None, None])
-        sq = _squares(scaled, fro)
-        out[low] = np.ldexp(np.sqrt(np.where(sq > 0.0, sq, 0.0)), e)
-    return out
+    """Per-matrix operator 2-norm (Gram matrix eigvalsh) or Frobenius norm."""
+    if fro:
+        sq = stack.real * stack.real + stack.imag * stack.imag
+        # accumulate entries in row-major order, one at a time
+        sq = np.cumsum(sq.reshape(stack.shape[0], -1), axis=1)[:, -1]
+    else:
+        sq = np.linalg.eigvalsh(np.conj(stack.transpose(0, 2, 1)) @ stack)[:, -1]
+    return np.sqrt(np.where(sq > 0.0, sq, 0.0))
 
 
 def radii(stack):
-    """Per-matrix largest eigenvalue modulus.
-
-    An overflowed (non-finite) product gives NaN, which never becomes a
-    maximum, so it offers no lower-bound candidate.
-    """
-    try:
-        ev = np.linalg.eigvals(stack)
-    except np.linalg.LinAlgError:
-        # eigvals refuses non-finite input; solve the finite ones alone
-        ok = np.isfinite(stack).all(axis=(1, 2))
-        if ok.all():
-            raise
-        out = np.full(stack.shape[0], np.nan)
-        if ok.any():
-            out[ok] = radii(stack[ok])
-        return out
+    """Per-matrix largest eigenvalue modulus."""
+    ev = np.linalg.eigvals(stack)
     # hypot matches the scalar complex abs bit for bit; numpy's SIMD
     # complex abs does not
-    r = np.fmax.reduce(np.hypot(ev.real, ev.imag), axis=1, initial=0.0)
-    return np.where(r < _RHO_FLOOR, 0.0, r)
+    return np.fmax.reduce(np.hypot(ev.real, ev.imag), axis=1, initial=0.0)
 
 
 def _records(vals, best, rank, r0):
     """Running argmax over vals (lexicographic order, first rank r0).
 
     A value replaces best when it exceeds best * (1 + _TIE); returns the
-    updated (best, rank).  Only strict prefix maxima can ever do that, so
-    only those are visited; short runs (a single generator gives one word
-    per depth) are cheaper to scan directly.
+    updated (best, rank).  Only strict prefix maxima can do that, so only
+    those are visited, except in short runs, which are cheaper to scan.
     """
     if vals.shape[0] > 8:
-        v = np.where(np.isnan(vals), -np.inf, vals)
-        run = np.maximum.accumulate(v)
+        run = np.maximum.accumulate(vals)
         if not run[-1] > best * (1.0 + _TIE):
             return best, rank
-        idx = np.flatnonzero(v[1:] > run[:-1]) + 1
+        idx = np.flatnonzero(vals[1:] > run[:-1]) + 1
         cand = [0, *idx.tolist()]
     else:
         cand = range(vals.shape[0])
@@ -140,22 +132,24 @@ def sweep_tree(gens, nmax, measures):
     """Evaluate every product of length 1..nmax under each measure.
 
     measures is a tuple of functions, each mapping an (N, d, d) stack of
-    products to N floats: radii, or norms with fro bound by
-    functools.partial.  Only these are evaluated.  Returns one
-    (best, ranks) pair per measure: best[k] is the measure's maximum over
-    the words of length k and ranks[k] the lexicographic rank of the
-    smallest maximizing word (word letters are its base-m digits).
-    Index 0 is unused; best stays at -1 there.
+    products to N floats that scale with them (radii, or norms with fro
+    bound by functools.partial); only these are evaluated.  Returns one
+    (best, exps, ranks) per measure: best[k] * 2**exps[k] is its maximum
+    over the words of length k and ranks[k] the lexicographic rank of the
+    smallest maximizing word (its letters are the base-m digits).  Index 0
+    is unused; best stays at -1 there.
 
     The tree is cut into blocks: one block holds the products of every
-    word below one prefix, down to a few levels, and is evaluated with a
-    single batched call per measure.  Blocks are walked depth-first
-    with an explicit stack, prefixes in lexicographic order, so each depth
-    sees its words in lexicographic order.  Products are formed left to
-    right, exactly as a one-word-at-a-time walk forms them.
+    word below one prefix, down to a few levels, and is evaluated with one
+    batched call per measure.  Blocks are walked depth-first, prefixes in
+    lexicographic order, so each depth sees its words in lexicographic
+    order.  Products are formed left to right, as a one-word-at-a-time
+    walk forms them, each level from the one above it fitted as a batch.
     """
+    gens, e1 = _fit(gens)
     m, d, _ = gens.shape
     best = [np.full(nmax + 1, -1.0) for _ in measures]
+    exps = [[0] * (nmax + 1) for _ in measures]
     ranks = [[0] * (nmax + 1) for _ in measures]
     # levels per full block: m + m^2 + ... + m^h products fit the cap
     cap = max(m, _BLOCK_BYTES // (16 * d * d))
@@ -164,123 +158,135 @@ def sweep_tree(gens, nmax, measures):
         size *= m
         total += size
         h_max += 1
-    # frame: [prefix products at depth p, p, rank of the first, next index]
-    stack = [[np.eye(d, dtype=np.complex128)[None], 0, 0, 0]]
+    # frame: [fitted prefix products at depth p, their exponent, p,
+    # rank of the first, next index]
+    stack = [[np.eye(d, dtype=np.complex128)[None], 0, 0, 0, 0]]
     while stack:
-        top = stack[-1]
-        leaves, p, r0, i = top
+        leaves, e, p, r0, i = top = stack[-1]
         if i == leaves.shape[0] - 1:
             stack.pop()
         else:
-            top[3] = i + 1
+            top[4] = i + 1
         # the first block below the root is the short one, the rest are full
         h = (nmax - p - 1) % h_max + 1
         counts = [m**t for t in range(1, h + 1)]
         buf = np.empty((sum(counts), d, d), np.complex128)
         prev = leaves[i:i + 1]
+        level_exps = []
         off = 0
         for n in counts:
             out = buf[off:off + n]
             np.matmul(prev[:, None], gens[None], out=out.reshape(n // m, m, d, d))
-            prev = out
+            level_exps.append(e)
+            prev, s = _fit(out)
+            e += s
             off += n
         vals = [f(buf) for f in measures]
         off = 0
         base = r0 + i
-        for t, n in enumerate(counts, start=1):
-            k = p + t
+        for k, n, le in zip(range(p + 1, p + h + 1), counts, level_exps):
             first = base * n
-            for b, r, v in zip(best, ranks, vals):
-                b[k], r[k] = _records(v[off:off + n], b[k], r[k], first)
+            for b, x, r, v in zip(best, exps, ranks, vals):
+                old = scale(b[k], x[k] - le)
+                new, r[k] = _records(v[off:off + n], old, r[k], first)
+                if new != old:
+                    b[k], x[k] = new, le
             off += n
         if p + h < nmax:
-            stack.append([prev.copy(), p + h, base * counts[-1], 0])
-    return tuple(zip(best, ranks))
+            stack.append([prev.copy(), e, p + h, base * counts[-1], 0])
+    return tuple((b, [x + k * e1 for k, x in enumerate(xs)], r)
+                 for b, xs, r in zip(best, exps, ranks))
 
 
 class Memo:
     """What a refine's passes have learnt about the product tree.
 
-    One record per expanded node, holding m slots, one per child: the
-    child's norm, its spectral radius (-1 where eigvals was skipped) and
-    the index of the child's own record (-1 until the child is expanded).
-    Record r fills slots r*m .. r*m + m - 1; record 0 is the root, and a
-    stored child costs 24 bytes.  With m >= 2 no products are kept.  With
-    one generator the records form a chain, one slot each, measured in
-    blocks, and end keeps the product of the chain's last node (one d x d
-    matrix), from which the next block starts.
+    One record per expanded node: m slots, one per child, with the child's
+    norm, its radius (-1 where eigvals was skipped) and the index of its
+    own record (-1 until it is expanded), and the exponent exp[r] of
+    record r, which fills slots r*m .. r*m + m - 1.  A stored child costs
+    24 + 8/m bytes.  Only a single generator's chain of one-slot records
+    keeps a product: end, its last node's, fitted, with its exponent.
     """
 
-    __slots__ = ("norm", "rho", "kid", "end")
+    __slots__ = ("norm", "rho", "kid", "exp", "end")
 
     def __init__(self):
         self.norm = array("d")
         self.rho = array("d")
         self.kid = array("q")
+        self.exp = array("q")
         self.end = None
 
     @property
     def nbytes(self):
-        return 24 * len(self.kid)
+        return 24 * len(self.kid) + 8 * len(self.exp)
 
 
-def _skipped(x, k, lower):
-    """Whether eigvals is skipped for a child of length k and norm x."""
-    return lower > 0.0 and x >= _SKIP_FLOOR and x ** (1.0 / k) * (1.0 + _SKIP_SLACK) <= lower
+def _skipped(r, lower):
+    """Whether eigvals is skipped for a child whose norm root is r."""
+    return lower > 0.0 and r * (1.0 + _SKIP_SLACK) <= lower
 
 
-def _measure(memo, kids, lengths, lower, fro):
-    """Append one slot per product in kids to memo, with no child record yet.
-
-    lengths[i] is the word length of kids[i].  One batched norms call
-    measures them all, and one batched radii call every one whose norm
-    root can beat lower, an infinite norm included: a product whose Gram
-    matrix overflows may still have a finite radius.  The other radii are
-    stored as -1.
-    """
+def _measure(memo, kids, lengths, exps, lower, fro):
+    """Append one slot per product in kids (of length lengths[i] and exponent
+    exps[i]) to memo, with no child record yet.  One batched norms call
+    measures them all, one batched radii call those whose norm root can
+    beat lower; the other radii are stored as -1."""
     nrm = norms(kids, fro).tolist()
-    want = [i for i, (x, k) in enumerate(zip(nrm, lengths)) if not _skipped(x, k, lower)]
-    if len(want) == len(nrm):
-        rho = radii(kids).tolist()
-    else:
-        rho = [-1.0] * len(nrm)
-        if want:
-            for i, r in zip(want, radii(kids[want]).tolist()):
-                rho[i] = r
+    want = [i for i, (x, e, k) in enumerate(zip(nrm, exps, lengths))
+            if not _skipped(root(x, e, k), lower)]
+    rho = [-1.0] * len(nrm)
+    if want:
+        for i, r in zip(want, radii(kids[want]).tolist()):
+            rho[i] = r
     memo.norm.extend(nrm)
     memo.rho.extend(rho)
     memo.kid.extend([-1] * len(nrm))
 
 
-def _expand(memo, prod, gens, k, room, lower, fro):
-    """Measure the children of a node of length k whose product is prod.
+def _expand(memo, prod, e, gens, k, room, lower, fro):
+    """Measure the children of a node of length k, fitted product prod * 2**e.
 
     Returns the index of their record: m siblings for m >= 2.  With one
-    generator the next min(room, block) nodes of the path are measured as
-    one block of chained one-slot records, their products formed one at a
-    time, left to right; memo.end keeps the last.  A block's products and
-    its norms' two temporaries of the same size fit in _BLOCK_BYTES.
-    """
+    generator the next min(room, block) nodes of the path form a block of
+    chained one-slot records, whose products (formed left to right) and
+    norm temporaries fit in _BLOCK_BYTES; memo.end keeps the last."""
     m, d, _ = gens.shape
     first = len(memo.kid)
     if m > 1:
-        _measure(memo, prod @ gens, [k + 1] * m, lower, fro)
+        memo.exp.append(e)
+        _measure(memo, prod @ gens, [k + 1] * m, [e] * m, lower, fro)
         return first // m
     n = max(1, min(room, _BLOCK_BYTES // (3 * 16 * d * d)))
     block = np.empty((n, d, d), np.complex128)
-    for t in range(n):
-        prod = np.matmul(prod, gens[0], out=block[t])
-    _measure(memo, block, range(k + 1, k + n + 1), lower, fro)
+    g = gens[0]
+    # a step multiplies the largest part by less than 2 + 2 d |g|, so `run`
+    # steps from an in-band product stay below 2**1000: a run is formed
+    # unchecked, and its first product outside the band starts the next
+    grow = math.log2(2.0 + 2 * d * float(abs(g.view(np.float64)).max()))
+    run = max(1, int((1000 - _BAND) / grow))
+    exps = []
+    while len(exps) < n:
+        t0 = len(exps)
+        stop = min(n, t0 + run)
+        for t in range(t0, stop):
+            prod = np.matmul(prod, g, out=block[t])
+        top = abs(block[t0:stop].view(np.float64)).max(axis=(1, 2))
+        out = np.flatnonzero((top >= _HI) | (top < _LO) & (top > 0.0))
+        t = t0 + int(out[0]) if out.size else stop - 1
+        exps += [e] * (t + 1 - t0)
+        prod, s = _fit(block[t])
+        e += s
+    memo.exp.extend(exps)
+    _measure(memo, block, range(k + 1, k + n + 1), exps, lower, fro)
     memo.kid[first:first + n - 1] = array("q", range(first + 1, first + n))
-    memo.end = prod.copy()
+    memo.end = (prod.copy(), e)
     return first
 
 
 def _rebuild(stack, word, gens):
-    """Product of the top frame's node, from the deepest frame that has one.
-
-    Each open frame passed on the way stores its product.
-    """
+    """Fitted product of the top frame's node, from the deepest frame with one."""
     i = len(stack) - 1
     while i >= 0 and stack[i][3] is None:
         i -= 1
@@ -290,7 +296,7 @@ def _rebuild(stack, word, gens):
         prod, t = np.eye(gens.shape[1], dtype=np.complex128), 0
     for frame in stack[i + 1:]:
         while t < frame[1] - 1:
-            prod = prod @ gens[word[t]]
+            prod = _fit(prod @ gens[word[t]])[0]
             t += 1
         frame[3] = prod
     return prod
@@ -300,29 +306,26 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     """One depth-capped branch-and-bound sweep of the product tree.
 
     A branch is cut at a product P of length k when ||P|| <= (lower+width)^k
-    (compared in log space); the prune threshold only grows during the
-    sweep, so every cut also holds for the final lower bound.  Nodes that
-    reach depth_cap alive form the frontier.
+    (compared in log space); the threshold only grows during the sweep, so
+    every cut also holds for the final lower bound.  Nodes that reach
+    depth_cap alive form the frontier.  A set outside the band is walked
+    fitted, with width, lower_in and the results scaled by its exponent.
 
     The walk is a lexicographic depth-first search.  Expanding a node
-    evaluates all of its children in one batch and stores their norms and
-    radii in memo; a node that memo already holds is replayed from the
-    stored values.  A replayed radius is ignored where eigvals would be
-    skipped under the lower at the replayed expansion, exactly as a fresh
-    expansion skips it, so a pass reports the same with or without an
-    earlier memo.  The same memo may serve later passes over the same
-    gens and fro whose lower_in is at least the lower every earlier pass
-    returned (refine's deepening does this); without one the pass starts
-    a fresh memo.
+    measures all of its children in one batch into memo, and a node memo
+    holds is replayed from it.  A replayed radius is ignored where eigvals
+    would be skipped under the lower at its expansion, as a fresh expansion
+    skips it, so a pass reports the same with or without an earlier memo.
+    A memo may serve later passes over the same gens and fro whose
+    lower_in is at least the lower every earlier pass returned (refine's
+    deepening does this).
 
-    Each open depth keeps at most its parent product; a replayed depth
-    rebuilds it only when a fresh expansion below it needs it.  A depth
-    is dropped once its last child is entered.  A single generator's tree
-    is a path: a fresh expansion measures the next block of it from the
-    product memo.end keeps (see _expand), never past depth_cap or the
-    budget left, and the walk asks for the next block only at the end of
-    this one, so no block past a cut is measured and O(1) products are
-    held however deep the pass goes.  No fresh expansion is made when the
+    Each open depth keeps at most its fitted parent product, rebuilt only
+    when a fresh expansion below it needs it, and is dropped once its last
+    child is entered.  A single generator's path is measured in blocks
+    from memo.end (see _expand), never past depth_cap or the budget left,
+    the next block only at the end of this one, so O(1) products are held
+    however deep the pass goes.  No fresh expansion is made when the
     budget leaves no node to enter.
 
     Returns (lower, wit_len, wit_word, frontier_max, saw_frontier,
@@ -330,27 +333,23 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     lower_in.  frontier_max is the max norm root over the frontier.
     Every visit counts as a node, replayed or not.
     """
+    gens, e1 = _fit(gens)
     m, d, _ = gens.shape
-    if memo is None:
-        memo = Memo()
-    mnorm, mrho, mkid = memo.norm, memo.rho, memo.kid
-    lower = lower_in
+    memo = Memo() if memo is None else memo
+    mnorm, mrho, mkid, mexp = memo.norm, memo.rho, memo.kid, memo.exp
+    width = scale(width, -e1)
+    lower = scale(lower_in, -e1)
     log_thr = np.log(lower + width)
-    wit_len = 0
     wit_word = np.zeros(depth_cap, np.int64)
     word = [0] * depth_cap
-    frontier_max = 0.0
-    saw_frontier = False
-    nodes = 0
-    deepest = 0
-    completed = True
+    wit_len = nodes = deepest = 0
+    frontier_max, saw_frontier, completed = 0.0, False, True
 
-    root = np.eye(d, dtype=np.complex128)
+    # frame: [record, child length k, lower at expansion, fitted parent
+    # product or None until needed, next child]
+    stack = [[0, 1, lower, np.eye(d, dtype=np.complex128), 0]]
     if not mkid:
-        _expand(memo, root, gens, 0, min(depth_cap, budget), lower, fro)
-    # frame: [record, child length k, lower at expansion, parent product
-    # or None until needed, next child]
-    stack = [[0, 1, lower, root, 0]]
+        _expand(memo, stack[0][3], 0, gens, 0, min(depth_cap, budget), lower, fro)
     while stack:
         if nodes >= budget:
             completed = False
@@ -362,21 +361,20 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
         if k > deepest:
             deepest = k
         s = rec * m + j
-        nrm = mnorm[s]
-        rho = mrho[s]
-        if rho >= 0.0 and not _skipped(nrm, k, lo):
-            v = rho ** (1.0 / k) * (1.0 - _EIG_SAFETY)
+        nrm, rho, e = mnorm[s], mrho[s], mexp[rec]
+        h = 2.0 ** (e / (2 * k))  # root(x, e, k) is x ** (1/k) * h * h
+        if rho >= 0.0 and not _skipped(nrm ** (1.0 / k) * h * h, lo):
+            v = rho ** (1.0 / k) * h * h * (1.0 - _EIG_SAFETY)
             if v > lower * (1.0 + _TIE):
                 lower = v
                 log_thr = np.log(lower + width)
                 wit_len = k
                 wit_word[:k] = word[:k]
-        # an overflowed (infinite) norm never prunes
-        alive = not (nrm <= 0.0 or np.log(nrm) <= k * log_thr)
+        alive = not (nrm <= 0.0 or np.log(nrm) + e * _LN2 <= k * log_thr)
         expand = alive and k < depth_cap
         if alive and not expand:
             saw_frontier = True
-            fm = nrm ** (1.0 / k)
+            fm = root(nrm, e, k)
             if fm > frontier_max:
                 frontier_max = fm
         child = None
@@ -389,18 +387,19 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
                     break
                 if m == 1:
                     # a single generator expands only the chain's last node
-                    child = memo.end
+                    child, e = memo.end
                 else:
                     if parent is None:
                         parent = _rebuild(stack, word, gens)
-                    child = parent @ gens[j]
-                kid = mkid[s] = _expand(memo, child, gens, k, min(depth_cap - k, budget - nodes),
-                                        lower, fro)
+                    child, shift = _fit(parent @ gens[j])
+                    e += shift
+                kid = mkid[s] = _expand(memo, child, e, gens, k,
+                                        min(depth_cap - k, budget - nodes), lower, fro)
         if j == m - 1:
             stack.pop()
         else:
             top[4] = j + 1
         if expand:
             stack.append([kid, k + 1, lower, child, 0])
-    return (lower, wit_len, wit_word, frontier_max, saw_frontier,
+    return (scale(lower, e1), wit_len, wit_word, scale(frontier_max, e1), saw_frontier,
             completed, nodes, deepest)

@@ -523,8 +523,9 @@ def rcq_membership(A: FDAlgebra, x, *, depth: int = 8,
     wit_word = None
     wit_rho = 0.0
     for n in range(1, n_cap + 1):
-        [(best_rho, rho_ranks)] = _sweep(S, n, (_kernels.radii,), witness_budget + S.size)
-        v = float(best_rho[n])
+        [(best_rho, exps, rho_ranks)] = _sweep(S, n, (_kernels.radii,),
+                                               witness_budget + S.size)
+        v = _kernels.scale(float(best_rho[n]), exps[n])
         if v > rho_tol:
             wit_word = _word_at(rho_ranks, n, S.size)
             wit_rho = v

@@ -30,9 +30,9 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels, config
-from ._kernels import Memo, refine_pass
+from ._kernels import Memo, refine_pass, root
 from .matrices import op_norm
-from .sets import MatrixSet, Word, _sweep, _word_at, evaluate, tree_size
+from .sets import MatrixSet, Word, _sweep, _word_at, tree_size
 
 # product-stack memory allowed per branch-and-bound pass (one parent
 # product per open depth); refine also drops its memo of earlier passes
@@ -113,18 +113,12 @@ class BergerWangReport:
     to_dict = _as_dict
 
 
-def _root(x: float, k: int) -> float:
-    if x <= 0.0:
-        return 0.0
-    return x ** (1.0 / k)
-
-
-def _profile(best, op, start):
-    """Running op (max or min) of the roots best[k]^(1/k), k = 1..len(best)-1."""
+def _profile(best, exps, op, start):
+    """Running op (max or min) of the roots (best[k] 2^exps[k])^(1/k), k >= 1."""
     out = np.empty(len(best) - 1)
     acc = start
     for k in range(1, len(best)):
-        acc = op(acc, _root(float(best[k]), k))
+        acc = op(acc, root(float(best[k]), exps[k], k))
         out[k - 1] = acc
     return out
 
@@ -135,11 +129,11 @@ def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> Lo
     Ties (within 1e-12 relative) resolve to the shortest word, then the
     lexicographically smallest.
     """
-    [(best_rho, rho_ranks)] = _sweep(M, n, (_kernels.radii,), budget)
+    [(best_rho, exps, rho_ranks)] = _sweep(M, n, (_kernels.radii,), budget)
     best = -1.0
     wit: Word = (0,)
     for k in range(1, n + 1):
-        v = _root(float(best_rho[k]), k)
+        v = root(float(best_rho[k]), exps[k], k)
         if v > best * (1.0 + 1e-12):
             best = v
             wit = _word_at(rho_ranks, k, M.size)
@@ -149,8 +143,8 @@ def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> Lo
 def upper_bound(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
                 frobenius: bool = False) -> float:
     """Best norm root min_{k<=n} (max_{|w|=k} ||P_w||)^(1/k)."""
-    [(best_norm, _)] = _sweep(M, n, (partial(_kernels.norms, fro=frobenius),), budget)
-    return min(_root(float(best_norm[k]), k) for k in range(1, n + 1))
+    [(best_norm, exps, _)] = _sweep(M, n, (partial(_kernels.norms, fro=frobenius),), budget)
+    return min(root(float(best_norm[k]), exps[k], k) for k in range(1, n + 1))
 
 
 def sandwich_profiles(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
@@ -160,15 +154,15 @@ def sandwich_profiles(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
     Returns arrays (r, beta) of length n where r[k-1] = lower_bound_r(M, k)
     value and beta[k-1] = upper_bound(M, k), from a single sweep.
     """
-    [(best_norm, _), (best_rho, _)] = _sweep(
+    [(best_norm, norm_exps, _), (best_rho, rho_exps, _)] = _sweep(
         M, n, (partial(_kernels.norms, fro=frobenius), _kernels.radii), budget)
-    return _profile(best_rho, max, 0.0), _profile(best_norm, min, math.inf)
+    return _profile(best_rho, rho_exps, max, 0.0), _profile(best_norm, norm_exps, min, math.inf)
 
 
 def _lower_profile(M: MatrixSet, n: int, budget: int) -> np.ndarray:
     """The r array of sandwich_profiles alone, from a radius-only sweep."""
-    [(best_rho, _)] = _sweep(M, n, (_kernels.radii,), budget)
-    return _profile(best_rho, max, 0.0)
+    [(best_rho, exps, _)] = _sweep(M, n, (_kernels.radii,), budget)
+    return _profile(best_rho, exps, max, 0.0)
 
 
 def _pass_depth_limit(dim: int, size: int, max_depth: int) -> int:
@@ -254,11 +248,10 @@ def _deepen(gens: np.ndarray, width: float, budget: int, lower_in: float,
             memo = Memo()
 
     if not math.isfinite(upper):
-        upper = max(lower + width, float(_kernels.norms(gens, frobenius).max()))
+        upper = max(lower + width, _kernels.peak(partial(_kernels.norms, fro=frobenius), gens))
     return lower, wit, max(upper, lower), nodes_total, deepest, converged
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
            max_depth: int = 4096, frobenius: bool = False) -> BoundsReport:
     """Branch-and-bound interval for rho(M), aiming at the given width.
@@ -298,9 +291,7 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     the witness product; on convergence upper - lower <= width holds
     exactly.  Widths below about 1e-12 times rho sit under that margin
     and typically exhaust the budget instead of converging (except at
-    rho = 0, where certification is exact).  Overflowed products are
-    measured as inf or NaN by design, so numpy's overflow and
-    invalid-value warnings are silenced for the whole call.
+    rho = 0, where certification is exact).
     """
     if not (width > 0.0):
         raise ValueError("width must be positive")
@@ -310,7 +301,8 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     parts = [np.ascontiguousarray(M.gens[:, b[:, None], b]) for b in _blocks(M.gens)]
     if len(parts) > 1:
         # the block with the largest norm is the likeliest to hold rho(M)
-        parts.sort(key=lambda g: _kernels.norms(g, frobenius).max(), reverse=True)
+        parts.sort(key=partial(_kernels.peak, partial(_kernels.norms, fro=frobenius)),
+                   reverse=True)
 
     lower = 0.0
     wit: Word = (0,)
@@ -328,9 +320,9 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
         converged = converged and bconv
     if len(parts) > 1:
         # one block measured the witness on itself alone, not on the others
-        rho = float(_kernels.radii(evaluate(M, wit)[None])[0])
-        v = _root(rho, len(wit)) * (1.0 - _kernels._EIG_SAFETY)
-        if math.isfinite(v) and v > lower:
+        prod, e = _kernels.word_product(M.gens, wit)
+        v = root(float(_kernels.radii(prod[None])[0]), e, len(wit)) * (1.0 - _kernels._EIG_SAFETY)
+        if v > lower:
             lower = v
     return BoundsReport(lower=lower, upper=max(upper, lower), lower_witness=wit,
                         depth_used=deepest, nodes_explored=nodes,
@@ -344,14 +336,15 @@ def verify_berger_wang(M: MatrixSet, tol: float, budget: int = 10**6, *,
 
     Sweeps at doubling depths; every evaluated word (including
     re-evaluations at the shallower depths of later sweeps) counts against
-    the budget.  pass=False with the diagnostics retained when the budget
-    runs out first, and when the norm side ends below the radius side by
-    more than a relative 1e-12: the two sides bound the same rho, so they
-    can only cross once deep products underflow, and a crossing proves
-    nothing.
+    the budget, which is raised to M.size so that at least the depth-1
+    sweep always runs.  pass=False with the diagnostics retained when the
+    budget runs out first, and when the norm side ends below the radius
+    side by more than a relative 1e-12: the two sides bound the same rho,
+    so a crossing means the sweep's arithmetic failed, and proves nothing.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
+    budget = max(int(budget), M.size)
     r_best = 0.0
     b_best = math.inf
     depth_reached = 0

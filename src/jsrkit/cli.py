@@ -61,6 +61,8 @@ def load_matrix_set(path: str) -> tuple[MatrixSet, str]:
     dim = data.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError('"dim" must be an integer >= 1')
+    if dim > config.MAX_DIM:  # before any dim x dim grid is allocated
+        raise CapExceeded(f"input dimension {dim} exceeds cap {config.MAX_DIM}")
     mats = data.get("matrices")
     if not isinstance(mats, list) or not mats:
         raise ParseError('"matrices" must be a nonempty array')

@@ -6,7 +6,7 @@ All computation is complex128 regardless of input dtype.
 import numpy as np
 
 from . import config
-from ._kernels import norms, radii
+from ._kernels import norms, peak, radii
 from .errors import DimensionMismatch, DimensionOverflow, NonConvergence, ShapeError
 
 
@@ -22,8 +22,7 @@ def as_matrix(entries, *, index: int | None = None) -> np.ndarray:
 
 
 def frobenius_norm(a) -> float:
-    a = as_matrix(a)
-    return float(norms(a[None], True)[0])
+    return op_norm(a, frobenius=True)
 
 
 def op_norm(a, *, frobenius: bool = False) -> float:
@@ -36,7 +35,7 @@ def op_norm(a, *, frobenius: bool = False) -> float:
     """
     a = as_matrix(a)
     try:
-        return float(norms(a[None], frobenius)[0])
+        return peak(lambda s: norms(s, frobenius), a[None])
     except np.linalg.LinAlgError as e:
         raise NonConvergence(f"norm eigensolve failed: {e}") from e
 
@@ -44,12 +43,12 @@ def op_norm(a, *, frobenius: bool = False) -> float:
 def spectral_radius(a) -> float:
     """Largest eigenvalue modulus, via Hessenberg reduction + shifted QR.
 
-    Values below 1e-300 are reported as exact zero.  Raises NonConvergence
-    when the QR iteration gives up (pathological input).
+    Raises NonConvergence when the QR iteration gives up (pathological
+    input).
     """
     a = as_matrix(a)
     try:
-        return float(radii(a[None])[0])
+        return peak(radii, a[None])
     except np.linalg.LinAlgError as e:
         raise NonConvergence(f"eigenvalue iteration failed: {e}") from e
 

@@ -90,13 +90,8 @@ def tree_size(size: int, nmax: int) -> int:
     return (size ** (nmax + 1) - size) // (size - 1)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _sweep(M: MatrixSet, nmax: int, measures: tuple, budget: int):
-    """_kernels.sweep_tree of M under the given measures, within budget.
-
-    Overflowed products are measured as inf or NaN by design, so numpy's
-    overflow and invalid-value warnings are silenced for the sweep.
-    """
+    """_kernels.sweep_tree of M under the given measures, within budget."""
     if nmax < 1:
         raise ShapeError("depth must be >= 1")
     total = tree_size(M.size, nmax)
@@ -122,8 +117,8 @@ def _word_at(ranks, k: int, size: int) -> Word:
 def set_norm(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
              frobenius: bool = False) -> float:
     """max over words w of length n of ||product(w)||, by full enumeration."""
-    [(best_norm, _)] = _sweep(M, n, (partial(_kernels.norms, fro=frobenius),), budget)
-    return float(best_norm[n])
+    [(best_norm, exps, _)] = _sweep(M, n, (partial(_kernels.norms, fro=frobenius),), budget)
+    return _kernels.scale(float(best_norm[n]), exps[n])
 
 
 def leading_products(M: MatrixSet, nmax: int, *, budget: int = config.MAX_WORDS,
@@ -135,12 +130,12 @@ def leading_products(M: MatrixSet, nmax: int, *, budget: int = config.MAX_WORDS,
     lexicographically smallest word.  Norms along the list are
     nondecreasing.
     """
-    [(best_norm, norm_ranks)] = _sweep(
+    [(best_norm, exps, norm_ranks)] = _sweep(
         M, nmax, (partial(_kernels.norms, fro=frobenius),), budget)
     out: list[LeadingProduct] = []
     running = 0.0
     for k in range(1, nmax + 1):
-        v = float(best_norm[k])
+        v = _kernels.scale(float(best_norm[k]), exps[k])
         if v >= running:
             out.append(LeadingProduct(k, _word_at(norm_ranks, k, M.size), v))
             running = v

@@ -118,119 +118,114 @@ HAND_PAIR = [np.array([[2, 5], [0, 1]], dtype=complex),
 
 # relative slack for "strictly better" in argmax updates
 _TIE = 1e-12
-# spectral radii below this are reported as exact zeros
-_RHO_FLOOR = 1e-300
 # relative shave of refine's lower-bound candidates
 _EIG_SAFETY = 1e-12
-# smallest normal double
-_TINY = 2.2250738585072014e-308
+# a product is a factor only while its largest real or imaginary part
+# lies in [2**-_BAND, 2**_BAND)
+_BAND = 248
 
 
-def _all_finite(a):
-    return bool(np.isfinite(a).all())
+def loop_fit(a):
+    """(a, 0), or a scaled by 2**-e and e when its largest part left the band.
 
-
-def _loop_square(a, fro):
-    """Squared norm: top Gram eigenvalue, or the sum of squared moduli.
-
-    Overflowed products give inf, NaN entries included.
+    The largest real or imaginary part of the scaled stack lies in [0.5, 1).
     """
+    top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
+    e = math.frexp(top)[1]
+    if top == 0.0 or -_BAND < e <= _BAND:
+        return a, 0
+    out = np.empty_like(a)
+    out.real = np.ldexp(a.real, -e)
+    out.imag = np.ldexp(a.imag, -e)
+    return out, e
+
+
+def _shifted(x, e):
+    """x * 2**e for x > 0 (inf past the double range); x <= 0 as it is."""
+    if x <= 0.0:
+        return x
+    if math.frexp(x)[1] + e > 1024:
+        return math.inf
+    return math.ldexp(x, e)
+
+
+def _root(x, e, k):
+    """(x * 2**e) ** (1/k), the power of two applied in two halves."""
+    h = 2.0 ** (e / (2 * k))
+    return x ** (1.0 / k) * h * h
+
+
+def loop_norm(a, fro):
+    """Operator 2-norm via the Gram matrix, or Frobenius norm when fro."""
     if fro:
         s = 0.0
         for i in range(a.shape[0]):
             for j in range(a.shape[1]):
                 v = a[i, j]
                 s += v.real * v.real + v.imag * v.imag
-        return np.inf if np.isnan(s) else s
-    g = np.conj(a.T) @ a
-    if not _all_finite(g):
-        return np.inf
-    w = np.linalg.eigvalsh(g)
-    return w[w.shape[0] - 1]
-
-
-def loop_norm(a, fro):
-    """Operator 2-norm via the Gram matrix, or Frobenius norm when fro.
-
-    Overflowed products report inf instead of raising.  A matrix whose
-    squared norm is subnormal is measured again after scaling it by the
-    power of two that brings its largest real or imaginary part into
-    [0.5, 1).
-    """
-    s = _loop_square(a, fro)
-    if s < _TINY:
-        big = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
-        e = math.frexp(big)[1]
-        scaled = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
-        s = _loop_square(scaled, fro)
-        return math.ldexp(math.sqrt(s), e) if s > 0.0 else 0.0
+    else:
+        w = np.linalg.eigvalsh(np.conj(a.T) @ a)
+        s = w[w.shape[0] - 1]
     return np.sqrt(s) if s > 0.0 else 0.0
 
 
 def loop_rho(a):
-    """Largest eigenvalue modulus (NaN for non-finite input)."""
-    if not _all_finite(a):
-        return np.nan
+    """Largest eigenvalue modulus."""
     ev = np.linalg.eigvals(a)
     r = 0.0
     for i in range(ev.shape[0]):
         m = abs(ev[i])
         if m > r:
             r = m
-    if r < _RHO_FLOOR:
-        return 0.0
     return r
 
 
 def loop_sweep_tree(gens, nmax, want_rho, fro):
     """Evaluate every product of length 1..nmax in lexicographic DFS order.
 
+    A product P * 2**e is measured as formed, and fitted before it becomes
+    a factor; a set outside the band is fitted once and each letter adds
+    its exponent.  sweep_tree fits a whole level of a block at once, so
+    with two or more generators it agrees with this walk where no level
+    leaves the band.
+
     Returns per-depth maxima of the norm and (optionally) the spectral
-    radius, the lexicographically smallest maximizing word per depth, and
-    the number of evaluated words.  Index 0 of the per-depth arrays is
-    unused and stays at -1.
+    radius with their exponents (the maximum is best[k] * 2**exps[k]), the
+    lexicographically smallest maximizing word per depth, and the number
+    of evaluated words.  Index 0 of the per-depth arrays is unused and
+    stays at -1.
     """
+    gens, e1 = loop_fit(gens)
     m, d, _ = gens.shape
-    best_norm = np.full(nmax + 1, -1.0)
-    best_rho = np.full(nmax + 1, -1.0)
+    best = {"norm": np.full(nmax + 1, -1.0), "rho": np.full(nmax + 1, -1.0)}
+    exps = {"norm": [0] * (nmax + 1), "rho": [0] * (nmax + 1)}
+    # a single generator's words are all zeros and are not kept
+    shape = (1, 1) if m == 1 else (nmax + 1, nmax)
+    words = {"norm": np.zeros(shape, np.int64), "rho": np.zeros(shape, np.int64)}
 
-    if m == 1:
-        # the tree is a single path: rolling product, words are all zeros
-        norm_words = np.zeros((1, 1), np.int64)
-        rho_words = np.zeros((1, 1), np.int64)
-        cur = np.eye(d, dtype=np.complex128)
-        nodes = 0
-        for k in range(1, nmax + 1):
-            cur = cur @ gens[0]
-            nodes += 1
-            best_norm[k] = loop_norm(cur, fro)
-            if want_rho:
-                best_rho[k] = loop_rho(cur)
-        return best_norm, best_rho, norm_words, rho_words, nodes
+    def record(name, k, x, e, word):
+        if x > _shifted(best[name][k], exps[name][k] - e) * (1.0 + _TIE):
+            best[name][k] = x
+            exps[name][k] = e
+            for t in range(k if m > 1 else 0):
+                words[name][k, t] = word[t]
 
-    norm_words = np.zeros((nmax + 1, nmax), np.int64)
-    rho_words = np.zeros((nmax + 1, nmax), np.int64)
     prod = np.empty((nmax + 1, d, d), np.complex128)
     prod[0] = np.eye(d, dtype=np.complex128)
+    pexp = [0] * (nmax + 1)
     word = np.zeros(nmax, np.int64)
     nodes = 0
     depth = 1
     word[0] = 0
     while depth > 0:
         k = depth
-        prod[k] = prod[k - 1] @ gens[word[k - 1]]
+        parent, s = loop_fit(prod[k - 1])
+        prod[k] = parent @ gens[word[k - 1]]
+        pexp[k] = pexp[k - 1] + s + e1
         nodes += 1
-        nrm = loop_norm(prod[k], fro)
-        if nrm > best_norm[k] * (1.0 + _TIE):
-            best_norm[k] = nrm
-            for t in range(k):
-                norm_words[k, t] = word[t]
+        record("norm", k, loop_norm(prod[k], fro), pexp[k], word)
         if want_rho:
-            rho = loop_rho(prod[k])
-            if rho > best_rho[k] * (1.0 + _TIE):
-                best_rho[k] = rho
-                for t in range(k):
-                    rho_words[k, t] = word[t]
+            record("rho", k, loop_rho(prod[k]), pexp[k], word)
         if depth < nmax:
             depth += 1
             word[depth - 1] = 0
@@ -239,7 +234,8 @@ def loop_sweep_tree(gens, nmax, want_rho, fro):
                 depth -= 1
             if depth > 0:
                 word[depth - 1] += 1
-    return best_norm, best_rho, norm_words, rho_words, nodes
+    return (best["norm"], exps["norm"], best["rho"], exps["rho"],
+            words["norm"], words["rho"], nodes)
 
 
 def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
@@ -248,14 +244,19 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
     A branch is cut at a product P of length k when ||P|| <= (lower+width)^k
     (compared in log space); the prune threshold only grows during the
     sweep, so every cut also holds for the final lower bound.  Nodes that
-    reach depth_cap alive form the frontier.
+    reach depth_cap alive form the frontier.  Products carry exponents
+    and are fitted as in loop_sweep_tree, but a set outside the band is
+    walked fitted, with width, lower_in and the results scaled by its
+    exponent.
 
     Returns (lower, wit_len, wit_word, frontier_max, saw_frontier,
     completed, nodes, deepest).  wit_len == 0 means no word improved on
     lower_in.  frontier_max is the max norm root over the frontier.
     """
+    gens, e1 = loop_fit(gens)
     m, d, _ = gens.shape
-    lower = lower_in
+    width = _shifted(width, -e1)
+    lower = _shifted(lower_in, -e1)
     wit_len = 0
     wit_word = np.zeros(depth_cap, np.int64)
     frontier_max = 0.0
@@ -264,39 +265,9 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
     deepest = 0
     completed = True
 
-    if m == 1:
-        cur = np.eye(d, dtype=np.complex128)
-        k = 0
-        while k < depth_cap:
-            if nodes >= budget:
-                completed = False
-                break
-            k += 1
-            cur = cur @ gens[0]
-            nodes += 1
-            if k > deepest:
-                deepest = k
-            nrm = loop_norm(cur, fro)
-            v = loop_rho(cur) ** (1.0 / k) * (1.0 - _EIG_SAFETY)
-            if v > lower * (1.0 + _TIE):
-                lower = v
-                wit_len = k
-            alive = True
-            if np.isfinite(nrm):
-                if nrm <= 0.0 or np.log(nrm) <= k * np.log(lower + width):
-                    alive = False
-            if not alive:
-                break
-            if k == depth_cap:
-                saw_frontier = True
-                fm = nrm ** (1.0 / k)
-                if fm > frontier_max:
-                    frontier_max = fm
-        return (lower, wit_len, wit_word, frontier_max, saw_frontier,
-                completed, nodes, deepest)
-
     prod = np.empty((depth_cap + 1, d, d), np.complex128)
     prod[0] = np.eye(d, dtype=np.complex128)
+    pexp = [0] * (depth_cap + 1)
     word = np.zeros(depth_cap, np.int64)
     depth = 1
     word[0] = 0
@@ -305,29 +276,25 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
             completed = False
             break
         k = depth
-        prod[k] = prod[k - 1] @ gens[word[k - 1]]
+        parent, s = loop_fit(prod[k - 1])
+        prod[k] = parent @ gens[word[k - 1]]
+        e = pexp[k] = pexp[k - 1] + s
         nodes += 1
         if k > deepest:
             deepest = k
         nrm = loop_norm(prod[k], fro)
-        v = loop_rho(prod[k]) ** (1.0 / k) * (1.0 - _EIG_SAFETY)
+        v = _root(loop_rho(prod[k]), e, k) * (1.0 - _EIG_SAFETY)
         if v > lower * (1.0 + _TIE):
             lower = v
             wit_len = k
             for t in range(k):
                 wit_word[t] = word[t]
-        alive = True
-        if np.isfinite(nrm):
-            if nrm <= 0.0 or np.log(nrm) <= k * np.log(lower + width):
-                alive = False
+        alive = not (nrm <= 0.0 or np.log(nrm) + e * math.log(2.0) <= k * np.log(lower + width))
         descend = False
         if alive:
             if k == depth_cap:
                 saw_frontier = True
-                if np.isfinite(nrm):
-                    fm = nrm ** (1.0 / k)
-                else:
-                    fm = np.inf
+                fm = _root(nrm, e, k)
                 if fm > frontier_max:
                     frontier_max = fm
             else:
@@ -340,5 +307,5 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
                 depth -= 1
             if depth > 0:
                 word[depth - 1] += 1
-    return (lower, wit_len, wit_word, frontier_max, saw_frontier,
+    return (_shifted(lower, e1), wit_len, wit_word, _shifted(frontier_max, e1), saw_frontier,
             completed, nodes, deepest)

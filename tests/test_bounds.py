@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jsrkit import (
     BudgetExceeded,
@@ -240,10 +241,24 @@ class TestBergerWang:
 
     def test_crossed_sides_do_not_pass(self):
         # A2 member 11 is one 2x2 generator with rho about 0.4456; its powers
-        # underflow by depth 1024, so the norm side reads 0 below the radius side
-        rep = verify_berger_wang(MatrixSet(_a2_member(11)), 1e-9, 3000)
-        assert rep.rho_upper == 0.0 and rep.gap < -0.4
+        # leave the double range by depth 1024, where the norm side once
+        # read 0 below the radius side
+        M = MatrixSet(_a2_member(11))
+        rep = verify_berger_wang(M, 1e-9, 3000)
+        assert rep.depth_reached == 1024
+        assert rep.r_lower == pytest.approx(spectral_radius(M.gens[0]), rel=1e-12)
+        # the norm of the 1024th power still carries its polynomial factor
+        assert rep.r_lower < rep.rho_upper < rep.r_lower * 1.003
         assert not rep.passed
+
+    def test_crossing_guard(self, monkeypatch):
+        # sides that cross cannot both bound rho, so they never pass
+        def crossed(M, n, *, budget, frobenius):
+            return np.full(n, 1.0), np.full(n, 0.5)
+
+        monkeypatch.setattr(bounds, "sandwich_profiles", crossed)
+        rep = verify_berger_wang(golden(), 1e-9, 100)
+        assert rep.gap < 0.0 and not rep.passed
 
     def test_report_dict_has_pass_key(self):
         rep = verify_berger_wang(diag_pair(), tol=1e-6, budget=10**4)
@@ -338,6 +353,14 @@ def _engine_cases():
 
 
 ENGINE_CASES = _engine_cases()
+# in-band sets whose products leave the band at almost every step, so
+# products are fitted inside passes, blocks and sweeps; sweep_tree fits a
+# level of a block as one batch where the loop kernel fits each product,
+# so only their single generators are swept against it
+BAND_CASES = {"band-high": 2.0**200 * ENGINE_CASES["golden"],
+              "band-low": 2.0**-200 * ENGINE_CASES["golden"]}
+PASS_CASES = {**ENGINE_CASES, **BAND_CASES}
+SWEEP_CASES = {**ENGINE_CASES, **{f"{k}-single": g[:1] for k, g in BAND_CASES.items()}}
 
 
 # sweep depth per generator count: about a thousand words for 2 or 3
@@ -483,36 +506,34 @@ class TestBatchedEngine:
     """The batched kernels reproduce the one-node-at-a-time loop kernels."""
 
     @pytest.mark.parametrize("fro", [False, True])
-    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    @pytest.mark.parametrize("name", sorted(PASS_CASES))
     def test_refine_pass_matches_loop_kernel(self, name, fro):
-        gens = ENGINE_CASES[name]
-        with np.errstate(all="ignore"):
-            want = _pass_outputs(_loop_pass, gens, fro)
-            got = _pass_outputs(_kernels.refine_pass, gens, fro)
-            fresh = _pass_outputs(_memoless_pass, gens, fro)
+        gens = PASS_CASES[name]
+        want = _pass_outputs(_loop_pass, gens, fro)
+        got = _pass_outputs(_kernels.refine_pass, gens, fro)
+        fresh = _pass_outputs(_memoless_pass, gens, fro)
         assert got == want
         assert fresh == want
 
     @pytest.mark.parametrize("block_bytes", [_kernels._BLOCK_BYTES, 256])
     @pytest.mark.parametrize("fro", [False, True])
-    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
     def test_sweep_tree_matches_loop_kernel(self, name, fro, block_bytes, monkeypatch):
         # 256 bytes holds one to four products, so blocks nest many levels deep
         monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
-        gens = ENGINE_CASES[name]
+        gens = SWEEP_CASES[name]
         m = gens.shape[0]
         n = SWEEP_DEPTH[m]
         norm = functools.partial(_kernels.norms, fro=fro)
-        with np.errstate(all="ignore"):
-            bn, br, nw, rw, _ = oracles.loop_sweep_tree(gens, n, True, fro)
-        loop = {norm: (bn, nw), _kernels.radii: (br, rw)}
+        bn, bne, br, bre, nw, rw, _ = oracles.loop_sweep_tree(gens, n, True, fro)
+        loop = {norm: (bn, bne, nw), _kernels.radii: (br, bre, rw)}
         for measures in ((norm,), (_kernels.radii,), (norm, _kernels.radii)):
-            with np.errstate(all="ignore"):
-                got = _kernels.sweep_tree(gens, n, measures)
+            got = _kernels.sweep_tree(gens, n, measures)
             assert len(got) == len(measures)
-            for f, (best, ranks) in zip(measures, got):
-                want, words = loop[f]
+            for f, (best, exps, ranks) in zip(measures, got):
+                want, want_exps, words = loop[f]
                 assert _hex(best) == _hex(want)
+                assert exps == want_exps
                 for k in range(1, n + 1):
                     loop_w = (0,) * k if m == 1 else tuple(words[k, :k].tolist())
                     assert _word_at(ranks, k, m) == loop_w
@@ -523,8 +544,7 @@ class TestBatchedEngine:
             sizes.append(stack.shape[0])
             return np.zeros(stack.shape[0])
 
-        with np.errstate(all="ignore"):
-            _kernels.sweep_tree(gens, n, (size,))
+        _kernels.sweep_tree(gens, n, (size,))
         assert sum(sizes) == tree_size(m, n)
 
     @pytest.mark.parametrize("name,fro", [
@@ -539,16 +559,15 @@ class TestBatchedEngine:
             assert got["nodes_explored"] == 11_910
 
     @pytest.mark.parametrize("fro", [False, True])
-    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    @pytest.mark.parametrize("name", sorted(PASS_CASES))
     def test_single_generator_blocks_match_loop_kernel(self, name, fro, monkeypatch):
         # 768 bytes hold one to four products of d = 2..5 with their norm
         # temporaries, so a pass chains many short blocks
         monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 768)
-        gens = np.ascontiguousarray(ENGINE_CASES[name][:1])
-        with np.errstate(all="ignore"):
-            want = _pass_outputs(_loop_pass, gens, fro)
-            assert _pass_outputs(_kernels.refine_pass, gens, fro) == want
-            assert _pass_outputs(_memoless_pass, gens, fro) == want
+        gens = np.ascontiguousarray(PASS_CASES[name][:1])
+        want = _pass_outputs(_loop_pass, gens, fro)
+        assert _pass_outputs(_kernels.refine_pass, gens, fro) == want
+        assert _pass_outputs(_memoless_pass, gens, fro) == want
 
     @pytest.mark.parametrize("fro", [False, True])
     @pytest.mark.parametrize("name", ["jordan-d2", "jordan-d3", "jordan-d4"])
@@ -633,12 +652,13 @@ class TestBatchedEngine:
         M = MatrixSet.from_matrices([[[1, 1], [0, 1]]])
         rep = verify_berger_wang(M, tol=1e-12, budget=8191)
         assert rep.depth_reached == 4096 and rep.words_evaluated == 8191
-        bn, br, _, _, _ = oracles.loop_sweep_tree(M.gens, 4096, True, False)
+        bn, bne, br, bre, _, _, _ = oracles.loop_sweep_tree(M.gens, 4096, True, False)
         norm = functools.partial(_kernels.norms, fro=False)
-        for measures, want in (((norm,), [bn]), ((_kernels.radii,), [br]),
-                               ((norm, _kernels.radii), [bn, br])):
+        for measures, want in (((norm,), [(bn, bne)]), ((_kernels.radii,), [(br, bre)]),
+                               ((norm, _kernels.radii), [(bn, bne), (br, bre)])):
             got = _kernels.sweep_tree(M.gens, 4096, measures)
-            assert [_hex(best) for best, _ in got] == [_hex(w) for w in want]
+            assert [(_hex(best), exps) for best, exps, _ in got] == \
+                [(_hex(b), e) for b, e in want]
 
     def test_sweeps_compute_only_what_they_read(self, monkeypatch):
         # the lower end reads only radii and the upper end only norms
@@ -834,46 +854,99 @@ class TestBlockFinder:
             assert rep.blocks == (1, 1) and rep.lower_witness == (0,)
 
 
+# golden pairs past both ends of the double range, at powers of two and not
+EXTREME_SCALES = [1e200, 1e-160, 2.0**600, 2.0**-600]
+
+
+def _holds(lower, upper, x):
+    """lower <= x <= upper, up to one rounding of x.
+
+    The upper end can be the computed norm of a generator, which the
+    golden pair's rho equals exactly, so it may sit an ulp under x.
+    """
+    return lower <= x * (1 + 2**-52) and x * (1 - 2**-52) <= upper
+
+
 @pytest.mark.parametrize("fro", [False, True])
 class TestExtremeScales:
-    """Products that underflow or overflow keep the sandwich ordered."""
+    """Products past the double range are measured through their exponents."""
 
     def test_underflowed_squares_keep_upper_above_lower(self, fro):
-        # length-2 products have entries near 1e-320, so their squared
-        # norms underflow; read as 0 they put the upper end below the lower
+        # length-2 products have entries near 1e-320, whose squares underflow
+        # and whose radius, about 2.6e-320, was once read as 0
         M = MatrixSet(1e-160 * ENGINE_CASES["golden"])
         up = upper_bound(M, 2, frobenius=fro)
         lb = lower_bound_r(M, 2)
         assert lb.value <= up
         assert up == pytest.approx(oracles.PHI * 1e-160, rel=1e-2)
-        # the length-2 radius, about 2.6e-320, sits under the 1e-300 floor
-        # that reads radii as zero, so the lower end is the depth-1 radius
-        assert lb.value == 1e-160 and lb.witness == (0,)
+        assert lb.value == pytest.approx(oracles.PHI * 1e-160, rel=1e-12)
+        assert lb.witness == (0, 1)
         if not fro:
             assert op_norm(M.gens[0]) == pytest.approx(oracles.PHI * 1e-160, rel=1e-15)
 
-    def test_overflowed_products_offer_no_candidates(self, fro):
-        # length-2 products hold inf and NaN entries: they give no lower
-        # candidate, and their norm is inf in both norms; the sweeps keep
-        # numpy's overflow warnings to themselves
+    def test_huge_products_keep_their_candidates(self, fro):
+        # length-2 products have entries near 1e400; the sweeps measure
+        # them, and a value past the double range reads inf
         M = MatrixSet(1e200 * ENGINE_CASES["golden"])
         lb = lower_bound_r(M, 6)
         up = upper_bound(M, 6, frobenius=fro)
-        top = set_norm(M, 3, frobenius=fro)
-        bw = verify_berger_wang(M, tol=1e-9, budget=10**4, frobenius=fro)
-        assert lb.value == 1e200 and lb.witness == (0,)
-        assert up >= lb.value
-        assert top == np.inf
-        assert not bw.passed and bw.gap >= 0.0
+        bw = verify_berger_wang(M, tol=1e-9 * 1e200, budget=10**4, frobenius=fro)
+        assert lb.value == pytest.approx(oracles.PHI * 1e200, rel=1e-12)
+        assert lb.witness == (0, 1)
+        assert _holds(lb.value, up, oracles.PHI * 1e200) and up < 2 * 1e200
+        top = 3.0**0.5 if fro else oracles.PHI
+        assert set_norm(M, 1, frobenius=fro) == pytest.approx(top * 1e200, rel=1e-12)
+        assert set_norm(M, 3, frobenius=fro) == np.inf
+        assert bw.r_lower <= bw.rho_upper == pytest.approx(oracles.PHI * 1e200, rel=1e-6)
 
     def test_overflowed_norms_keep_finite_radii(self, fro):
-        # the generators' Gram matrices (and sums of squares) overflow, so
-        # every norm reads inf, but their radii are finite and give the lower end
+        # the generators' Gram matrices (and sums of squares) once read inf;
+        # at this width (under the 1e-12 relative floor) the budget runs out
         M = MatrixSet(1e200 * ENGINE_CASES["golden"])
         rep = refine(M, 1e-3, 10_000, frobenius=fro)
-        assert rep.lower >= 1e200 * (1 - 1e-12)
-        assert rep.lower_witness == (0,)
-        assert rep.upper >= rep.lower
+        assert not rep.converged
+        assert _holds(rep.lower, rep.upper, oracles.PHI * 1e200) and rep.upper < 2 * 1e200
+
+    @pytest.mark.parametrize("s", EXTREME_SCALES)
+    def test_refine_holds_the_scaled_value(self, s, fro):
+        rep = refine(MatrixSet(s * ENGINE_CASES["golden"]), 1e-6 * s, 10**5, frobenius=fro)
+        assert rep.converged
+        assert _holds(rep.lower, rep.upper, oracles.PHI * s)
+
+    @pytest.mark.parametrize("s", EXTREME_SCALES)
+    def test_sweeps_scale_with_the_set(self, s, fro):
+        M = golden()
+        S = MatrixSet(s * M.gens)
+        assert upper_bound(S, 6, frobenius=fro) == pytest.approx(
+            s * upper_bound(M, 6, frobenius=fro), rel=1e-12)
+        lb, lbs = lower_bound_r(M, 6), lower_bound_r(S, 6)
+        assert lbs.value == pytest.approx(s * lb.value, rel=1e-12)
+        assert lbs.witness == lb.witness
+
+    def test_norm_of_a_huge_matrix(self, fro):
+        # its Gram matrix (or sum of squares) would overflow
+        a = 1e200 * np.eye(2)
+        assert op_norm(a, frobenius=fro) == (2.0**0.5 * 1e200 if fro else 1e200)
+
+    def test_long_witness_at_small_rho(self, fro):
+        # radii of products longer than about 997 letters were read as 0
+        # below 1e-300, which cut the witness at rho = 0.5 to 809 letters
+        M, width, budget = REFINE_CASES["jordan-d2"]
+        rep = refine(MatrixSet(0.5 * M.gens), 0.5 * width, budget, frobenius=fro)
+        assert len(rep.lower_witness) > 1000
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), s=st.integers(-900, 900))
+def test_refine_is_scale_covariant(seed, s):
+    # both intervals hold rho(M) once the scaled one is scaled back
+    rng = np.random.default_rng(seed)
+    d, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    M = MatrixSet(oracles.random_set(rng, d, m, complex_entries=bool(seed % 2)))
+    base = refine(M, 0.05, 20_000)
+    rep = refine(MatrixSet(2.0**s * M.gens), 2.0**s * 0.05, 20_000)
+    back = (rep.lower * 2.0**-s, rep.upper * 2.0**-s)
+    assert interval_distance(base.interval, back) == 0.0
 
 
 class TestNilpotencyHook:

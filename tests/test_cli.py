@@ -44,10 +44,15 @@ def diag_file(tmp_path):
                      [[[2, 0], [0, 1]], [[1, 0], [0, 3]]], name="diag")
 
 
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def run_json(capsys, argv):
+    """Exit code and report of a run, parsed as strict JSON (no Infinity or NaN)."""
     code = main(argv)
     captured = capsys.readouterr()
-    return code, json.loads(captured.out)
+    return code, json.loads(captured.out, parse_constant=_not_json)
 
 
 class TestLoader:
@@ -122,6 +127,22 @@ class TestReports:
                                       "--budget", "50", "--format", "json"])
         assert code == 2 and rep["result"]["pass"] is False
         assert rep["exit_status"] == 2
+
+    def test_reports_are_finite_at_any_budget_and_scale(self, capsys, golden_file, tmp_path):
+        # a budget under the generator count still runs the depth-1 sweep
+        code, rep = run_json(capsys, ["verify-bw", golden_file, "--budget", "1",
+                                      "--format", "json"])
+        assert code == 2 and rep["result"]["words_evaluated"] == 2
+        assert rep["result"]["r_lower"] <= rep["result"]["rho_upper"]
+        big = write_set(tmp_path / "big.json", [[[1e200, 1e200], [0, 1e200]],
+                                                [[1e200, 0], [1e200, 1e200]]])
+        for argv in (["bounds"], ["refine", "--width", "1e197"]):
+            code, rep = run_json(capsys, [argv[0], big, *argv[1:], "--format", "json"])
+            assert code == 0
+            # the upper end may be the rounded generator norm, an ulp under phi
+            lo, up = rep["result"]["lower"], rep["result"]["upper"]
+            assert lo <= oracles.PHI * 1e200 <= up * (1 + 2**-52)
+        assert rep["result"]["converged"] is True
 
     def test_lift_check(self, capsys, diag_file):
         code, rep = run_json(capsys, ["lift-check", diag_file, "--depth", "3",
@@ -284,6 +305,13 @@ class TestCaps:
         capsys.readouterr()
         assert main(["refine", golden_file, "--budget", "20000001"]) == 1
         capsys.readouterr()
+
+    def test_dim_is_capped_before_the_grid_is_allocated(self, capsys, tmp_path):
+        # 200,000 empty rows: a dim x dim grid would need 298 GiB
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 200_000, "matrices": [{"re": [[]] * 200_000}]}))
+        assert main(["refine", str(path)]) == 1
+        assert "exceeds cap 64" in capsys.readouterr().err
 
     def test_generator_cap(self, capsys, tmp_path):
         path = write_set(tmp_path / "many.json", [[[1.0]] for _ in range(9)])
