@@ -6,13 +6,14 @@ it would get alone, so batched values are bit-identical to one at a time.
 
 Every batch of products (the siblings of one refine_pass expansion, one
 level of a sweep_tree block, one step of a single-generator block)
-carries an integer exponent e and holds its products divided by 2**e.
-A product becomes a factor only after _fit scales it by an exact power
-of two where its largest entry has left the band, and a generator set
-outside the band is fitted once.  In-band products are never rescaled,
-so at e = 0 the arithmetic is that of the unscaled products.  A value x
-reads as x * 2**e, its k-th root as root(x, e, k), and prunes compare
-log(x) + e ln 2.
+carries an integer exponent e and holds its products divided by 2**e;
+a sweep level's exponent is one per product once any of its products
+has been fitted.  A product becomes a factor only after _fit scales it
+by an exact power of two where its own largest entry has left the band,
+and a generator set outside the band is fitted once.  In-band products
+are never rescaled, so at e = 0 the arithmetic is that of the unscaled
+products.  A value x reads as x * 2**e, its k-th root as root(x, e, k),
+and prunes compare log(x) + e ln 2.
 """
 
 import math
@@ -40,11 +41,15 @@ _BLOCK_BYTES = 64 * 2**10
 # 2**(_BAND + 1/2), so an in-band product times an in-band generator has
 # entries below 2**(2 _BAND + 7), Gram entries below 2**(4 _BAND + 20)
 # and a sum of squares below 2**(4 _BAND + 26) = 2**1018: no overflow.
-# Entries of two in-band factors, short of cancellation, exceed
-# 2**(-2 _BAND), so their squares stay normal.  The benchmark's products
-# (largest entries 2**-7.3 to 2**112) never leave the band.
+# Nothing bounds a product from below: the band holds only the largest
+# entry of a factor or of the whole generator set, so one generator, and
+# so a product, can be far smaller.  norms measures a matrix whose
+# squared norm is not a normal double again, fitted on its own.  The
+# benchmark's products (largest entries 2**-7.3 to 2**112) never leave
+# the band.
 _BAND = 248
 _HI, _LO = 2.0**_BAND, 2.0**-_BAND
+_NORMAL = 2.0**-1022
 _LN2 = math.log(2.0)
 
 
@@ -55,6 +60,17 @@ def _fit(stack):
         return stack, 0
     e = math.frexp(top)[1]
     return np.ldexp(stack.view(np.float64), -e).view(np.complex128), e
+
+
+def _fit_rows(stack):
+    """_fit of each matrix of a stack on its own; e is 0 when all are in band,
+    else an int array with one exponent per matrix."""
+    top = abs(stack.view(np.float64)).max(axis=(1, 2))
+    out = (top >= _HI) | (top < _LO) & (top > 0.0)
+    if not out.any():
+        return stack, 0
+    e = np.where(out, np.frexp(top)[1], 0)
+    return np.ldexp(stack.view(np.float64), -e[:, None, None]).view(np.complex128), e
 
 
 def scale(x, e):
@@ -86,15 +102,31 @@ def word_product(gens, word):
     return prod, e
 
 
-def norms(stack, fro):
-    """Per-matrix operator 2-norm (Gram matrix eigvalsh) or Frobenius norm."""
+def _squares(stack, fro):
+    """Per-matrix squared norm: top Gram eigenvalue or sum of squares."""
     if fro:
         sq = stack.real * stack.real + stack.imag * stack.imag
         # accumulate entries in row-major order, one at a time
-        sq = np.cumsum(sq.reshape(stack.shape[0], -1), axis=1)[:, -1]
-    else:
-        sq = np.linalg.eigvalsh(np.conj(stack.transpose(0, 2, 1)) @ stack)[:, -1]
-    return np.sqrt(np.where(sq > 0.0, sq, 0.0))
+        return np.cumsum(sq.reshape(stack.shape[0], -1), axis=1)[:, -1]
+    return np.linalg.eigvalsh(np.conj(stack.transpose(0, 2, 1)) @ stack)[:, -1]
+
+
+def norms(stack, fro):
+    """Per-matrix operator 2-norm (Gram matrix eigvalsh) or Frobenius norm.
+
+    A matrix whose squared norm is below the normal range has lost it to
+    underflow; it is measured again fitted on its own, so a nonzero
+    product never reads 0.
+    """
+    sq = _squares(stack, fro)
+    low = sq < _NORMAL
+    if not low.any():
+        return np.sqrt(sq)
+    out = np.sqrt(np.where(low, 0.0, sq))
+    sub, e = _fit_rows(stack[low])
+    sq = _squares(sub, fro)
+    out[low] = np.ldexp(np.sqrt(np.where(sq > 0.0, sq, 0.0)), e)
+    return out
 
 
 def radii(stack):
@@ -144,7 +176,9 @@ def sweep_tree(gens, nmax, measures):
     batched call per measure.  Blocks are walked depth-first, prefixes in
     lexicographic order, so each depth sees its words in lexicographic
     order.  Products are formed left to right, as a one-word-at-a-time
-    walk forms them, each level from the one above it fitted as a batch.
+    walk forms them, each level from the one above it, each product of
+    which is fitted on its own: fitting a level as one batch would scale
+    its small products by its largest and could flush them to zero.
     """
     gens, e1 = _fit(gens)
     m, d, _ = gens.shape
@@ -158,8 +192,8 @@ def sweep_tree(gens, nmax, measures):
         size *= m
         total += size
         h_max += 1
-    # frame: [fitted prefix products at depth p, their exponent, p,
-    # rank of the first, next index]
+    # frame: [fitted prefix products at depth p, their exponent (an int,
+    # or one per product), p, rank of the first, next index]
     stack = [[np.eye(d, dtype=np.complex128)[None], 0, 0, 0, 0]]
     while stack:
         leaves, e, p, r0, i = top = stack[-1]
@@ -167,6 +201,8 @@ def sweep_tree(gens, nmax, measures):
             stack.pop()
         else:
             top[4] = i + 1
+        if not isinstance(e, int):
+            e = int(e[i])
         # the first block below the root is the short one, the rest are full
         h = (nmax - p - 1) % h_max + 1
         counts = [m**t for t in range(1, h + 1)]
@@ -177,9 +213,11 @@ def sweep_tree(gens, nmax, measures):
         for n in counts:
             out = buf[off:off + n]
             np.matmul(prev[:, None], gens[None], out=out.reshape(n // m, m, d, d))
+            if not isinstance(e, int):
+                e = np.repeat(e, m)
             level_exps.append(e)
-            prev, s = _fit(out)
-            e += s
+            prev, s = _fit_rows(out)
+            e = e + s
             off += n
         vals = [f(buf) for f in measures]
         off = 0
@@ -187,10 +225,16 @@ def sweep_tree(gens, nmax, measures):
         for k, n, le in zip(range(p + 1, p + h + 1), counts, level_exps):
             first = base * n
             for b, x, r, v in zip(best, exps, ranks, vals):
-                old = scale(b[k], x[k] - le)
-                new, r[k] = _records(v[off:off + n], old, r[k], first)
-                if new != old:
-                    b[k], x[k] = new, le
+                if isinstance(le, int):
+                    old = scale(b[k], x[k] - le)
+                    new, r[k] = _records(v[off:off + n], old, r[k], first)
+                    if new != old:
+                        b[k], x[k] = new, le
+                    continue
+                # one exponent per product: _records' rule, one at a time
+                for j, (y, ey) in enumerate(zip(v[off:off + n].tolist(), le.tolist())):
+                    if y > scale(b[k], x[k] - ey) * (1.0 + _TIE):
+                        b[k], x[k], r[k] = y, ey, first + j
             off += n
         if p + h < nmax:
             stack.append([prev.copy(), e, p + h, base * counts[-1], 0])
@@ -339,7 +383,8 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     mnorm, mrho, mkid, mexp = memo.norm, memo.rho, memo.kid, memo.exp
     width = scale(width, -e1)
     lower = scale(lower_in, -e1)
-    log_thr = np.log(lower + width)
+    # both may underflow when the set is far above them
+    log_thr = np.log(lower + width) if lower + width > 0.0 else -np.inf
     wit_word = np.zeros(depth_cap, np.int64)
     word = [0] * depth_cap
     wit_len = nodes = deepest = 0
@@ -401,5 +446,7 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
             top[4] = j + 1
         if expand:
             stack.append([kid, k + 1, lower, child, 0])
-    return (scale(lower, e1), wit_len, wit_word, scale(frontier_max, e1), saw_frontier,
-            completed, nodes, deepest)
+    # with no new witness lower_in stands as given: scaled, it may have
+    # left the double range (a block far below the one that set it)
+    return (scale(lower, e1) if wit_len else lower_in, wit_len, wit_word,
+            scale(frontier_max, e1), saw_frontier, completed, nodes, deepest)

@@ -70,7 +70,7 @@ class LeadingProduct(NamedTuple):
 
 
 def evaluate(M: MatrixSet, word: Iterable[int]) -> np.ndarray:
-    """Left-to-right product of the generators named by the word."""
+    """Left-to-right product of the generators named by the word, unscaled."""
     w = tuple(int(i) for i in word)
     if len(w) == 0:
         raise ShapeError("word must have length >= 1")
@@ -147,13 +147,15 @@ def normalized_leading_sequence(M: MatrixSet, nmax: int, *,
                                 frobenius: bool = False) -> list[np.ndarray]:
     """The leading products, each scaled to unit norm.
 
+    Each product is formed fitted (_kernels.word_product) and divided by
+    its own norm, so products past the double range normalize too.
     Entries whose product is the zero matrix are skipped (nothing to
     normalize).
     """
     out = []
-    for n, word, norm in leading_products(M, nmax, budget=budget, frobenius=frobenius):
-        if norm <= 0.0:
-            continue
-        t = evaluate(M, word)
-        out.append(t / norm)
+    for _, word, _ in leading_products(M, nmax, budget=budget, frobenius=frobenius):
+        prod, _ = _kernels.word_product(M.gens, word)
+        norm = float(_kernels.norms(prod[None], frobenius)[0])
+        if norm > 0.0:
+            out.append(prod / norm)
     return out

@@ -156,7 +156,20 @@ def _root(x, e, k):
 
 
 def loop_norm(a, fro):
-    """Operator 2-norm via the Gram matrix, or Frobenius norm when fro."""
+    """Operator 2-norm via the Gram matrix, or Frobenius norm when fro.
+
+    A matrix whose squared norm is below the normal range is measured
+    again fitted on its own.
+    """
+    s = _loop_square(a, fro)
+    if s < 2.0**-1022:
+        a, e = loop_fit(a)
+        s = _loop_square(a, fro)
+        return math.ldexp(math.sqrt(s), e) if s > 0.0 else 0.0
+    return np.sqrt(s) if s > 0.0 else 0.0
+
+
+def _loop_square(a, fro):
     if fro:
         s = 0.0
         for i in range(a.shape[0]):
@@ -166,7 +179,7 @@ def loop_norm(a, fro):
     else:
         w = np.linalg.eigvalsh(np.conj(a.T) @ a)
         s = w[w.shape[0] - 1]
-    return np.sqrt(s) if s > 0.0 else 0.0
+    return s
 
 
 def loop_rho(a):
@@ -185,9 +198,7 @@ def loop_sweep_tree(gens, nmax, want_rho, fro):
 
     A product P * 2**e is measured as formed, and fitted before it becomes
     a factor; a set outside the band is fitted once and each letter adds
-    its exponent.  sweep_tree fits a whole level of a block at once, so
-    with two or more generators it agrees with this walk where no level
-    leaves the band.
+    its exponent.
 
     Returns per-depth maxima of the norm and (optionally) the spectral
     radius with their exponents (the maximum is best[k] * 2**exps[k]), the
@@ -289,7 +300,8 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
             wit_len = k
             for t in range(k):
                 wit_word[t] = word[t]
-        alive = not (nrm <= 0.0 or np.log(nrm) + e * math.log(2.0) <= k * np.log(lower + width))
+        thr = np.log(lower + width) if lower + width > 0.0 else -np.inf
+        alive = not (nrm <= 0.0 or np.log(nrm) + e * math.log(2.0) <= k * thr)
         descend = False
         if alive:
             if k == depth_cap:
@@ -307,5 +319,5 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
                 depth -= 1
             if depth > 0:
                 word[depth - 1] += 1
-    return (_shifted(lower, e1), wit_len, wit_word, _shifted(frontier_max, e1), saw_frontier,
-            completed, nodes, deepest)
+    return (_shifted(lower, e1) if wit_len else lower_in, wit_len, wit_word,
+            _shifted(frontier_max, e1), saw_frontier, completed, nodes, deepest)

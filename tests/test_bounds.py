@@ -16,6 +16,7 @@ from jsrkit import (
     leading_products,
     lift_set,
     lower_bound_r,
+    normalized_leading_sequence,
     op_norm,
     perturbation_directions,
     rcq_membership,
@@ -352,15 +353,34 @@ def _engine_cases():
     return {k: np.ascontiguousarray(v, dtype=complex) for k, v in cases.items()}
 
 
+def _unit(d, i, j):
+    """The d x d matrix unit E_ij."""
+    e = np.zeros((d, d), complex)
+    e[i, j] = 1.0
+    return e
+
+
+# rho 2**-200, from the cycle E01 (2**-600 E12) E20 of length 3, in an
+# in-band set: the band bounds only the set's largest entry, so products
+# through the small generator have squares that underflow
+TINY_CYCLE = np.stack([_unit(3, 0, 1), 2.0**-600 * _unit(3, 1, 2), _unit(3, 2, 0)])
+# a nilpotent path of 2**200 edges beside a 2**-200 scalar: a sweep level
+# of the path's products, scaled as one batch, would flush the scalar's
+# powers to zero, and the set's rho (2**-200) is read from them at depth 4
+PATH_AND_SCALAR = np.stack([2.0**200 * sum(_unit(5, i, i + 1) for i in range(3)),
+                            2.0**-200 * _unit(5, 4, 4)])
+
 ENGINE_CASES = _engine_cases()
-# in-band sets whose products leave the band at almost every step, so
-# products are fitted inside passes, blocks and sweeps; sweep_tree fits a
-# level of a block as one batch where the loop kernel fits each product,
-# so only their single generators are swept against it
+# in-band sets whose products leave the band at almost every step, or
+# hold products far below the band, so products are fitted inside
+# passes, blocks and sweeps
 BAND_CASES = {"band-high": 2.0**200 * ENGINE_CASES["golden"],
-              "band-low": 2.0**-200 * ENGINE_CASES["golden"]}
+              "band-low": 2.0**-200 * ENGINE_CASES["golden"],
+              "tiny-cycle": TINY_CYCLE,
+              "path-and-scalar": PATH_AND_SCALAR}
 PASS_CASES = {**ENGINE_CASES, **BAND_CASES}
-SWEEP_CASES = {**ENGINE_CASES, **{f"{k}-single": g[:1] for k, g in BAND_CASES.items()}}
+SWEEP_CASES = {**ENGINE_CASES, **BAND_CASES,
+               **{f"{k}-single": g[:1] for k, g in BAND_CASES.items() if k.startswith("band")}}
 
 
 # sweep depth per generator count: about a thousand words for 2 or 3
@@ -927,6 +947,44 @@ class TestExtremeScales:
         # its Gram matrix (or sum of squares) would overflow
         a = 1e200 * np.eye(2)
         assert op_norm(a, frobenius=fro) == (2.0**0.5 * 1e200 if fro else 1e200)
+
+    def test_small_generator_keeps_its_products(self, fro):
+        # products through the 2**-600 generator have entries near 2**-600,
+        # whose squares underflow; they were measured as norm 0, pruned, and
+        # their radii skipped, so the run converged on an interval below rho
+        M = MatrixSet(np.concatenate([2.0**-500 * np.eye(3)[None], TINY_CYCLE]))
+        rho = 2.0**-200
+        rep = refine(M, 2.0**-400, 10**4, frobenius=fro)
+        assert rep.lower <= rho <= rep.upper
+        assert rep.lower == pytest.approx(rho, rel=1e-11)
+        rep = refine(M, 1e-9 * rho, 10**5, frobenius=fro)
+        assert rep.converged and rep.lower <= rho <= rep.upper
+        # the cube root of 2**-600 is taken in floating point
+        assert upper_bound(MatrixSet(TINY_CYCLE), 3, frobenius=fro) == pytest.approx(rho, rel=1e-14)
+        assert lower_bound_r(MatrixSet(TINY_CYCLE), 3).value == pytest.approx(rho, rel=1e-14)
+
+    def test_sweep_keeps_small_products_of_a_large_level(self, fro):
+        # the scalar's square sits 2**800 under its level's largest product
+        M = MatrixSet(PATH_AND_SCALAR)
+        assert set_norm(M, 4, frobenius=fro) == 2.0**-800
+        assert upper_bound(M, 4, frobenius=fro) == 2.0**-200
+        assert lower_bound_r(M, 4).value == 2.0**-200
+
+    def test_block_far_below_the_lower_end(self, fro):
+        # the second block's generators are 2**1026 smaller than the lower
+        # end the first block left, which the pass, fitted, once read as inf
+        M = MatrixSet(np.array([[[1e9, 0.0], [0.0, 1e-300]]], complex))
+        rep = refine(M, 1.0, frobenius=fro)
+        assert rep.converged and rep.blocks == (1, 1)
+        assert rep.lower <= 1e9 <= rep.upper <= 1e9 + 1.0
+
+    def test_normalized_products_past_the_double_range(self, fro):
+        # length-2 and 3 products of golden x 1e200 overflow unscaled
+        M = MatrixSet(1e200 * ENGINE_CASES["golden"])
+        seq = normalized_leading_sequence(M, 3, frobenius=fro)
+        assert len(seq) == 3
+        for mat in seq:
+            assert op_norm(mat, frobenius=fro) == pytest.approx(1.0, rel=1e-14)
 
     def test_long_witness_at_small_rho(self, fro):
         # radii of products longer than about 997 letters were read as 0
