@@ -23,7 +23,7 @@ from .errors import (BudgetExceeded, CapExceeded, DimensionCap,
                      NotAChain, NotAnIdeal, NotClosed, NotInAlgebra,
                      ParseError, PreconditionNotCertified, SelfCheckFailed,
                      ShapeError)
-from .lift import (LiftedOperator, LiftIdentityReport, check_lift_identities,
+from .lift import (LiftIdentityReport, check_lift_identities,
                    check_w_product_identity, lift_LR, lift_set,
                    noncompactness_radius, unvec, vec)
 from .matrices import (as_matrix, frobenius_norm, kron, op_norm,

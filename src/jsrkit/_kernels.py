@@ -137,22 +137,24 @@ def radii(stack):
     return np.fmax.reduce(np.hypot(ev.real, ev.imag), axis=1, initial=0.0)
 
 
+def witness_root(gens, word):
+    """The k-th root of rho of gens[word]'s fitted product, shaved as
+    refine_pass shaves its lower candidates (k = len(word))."""
+    prod, e = word_product(gens, word)
+    return root(float(radii(prod[None])[0]), e, len(word)) * (1.0 - _EIG_SAFETY)
+
+
 def _records(vals, best, rank, r0):
     """Running argmax over vals (lexicographic order, first rank r0).
 
     A value replaces best when it exceeds best * (1 + _TIE); returns the
     updated (best, rank).  Only strict prefix maxima can do that, so only
-    those are visited, except in short runs, which are cheaper to scan.
+    those are visited.
     """
-    if vals.shape[0] > 8:
-        run = np.maximum.accumulate(vals)
-        if not run[-1] > best * (1.0 + _TIE):
-            return best, rank
-        idx = np.flatnonzero(vals[1:] > run[:-1]) + 1
-        cand = [0, *idx.tolist()]
-    else:
-        cand = range(vals.shape[0])
-    for i in cand:
+    run = np.maximum.accumulate(vals)
+    if not run[-1] > best * (1.0 + _TIE):
+        return best, rank
+    for i in [0, *(np.flatnonzero(vals[1:] > run[:-1]) + 1).tolist()]:
         x = vals[i]
         if x > best * (1.0 + _TIE):
             best = x

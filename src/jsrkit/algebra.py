@@ -15,12 +15,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .bounds import BoundsReport, _as_dict, interval_distance, refine
+from .bounds import _as_dict, interval_distance, refine
 from .errors import (DimensionCap, IllConditioned, InvalidBasis, NotAChain,
                      NotAnIdeal, NotClosed, NotInAlgebra,
                      PreconditionNotCertified, SelfCheckFailed, ShapeError)
 from .matrices import as_matrix
-from .sets import MatrixSet, Word, _sweep, _word_at, tree_size
+from .sets import MatrixSet, Word, _sweep, tree_size
 
 
 def _vec(x: np.ndarray) -> np.ndarray:
@@ -523,11 +523,10 @@ def rcq_membership(A: FDAlgebra, x, *, depth: int = 8,
     wit_word = None
     wit_rho = 0.0
     for n in range(1, n_cap + 1):
-        [(best_rho, exps, rho_ranks)] = _sweep(S, n, (_kernels.radii,),
-                                               witness_budget + S.size)
-        v = _kernels.scale(float(best_rho[n]), exps[n])
+        [radii] = _sweep(S, n, (_kernels.radii,), witness_budget + S.size)
+        v = radii.scale[n - 1]
         if v > rho_tol:
-            wit_word = _word_at(rho_ranks, n, S.size)
+            wit_word = radii.word(n)
             wit_rho = v
             break
         wit_rho = max(wit_rho, v)
@@ -581,13 +580,6 @@ class ChainReport(NamedTuple):
     to_dict = _as_dict
 
 
-def _quotient_box(A: FDAlgebra, J: Ideal, gen_coeffs, width, budget,
-                  name, frobenius) -> BoundsReport:
-    Q = quotient(A, J)
-    mats = [np.ascontiguousarray(Q.rep_coeffs(c)) for c in gen_coeffs]
-    return refine(MatrixSet(np.stack(mats), name), width, budget, frobenius=frobenius)
-
-
 def ideal_chain_monotonicity(M: MatrixSet, chain: Sequence[Ideal], *,
                              width: float = 0.02, budget: int = 100_000,
                              tol: float = 1e-8, frobenius: bool = False) -> ChainReport:
@@ -613,18 +605,17 @@ def ideal_chain_monotonicity(M: MatrixSet, chain: Sequence[Ideal], *,
         for col in range(a.dim):
             if not b.contains(a.coeffs[:, col]):
                 raise NotAChain(f"ideal {k} is not contained in ideal {k + 1}")
-    gen_coeffs = [A.coeffs_of(g) for g in M.generators]
 
     rows = []
     for J in chain:
-        box = _quotient_box(A, J, gen_coeffs, width, budget, M.name, frobenius)
+        box = refine(quotient(A, J).rep_set(M), width, budget, frobenius=frobenius)
         rows.append(ChainRow(J.dim, box.lower, box.upper, box.converged))
     for k in range(len(rows) - 1):
         if rows[k + 1].upper > rows[k].upper + tol:
             raise SelfCheckFailed(
                 f"upper endpoint grew along the chain: row {k} gives "
                 f"{rows[k].upper:.12g}, row {k + 1} gives {rows[k + 1].upper:.12g}")
-    direct = _quotient_box(A, chain[-1], gen_coeffs, width, budget, M.name, frobenius)
+    direct = refine(quotient(A, chain[-1]).rep_set(M), width, budget, frobenius=frobenius)
     final = ChainRow(chain[-1].dim, direct.lower, direct.upper, direct.converged)
     if (final.lower, final.upper) != (rows[-1].lower, rows[-1].upper):
         raise SelfCheckFailed("direct recomputation of the last quotient differs")

@@ -30,9 +30,9 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels, config
-from ._kernels import Memo, refine_pass, root
+from ._kernels import Memo, refine_pass
 from .matrices import op_norm
-from .sets import MatrixSet, Word, _sweep, _word_at, tree_size
+from .sets import MatrixSet, Word, _sweep, tree_size
 
 # product-stack memory allowed per branch-and-bound pass (one parent
 # product per open depth); refine also drops its memo of earlier passes
@@ -113,38 +113,27 @@ class BergerWangReport:
     to_dict = _as_dict
 
 
-def _profile(best, exps, op, start):
-    """Running op (max or min) of the roots (best[k] 2^exps[k])^(1/k), k >= 1."""
-    out = np.empty(len(best) - 1)
-    acc = start
-    for k in range(1, len(best)):
-        acc = op(acc, root(float(best[k]), exps[k], k))
-        out[k - 1] = acc
-    return out
-
-
 def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> LowerBound:
     """Best spectral-radius root over all words of length <= n.
 
     Ties (within 1e-12 relative) resolve to the shortest word, then the
     lexicographically smallest.
     """
-    [(best_rho, exps, rho_ranks)] = _sweep(M, n, (_kernels.radii,), budget)
+    [radii] = _sweep(M, n, (_kernels.radii,), budget)
     best = -1.0
     wit: Word = (0,)
-    for k in range(1, n + 1):
-        v = root(float(best_rho[k]), exps[k], k)
+    for k, v in enumerate(radii.root, 1):
         if v > best * (1.0 + 1e-12):
             best = v
-            wit = _word_at(rho_ranks, k, M.size)
+            wit = radii.word(k)
     return LowerBound(max(best, 0.0), wit)
 
 
 def upper_bound(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
                 frobenius: bool = False) -> float:
     """Best norm root min_{k<=n} (max_{|w|=k} ||P_w||)^(1/k)."""
-    [(best_norm, exps, _)] = _sweep(M, n, (partial(_kernels.norms, fro=frobenius),), budget)
-    return min(root(float(best_norm[k]), exps[k], k) for k in range(1, n + 1))
+    [norms] = _sweep(M, n, (partial(_kernels.norms, fro=frobenius),), budget)
+    return min(norms.root)
 
 
 def sandwich_profiles(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
@@ -154,15 +143,15 @@ def sandwich_profiles(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
     Returns arrays (r, beta) of length n where r[k-1] = lower_bound_r(M, k)
     value and beta[k-1] = upper_bound(M, k), from a single sweep.
     """
-    [(best_norm, norm_exps, _), (best_rho, rho_exps, _)] = _sweep(
-        M, n, (partial(_kernels.norms, fro=frobenius), _kernels.radii), budget)
-    return _profile(best_rho, rho_exps, max, 0.0), _profile(best_norm, norm_exps, min, math.inf)
+    norms, radii = _sweep(M, n, (partial(_kernels.norms, fro=frobenius), _kernels.radii),
+                          budget)
+    return np.maximum.accumulate(radii.root), np.minimum.accumulate(norms.root)
 
 
 def _lower_profile(M: MatrixSet, n: int, budget: int) -> np.ndarray:
     """The r array of sandwich_profiles alone, from a radius-only sweep."""
-    [(best_rho, exps, _)] = _sweep(M, n, (_kernels.radii,), budget)
-    return _profile(best_rho, exps, max, 0.0)
+    [radii] = _sweep(M, n, (_kernels.radii,), budget)
+    return np.maximum.accumulate(radii.root)
 
 
 def _pass_depth_limit(dim: int, size: int, max_depth: int) -> int:
@@ -293,8 +282,7 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     and typically exhaust the budget instead of converging (except at
     rho = 0, where certification is exact).
     """
-    if not (width > 0.0):
-        raise ValueError("width must be positive")
+    _positive_finite(width, "width")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     budget = max(int(budget), M.size)
@@ -320,10 +308,7 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
         converged = converged and bconv
     if len(parts) > 1:
         # one block measured the witness on itself alone, not on the others
-        prod, e = _kernels.word_product(M.gens, wit)
-        v = root(float(_kernels.radii(prod[None])[0]), e, len(wit)) * (1.0 - _kernels._EIG_SAFETY)
-        if v > lower:
-            lower = v
+        lower = max(lower, _kernels.witness_root(M.gens, wit))
     return BoundsReport(lower=lower, upper=max(upper, lower), lower_witness=wit,
                         depth_used=deepest, nodes_explored=nodes,
                         converged=converged,
@@ -342,8 +327,7 @@ def verify_berger_wang(M: MatrixSet, tol: float, budget: int = 10**6, *,
     side by more than a relative 1e-12: the two sides bound the same rho,
     so a crossing means the sweep's arithmetic failed, and proves nothing.
     """
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+    _positive_finite(tol, "tol")
     budget = max(int(budget), M.size)
     r_best = 0.0
     b_best = math.inf
@@ -396,6 +380,13 @@ def perturbation_directions(M: MatrixSet, trials: int, seed: int, *,
             dirs[g] = z / nrm
         out.append(dirs)
     return out
+
+
+def _positive_finite(value: float, name: str) -> float:
+    """value itself; ValueError unless it is positive and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
+    return value
 
 
 def _eps_schedule(values: Iterable[float]) -> list[float]:

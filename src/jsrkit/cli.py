@@ -28,7 +28,7 @@ from . import __version__, config
 from .algebra import (check_inessential, generated_subalgebra,
                       ideal_chain_monotonicity, jacobson_radical, quotient,
                       radical_power_chain)
-from .bounds import (_as_dict, _eps_schedule, continuity_probe,
+from .bounds import (_as_dict, _eps_schedule, _positive_finite, continuity_probe,
                      lower_bound_r, refine, upper_bound, verify_berger_wang)
 from .errors import CapExceeded, JsrError, ParseError, ShapeError
 from .lift import check_lift_identities, check_w_product_identity
@@ -115,10 +115,10 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
-    v = float(text)
-    if not (v > 0) or not math.isfinite(v):
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return v
+    try:
+        return _positive_finite(float(text), "value")
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
 
 
 def _eps_list(text: str) -> list[float]:
@@ -277,16 +277,14 @@ def _run_command(args, M: MatrixSet, frobenius: bool):
                   "max_algebra_dim": args.max_algebra_dim}
         return params, rep.to_dict(), 0
 
-    if cmd == "continuity":
-        rows = continuity_probe(M, args.eps, args.trials, args.seed,
-                                budget=args.budget, frobenius=frobenius)
-        params = {"eps": args.eps, "trials": args.trials, "seed": args.seed,
-                  "budget": args.budget}
-        result = {"rows": [_as_dict(r) for r in rows]}
-        code = 0 if all(r.complete for r in rows) else 2
-        return params, result, code
-
-    raise JsrError(f"unknown command {cmd}")
+    # continuity: argparse admits no other command
+    rows = continuity_probe(M, args.eps, args.trials, args.seed,
+                            budget=args.budget, frobenius=frobenius)
+    params = {"eps": args.eps, "trials": args.trials, "seed": args.seed,
+              "budget": args.budget}
+    result = {"rows": [_as_dict(r) for r in rows]}
+    code = 0 if all(r.complete for r in rows) else 2
+    return params, result, code
 
 
 def _emit_text(report: dict, out) -> None:

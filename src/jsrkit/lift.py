@@ -8,15 +8,14 @@ are pairwise products, so spectral radii multiply exactly, and the
 lifted set {l_a r_b : a, b in M} has joint spectral radius rho(M)^2.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .bounds import _as_dict, _lower_profile, interval_distance, refine
+from .bounds import _as_dict, _lower_profile, _positive_finite, interval_distance, refine
 from .errors import DimensionOverflow, SelfCheckFailed
-from .matrices import as_matrix, frobenius_norm, kron, require_same_dim
+from .matrices import as_matrix, require_same_dim
 from .sets import MatrixSet
 
 _SELF_CHECK_SEED = 421
@@ -33,48 +32,44 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v).reshape((d, d), order="F")
 
 
-@dataclass(frozen=True)
-class LiftedOperator:
-    """A d^2 x d^2 matrix acting on vectorized d x d matrices."""
+def _lifts(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
+    """The lifts x -> a[i] x b[i] of two (n, d, d) stacks, as an (n, d^2, d^2) stack.
 
-    source_dim: int
-    matrix: np.ndarray
-    tag: str | None = None
+    Lift i is kron(b[i]^T, a[i]), one complex product per entry as np.kron
+    forms it, so it equals np.kron bit for bit.  Every lift is replayed on
+    the same 20 seeded random matrices x, and SelfCheckFailed is raised
+    when one disagrees with a[i] x b[i] beyond 1e-10 relative.
+    """
+    n, d, _ = a.shape
+    if d * d > cap:
+        raise DimensionOverflow(f"lift would act in dimension {d * d} > cap {cap}")
+    L = b.transpose(0, 2, 1)[:, :, None, :, None] * a[:, None, :, None, :]
+    L = L.reshape(n, d * d, d * d)
+    z = np.random.default_rng(_SELF_CHECK_SEED).standard_normal((_SELF_CHECK_TRIALS, 2, d, d))
+    x = z[:, 0] + 1j * z[:, 1]
+    # column-major vec of each x, and of each a[i] x b[i]
+    got = L[:, None] @ x.transpose(0, 2, 1).reshape(-1, d * d, 1)
+    want = (a[:, None] @ x @ b[:, None]).transpose(0, 1, 3, 2).reshape(got.shape)
+    resid = np.linalg.norm((got - want)[..., 0], axis=-1)
+    scale = np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2)))
+    limit = _SELF_CHECK_TOL * scale[:, None] * np.maximum(1.0, np.linalg.norm(x, axis=(1, 2)))
+    bad = resid[resid > limit]
+    if bad.size:
+        raise SelfCheckFailed(f"lift action residual {bad[0]:.3e} exceeds tolerance")
+    return L
 
-    def apply(self, x) -> np.ndarray:
-        x = as_matrix(x)
-        return unvec(self.matrix @ vec(x), self.source_dim)
 
+def lift_LR(a, b, *, cap: int = config.KRON_CAP) -> np.ndarray:
+    """The d^2 x d^2 matrix of x -> a x b on vectorized x: kron(b^T, a).
 
-def _check_action(L: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    d = a.shape[0]
-    scale = max(1.0, frobenius_norm(a) * frobenius_norm(b))
-    rng = np.random.default_rng(_SELF_CHECK_SEED)
-    for _ in range(_SELF_CHECK_TRIALS):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        got = unvec(L @ vec(x), d)
-        want = a @ x @ b
-        resid = np.linalg.norm(got - want)
-        if resid > _SELF_CHECK_TOL * scale * max(1.0, float(np.linalg.norm(x))):
-            raise SelfCheckFailed(
-                f"lift action residual {resid:.3e} exceeds tolerance")
-
-
-def lift_LR(a, b, *, cap: int = config.KRON_CAP, tag: str | None = None) -> LiftedOperator:
-    """The operator x -> a x b as a matrix on vectorized x.
-
-    The constructor replays the action on 20 seeded random matrices and
-    refuses to return an operator that disagrees with a x b beyond 1e-10
-    relative.
+    Apply it as unvec(L @ vec(x), d).  The matrix is replayed on 20
+    seeded random matrices and refused (SelfCheckFailed) where it
+    disagrees with a x b beyond 1e-10 relative.
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    d = require_same_dim(a, b)
-    if d * d > cap:
-        raise DimensionOverflow(f"lift would act in dimension {d * d} > cap {cap}")
-    L = kron(b.T, a, cap=cap)
-    _check_action(L, a, b)
-    return LiftedOperator(source_dim=d, matrix=L, tag=tag)
+    require_same_dim(a, b)
+    return _lifts(a[None], b[None], cap)[0]
 
 
 def lift_set(M: MatrixSet, *, cap: int = config.KRON_CAP) -> MatrixSet:
@@ -84,13 +79,9 @@ def lift_set(M: MatrixSet, *, cap: int = config.KRON_CAP) -> MatrixSet:
     x -> a_i x b_j.  Products then compose as
     (l_a r_b)(l_c r_d) : x -> (a c) x (d b), the b-side reversing order.
     """
-    ops = []
-    for i in range(M.size):
-        for j in range(M.size):
-            ops.append(lift_LR(M.gens[i], M.gens[j], cap=cap,
-                               tag=f"{i},{j}").matrix)
+    i, j = np.divmod(np.arange(M.size * M.size), M.size)
     name = f"{M.name}:lift" if M.name else None
-    return MatrixSet(np.stack(ops), name)
+    return MatrixSet(_lifts(M.gens[i], M.gens[j], cap), name)
 
 
 @dataclass(frozen=True)
@@ -118,6 +109,8 @@ def check_lift_identities(M: MatrixSet, n: int = 4, *, tol: float = 1e-7,
                           cap: int = config.KRON_CAP,
                           frobenius: bool = False) -> LiftIdentityReport:
     """Check rho(lift) = rho(M)^2 and r_k(lift) = r_k(M)^2 for k <= n."""
+    _positive_finite(tol, "tol")
+    _positive_finite(width, "width")
     lifted = lift_set(M, cap=cap)
     r_m = _lower_profile(M, n, budget)
     r_l = _lower_profile(lifted, n, budget)
@@ -146,16 +139,10 @@ def check_w_product_identity(a, b, *, cap: int = config.KRON_CAP) -> float:
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    d = require_same_dim(a, b)
-    eye = np.eye(d, dtype=np.complex128)
+    eye = np.eye(require_same_dim(a, b), dtype=np.complex128)
     ba = b @ a
-    w_ba = lift_LR(ba, ba, cap=cap).matrix
-    l_b = lift_LR(b, eye, cap=cap).matrix
-    w_a = lift_LR(a, a, cap=cap).matrix
-    r_b = lift_LR(eye, b, cap=cap).matrix
-    r_a = lift_LR(eye, a, cap=cap).matrix
-    w_b = lift_LR(b, b, cap=cap).matrix
-    l_a = lift_LR(a, eye, cap=cap).matrix
+    w_ba, l_b, w_a, r_b, r_a, w_b, l_a = _lifts(np.stack([ba, b, a, eye, eye, b, a]),
+                                                np.stack([ba, eye, a, b, a, b, eye]), cap)
     r1 = float(np.linalg.norm(w_ba - l_b @ w_a @ r_b))
     r2 = float(np.linalg.norm(w_ba - r_a @ w_b @ l_a))
     return max(r1, r2)

@@ -90,15 +90,39 @@ def tree_size(size: int, nmax: int) -> int:
     return (size ** (nmax + 1) - size) // (size - 1)
 
 
-def _sweep(M: MatrixSet, nmax: int, measures: tuple, budget: int):
-    """_kernels.sweep_tree of M under the given measures, within budget."""
+class Peaks(NamedTuple):
+    """One measure's maxima over the words of each length k = 1..n.
+
+    scale[k-1] is the maximum over the words of length k (inf past the
+    double range), root[k-1] its k-th root (finite even where scale is
+    not), and word(k) the lexicographically smallest word attaining it.
+    """
+
+    scale: list[float]
+    root: list[float]
+    ranks: list[int]
+    size: int
+
+    def word(self, k: int) -> Word:
+        return _word_at(self.ranks, k, self.size)
+
+
+def _sweep(M: MatrixSet, nmax: int, measures: tuple, budget: int) -> list[Peaks]:
+    """The Peaks of each measure over every word of length 1..nmax, within budget.
+
+    The only reader of _kernels.sweep_tree's (mantissa, exponent, rank)
+    output.
+    """
     if nmax < 1:
         raise ShapeError("depth must be >= 1")
     total = tree_size(M.size, nmax)
     if total > budget:
         raise BudgetExceeded(
             f"sweep to depth {nmax} needs {total} words, budget is {budget}")
-    return _kernels.sweep_tree(M.gens, nmax, measures)
+    depths = range(1, nmax + 1)
+    return [Peaks([_kernels.scale(float(best[k]), exps[k]) for k in depths],
+                  [_kernels.root(float(best[k]), exps[k], k) for k in depths], ranks, M.size)
+            for best, exps, ranks in _kernels.sweep_tree(M.gens, nmax, measures)]
 
 
 def _word_at(ranks, k: int, size: int) -> Word:
@@ -117,8 +141,8 @@ def _word_at(ranks, k: int, size: int) -> Word:
 def set_norm(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
              frobenius: bool = False) -> float:
     """max over words w of length n of ||product(w)||, by full enumeration."""
-    [(best_norm, exps, _)] = _sweep(M, n, (partial(_kernels.norms, fro=frobenius),), budget)
-    return _kernels.scale(float(best_norm[n]), exps[n])
+    [norms] = _sweep(M, n, (partial(_kernels.norms, fro=frobenius),), budget)
+    return norms.scale[n - 1]
 
 
 def leading_products(M: MatrixSet, nmax: int, *, budget: int = config.MAX_WORDS,
@@ -130,14 +154,12 @@ def leading_products(M: MatrixSet, nmax: int, *, budget: int = config.MAX_WORDS,
     lexicographically smallest word.  Norms along the list are
     nondecreasing.
     """
-    [(best_norm, exps, norm_ranks)] = _sweep(
-        M, nmax, (partial(_kernels.norms, fro=frobenius),), budget)
+    [norms] = _sweep(M, nmax, (partial(_kernels.norms, fro=frobenius),), budget)
     out: list[LeadingProduct] = []
     running = 0.0
-    for k in range(1, nmax + 1):
-        v = _kernels.scale(float(best_norm[k]), exps[k])
+    for k, v in enumerate(norms.scale, 1):
         if v >= running:
-            out.append(LeadingProduct(k, _word_at(norm_ranks, k, M.size), v))
+            out.append(LeadingProduct(k, norms.word(k), v))
             running = v
     return out
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from jsrkit import (
     NotClosed,
     NotInAlgebra,
     PreconditionNotCertified,
+    QuotientAlgebra,
+    SelfCheckFailed,
+    ShapeError,
     check_inessential,
     check_nilpotent_span,
     generated_subalgebra,
@@ -23,6 +28,7 @@ from jsrkit import (
     radical_power_chain,
     rcq_membership,
 )
+from jsrkit import algebra
 
 import oracles
 
@@ -66,6 +72,23 @@ class TestFDAlgebra:
     def test_rejects_overfull_basis(self):
         with pytest.raises(InvalidBasis):
             FDAlgebra([E(i, j, 2) for i in range(2) for j in range(2)] + [np.eye(2)])
+
+    def test_rejects_empty_and_mixed_bases(self):
+        with pytest.raises(InvalidBasis):
+            FDAlgebra([])
+        with pytest.raises(ShapeError):
+            FDAlgebra([np.eye(2), np.eye(3)])
+
+    def test_wrong_lengths_raise_shape_error(self):
+        A = ut2()
+        with pytest.raises(ShapeError):
+            A.element([1.0, 2.0])
+        with pytest.raises(ShapeError):
+            A.coeffs_of(np.eye(3))
+        with pytest.raises(ShapeError):
+            Ideal(A, np.ones(2))
+        with pytest.raises(ShapeError):
+            rcq_membership(A, np.ones(2))
 
     def test_rejects_non_closed_span(self):
         # E12 E21 = E11 leaves the span
@@ -256,6 +279,20 @@ class TestQuotient:
         Q = quotient(A, Ideal.whole(A))
         assert Q.dim == 0 and Q.rep_dim == 1
         assert np.array_equal(Q.rep(E(0, 0, 2)), np.zeros((1, 1)))
+        with pytest.raises(InvalidBasis):
+            Q.as_algebra()
+
+    def test_self_check_failures(self):
+        A = ut2()
+        rad = jacobson_radical(A)
+        # a negative tolerance refuses every product
+        with pytest.raises(SelfCheckFailed, match="not multiplicative"):
+            QuotientAlgebra(A, rad, tol=-1.0)
+        # a representation checked against an ideal it does not kill
+        Q = quotient(A, rad)
+        Q.ideal = Ideal.whole(A)
+        with pytest.raises(SelfCheckFailed, match="does not vanish"):
+            Q._self_check()
 
     def test_quotient_of_quotient_by_radical_is_semisimple(self):
         rng = np.random.default_rng(56)
@@ -305,6 +342,14 @@ class TestRcqMembership:
     def test_zero_element(self):
         rep = rcq_membership(ut2(), np.zeros((2, 2), dtype=complex))
         assert rep.member and rep.nil_degree == 1 and rep.ideal_dim == 0
+
+    def test_no_witness_at_any_depth(self):
+        A = generated_subalgebra(MatrixSet.from_matrices(oracles.GOLDEN))
+        found = rcq_membership(A, E(0, 0, 2))
+        # every depth falls short of the tolerance: the largest rho is kept
+        rep = rcq_membership(A, E(0, 0, 2), depth=3, rho_tol=1e6)
+        assert not rep.member and rep.witness_word is None
+        assert found.witness_rho <= rep.witness_rho <= 1e6
 
     def test_coeff_vector_input_agrees_with_matrix_input(self):
         A = ut2()
@@ -370,6 +415,26 @@ class TestChains:
         assert rep.final_direct.upper == rep.rows[-1].upper
         d = rep.to_dict()
         assert len(d["rows"]) == 2 and "final_direct" in d
+
+    def test_growing_upper_end_fails_the_self_check(self):
+        A, J1, J2, M = self.chain_input()
+        with pytest.raises(SelfCheckFailed, match="grew along the chain"):
+            ideal_chain_monotonicity(M, [J1, J2], tol=-1e3)
+
+    def test_direct_recomputation_must_reproduce(self, monkeypatch):
+        A, J1, J2, M = self.chain_input()
+        real, calls = algebra.refine, []
+
+        def drifting(*args, **kwargs):
+            # the third refine, the direct recomputation, reports a wider box
+            rep = real(*args, **kwargs)
+            calls.append(rep)
+            return dataclasses.replace(rep, upper=2 * rep.upper) if len(calls) == 3 else rep
+
+        monkeypatch.setattr(algebra, "refine", drifting)
+        with pytest.raises(SelfCheckFailed, match="direct recomputation"):
+            ideal_chain_monotonicity(M, [J1, J2])
+        assert len(calls) == 3
 
     def test_rejects_empty_chain(self):
         _, _, _, M = self.chain_input()

@@ -1,0 +1,71 @@
+"""Module boundaries, checked on the source with ast.
+
+The engine's sweep maxima leave _kernels as (mantissa, power-of-two
+exponent, rank) triples, and refine's witness rule shaves by
+_kernels._EIG_SAFETY.  sets._sweep is the one decoder of the triples and
+_kernels.witness_root the one re-measure of a witness, so no other module
+names the helpers that read that format.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "jsrkit"
+FORMAT = {"root", "scale", "word_product", "_EIG_SAFETY"}
+OWNERS = {"_kernels.py", "sets.py"}
+
+
+def format_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every import or attribute read of FORMAT from _kernels."""
+    tree = ast.parse(source)
+    names = {"_kernels"} | _aliases(tree)
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_kernels"):
+            uses += [(node.lineno, a.name) for a in node.names if a.name in FORMAT | {"*"}]
+        elif isinstance(node, ast.Attribute) and node.attr in FORMAT:
+            owner = node.value
+            name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+            if name in names:
+                uses.append((node.lineno, node.attr))
+    return sorted(uses)
+
+
+def _aliases(tree) -> set[str]:
+    """Local names bound to the _kernels module by an `as` import."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= {a.asname for a in node.names
+                    if a.asname and a.name.rsplit(".", 1)[-1] == "_kernels"}
+    return out
+
+
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name not in OWNERS)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_kernels_and_sets_read_the_engine_format(module):
+    assert format_uses((SRC / module).read_text()) == []
+
+
+def test_every_module_is_checked():
+    assert {"algebra.py", "bounds.py", "cli.py", "lift.py", "matrices.py"} <= set(MODULES)
+
+
+def test_detector_sees_each_form():
+    source = "\n".join([
+        "from ._kernels import Memo, root",
+        "from jsrkit._kernels import *",
+        "from . import _kernels",
+        "import jsrkit._kernels as k",
+        "_kernels._EIG_SAFETY",
+        "k.scale(1.0, 2)",
+        "jsrkit._kernels.word_product(g, w)",
+        "_kernels.radii(s)",
+        "other.root",
+    ])
+    assert format_uses(source) == [(1, "root"), (2, "*"), (5, "_EIG_SAFETY"),
+                                   (6, "scale"), (7, "word_product")]

@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -138,6 +140,8 @@ class TestRefine:
         d = rep.to_dict()
         assert d["lower"] == rep.lower and d["converged"] == rep.converged
         assert d["lower_witness"] == list(rep.lower_witness)
+        with pytest.raises(ValueError):
+            dataclasses.replace(rep, lower=rep.upper * 2)
 
     def test_diag_pair_is_tight(self):
         rep = refine(diag_pair(), 0.01, budget=10**5)
@@ -199,10 +203,10 @@ class TestRefine:
                 assert interval_distance((lo, hi), pk.interval) <= 1e-9 * max(1.0, hi)
 
     def test_width_validation(self):
-        with pytest.raises(ValueError):
-            refine(golden(), -0.1)
-        with pytest.raises(ValueError):
-            refine(golden(), 0.0)
+        # an infinite width used to certify upper = inf as converged
+        for width in (-0.1, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                refine(golden(), width)
 
     @pytest.mark.parametrize("max_depth", [0, -1])
     def test_max_depth_validation(self, max_depth):
@@ -266,6 +270,12 @@ class TestBergerWang:
         d = rep.to_dict()
         assert d["pass"] is True and "gap" in d
 
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0, math.inf, math.nan])
+    def test_tol_validation(self, tol):
+        # an infinite tol used to pass golden with gap 0.618 at depth 1
+        with pytest.raises(ValueError):
+            verify_berger_wang(golden(), tol)
+
 
 class TestIntervalDistance:
     def test_overlap_is_zero(self):
@@ -314,6 +324,8 @@ class TestContinuity:
             continuity_probe(diag_pair(), [-0.1], trials=2, seed=0)
         with pytest.raises(ValueError):
             continuity_probe(diag_pair(), [], trials=2, seed=0)
+        with pytest.raises(ValueError):
+            continuity_probe(diag_pair(), [0.1], trials=0, seed=0)
 
     def test_same_seed_reproduces_rows(self):
         a = continuity_probe(diag_pair(), [0.1, 0.01], trials=4, seed=9, budget=10**4)

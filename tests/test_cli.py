@@ -231,7 +231,9 @@ class TestErrors:
         assert f"argument {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["no-such-command"], ["--no-such-flag"],
-                                      ["refine", "set.json", "--width", "0"]])
+                                      ["refine", "set.json", "--width", "0"],
+                                      ["refine", "set.json", "--width", "inf"],
+                                      ["refine", "set.json", "--budget", "0"]])
     def test_usage_errors_exit_ex_usage(self, capsys, argv):
         # 64 keeps a mistyped command apart from a check that did not pass (2)
         with pytest.raises(SystemExit) as info:
@@ -286,6 +288,21 @@ class TestErrors:
         code, _ = self.err(capsys, ["refine", str(p)])
         assert code == 1
 
+    @pytest.mark.parametrize("raw,fragment", [
+        (b'{"dim": 1, "matrices": [{"re": [[1]]}], "name": "\xff"}', "not UTF-8"),
+        (b'[1, 2]', "top level"),
+        (b'{"dim": 1, "matrices": []}', "nonempty array"),
+        (b'{"dim": 1, "matrices": [[[1]]]}', "must be an object"),
+        (b'{"dim": 1, "matrices": [{"im": [[1]]}]}', 'missing "re"'),
+        (b'{"dim": 2, "matrices": [{"re": [[1, 0], [1]]}]}', "row 1 must have 2 entries"),
+    ], ids=["non-utf8", "top-level-array", "no-matrices", "entry-not-object",
+            "missing-re", "short-row"])
+    def test_malformed_set_files(self, capsys, tmp_path, raw, fragment):
+        p = tmp_path / "bad.json"
+        p.write_bytes(raw)
+        code, err = self.err(capsys, ["refine", str(p)])
+        assert code == 1 and err.startswith("error:") and fragment in err
+
     def test_missing_dim(self, capsys, tmp_path):
         p = tmp_path / "dim.json"
         p.write_text(json.dumps({"matrices": [{"re": [[1]]}]}))
@@ -305,6 +322,8 @@ class TestCaps:
         capsys.readouterr()
         assert main(["refine", golden_file, "--budget", "20000001"]) == 1
         capsys.readouterr()
+        assert main(["refine", golden_file, "--max-generators", "9"]) == 1
+        assert "may only lower" in capsys.readouterr().err
 
     def test_dim_is_capped_before_the_grid_is_allocated(self, capsys, tmp_path):
         # 200,000 empty rows: a dim x dim grid would need 298 GiB

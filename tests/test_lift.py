@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from jsrkit import (
     DimensionMismatch,
     DimensionOverflow,
     MatrixSet,
+    SelfCheckFailed,
     check_lift_identities,
     check_w_product_identity,
     lift_LR,
@@ -15,6 +18,7 @@ from jsrkit import (
     unvec,
     vec,
 )
+from jsrkit import lift
 
 import oracles
 
@@ -36,8 +40,8 @@ class TestLiftLR:
         a = np.array([[1, 2], [3, 4]], dtype=complex)
         b = np.array([[0, 1], [1, 0]], dtype=complex)
         L = lift_LR(a, b)
-        assert np.array_equal(L.matrix, np.kron(b.T, a))
-        assert L.source_dim == 2
+        assert isinstance(L, np.ndarray) and L.shape == (4, 4)
+        assert np.array_equal(L, np.kron(b.T, a))
 
     def test_action_is_two_sided_multiply(self):
         rng = np.random.default_rng(42)
@@ -45,12 +49,11 @@ class TestLiftLR:
             a, b, x = (oracles.random_set(rng, d, 1, complex_entries=True)[0]
                        for _ in range(3))
             L = lift_LR(a, b)
-            assert np.allclose(L.apply(x), a @ x @ b, atol=1e-12)
-            assert np.allclose(unvec(L.matrix @ vec(x), d), a @ x @ b, atol=1e-12)
+            assert np.allclose(unvec(L @ vec(x), d), a @ x @ b, atol=1e-12)
 
     def test_identity_lifts_to_identity(self):
         e = np.eye(3, dtype=complex)
-        assert np.array_equal(lift_LR(e, e).matrix, np.eye(9, dtype=complex))
+        assert np.array_equal(lift_LR(e, e), np.eye(9, dtype=complex))
 
     def test_spectral_radius_factorizes(self):
         rng = np.random.default_rng(43)
@@ -58,7 +61,7 @@ class TestLiftLR:
             a = oracles.random_set(rng, 3, 1, complex_entries=True)[0]
             b = oracles.random_set(rng, 3, 1, complex_entries=True)[0]
             want = spectral_radius(a) * spectral_radius(b)
-            got = spectral_radius(lift_LR(a, b).matrix)
+            got = spectral_radius(lift_LR(a, b))
             assert got == pytest.approx(want, rel=1e-7, abs=1e-10)
 
     def test_dimension_checks(self):
@@ -66,6 +69,19 @@ class TestLiftLR:
             lift_LR(np.eye(2), np.eye(3))
         with pytest.raises(DimensionOverflow):
             lift_LR(np.eye(70), np.eye(70))
+
+    def test_self_check_refuses_a_wrong_product(self):
+        # a b whose transpose is itself makes the builder form kron(b, a),
+        # the lift of x -> a x b^T, which the replay on a x b must refuse
+        class Untransposed(np.ndarray):
+            def transpose(self, *axes):
+                return np.asarray(self)
+
+        a = np.array([[[1, 2], [3, 4]]], dtype=complex)
+        b = np.array([[[0, 1], [0, 0]]], dtype=complex)
+        assert np.array_equal(lift._lifts(a, b, 16)[0], np.kron(b[0].T, a[0]))
+        with pytest.raises(SelfCheckFailed, match="lift action residual"):
+            lift._lifts(a, b.view(Untransposed), 16)
 
 
 class TestLiftSet:
@@ -85,6 +101,15 @@ class TestLiftSet:
                 want = oracles.GOLDEN[i] @ x @ oracles.GOLDEN[j]
                 got = unvec(L.gens[i * 2 + j] @ vec(x), 2)
                 assert np.allclose(got, want, atol=1e-12)
+
+    def test_lifts_equal_np_kron_bit_for_bit(self):
+        rng = np.random.default_rng(49)
+        for d, m in ((1, 3), (3, 2), (4, 3)):
+            g = oracles.random_set(rng, d, m, complex_entries=True)
+            L = lift_set(MatrixSet.from_matrices(g))
+            for i in range(m):
+                for j in range(m):
+                    assert np.array_equal(L.gens[i * m + j], np.kron(g[j].T, g[i]))
 
     def test_word_product_acts_by_reversed_right_factors(self):
         # composing lifts multiplies left factors in order and right
@@ -135,6 +160,15 @@ class TestLiftIdentities:
         d = check_lift_identities(M, 2, budget=20_000).to_dict()
         assert d["pass"] is True
         assert "r_exact_gap" in d and "lifted_interval" in d
+
+
+    @pytest.mark.parametrize("kw", [{"tol": math.inf}, {"tol": math.nan}, {"tol": 0.0},
+                                    {"width": math.inf}, {"width": math.nan},
+                                    {"width": -0.05}])
+    def test_tol_and_width_validation(self, kw):
+        # an infinite tol used to pass whatever the gaps were
+        with pytest.raises(ValueError):
+            check_lift_identities(MatrixSet.from_matrices(oracles.GOLDEN), 2, **kw)
 
 
 class TestWProductIdentity:

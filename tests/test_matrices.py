@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from jsrkit import (
     DimensionOverflow,
+    NonConvergence,
     ShapeError,
     as_matrix,
     frobenius_norm,
@@ -100,6 +101,18 @@ class TestSpectralRadius:
     @given(square(3))
     def test_matches_eigvals(self, a):
         assert spectral_radius(a) == pytest.approx(oracles.eig_rho(a), rel=1e-9, abs=1e-12)
+
+
+def test_lapack_failure_is_non_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NonConvergence, match="eigenvalue iteration"):
+        spectral_radius(np.eye(2))
+    with pytest.raises(NonConvergence, match="norm eigensolve"):
+        op_norm(np.eye(2))
 
 
 class TestKron:

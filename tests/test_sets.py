@@ -49,6 +49,13 @@ class TestMatrixSet:
     def test_rejects_non_finite(self):
         with pytest.raises(ShapeError):
             MatrixSet.from_matrices([[[np.inf, 0], [0, 1]]])
+        with pytest.raises(ShapeError, match="finite"):
+            MatrixSet(np.full((1, 2, 2), np.nan))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 3), (0, 2, 2), (1, 0, 0)])
+    def test_rejects_bad_stack_shapes(self, shape):
+        with pytest.raises(ShapeError):
+            MatrixSet(np.zeros(shape))
 
     def test_scaled(self):
         M = golden().scaled(0.5j)
@@ -90,6 +97,10 @@ class TestSetNorm:
     def test_diag_pair_depth_two(self):
         # the loudest length-2 product is diag(1,3)^2 with norm 9
         assert set_norm(diag_pair(), 2) == 9.0
+
+    def test_rejects_depth_zero(self):
+        with pytest.raises(ShapeError, match="depth"):
+            set_norm(diag_pair(), 0)
 
     def test_singleton_equals_power_norm_exactly(self):
         rng = np.random.default_rng(7)
