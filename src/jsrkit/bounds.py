@@ -168,20 +168,18 @@ def _blocks(gens: np.ndarray) -> list[np.ndarray]:
 
     They are the classes of mutual reachability in the union sparsity
     graph (i -> j when some gens[k, i, j] != 0), read from its reflexive
-    transitive closure; squaring the 0/1 reachability matrix is exact in
-    floating point, since a path count is at most d.  Blocks are in
-    increasing index order and listed by their smallest index.  A class
-    of one vertex without a self-loop is a 1 x 1 block that is zero in
-    every generator, with rho 0, and is left out.  When every class is
-    one, the set is nilpotent and stays one block.
+    transitive closure, by squaring the boolean reachability matrix.
+    Blocks are in increasing index order and listed by their smallest
+    index.  A class of one vertex without a self-loop is a 1 x 1 block
+    that is zero in every generator, with rho 0, and is left out.  When
+    every class is one, the set is nilpotent and stays one block.
     """
     adj = np.any(gens != 0, axis=0)
     d = adj.shape[0]
     reach = adj | np.eye(d, dtype=bool)
     while True:
-        # complex, like every product the engine forms: a float64 product
-        # would load a second BLAS kernel and raise peak memory
-        closer = (reach @ reach.astype(complex)).real > 0
+        # a boolean product is exact and calls no BLAS kernel
+        closer = reach @ reach
         if (closer == reach).all():
             break
         reach = closer
@@ -229,7 +227,10 @@ def _deepen(gens: np.ndarray, width: float, budget: int, lower_in: float,
             if saw_frontier:
                 cand = max(cand, float(fmax))
             upper = min(upper, cand)
-        converged = (upper - lower) <= width * (1.0 + 1e-9)
+        # compared with lower + width as it rounds, not through the
+        # difference: a completed pass with no frontier sets upper to it,
+        # and a deeper pass would only replay its cut tree
+        converged = upper - lower <= width * (1.0 + 1e-9) or upper <= lower + width
         if converged or not completed:
             break
         target = target + 1 if target < 8 else target * 2
@@ -277,10 +278,11 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     Lower-bound candidates are shaved by a relative 1e-12 margin before
     entering the bound (and the pruning threshold), so eigenvalue-solver
     noise cannot push the certificate above the true spectral radius of
-    the witness product; on convergence upper - lower <= width holds
-    exactly.  Widths below about 1e-12 times rho sit under that margin
-    and typically exhaust the budget instead of converging (except at
-    rho = 0, where certification is exact).
+    the witness product.  On convergence upper <= lower + width as that
+    sum rounds, or upper - lower <= width to a relative 1e-9.  Widths
+    below about 1e-12 times rho sit under that margin and typically
+    exhaust the budget instead of converging (except at rho = 0, where
+    certification is exact).
     """
     _positive_finite(width, "width")
     if max_depth < 1:

@@ -8,6 +8,7 @@ are pairwise products, so spectral radii multiply exactly, and the
 lifted set {l_a r_b : a, b in M} has joint spectral radius rho(M)^2.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,24 +39,29 @@ def _lifts(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
     Lift i is kron(b[i]^T, a[i]), one complex product per entry as np.kron
     forms it, so it equals np.kron bit for bit.  Every lift is replayed on
     the same 20 seeded random matrices x, and SelfCheckFailed is raised
-    when one disagrees with a[i] x b[i] beyond 1e-10 relative.
+    when one disagrees with a[i] x b[i] beyond 1e-10 relative, or when a
+    residual or its tolerance is not finite (the lift or its check left
+    the double range).
     """
     n, d, _ = a.shape
     if d * d > cap:
         raise DimensionOverflow(f"lift would act in dimension {d * d} > cap {cap}")
-    L = b.transpose(0, 2, 1)[:, :, None, :, None] * a[:, None, :, None, :]
-    L = L.reshape(n, d * d, d * d)
     z = np.random.default_rng(_SELF_CHECK_SEED).standard_normal((_SELF_CHECK_TRIALS, 2, d, d))
     x = z[:, 0] + 1j * z[:, 1]
-    # column-major vec of each x, and of each a[i] x b[i]
-    got = L[:, None] @ x.transpose(0, 2, 1).reshape(-1, d * d, 1)
-    want = (a[:, None] @ x @ b[:, None]).transpose(0, 1, 3, 2).reshape(got.shape)
-    resid = np.linalg.norm((got - want)[..., 0], axis=-1)
-    scale = np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2)))
-    limit = _SELF_CHECK_TOL * scale[:, None] * np.maximum(1.0, np.linalg.norm(x, axis=(1, 2)))
-    bad = resid[resid > limit]
-    if bad.size:
-        raise SelfCheckFailed(f"lift action residual {bad[0]:.3e} exceeds tolerance")
+    # overflow shows as a residual or tolerance that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = b.transpose(0, 2, 1)[:, :, None, :, None] * a[:, None, :, None, :]
+        L = L.reshape(n, d * d, d * d)
+        # column-major vec of each x, and of each a[i] x b[i]
+        got = L[:, None] @ x.transpose(0, 2, 1).reshape(-1, d * d, 1)
+        want = (a[:, None] @ x @ b[:, None]).transpose(0, 1, 3, 2).reshape(got.shape)
+        resid = np.linalg.norm((got - want)[..., 0], axis=-1)
+        scale = np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2)))
+        limit = _SELF_CHECK_TOL * scale[:, None] * np.maximum(1.0, np.linalg.norm(x, axis=(1, 2)))
+    bad = ~(resid <= limit) | np.isinf(limit)
+    if bad.any():
+        r, t = resid[bad][0], limit[bad][0]
+        raise SelfCheckFailed(f"lift action residual {r:.3e} is not within tolerance {t:.3e}")
     return L
 
 
@@ -136,15 +142,19 @@ def check_w_product_identity(a, b, *, cap: int = config.KRON_CAP) -> float:
         w_{ba} = l_b w_a r_b   and   w_{ba} = r_a w_b l_a
     as matrices on vectorized x.  Exact algebraically; the float residual
     should sit at rounding level, <= 1e-10 * (||a|| ||b||)^2.
+    SelfCheckFailed is raised when a residual is not finite.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     eye = np.eye(require_same_dim(a, b), dtype=np.complex128)
-    ba = b @ a
-    w_ba, l_b, w_a, r_b, r_a, w_b, l_a = _lifts(np.stack([ba, b, a, eye, eye, b, a]),
-                                                np.stack([ba, eye, a, b, a, b, eye]), cap)
-    r1 = float(np.linalg.norm(w_ba - l_b @ w_a @ r_b))
-    r2 = float(np.linalg.norm(w_ba - r_a @ w_b @ l_a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ba = b @ a
+        w_ba, l_b, w_a, r_b, r_a, w_b, l_a = _lifts(np.stack([ba, b, a, eye, eye, b, a]),
+                                                    np.stack([ba, eye, a, b, a, b, eye]), cap)
+        r1 = float(np.linalg.norm(w_ba - l_b @ w_a @ r_b))
+        r2 = float(np.linalg.norm(w_ba - r_a @ w_b @ l_a))
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise SelfCheckFailed(f"w-product residual {max(r1, r2)} is not finite")
     return max(r1, r2)
 
 

@@ -1,6 +1,9 @@
 """Square complex matrices: validation, norms, spectral radius, Kronecker.
 
-All computation is complex128 regardless of input dtype.
+Matrices are stored complex128 regardless of input dtype.  Norms and
+spectral radii are computed by the product-tree engine (_kernels), in
+float64 for a matrix none of whose entries has an imaginary part and in
+complex128 otherwise.
 """
 
 import numpy as np

@@ -18,7 +18,9 @@ class MatrixSet:
     """An ordered finite set of same-dimension complex matrices.
 
     gens is a read-only (size, dim, dim) complex128 array; generator order
-    is significant (words index into it).
+    is significant (words index into it).  A set none of whose entries has
+    an imaginary part is measured in real (float64) arithmetic, a set with
+    one in complex arithmetic (see _kernels._real_if_real).
     """
 
     gens: np.ndarray
@@ -170,7 +172,8 @@ def normalized_leading_sequence(M: MatrixSet, nmax: int, *,
     """The leading products, each scaled to unit norm.
 
     Each product is formed fitted (_kernels.word_product) and divided by
-    its own norm, so products past the double range normalize too.
+    its own norm, so products past the double range normalize too.  They
+    are float64 for a set with no imaginary part, as the engine forms them.
     Entries whose product is the zero matrix are skipped (nothing to
     normalize).
     """

@@ -125,15 +125,28 @@ _EIG_SAFETY = 1e-12
 _BAND = 248
 
 
+def loop_real(gens):
+    """The generators as they are measured: float64 when no entry has an
+    imaginary part, complex128 otherwise."""
+    if np.all(gens.imag == 0.0):
+        return np.ascontiguousarray(gens.real, dtype=np.float64)
+    return gens
+
+
 def loop_fit(a):
     """(a, 0), or a scaled by 2**-e and e when its largest part left the band.
 
     The largest real or imaginary part of the scaled stack lies in [0.5, 1).
+    A real a stays real.
     """
-    top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
+    top = float(np.max(np.abs(a.real)))
+    if np.iscomplexobj(a):
+        top = max(top, float(np.max(np.abs(a.imag))))
     e = math.frexp(top)[1]
     if top == 0.0 or -_BAND < e <= _BAND:
         return a, 0
+    if not np.iscomplexobj(a):
+        return np.ldexp(a, -e), e
     out = np.empty_like(a)
     out.real = np.ldexp(a.real, -e)
     out.imag = np.ldexp(a.imag, -e)
@@ -175,7 +188,7 @@ def _loop_square(a, fro):
         for i in range(a.shape[0]):
             for j in range(a.shape[1]):
                 v = a[i, j]
-                s += v.real * v.real + v.imag * v.imag
+                s += v.real * v.real + v.imag * v.imag if np.iscomplexobj(a) else v * v
     else:
         w = np.linalg.eigvalsh(np.conj(a.T) @ a)
         s = w[w.shape[0] - 1]
@@ -206,7 +219,7 @@ def loop_sweep_tree(gens, nmax, want_rho, fro):
     of evaluated words.  Index 0 of the per-depth arrays is unused and
     stays at -1.
     """
-    gens, e1 = loop_fit(gens)
+    gens, e1 = loop_fit(loop_real(gens))
     m, d, _ = gens.shape
     best = {"norm": np.full(nmax + 1, -1.0), "rho": np.full(nmax + 1, -1.0)}
     exps = {"norm": [0] * (nmax + 1), "rho": [0] * (nmax + 1)}
@@ -221,8 +234,8 @@ def loop_sweep_tree(gens, nmax, want_rho, fro):
             for t in range(k if m > 1 else 0):
                 words[name][k, t] = word[t]
 
-    prod = np.empty((nmax + 1, d, d), np.complex128)
-    prod[0] = np.eye(d, dtype=np.complex128)
+    prod = np.empty((nmax + 1, d, d), gens.dtype)
+    prod[0] = np.eye(d, dtype=gens.dtype)
     pexp = [0] * (nmax + 1)
     word = np.zeros(nmax, np.int64)
     nodes = 0
@@ -264,7 +277,7 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
     completed, nodes, deepest).  wit_len == 0 means no word improved on
     lower_in.  frontier_max is the max norm root over the frontier.
     """
-    gens, e1 = loop_fit(gens)
+    gens, e1 = loop_fit(loop_real(gens))
     m, d, _ = gens.shape
     width = _shifted(width, -e1)
     lower = _shifted(lower_in, -e1)
@@ -276,8 +289,8 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
     deepest = 0
     completed = True
 
-    prod = np.empty((depth_cap + 1, d, d), np.complex128)
-    prod[0] = np.eye(d, dtype=np.complex128)
+    prod = np.empty((depth_cap + 1, d, d), gens.dtype)
+    prod[0] = np.eye(d, dtype=gens.dtype)
     pexp = [0] * (depth_cap + 1)
     word = np.zeros(depth_cap, np.int64)
     depth = 1

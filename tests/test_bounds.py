@@ -216,6 +216,21 @@ class TestRefine:
                 refine(M, 0.1, max_depth=max_depth)
 
     @pytest.mark.parametrize("fro", [False, True])
+    @pytest.mark.parametrize("gens,blocks", [
+        ([[[3.0]], [[1.0]]], (1,)),
+        (oracles.HAND_PAIR, (1, 1)),
+    ], ids=["scalars-3-1", "hand-pair"])
+    def test_narrow_width_converges_after_one_pass(self, gens, blocks, fro):
+        # at width 1e-9 and rho 3, upper - lower exceeded the width by the
+        # rounding of lower + width, so every block ran all 17 passes of
+        # two nodes each and ended with converged=False
+        M = MatrixSet.from_matrices(gens)
+        rep = refine(M, 1e-9, frobenius=fro)
+        assert rep.converged and rep.blocks == blocks
+        assert rep.nodes_explored == 2 * len(blocks) and rep.depth_used == 1
+        assert rep.lower <= 3.0 <= rep.upper <= rep.lower + 1e-9
+
+    @pytest.mark.parametrize("fro", [False, True])
     def test_max_depth_caps_every_generator_count(self, fro):
         # golden converges at depth 2 and the unipotent generator never
         # prunes: a cap of 1 stops both after the depth-1 pass
@@ -718,6 +733,46 @@ class TestBatchedEngine:
             leading_products(M, 4, frobenius=fro)
         assert calls["radii"] == 0 and calls["norms"] > 0
 
+    def test_real_sets_measure_in_real_arithmetic(self, monkeypatch):
+        # a set with no imaginary part reaches norms and radii only as
+        # float64 stacks, and a complex set only as complex128 stacks
+        seen = []
+
+        def spy(real):
+            def measure(stack, *args, **kwargs):
+                seen.append(stack.dtype)
+                return real(stack, *args, **kwargs)
+            return measure
+
+        for name in ("norms", "radii"):
+            monkeypatch.setattr(_kernels, name, spy(getattr(_kernels, name)))
+        for case, dtype in (("golden", np.float64), ("random-0", np.float64),
+                            ("band-high", np.float64), ("tiny-cycle", np.float64),
+                            ("refine-2x5x5", np.complex128), ("random-1", np.complex128)):
+            M = MatrixSet(PASS_CASES[case])
+            seen.clear()
+            for fro in (False, True):
+                refine(M, 0.05, 20_000, frobenius=fro)
+                sandwich_profiles(M, 3, frobenius=fro)
+                verify_berger_wang(M, 0.5, 2_000, frobenius=fro)
+                normalized_leading_sequence(M, 3, frobenius=fro)
+            assert seen and set(seen) == {np.dtype(dtype)}, case
+
+    @pytest.mark.parametrize("fro", [False, True])
+    @pytest.mark.parametrize("name", ["golden", "random-0", "random-2", "band-high",
+                                      "lift-a2-25", "jordan-d3"])
+    def test_real_generator_norms_agree_bit_for_bit(self, name, fro):
+        # op_norm, set_norm and upper_bound measure a real generator in
+        # the same float64 arithmetic
+        M = MatrixSet(PASS_CASES[name]) if name in PASS_CASES else REFINE_CASES[name][0]
+        assert not M.gens.imag.any()
+        each = [op_norm(g, frobenius=fro) for g in M.generators]
+        real = [float(_kernels.norms(np.ascontiguousarray(g.real)[None], fro)[0])
+                for g in M.generators]
+        assert _hex(each) == _hex(real)
+        assert _hex(set_norm(M, 1, frobenius=fro)) == _hex(max(each))
+        assert _hex(upper_bound(M, 1, frobenius=fro)) == _hex(max(each))
+
     def test_single_generator_deep_refine_memory_is_flat(self):
         # a unipotent generator never prunes, so refine walks the single
         # path to max_depth; the engine keeps O(1) products, not one per depth
@@ -751,7 +806,9 @@ ONE_BLOCK_REPORTS = {
     "golden": ((6, 2, 2, True), (8, 2, 2, True)),
     "refine-2x5x5": ((11_910, 106, 5, True), (13_160, 106, 5, True)),
     "jordan-d2": ((8212, 4096, 1636, False),) * 2,
-    "jordan-d3": ((8212, 4096, 2361, False),) * 2,
+    # 2,361 letters in complex arithmetic: the defective eigenvalue moves
+    # like u**(1/3) under any change of rounding
+    "jordan-d3": ((8212, 4096, 2358, False),) * 2,
     "jordan-d4": ((3234, 1166, 107, True),) * 2,
 }
 

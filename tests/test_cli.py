@@ -309,6 +309,21 @@ class TestErrors:
         code, err = self.err(capsys, ["refine", str(p)])
         assert code == 1 and "dim" in err
 
+    def test_lift_check_past_the_double_range_is_a_typed_error(self, capsys, tmp_path):
+        # near 1e80 the lifts of the w-identity's products pass 1e308; the
+        # identity's slack (|a| |b|)^2 once ended in an OverflowError traceback
+        big = [[[1e80, 1e80], [0, 1e80]], [[1e80, 0], [1e80, 1e80]]]
+        path = write_set(tmp_path / "big.json", big)
+        code, err = self.err(capsys, ["lift-check", path, "--depth", "2"])
+        assert code == 1 and err.startswith("error:") and "residual" in err
+
+    def test_lift_check_passes_at_large_finite_scale(self, capsys, tmp_path):
+        # (|a| |b|)^2 is about 1e145 here; the slack is compared at its square root
+        s = 1e36
+        path = write_set(tmp_path / "golden.json", [[[s, s], [0, s]], [[s, 0], [s, s]]])
+        code, rep = run_json(capsys, ["lift-check", path, "--depth", "2", "--format", "json"])
+        assert code == 0 and rep["result"]["w_pass"] is True
+
 
 class TestCaps:
     def test_dim_cap_applies(self, capsys, tmp_path):

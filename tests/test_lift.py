@@ -83,6 +83,12 @@ class TestLiftLR:
         with pytest.raises(SelfCheckFailed, match="lift action residual"):
             lift._lifts(a, b.view(Untransposed), 16)
 
+    def test_self_check_refuses_a_lift_past_the_double_range(self):
+        # the lift's entries and the check's tolerance overflow to inf, and
+        # NaN residuals never compared greater than it
+        with pytest.raises(SelfCheckFailed, match="lift action residual"):
+            lift_LR(1e160 * np.eye(2), 1e160 * np.eye(2))
+
 
 class TestLiftSet:
     def test_size_and_tags(self):
@@ -185,6 +191,13 @@ class TestWProductIdentity:
     def test_identity_pair_is_exact(self):
         e = np.eye(2, dtype=complex)
         assert check_w_product_identity(e, e) == 0.0
+
+    def test_residual_past_the_double_range_is_refused(self, monkeypatch):
+        # lifts scaled by 1e200 are finite, but their triple products are not
+        build = lift._lifts
+        monkeypatch.setattr(lift, "_lifts", lambda a, b, cap: 1e200 * build(a, b, cap))
+        with pytest.raises(SelfCheckFailed, match="w-product residual"):
+            check_w_product_identity(oracles.GOLDEN[0], oracles.GOLDEN[1])
 
 
 def test_noncompactness_radius_is_zero_for_bounded_sets():
