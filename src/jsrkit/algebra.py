@@ -22,25 +22,35 @@ from .errors import (DimensionCap, IllConditioned, InvalidBasis, NotAChain,
 from .matrices import as_matrix
 from .sets import MatrixSet, Word, _sweep, tree_size
 
+# Fixed tolerances, relative unless noted; the docstrings using them say how.
+_SPAN_TOL = 1e-9  # basis rank, product closure, ideal two-sidedness, adjoin cut
+_MEMBER_TOL = 1e-8  # residual against an algebra's or an ideal's span
+_QUOTIENT_TOL = 1e-8  # quotient representation self-check
+_CHAIN_TOL = 1e-8  # absolute growth of the upper endpoints along a chain
+_RADICAL_THRESHOLD = 1e-8  # trace-form rank cut, times sigma_max
+_RADICAL_GAP = 1e3  # no singular value may lie within this factor of the cut
+_INESSENTIAL_WIDEN = 1e-6  # widening under which the two rho intervals must meet
+_WITNESS_DEPTH = 8  # longest rcq_membership witness word
+_WITNESS_RHO = 1e-8  # spectral radius a witness product must exceed
 
-def _vec(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x).reshape(-1)
+
+def _norms(x: np.ndarray, lead: int) -> np.ndarray:
+    """Norms over the axes of complex x after the first `lead`, with no complex temporary."""
+    f = np.ascontiguousarray(x).reshape(x.shape[:lead] + (-1,)).view(np.float64)
+    return np.sqrt(np.einsum("...i,...i->...", f, f))
 
 
-def _orthonormal_columns(vectors: np.ndarray, tol: float = 1e-9,
-                         floor: float = 0.0) -> np.ndarray:
+def _orthonormal_columns(vectors: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Deterministic orthonormal basis (SVD) of the column span.
 
-    floor is an absolute singular-value cutoff on top of the relative
-    one; span iterations need it so a span that only survives at
-    roundoff scale counts as zero.
+    Singular values at or below _SPAN_TOL * sigma_max, or at or below the
+    absolute floor, are cut; span iterations need the floor so a span
+    that only survives at roundoff scale counts as zero.
     """
-    if vectors.size == 0:
-        return np.zeros((vectors.shape[0], 0), np.complex128)
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((vectors.shape[0], 0), np.complex128)
-    rank = int(np.sum(s > max(tol * s[0], floor)))
+    rank = int(np.sum(s > max(_SPAN_TOL * s[0], floor)))
     return np.ascontiguousarray(u[:, :rank])
 
 
@@ -63,13 +73,12 @@ def _find_unit(structure: np.ndarray):
 class FDAlgebra:
     """A multiplicatively closed span of square complex matrices.
 
-    Construction validates linear independence of the basis (rank
-    tolerance 1e-9 relative) and multiplicative closure (residual of each
-    basis product against the span, 1e-9 relative), computes structure
-    constants, and detects a two-sided unit if one exists.
+    Construction validates linear independence of the basis and the
+    closure of each basis product (both at _SPAN_TOL = 1e-9 relative),
+    computes structure constants, and detects a two-sided unit if any.
     """
 
-    def __init__(self, basis, *, tol: float = 1e-9):
+    def __init__(self, basis):
         mats = [as_matrix(b, index=i) for i, b in enumerate(basis)]
         if not mats:
             raise InvalidBasis("an algebra needs at least one basis element")
@@ -80,27 +89,29 @@ class FDAlgebra:
         m = len(mats)
         if m > d * d:
             raise InvalidBasis(f"{m} elements cannot be independent in dimension {d}x{d}")
-        V = np.stack([_vec(b) for b in mats], axis=1)  # (d*d, m)
+        B = np.stack(mats)
+        V = np.ascontiguousarray(B.reshape(m, d * d).T)  # (d*d, m)
         s = np.linalg.svd(V, compute_uv=False)
-        if s[-1] <= tol * s[0]:
+        if s[-1] <= _SPAN_TOL * s[0]:
             raise InvalidBasis(
                 f"basis is numerically dependent (sigma ratio {s[-1] / s[0]:.2e})")
         pinv = np.linalg.pinv(V)
 
-        structure = np.empty((m, m, m), np.complex128)
-        for i in range(m):
-            for j in range(m):
-                w = _vec(mats[i] @ mats[j])
-                coeff = pinv @ w
-                resid = float(np.linalg.norm(V @ coeff - w))
-                scale = max(1.0, float(np.linalg.norm(mats[i]) * np.linalg.norm(mats[j])))
-                if resid > tol * scale:
-                    raise NotClosed(
-                        f"product b_{i} b_{j} leaves the span (residual {resid:.2e})")
-                structure[i, j, :] = coeff
+        # every product b_i b_j and its coefficients; a stacked matvec
+        # gives each pair the bits of its own pinv @ w
+        W = (B[:, None] @ B[None]).reshape(m, m, d * d, 1)
+        structure = (pinv @ W)[..., 0]
+        W -= V @ structure[..., None]
+        resid = _norms(W, 2)
+        del W  # free the residuals before _find_unit
+        norms = _norms(B, 1)
+        bad = np.argwhere(resid > _SPAN_TOL * np.maximum(1.0, np.multiply.outer(norms, norms)))
+        if bad.size:
+            i, j = bad[0]
+            raise NotClosed(f"product b_{i} b_{j} leaves the span (residual {resid[i, j]:.2e})")
 
         self.ambient_dim = d
-        self._mats = np.stack(mats)
+        self._mats = B
         self._mats.setflags(write=False)
         self._V = V
         self._pinv = pinv
@@ -126,15 +137,15 @@ class FDAlgebra:
             raise ShapeError(f"expected {self.dim} coefficients, got {c.shape[0]}")
         return (self._V @ c).reshape(self.ambient_dim, self.ambient_dim)
 
-    def coeffs_of(self, x, *, tol: float = 1e-8) -> np.ndarray:
-        """Coefficients of an ambient matrix, or NotInAlgebra."""
+    def coeffs_of(self, x) -> np.ndarray:
+        """Coefficients of an ambient matrix; NotInAlgebra past _MEMBER_TOL = 1e-8."""
         x = as_matrix(x)
         if x.shape[0] != self.ambient_dim:
             raise ShapeError(f"expected dimension {self.ambient_dim}, got {x.shape[0]}")
-        w = _vec(x)
+        w = x.reshape(-1)
         c = self._pinv @ w
         resid = float(np.linalg.norm(self._V @ c - w))
-        if resid > tol * max(1.0, float(np.linalg.norm(x))):
+        if resid > _MEMBER_TOL * max(1.0, float(np.linalg.norm(x))):
             raise NotInAlgebra(f"element outside the span (residual {resid:.2e})")
         return c
 
@@ -161,12 +172,12 @@ class FDAlgebra:
 
 class Ideal:
     """A two-sided ideal of an FDAlgebra, stored as an orthonormal
-    coefficient-space basis.  Construction verifies two-sidedness:
-    multiplying each ideal basis vector by each algebra basis element must
-    stay in the span (residual 1e-9 relative).
+    coefficient-space basis.  Construction verifies two-sidedness: each
+    ideal basis vector times each algebra basis element, on either side,
+    must stay in the span (residual _SPAN_TOL = 1e-9 relative).
     """
 
-    def __init__(self, parent: FDAlgebra, coeff_vectors, *, tol: float = 1e-9):
+    def __init__(self, parent: FDAlgebra, coeff_vectors):
         if not isinstance(parent, FDAlgebra):
             raise TypeError("parent must be an FDAlgebra")
         raw = np.asarray(coeff_vectors, dtype=np.complex128)
@@ -176,18 +187,16 @@ class Ideal:
             raise ShapeError(f"coefficient vectors must have length {parent.dim}")
         if raw.size == 0:
             raw = np.zeros((parent.dim, 0), np.complex128)
-        Q = _orthonormal_columns(raw, tol)
-        m = parent.dim
-        eye = np.eye(m)
-        for col in range(Q.shape[1]):
-            v = Q[:, col]
-            for i in range(m):
-                for prod in (parent.multiply(eye[i], v), parent.multiply(v, eye[i])):
-                    resid = float(np.linalg.norm(prod - Q @ (Q.conj().T @ prod)))
-                    if resid > tol * max(1.0, float(np.linalg.norm(prod))):
-                        raise NotAnIdeal(
-                            f"b_{i} * (ideal vector {col}) leaves the span "
-                            f"(residual {resid:.2e})")
+        Q = _orthonormal_columns(raw)
+        # prods[c, i, 0] = b_i v_c and prods[c, i, 1] = v_c b_i, as rows
+        S = parent.structure
+        prods = np.stack([np.einsum("ijk,jc->cik", S, Q), np.einsum("jik,jc->cik", S, Q)], axis=2)
+        resid = np.linalg.norm(prods - prods @ Q.conj() @ Q.T, axis=-1)
+        bad = np.argwhere(resid > _SPAN_TOL * np.maximum(1.0, np.linalg.norm(prods, axis=-1)))
+        if bad.size:
+            col, i, side = bad[0]
+            where = (f"b_{i} * (ideal vector {col})", f"(ideal vector {col}) * b_{i}")[side]
+            raise NotAnIdeal(f"{where} leaves the span (residual {resid[col, i, side]:.2e})")
         Q.setflags(write=False)
         self.parent = parent
         self.coeffs = Q
@@ -204,19 +213,19 @@ class Ideal:
     def dim(self) -> int:
         return self.coeffs.shape[1]
 
-    def contains(self, coeff_vector, *, tol: float = 1e-8) -> bool:
+    def contains(self, coeff_vector) -> bool:
+        """Whether the vector lies in the span (residual _MEMBER_TOL = 1e-8 relative)."""
         v = np.asarray(coeff_vector, dtype=np.complex128).reshape(-1)
         resid = float(np.linalg.norm(v - self.coeffs @ (self.coeffs.conj().T @ v)))
-        return resid <= tol * max(1.0, float(np.linalg.norm(v)))
+        return resid <= _MEMBER_TOL * max(1.0, float(np.linalg.norm(v)))
 
 
-def generated_subalgebra(M: MatrixSet, max_dim: int | None = None, *,
-                         tol: float = 1e-9) -> FDAlgebra:
+def generated_subalgebra(M: MatrixSet, max_dim: int | None = None) -> FDAlgebra:
     """Smallest closed span containing the generators (no unit adjoined).
 
     Adjoins products b_i b_j until the span stabilizes, keeping a
-    Frobenius-orthonormal basis (rank-revealing elimination at 1e-9
-    relative).  DimensionCap if the closure would exceed max_dim
+    Frobenius-orthonormal basis (rank-revealing elimination at _SPAN_TOL
+    = 1e-9 relative).  DimensionCap if the closure would exceed max_dim
     (default: ambient dim squared).
     """
     d = M.dim
@@ -226,13 +235,13 @@ def generated_subalgebra(M: MatrixSet, max_dim: int | None = None, *,
 
     def adjoin(x: np.ndarray) -> bool:
         nonlocal Q
-        v = _vec(x)
+        v = x.reshape(-1)
         nv = float(np.linalg.norm(v))
         if nv == 0.0:
             return False
         r = v - Q @ (Q.conj().T @ v)
         nr = float(np.linalg.norm(r))
-        if nr <= tol * nv:
+        if nr <= _SPAN_TOL * nv:
             return False
         if len(mats) >= cap:
             raise DimensionCap(
@@ -254,29 +263,28 @@ def generated_subalgebra(M: MatrixSet, max_dim: int | None = None, *,
             for j in range(cur):
                 if adjoin(mats[i] @ mats[j]):
                     changed = True
-    return FDAlgebra(mats, tol=tol)
+    return FDAlgebra(mats)
 
 
-def jacobson_radical(A: FDAlgebra, *, threshold: float = 1e-8,
-                     gap_factor: float = 1e3) -> Ideal:
+def jacobson_radical(A: FDAlgebra) -> Ideal:
     """Radical = null space of the trace form (characteristic zero).
 
-    Works on the singular values of G: directions with sigma <= threshold
-    * sigma_max belong to the radical.  If any singular value falls within
-    a factor of gap_factor of that cut the rank decision is ambiguous and
-    IllConditioned is raised.  G identically zero means the whole algebra
-    is its own radical.
+    Works on the singular values of G: directions with sigma <=
+    _RADICAL_THRESHOLD * sigma_max (1e-8) belong to the radical.  If any
+    singular value falls within a factor _RADICAL_GAP = 1e3 of that cut,
+    the rank decision is ambiguous and IllConditioned is raised.  G
+    identically zero means the whole algebra is its own radical.
     """
     G = A.gram
     u, s, vh = np.linalg.svd(G)
     if s[0] == 0.0:
         return Ideal.whole(A)
-    thr = threshold * s[0]
-    ambiguous = np.sum((s > thr / gap_factor) & (s < thr * gap_factor))
+    thr = _RADICAL_THRESHOLD * s[0]
+    ambiguous = np.sum((s > thr / _RADICAL_GAP) & (s < thr * _RADICAL_GAP))
     if ambiguous:
         raise IllConditioned(
             f"{int(ambiguous)} singular value(s) within a factor of "
-            f"{gap_factor:g} of the rank threshold")
+            f"{_RADICAL_GAP:g} of the rank threshold")
     rank = int(np.sum(s > thr))
     null = vh[rank:].conj().T
     return Ideal(A, null)
@@ -299,10 +307,10 @@ class QuotientAlgebra:
     its unitization when the quotient has no unit), written in an
     orthonormal complement basis of J.  rep vanishes exactly on J and is
     multiplicative; both are replayed at construction on all basis pairs
-    (tolerance 1e-8) and SelfCheckFailed is raised on disagreement.
+    (_QUOTIENT_TOL = 1e-8) and SelfCheckFailed is raised on disagreement.
     """
 
-    def __init__(self, parent: FDAlgebra, ideal: Ideal, *, tol: float = 1e-8):
+    def __init__(self, parent: FDAlgebra, ideal: Ideal):
         if ideal.parent is not parent:
             raise NotAnIdeal("ideal was built for a different algebra")
         m = parent.dim
@@ -319,11 +327,8 @@ class QuotientAlgebra:
             K = np.ascontiguousarray(u[:, :q])
 
         # structure constants of the quotient in the complement basis
-        if q > 0:
-            T = np.einsum("ia,jb,ijk->abk", K, K, parent.structure)
-            cq = np.einsum("abk,kc->abc", T, np.conj(K))
-        else:
-            cq = np.zeros((0, 0, 0), np.complex128)
+        T = np.einsum("ia,jb,ijk->abk", K, K, parent.structure)
+        cq = np.einsum("abk,kc->abc", T, np.conj(K))
 
         unit_q = _find_unit(cq) if q > 0 else None
         unital = unit_q is not None
@@ -336,7 +341,6 @@ class QuotientAlgebra:
         self.unital = unital
         self.unit_coeffs = unit_q
         self.rep_dim = rep_dim
-        self._tol = tol
         self._self_check()
 
     @property
@@ -344,60 +348,56 @@ class QuotientAlgebra:
         """Dimension of A/J (not of the representation space)."""
         return self.complement.shape[1]
 
-    def project(self, coeffs) -> np.ndarray:
-        """Quotient coordinates (complement components) of a parent element."""
-        c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-        return self.complement.conj().T @ c
-
     def rep_coeffs(self, coeffs) -> np.ndarray:
-        """Representation matrix of a parent element given by coefficients."""
-        beta = self.project(coeffs)
-        q = self.dim
-        if q > 0:
-            L = np.einsum("i,ijk->kj", beta, self.structure)
-        else:
-            L = np.zeros((0, 0), np.complex128)
-        if self.unital:
-            return L
-        out = np.zeros((q + 1, q + 1), np.complex128)
-        out[:q, :q] = L
-        out[:q, q] = beta
-        return out
+        """Representation matrix of a parent element given by coefficients.
+
+        Vectors stacked on the last axis, shape (m, n), give an (n, rep_dim,
+        rep_dim) stack, each matrix bit for bit the one its column gives.
+        """
+        c = np.asarray(coeffs, dtype=np.complex128)
+        # quotient coordinates: a stacked matvec on the columns as they
+        # lie in memory, so each gets the bits of its own matvec
+        beta = (self.complement.conj().T @ c.reshape(c.shape[0], -1).T[..., None])[..., 0]
+        n, q = beta.shape
+        L = np.einsum("ni,ijk->nkj", beta, self.structure)
+        out = L
+        if not self.unital:
+            out = np.zeros((n, q + 1, q + 1), np.complex128)
+            out[:, :q, :q] = L
+            out[:, :q, q] = beta
+        return out if c.ndim > 1 else out[0]
 
     def rep(self, x) -> np.ndarray:
         """Representation matrix of an ambient matrix lying in the parent."""
         return self.rep_coeffs(self.parent.coeffs_of(x))
 
     def rep_set(self, M: MatrixSet) -> MatrixSet:
-        mats = [self.rep(g) for g in M.generators]
+        coeffs = np.stack([self.parent.coeffs_of(g) for g in M.generators]).T
         name = f"{M.name}/J" if M.name else None
-        return MatrixSet(np.stack([np.ascontiguousarray(a) for a in mats]), name)
+        return MatrixSet(self.rep_coeffs(coeffs), name)
 
     def as_algebra(self) -> FDAlgebra:
         """The representation image span as a standalone algebra."""
         if self.dim == 0:
             raise InvalidBasis("the zero quotient has no basis")
-        mats = [self.rep_coeffs(self.complement[:, i]) for i in range(self.dim)]
-        return FDAlgebra(mats)
+        return FDAlgebra(self.rep_coeffs(self.complement))
 
     def _self_check(self):
-        m = self.parent.dim
-        eye = np.eye(m)
-        reps = [self.rep_coeffs(eye[i]) for i in range(m)]
-        for i in range(m):
-            for j in range(m):
-                prod = self.parent.multiply(eye[i], eye[j])
-                want = self.rep_coeffs(prod)
-                got = reps[i] @ reps[j]
-                scale = max(1.0, float(np.linalg.norm(reps[i]) * np.linalg.norm(reps[j])))
-                if float(np.linalg.norm(got - want)) > self._tol * scale:
-                    raise SelfCheckFailed(
-                        f"quotient representation is not multiplicative at ({i},{j})")
-        for col in range(self.ideal.dim):
-            img = self.rep_coeffs(self.ideal.coeffs[:, col])
-            if float(np.linalg.norm(img)) > self._tol:
+        reps = self.rep_coeffs(np.eye(self.parent.dim))
+        norms = _norms(reps, 1)
+        # one row of pairs (i, all j) per step keeps the memory at m reps
+        for i in range(len(reps)):
+            err = reps[i] @ reps
+            err -= self.rep_coeffs(self.parent.structure[i].T)
+            scale = np.maximum(1.0, norms[i] * norms)
+            bad = np.flatnonzero(_norms(err, 1) > _QUOTIENT_TOL * scale)
+            if bad.size:
                 raise SelfCheckFailed(
-                    "quotient representation does not vanish on the ideal")
+                    f"quotient representation is not multiplicative at ({i},{bad[0]})")
+        if self.ideal.dim:
+            images = self.rep_coeffs(self.ideal.coeffs)
+            if np.max(_norms(images, 1)) > _QUOTIENT_TOL:
+                raise SelfCheckFailed("quotient representation does not vanish on the ideal")
 
 
 def quotient(A: FDAlgebra, J: Ideal) -> QuotientAlgebra:
@@ -417,15 +417,14 @@ class InessentialReport(NamedTuple):
 
 
 def check_inessential(M: MatrixSet, *, width: float = 0.05,
-                      budget: int = 200_000, widen: float = 1e-6,
-                      max_dim: int | None = None,
+                      budget: int = 200_000, max_dim: int | None = None,
                       frobenius: bool = False) -> InessentialReport:
     """Does killing the radical of A(M) leave rho unchanged?
 
     Boxes rho(M) in the ambient algebra and rho of the image of M in
     A(M)/Rad, then checks that the two intervals intersect after a
-    relative widening of `widen`.  Both intervals are certified whether
-    or not the refines converged.
+    relative widening of _INESSENTIAL_WIDEN = 1e-6.  Both intervals are
+    certified whether or not the refines converged.
     """
     A = generated_subalgebra(M, max_dim)
     rad = jacobson_radical(A)
@@ -433,7 +432,7 @@ def check_inessential(M: MatrixSet, *, width: float = 0.05,
     full = refine(M, width, budget // 2, frobenius=frobenius)
     quot = refine(Q.rep_set(M), width, budget // 2, frobenius=frobenius)
     gap = interval_distance(full.interval, quot.interval)
-    slack = widen * max(1.0, full.upper, quot.upper)
+    slack = _INESSENTIAL_WIDEN * max(1.0, full.upper, quot.upper)
     return InessentialReport(rho_full=full.interval, rho_quotient=quot.interval,
                              gap=gap, passed=gap <= slack,
                              algebra_dim=A.dim, radical_dim=rad.dim)
@@ -464,25 +463,24 @@ def _power_spans(A: FDAlgebra, base: np.ndarray):
         if spans and cur.shape[1] >= spans[-1].shape[1]:
             return spans, None
         spans.append(cur)
-        cols = [A.multiply(cur[:, a], base[:, b])
-                for a in range(cur.shape[1]) for b in range(base.shape[1])]
+        # column a * nb + b is cur[:, a] * base[:, b]
+        cols = np.einsum("ia,jb,ijk->kab", cur, base, A.structure)
         # inputs are unit coefficient vectors, so a genuinely nonzero
         # product span sits far above the 1e-10 roundoff floor
-        cur = _orthonormal_columns(np.stack(cols, axis=1), floor=1e-10)
+        cur = _orthonormal_columns(cols.reshape(A.dim, -1), floor=1e-10)
     return spans, len(spans) + 1
 
 
-def rcq_membership(A: FDAlgebra, x, *, depth: int = 8,
-                   rho_tol: float = 1e-8) -> RcqReport:
+def rcq_membership(A: FDAlgebra, x) -> RcqReport:
     """Is x in the compactly-quasinilpotent radical of A?
 
     In finite dimension that radical is the Jacobson radical, and x
     belongs to it exactly when the two-sided ideal of A^1 generated by x
     is nilpotent.  The verdict comes from span iteration on the powers of
     that ideal; a False verdict is accompanied (when one exists within
-    `depth`) by a word over {x} u {x b_i} whose product has spectral
-    radius above rho_tol.  x is first scaled to unit coefficient norm
-    (membership is scale invariant).
+    length _WITNESS_DEPTH = 8) by a word over {x} u {x b_i} whose product
+    has spectral radius above _WITNESS_RHO = 1e-8.  x is first scaled to
+    unit coefficient norm (membership is scale invariant).
     """
     if isinstance(x, np.ndarray) and x.ndim == 1:
         xi = np.asarray(x, dtype=np.complex128)
@@ -497,15 +495,14 @@ def rcq_membership(A: FDAlgebra, x, *, depth: int = 8,
         xi = xi / scale
         x_mat = x_mat / scale
 
+    # columns x, then per i: b_i x, x b_i and b_i x b_j for every j
     m = A.dim
     eye = np.eye(m)
-    cols = [xi]
-    for i in range(m):
-        cols.append(A.multiply(eye[i], xi))
-        cols.append(A.multiply(xi, eye[i]))
-        for j in range(m):
-            cols.append(A.multiply(eye[i], A.multiply(xi, eye[j])))
-    ideal_span = _orthonormal_columns(np.stack(cols, axis=1))
+    left = np.einsum("ai,j,ijk->ak", eye, xi, A.structure)
+    right = np.einsum("i,aj,ijk->ak", xi, eye, A.structure)
+    both = np.einsum("ai,bj,ijk->abk", eye, right, A.structure)
+    rows = np.concatenate([left[:, None], right[:, None], both], axis=1)
+    ideal_span = _orthonormal_columns(np.vstack([xi, rows.reshape(-1, m)]).T)
 
     _, nil_degree = _power_spans(A, ideal_span)
     if nil_degree is not None:
@@ -517,7 +514,7 @@ def rcq_membership(A: FDAlgebra, x, *, depth: int = 8,
     # cap the witness sweep; witnesses are short when they exist at all,
     # so deepen one level at a time and stop at the first hit
     witness_budget = 200_000
-    n_cap = depth
+    n_cap = _WITNESS_DEPTH
     while n_cap > 1 and tree_size(S.size, n_cap) > witness_budget:
         n_cap -= 1
     wit_word = None
@@ -525,7 +522,7 @@ def rcq_membership(A: FDAlgebra, x, *, depth: int = 8,
     for n in range(1, n_cap + 1):
         [radii] = _sweep(S, n, (_kernels.radii,), witness_budget + S.size)
         v = radii.scale[n - 1]
-        if v > rho_tol:
+        if v > _WITNESS_RHO:
             wit_word = radii.word(n)
             wit_rho = v
             break
@@ -582,14 +579,14 @@ class ChainReport(NamedTuple):
 
 def ideal_chain_monotonicity(M: MatrixSet, chain: Sequence[Ideal], *,
                              width: float = 0.02, budget: int = 100_000,
-                             tol: float = 1e-8, frobenius: bool = False) -> ChainReport:
+                             frobenius: bool = False) -> ChainReport:
     """rho estimates of M along quotients by a strictly increasing chain.
 
     Validates the chain (shared parent containing M, strictly increasing
     nested spans; NotAChain otherwise), boxes rho of the image of M in
     each quotient, and asserts the upper endpoints are nonincreasing
-    within tol (SelfCheckFailed otherwise).  The last row is recomputed
-    from scratch and must reproduce exactly.
+    within _CHAIN_TOL = 1e-8 (SelfCheckFailed otherwise).  The last row
+    is recomputed from scratch and must reproduce exactly.
     """
     chain = list(chain)
     if not chain:
@@ -611,7 +608,7 @@ def ideal_chain_monotonicity(M: MatrixSet, chain: Sequence[Ideal], *,
         box = refine(quotient(A, J).rep_set(M), width, budget, frobenius=frobenius)
         rows.append(ChainRow(J.dim, box.lower, box.upper, box.converged))
     for k in range(len(rows) - 1):
-        if rows[k + 1].upper > rows[k].upper + tol:
+        if rows[k + 1].upper > rows[k].upper + _CHAIN_TOL:
             raise SelfCheckFailed(
                 f"upper endpoint grew along the chain: row {k} gives "
                 f"{rows[k].upper:.12g}, row {k + 1} gives {rows[k + 1].upper:.12g}")

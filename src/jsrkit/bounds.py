@@ -406,16 +406,16 @@ def _eps_schedule(values: Iterable[float]) -> list[float]:
 
 def continuity_probe(M: MatrixSet, eps_schedule: Sequence[float], trials: int,
                      seed: int, *, budget: int = 50_000,
-                     base_width: float | None = None,
                      frobenius: bool = False) -> list[ContinuityRow]:
     """Interval deviation of rho under random perturbations of each size.
 
     For each eps, each generator of each trial copy is shifted by eps
     times a fixed unit-norm direction, both sets are boxed by refine, and
     max_dev records the largest interval-to-interval distance over the
-    trials.  A row is marked incomplete when any refine in it (or the base
-    run) hit the budget before converging; its deviations are still valid
-    bounds.
+    trials.  The base set is boxed at width min positive eps / 4 (at
+    least 1e-9; 1e-6 when no eps is positive).  A row is marked
+    incomplete when any refine in it (or the base run) hit the budget
+    before converging; its deviations are still valid bounds.
     """
     eps_list = _eps_schedule(eps_schedule)
     if trials < 1:
@@ -423,8 +423,7 @@ def continuity_probe(M: MatrixSet, eps_schedule: Sequence[float], trials: int,
 
     dirs = perturbation_directions(M, trials, seed, frobenius=frobenius)
     positive = [e for e in eps_list if e > 0]
-    wbase = base_width if base_width is not None else (
-        max(min(positive) / 4.0, 1e-9) if positive else 1e-6)
+    wbase = max(min(positive) / 4.0, 1e-9) if positive else 1e-6
     base = refine(M, wbase, budget, frobenius=frobenius)
     rows = []
     for e in eps_list:

@@ -33,7 +33,7 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v).reshape((d, d), order="F")
 
 
-def _lifts(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
+def _lifts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The lifts x -> a[i] x b[i] of two (n, d, d) stacks, as an (n, d^2, d^2) stack.
 
     Lift i is kron(b[i]^T, a[i]), one complex product per entry as np.kron
@@ -41,11 +41,11 @@ def _lifts(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
     the same 20 seeded random matrices x, and SelfCheckFailed is raised
     when one disagrees with a[i] x b[i] beyond 1e-10 relative, or when a
     residual or its tolerance is not finite (the lift or its check left
-    the double range).
+    the double range).  DimensionOverflow when d^2 exceeds config.KRON_CAP.
     """
     n, d, _ = a.shape
-    if d * d > cap:
-        raise DimensionOverflow(f"lift would act in dimension {d * d} > cap {cap}")
+    if d * d > config.KRON_CAP:
+        raise DimensionOverflow(f"lift would act in dimension {d * d} > cap {config.KRON_CAP}")
     z = np.random.default_rng(_SELF_CHECK_SEED).standard_normal((_SELF_CHECK_TRIALS, 2, d, d))
     x = z[:, 0] + 1j * z[:, 1]
     # overflow shows as a residual or tolerance that is not finite
@@ -65,7 +65,7 @@ def _lifts(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
     return L
 
 
-def lift_LR(a, b, *, cap: int = config.KRON_CAP) -> np.ndarray:
+def lift_LR(a, b) -> np.ndarray:
     """The d^2 x d^2 matrix of x -> a x b on vectorized x: kron(b^T, a).
 
     Apply it as unvec(L @ vec(x), d).  The matrix is replayed on 20
@@ -75,10 +75,10 @@ def lift_LR(a, b, *, cap: int = config.KRON_CAP) -> np.ndarray:
     a = as_matrix(a)
     b = as_matrix(b)
     require_same_dim(a, b)
-    return _lifts(a[None], b[None], cap)[0]
+    return _lifts(a[None], b[None])[0]
 
 
-def lift_set(M: MatrixSet, *, cap: int = config.KRON_CAP) -> MatrixSet:
+def lift_set(M: MatrixSet) -> MatrixSet:
     """All two-sided multiplications {x -> a_i x b_j} of a set.
 
     Generators appear in row-major (i, j) order: generator i*size + j is
@@ -87,7 +87,7 @@ def lift_set(M: MatrixSet, *, cap: int = config.KRON_CAP) -> MatrixSet:
     """
     i, j = np.divmod(np.arange(M.size * M.size), M.size)
     name = f"{M.name}:lift" if M.name else None
-    return MatrixSet(_lifts(M.gens[i], M.gens[j], cap), name)
+    return MatrixSet(_lifts(M.gens[i], M.gens[j]), name)
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,11 @@ class LiftIdentityReport:
 
 def check_lift_identities(M: MatrixSet, n: int = 4, *, tol: float = 1e-7,
                           width: float = 0.05, budget: int = 200_000,
-                          cap: int = config.KRON_CAP,
                           frobenius: bool = False) -> LiftIdentityReport:
     """Check rho(lift) = rho(M)^2 and r_k(lift) = r_k(M)^2 for k <= n."""
     _positive_finite(tol, "tol")
     _positive_finite(width, "width")
-    lifted = lift_set(M, cap=cap)
+    lifted = lift_set(M)
     r_m = _lower_profile(M, n, budget)
     r_l = _lower_profile(lifted, n, budget)
     r_gap = 0.0
@@ -135,7 +134,7 @@ def check_lift_identities(M: MatrixSet, n: int = 4, *, tol: float = 1e-7,
                               lifted_interval=box_l.interval)
 
 
-def check_w_product_identity(a, b, *, cap: int = config.KRON_CAP) -> float:
+def check_w_product_identity(a, b) -> float:
     """Residual of the two factorizations of w_{ba} : x -> (ba) x (ba).
 
     Returns the larger Frobenius residual of
@@ -150,7 +149,7 @@ def check_w_product_identity(a, b, *, cap: int = config.KRON_CAP) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         ba = b @ a
         w_ba, l_b, w_a, r_b, r_a, w_b, l_a = _lifts(np.stack([ba, b, a, eye, eye, b, a]),
-                                                    np.stack([ba, eye, a, b, a, b, eye]), cap)
+                                                    np.stack([ba, eye, a, b, a, b, eye]))
         r1 = float(np.linalg.norm(w_ba - l_b @ w_a @ r_b))
         r2 = float(np.linalg.norm(w_ba - r_a @ w_b @ l_a))
     if not (math.isfinite(r1) and math.isfinite(r2)):

@@ -56,13 +56,13 @@ def spectral_radius(a) -> float:
         raise NonConvergence(f"eigenvalue iteration failed: {e}") from e
 
 
-def kron(a, b, *, cap: int = config.KRON_CAP) -> np.ndarray:
-    """Kronecker product with a guard on the resulting dimension."""
+def kron(a, b) -> np.ndarray:
+    """Kronecker product; DimensionOverflow past config.KRON_CAP."""
     a = as_matrix(a)
     b = as_matrix(b)
     d = a.shape[0] * b.shape[0]
-    if d > cap:
-        raise DimensionOverflow(f"kron would produce dimension {d} > cap {cap}")
+    if d > config.KRON_CAP:
+        raise DimensionOverflow(f"kron would produce dimension {d} > cap {config.KRON_CAP}")
     return np.kron(a, b)
 
 

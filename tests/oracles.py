@@ -334,3 +334,71 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
                 word[depth - 1] += 1
     return (_shifted(lower, e1) if wit_len else lower_in, wit_len, wit_word,
             _shifted(frontier_max, e1), saw_frontier, completed, nodes, deepest)
+
+
+# --- per-pair reference loops of the algebra layer ---------------------------
+
+def loop_multiply(structure, u, v):
+    """Coefficients of u * v, one einsum over the structure constants."""
+    return np.einsum("i,j,ijk->k", u, v, structure)
+
+
+def loop_structure(mats):
+    """Structure constants c[i, j] = pinv(V) @ vec(b_i b_j), one pair at a time.
+
+    V holds the row-major vectorized basis matrices as its columns.
+    """
+    V = np.stack([np.asarray(b).reshape(-1) for b in mats], axis=1)
+    pinv = np.linalg.pinv(V)
+    m = len(mats)
+    c = np.empty((m, m, m), complex)
+    for i in range(m):
+        for j in range(m):
+            c[i, j] = pinv @ (mats[i] @ mats[j]).reshape(-1)
+    return c
+
+
+def orth_columns(vectors, floor=0.0):
+    """Left singular vectors of the column span above 1e-9 * sigma_max and floor."""
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((vectors.shape[0], 0), complex)
+    rank = sum(1 for x in s if x > max(1e-9 * s[0], floor))
+    return np.ascontiguousarray(u[:, :rank])
+
+
+def loop_power_spans(structure, base):
+    """Spans of I, I^2, ... while their dimension falls, and the products.
+
+    Column a * nb + b of each product matrix is cur[:, a] * base[:, b],
+    formed one pair at a time; spans at roundoff scale (1e-10) count as
+    zero.  Returns (spans, products), one product matrix per span.
+    """
+    spans, products = [], []
+    cur = base
+    while cur.shape[1] > 0:
+        if spans and cur.shape[1] >= spans[-1].shape[1]:
+            break
+        spans.append(cur)
+        cols = [loop_multiply(structure, cur[:, a], base[:, b])
+                for a in range(cur.shape[1]) for b in range(base.shape[1])]
+        products.append(np.stack(cols, axis=1))
+        cur = orth_columns(products[-1], floor=1e-10)
+    return spans, products
+
+
+def loop_ideal_columns(structure, x):
+    """Columns spanning the two-sided ideal of A^1 generated by x.
+
+    x, then for each basis element b_i: b_i x, x b_i and b_i x b_j for
+    every j, each formed with unit coefficient vectors.
+    """
+    m = structure.shape[0]
+    eye = np.eye(m)
+    cols = [x]
+    for i in range(m):
+        cols.append(loop_multiply(structure, eye[i], x))
+        cols.append(loop_multiply(structure, x, eye[i]))
+        for j in range(m):
+            cols.append(loop_multiply(structure, eye[i], loop_multiply(structure, x, eye[j])))
+    return np.stack(cols, axis=1)

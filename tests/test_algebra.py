@@ -217,6 +217,15 @@ class TestIdeal:
         with pytest.raises(NotAnIdeal):
             Ideal(A, np.array([1.0, 0.0, 0.0]))  # span{E11}: E11 E12 escapes
 
+    def test_escaping_side_is_named(self):
+        A = ut2()
+        # span{E11}: E11 E12 = E12 escapes on the right
+        with pytest.raises(NotAnIdeal, match=r"^\(ideal vector 0\) \* b_1 leaves"):
+            Ideal(A, np.array([1.0, 0.0, 0.0]))
+        # span{E22}: E12 E22 = E12 escapes on the left
+        with pytest.raises(NotAnIdeal, match=r"^b_1 \* \(ideal vector 0\) leaves"):
+            Ideal(A, np.array([0.0, 0.0, 1.0]))
+
     def test_corner_ideal_is_accepted(self):
         A = ut2()
         J = Ideal(A, np.array([0.0, 1.0, 0.0]))
@@ -282,12 +291,14 @@ class TestQuotient:
         with pytest.raises(InvalidBasis):
             Q.as_algebra()
 
-    def test_self_check_failures(self):
+    def test_self_check_failures(self, monkeypatch):
         A = ut2()
         rad = jacobson_radical(A)
         # a negative tolerance refuses every product
-        with pytest.raises(SelfCheckFailed, match="not multiplicative"):
-            QuotientAlgebra(A, rad, tol=-1.0)
+        with monkeypatch.context() as mp:
+            mp.setattr(algebra, "_QUOTIENT_TOL", -1.0)
+            with pytest.raises(SelfCheckFailed, match=r"not multiplicative at \(0,0\)"):
+                QuotientAlgebra(A, rad)
         # a representation checked against an ideal it does not kill
         Q = quotient(A, rad)
         Q.ideal = Ideal.whole(A)
@@ -343,11 +354,13 @@ class TestRcqMembership:
         rep = rcq_membership(ut2(), np.zeros((2, 2), dtype=complex))
         assert rep.member and rep.nil_degree == 1 and rep.ideal_dim == 0
 
-    def test_no_witness_at_any_depth(self):
+    def test_no_witness_at_any_depth(self, monkeypatch):
         A = generated_subalgebra(MatrixSet.from_matrices(oracles.GOLDEN))
         found = rcq_membership(A, E(0, 0, 2))
         # every depth falls short of the tolerance: the largest rho is kept
-        rep = rcq_membership(A, E(0, 0, 2), depth=3, rho_tol=1e6)
+        monkeypatch.setattr(algebra, "_WITNESS_DEPTH", 3)
+        monkeypatch.setattr(algebra, "_WITNESS_RHO", 1e6)
+        rep = rcq_membership(A, E(0, 0, 2))
         assert not rep.member and rep.witness_word is None
         assert found.witness_rho <= rep.witness_rho <= 1e6
 
@@ -416,10 +429,11 @@ class TestChains:
         d = rep.to_dict()
         assert len(d["rows"]) == 2 and "final_direct" in d
 
-    def test_growing_upper_end_fails_the_self_check(self):
+    def test_growing_upper_end_fails_the_self_check(self, monkeypatch):
         A, J1, J2, M = self.chain_input()
+        monkeypatch.setattr(algebra, "_CHAIN_TOL", -1e3)
         with pytest.raises(SelfCheckFailed, match="grew along the chain"):
-            ideal_chain_monotonicity(M, [J1, J2], tol=-1e3)
+            ideal_chain_monotonicity(M, [J1, J2])
 
     def test_direct_recomputation_must_reproduce(self, monkeypatch):
         A, J1, J2, M = self.chain_input()
@@ -469,6 +483,75 @@ class TestChains:
         A = FDAlgebra([E(0, 0, 2), E(1, 1, 2)])
         chain = radical_power_chain(A)
         assert len(chain) == 1 and chain[0].dim == 0
+
+
+def family_member(family, i):
+    """Member i of the A4 (block-upper) or A5 (mixed) acceptance family."""
+    rng = np.random.default_rng({"a4": 40_000, "a5": 50_000}[family] + i)
+    d = int(rng.integers(2, 5))
+    m = int(rng.integers(1, 4))
+    if family == "a5" and not rng.integers(0, 2):
+        return MatrixSet(oracles.random_set(rng, d, m))
+    return MatrixSet(oracles.random_block_upper(rng, d, m))
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestReferenceLoops:
+    """The contractions reproduce the one-pair-at-a-time loops bit for bit."""
+
+    @pytest.mark.parametrize("family,count", [("a4", 50), ("a5", 30)])
+    def test_contractions_equal_the_loops(self, family, count, monkeypatch):
+        rng = np.random.default_rng(58)
+        for i in range(count):
+            A = generated_subalgebra(family_member(family, i))
+            S = A.structure
+            assert np.array_equal(S, oracles.loop_structure(A.basis)), i
+
+            # the product columns of the power spans, and the spans
+            rad = jacobson_radical(A)
+            real, products = algebra._orthonormal_columns, []
+
+            def spy(vectors, floor=0.0):
+                if floor:
+                    products.append(vectors)
+                return real(vectors, floor)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(algebra, "_orthonormal_columns", spy)
+                chain = radical_power_chain(A)
+            if rad.dim:
+                spans, want_products = oracles.loop_power_spans(S, rad.coeffs)
+                assert len(products) == len(want_products), i
+                for got, want in zip(products, want_products):
+                    assert np.array_equal(got, want), i
+                want = [oracles.orth_columns(s) for s in reversed(spans)]
+                assert len(chain) == len(want), i
+                for J, w in zip(chain, want):
+                    assert np.array_equal(J.coeffs, w), i
+
+            Q = quotient(A, rad)
+            C = rng.standard_normal((A.dim, 4)) + 1j * rng.standard_normal((A.dim, 4))
+            for stack in (C, Q.complement, np.eye(A.dim)):
+                reps = Q.rep_coeffs(stack)
+                for t in range(stack.shape[1]):
+                    assert np.array_equal(reps[t], Q.rep_coeffs(stack[:, t])), i
+
+            # the ideal generated by x: capture the columns rcq_membership spans
+            x = C[:, 0] / float(np.linalg.norm(C[:, 0]))
+            seen = []
+
+            def capture(vectors, floor=0.0):
+                seen.append(vectors)
+                raise _Captured
+
+            with monkeypatch.context() as mp:
+                mp.setattr(algebra, "_orthonormal_columns", capture)
+                with pytest.raises(_Captured):
+                    rcq_membership(A, C[:, 0])
+            assert np.array_equal(seen[0], oracles.loop_ideal_columns(S, x)), i
 
 
 def test_hypocompact_radical_is_everything():

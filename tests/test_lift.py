@@ -79,9 +79,9 @@ class TestLiftLR:
 
         a = np.array([[[1, 2], [3, 4]]], dtype=complex)
         b = np.array([[[0, 1], [0, 0]]], dtype=complex)
-        assert np.array_equal(lift._lifts(a, b, 16)[0], np.kron(b[0].T, a[0]))
+        assert np.array_equal(lift._lifts(a, b)[0], np.kron(b[0].T, a[0]))
         with pytest.raises(SelfCheckFailed, match="lift action residual"):
-            lift._lifts(a, b.view(Untransposed), 16)
+            lift._lifts(a, b.view(Untransposed))
 
     def test_self_check_refuses_a_lift_past_the_double_range(self):
         # the lift's entries and the check's tolerance overflow to inf, and
@@ -195,7 +195,7 @@ class TestWProductIdentity:
     def test_residual_past_the_double_range_is_refused(self, monkeypatch):
         # lifts scaled by 1e200 are finite, but their triple products are not
         build = lift._lifts
-        monkeypatch.setattr(lift, "_lifts", lambda a, b, cap: 1e200 * build(a, b, cap))
+        monkeypatch.setattr(lift, "_lifts", lambda a, b: 1e200 * build(a, b))
         with pytest.raises(SelfCheckFailed, match="w-product residual"):
             check_w_product_identity(oracles.GOLDEN[0], oracles.GOLDEN[1])
 
