@@ -3,6 +3,8 @@
 One numpy engine batches the product tree's `matmul`, Gram-matrix
 `eigvalsh` (norms) and `eigvals` (radii), each matrix through the call
 it would get alone, so batched values are bit-identical to one at a time.
+These are the package's only eigensolves; LAPACK's failure in one leaves
+the engine as NonConvergence.
 
 Generators are stored complex128, but a set none of whose entries has
 an imaginary part is measured in float64 from end to end (_real_if_real
@@ -27,6 +29,8 @@ import math
 from array import array
 
 import numpy as np
+
+from .errors import NonConvergence
 
 # relative slack for "strictly better" in argmax updates, so that ulp-level
 # eigenvalue noise cannot override the lex/shortest tie-break
@@ -123,7 +127,10 @@ def _squares(stack, fro):
             sq += stack.imag * stack.imag
         # accumulate entries in row-major order, one at a time
         return np.cumsum(sq.reshape(stack.shape[0], -1), axis=1)[:, -1]
-    return np.linalg.eigvalsh(np.conj(stack.transpose(0, 2, 1)) @ stack)[:, -1]
+    try:
+        return np.linalg.eigvalsh(np.conj(stack.transpose(0, 2, 1)) @ stack)[:, -1]
+    except np.linalg.LinAlgError as e:
+        raise NonConvergence(f"norm eigensolve failed: {e}") from e
 
 
 def norms(stack, fro):
@@ -146,7 +153,10 @@ def norms(stack, fro):
 
 def radii(stack):
     """Per-matrix largest eigenvalue modulus."""
-    ev = np.linalg.eigvals(stack)
+    try:
+        ev = np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError as e:
+        raise NonConvergence(f"eigenvalue iteration failed: {e}") from e
     # hypot matches the scalar complex abs bit for bit; numpy's SIMD
     # complex abs does not
     return np.fmax.reduce(np.hypot(ev.real, ev.imag), axis=1, initial=0.0)

@@ -32,6 +32,8 @@ _RADICAL_GAP = 1e3  # no singular value may lie within this factor of the cut
 _INESSENTIAL_WIDEN = 1e-6  # widening under which the two rho intervals must meet
 _WITNESS_DEPTH = 8  # longest rcq_membership witness word
 _WITNESS_RHO = 1e-8  # spectral radius a witness product must exceed
+_NILPOTENT_WIDTH = 1e-13  # check_nilpotent_span's refine width (absolute)
+_NILPOTENT_BUDGET = 100_000  # and its word budget
 
 
 def _norms(x: np.ndarray, lead: int) -> np.ndarray:
@@ -138,16 +140,18 @@ class FDAlgebra:
         return (self._V @ c).reshape(self.ambient_dim, self.ambient_dim)
 
     def coeffs_of(self, x) -> np.ndarray:
-        """Coefficients of an ambient matrix; NotInAlgebra past _MEMBER_TOL = 1e-8."""
+        """Coefficients of an ambient matrix; NotInAlgebra past _MEMBER_TOL = 1e-8
+        times max(1, ||x||), measured on x fitted (_kernels._fit) so no norm overflows."""
         x = as_matrix(x)
         if x.shape[0] != self.ambient_dim:
             raise ShapeError(f"expected dimension {self.ambient_dim}, got {x.shape[0]}")
-        w = x.reshape(-1)
+        w, e = _kernels._fit(x.reshape(-1))  # x = w * 2**e
         c = self._pinv @ w
         resid = float(np.linalg.norm(self._V @ c - w))
-        if resid > _MEMBER_TOL * max(1.0, float(np.linalg.norm(x))):
+        # 2**-e is 1 in w's scale; capped at 2**1023 it still exceeds any residual
+        if resid > _MEMBER_TOL * max(math.ldexp(1.0, min(-e, 1023)), float(np.linalg.norm(w))):
             raise NotInAlgebra(f"element outside the span (residual {resid:.2e})")
-        return c
+        return np.ldexp(c.view(np.float64), e).view(np.complex128)
 
     def multiply(self, u, v) -> np.ndarray:
         return np.einsum("i,j,ijk->k", np.asarray(u), np.asarray(v), self.structure)
@@ -235,7 +239,8 @@ def generated_subalgebra(M: MatrixSet, max_dim: int | None = None) -> FDAlgebra:
 
     def adjoin(x: np.ndarray) -> bool:
         nonlocal Q
-        v = x.reshape(-1)
+        # measured fitted: unfitted, a norm past the double range reads inf or 0
+        v = _kernels._fit(x)[0].reshape(-1)
         nv = float(np.linalg.norm(v))
         if nv == 0.0:
             return False
@@ -497,10 +502,10 @@ def rcq_membership(A: FDAlgebra, x) -> RcqReport:
 
     # columns x, then per i: b_i x, x b_i and b_i x b_j for every j
     m = A.dim
-    eye = np.eye(m)
-    left = np.einsum("ai,j,ijk->ak", eye, xi, A.structure)
-    right = np.einsum("i,aj,ijk->ak", xi, eye, A.structure)
-    both = np.einsum("ai,bj,ijk->abk", eye, right, A.structure)
+    S = A.structure
+    left = np.einsum("j,ajk->ak", xi, S)
+    right = np.einsum("i,iak->ak", xi, S)
+    both = np.einsum("bj,ajk->abk", right, S)
     rows = np.concatenate([left[:, None], right[:, None], both], axis=1)
     ideal_span = _orthonormal_columns(np.vstack([xi, rows.reshape(-1, m)]).T)
 
@@ -540,23 +545,22 @@ class NilpotentSpanReport(NamedTuple):
     to_dict = _as_dict
 
 
-def check_nilpotent_span(M: MatrixSet, *, width: float = 1e-13,
-                         budget: int = 100_000, max_dim: int | None = None,
-                         frobenius: bool = False) -> NilpotentSpanReport:
+def check_nilpotent_span(M: MatrixSet) -> NilpotentSpanReport:
     """Certify rho(M) = 0, then verify A(M) is nilpotent by span iteration.
 
-    Refuses to proceed (PreconditionNotCertified) unless refine pushes the
-    upper bound below 1e-12.  Then checks A(M)^k = 0 for some
-    k <= dim(A(M)) + 1.
+    Refuses to proceed (PreconditionNotCertified) unless refine (spectral
+    norm, width _NILPOTENT_WIDTH = 1e-13, budget _NILPOTENT_BUDGET =
+    100_000) pushes the upper bound below 1e-12.  Then checks A(M)^k = 0
+    for some k <= dim(A(M)) + 1, A(M) under generated_subalgebra's cap.
     """
-    box = refine(M, width, budget, frobenius=frobenius)
+    box = refine(M, _NILPOTENT_WIDTH, _NILPOTENT_BUDGET)
     if not (box.upper < 1e-12):
         raise PreconditionNotCertified(
             f"refine only certified upper bound {box.upper:.3e} (need < 1e-12)")
     if not np.any(M.gens):
         return NilpotentSpanReport(passed=True, nil_degree=1,
                                    certified_upper=box.upper, algebra_dim=0)
-    A = generated_subalgebra(M, max_dim)
+    A = generated_subalgebra(M)
     _, nil_degree = _power_spans(A, np.eye(A.dim, dtype=np.complex128))
     return NilpotentSpanReport(passed=nil_degree is not None,
                                nil_degree=nil_degree,

@@ -31,13 +31,13 @@ import numpy as np
 
 from . import _kernels, config
 from ._kernels import Memo, refine_pass
-from .matrices import op_norm
 from .sets import MatrixSet, Word, _sweep, tree_size
 
 # product-stack memory allowed per branch-and-bound pass (one parent
 # product per open depth); refine also drops its memo of earlier passes
 # once the memo outgrows it
 _STACK_BYTES = 64 * 2**20
+_MAX_DEPTH = 4096  # deepest pass refine runs
 
 
 def _as_dict(value):
@@ -116,17 +116,13 @@ class BergerWangReport:
 def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> LowerBound:
     """Best spectral-radius root over all words of length <= n.
 
-    Ties (within 1e-12 relative) resolve to the shortest word, then the
-    lexicographically smallest.
+    Ties resolve as the sweep resolves them (within 1e-12 relative, see
+    _kernels._records): to the shortest word, then the lexicographically
+    smallest.
     """
     [radii] = _sweep(M, n, (_kernels.radii,), budget)
-    best = -1.0
-    wit: Word = (0,)
-    for k, v in enumerate(radii.root, 1):
-        if v > best * (1.0 + 1e-12):
-            best = v
-            wit = radii.word(k)
-    return LowerBound(max(best, 0.0), wit)
+    best, k = _kernels._records(np.asarray(radii.root), -1.0, 0, 1)
+    return LowerBound(max(float(best), 0.0), radii.word(k))
 
 
 def upper_bound(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
@@ -154,13 +150,13 @@ def _lower_profile(M: MatrixSet, n: int, budget: int) -> np.ndarray:
     return np.maximum.accumulate(radii.root)
 
 
-def _pass_depth_limit(dim: int, size: int, max_depth: int) -> int:
+def _pass_depth_limit(dim: int, size: int) -> int:
     if size == 1:
         # singleton trees are paths: the kernel drops each depth as it
         # enters its only child and holds one block of the path at a time
-        return max_depth
+        return _MAX_DEPTH
     per_level = 16 * dim * dim
-    return min(max_depth, max(2, _STACK_BYTES // per_level))
+    return min(_MAX_DEPTH, max(2, _STACK_BYTES // per_level))
 
 
 def _blocks(gens: np.ndarray) -> list[np.ndarray]:
@@ -191,14 +187,14 @@ def _blocks(gens: np.ndarray) -> list[np.ndarray]:
 
 
 def _deepen(gens: np.ndarray, width: float, budget: int, lower_in: float,
-            max_depth: int, frobenius: bool):
+            frobenius: bool):
     """refine's deepening passes over one set, from the lower end lower_in.
 
     Returns (lower, witness, upper, nodes, depth_used, converged); the
     witness is None when no word beat lower_in.  With no budget no pass
     runs, and the upper end comes from the generator norms.
     """
-    depth_limit = _pass_depth_limit(gens.shape[1], gens.shape[0], max_depth)
+    depth_limit = _pass_depth_limit(gens.shape[1], gens.shape[0])
     lower = lower_in
     wit = None
     upper = math.inf
@@ -243,7 +239,7 @@ def _deepen(gens: np.ndarray, width: float, budget: int, lower_in: float,
 
 
 def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
-           max_depth: int = 4096, frobenius: bool = False) -> BoundsReport:
+           frobenius: bool = False) -> BoundsReport:
     """Branch-and-bound interval for rho(M), aiming at the given width.
 
     The set is first split exactly into the diagonal blocks of its
@@ -258,7 +254,7 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     lists the block sizes in the order they ran.
 
     Each block runs depth-capped passes (depths 1..8, then doubling, to
-    at most max_depth, which must be >= 1), each a full lexicographic
+    at most _MAX_DEPTH = 4096), each a full lexicographic
     DFS with Gripenberg pruning against the current lower bound.  The
     passes share one memo, so a node an earlier pass expanded is replayed
     from its stored norms and radii instead of measured again; the memo
@@ -285,8 +281,6 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     certification is exact).
     """
     _positive_finite(width, "width")
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
     budget = max(int(budget), M.size)
     parts = [np.ascontiguousarray(M.gens[:, b[:, None], b]) for b in _blocks(M.gens)]
     if len(parts) > 1:
@@ -302,7 +296,7 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     converged = True
     for gens in parts:
         lower, bwit, bupper, bnodes, bdeep, bconv = _deepen(
-            gens, width, budget - nodes, lower, max_depth, frobenius)
+            gens, width, budget - nodes, lower, frobenius)
         wit = bwit or wit
         upper = max(upper, bupper)
         nodes += bnodes
@@ -364,24 +358,16 @@ def perturbation_directions(M: MatrixSet, trials: int, seed: int, *,
                             frobenius: bool = False) -> list[np.ndarray]:
     """Per-trial unit-norm complex Gaussian directions.
 
-    One (size, dim, dim) array per trial, drawn once from the seed; the
+    One (size, dim, dim) array per trial, drawn once from the seed (per
+    trial and generator, the real part, then the imaginary part); the
     continuity probe reuses the same directions for every eps so that
     deviations scale with eps.
     """
-    rng = np.random.default_rng(seed)
     d = M.dim
-    out = []
-    for _ in range(trials):
-        dirs = np.empty((M.size, d, d), np.complex128)
-        for g in range(M.size):
-            while True:
-                z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                nrm = op_norm(z, frobenius=frobenius)
-                if nrm > 1e-8:
-                    break
-            dirs[g] = z / nrm
-        out.append(dirs)
-    return out
+    z = np.random.default_rng(seed).standard_normal((trials, M.size, 2, d, d))
+    z = z[:, :, 0] + 1j * z[:, :, 1]
+    nrm = _kernels.norms(z.reshape(-1, d, d), frobenius)
+    return list(z / nrm.reshape(trials, M.size, 1, 1))
 
 
 def _positive_finite(value: float, name: str) -> float:

@@ -119,10 +119,8 @@ def check_lift_identities(M: MatrixSet, n: int = 4, *, tol: float = 1e-7,
     lifted = lift_set(M)
     r_m = _lower_profile(M, n, budget)
     r_l = _lower_profile(lifted, n, budget)
-    r_gap = 0.0
-    for k in range(n):
-        want = r_m[k] ** 2
-        r_gap = max(r_gap, abs(r_l[k] - want) / max(1.0, want))
+    want = r_m ** 2
+    r_gap = float(np.max(np.abs(r_l - want) / np.maximum(1.0, want)))
 
     box = refine(M, width, budget, frobenius=frobenius)
     box_l = refine(lifted, width, budget, frobenius=frobenius)

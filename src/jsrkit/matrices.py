@@ -10,7 +10,7 @@ import numpy as np
 
 from . import config
 from ._kernels import norms, peak, radii
-from .errors import DimensionMismatch, DimensionOverflow, NonConvergence, ShapeError
+from .errors import DimensionMismatch, DimensionOverflow, ShapeError
 
 
 def as_matrix(entries, *, index: int | None = None) -> np.ndarray:
@@ -35,12 +35,9 @@ def op_norm(a, *, frobenius: bool = False) -> float:
     the root of the top eigenvalue of the Gram matrix a^H a); pass
     frobenius=True for the cheaper Frobenius norm.  Both are
     submultiplicative, so certified bounds stay valid under either choice.
+    NonConvergence when the Gram eigensolve fails.
     """
-    a = as_matrix(a)
-    try:
-        return peak(lambda s: norms(s, frobenius), a[None])
-    except np.linalg.LinAlgError as e:
-        raise NonConvergence(f"norm eigensolve failed: {e}") from e
+    return peak(lambda s: norms(s, frobenius), as_matrix(a)[None])
 
 
 def spectral_radius(a) -> float:
@@ -49,11 +46,7 @@ def spectral_radius(a) -> float:
     Raises NonConvergence when the QR iteration gives up (pathological
     input).
     """
-    a = as_matrix(a)
-    try:
-        return peak(radii, a[None])
-    except np.linalg.LinAlgError as e:
-        raise NonConvergence(f"eigenvalue iteration failed: {e}") from e
+    return peak(radii, as_matrix(a)[None])
 
 
 def kron(a, b) -> np.ndarray:

@@ -336,6 +336,43 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
             _shifted(frontier_max, e1), saw_frontier, completed, nodes, deepest)
 
 
+def loop_lower_bound_r(gens, n):
+    """(value, witness) of the best spectral-radius root over the words of
+    length 1..n, one depth at a time from loop_sweep_tree's maxima: a depth
+    replaces the best so far when its root beats it by the relative _TIE,
+    so ties go to the shortest word.  The value is at least 0."""
+    _, _, best, exps, _, words, _ = loop_sweep_tree(gens, n, True, False)
+    value, wit = -1.0, (0,)
+    for k in range(1, n + 1):
+        v = _root(float(best[k]), exps[k], k)
+        if v > value * (1.0 + _TIE):
+            value = v
+            wit = (0,) * k if gens.shape[0] == 1 else tuple(words[k, :k].tolist())
+    return max(value, 0.0), wit
+
+
+def loop_perturbation_directions(size, dim, trials, seed, fro):
+    """The continuity probe's directions drawn one matrix at a time.
+
+    Per trial and generator: a complex Gaussian z (real part drawn, then
+    imaginary part), drawn again while its norm is at most 1e-8, divided
+    by its norm.  Returns one (size, dim, dim) array per trial.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(trials):
+        dirs = np.empty((size, dim, dim), complex)
+        for g in range(size):
+            while True:
+                z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                nrm = loop_norm(z, fro)
+                if nrm > 1e-8:
+                    break
+            dirs[g] = z / nrm
+        out.append(dirs)
+    return out
+
+
 # --- per-pair reference loops of the algebra layer ---------------------------
 
 def loop_multiply(structure, u, v):

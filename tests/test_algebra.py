@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -384,6 +385,34 @@ class TestRcqMembership:
                 if rad.contains(c):
                     continue
                 assert not rcq_membership(A, c).member
+
+
+# a golden pair and a triangular pair whose squared entries sum past
+# 2**1024 at scale 2**511
+SCALE_SETS = {"golden": oracles.GOLDEN,
+              "triangular": [[[2, 1, 0], [0, 1, 1], [0, 0, 3]], [[1, 0, 2], [0, 2, 0], [0, 0, 1]]]}
+
+
+class TestExtremeScales:
+    """A scaled set generates the set's own algebra: its norms once
+    overflowed or underflowed, and every generator read as zero."""
+
+    @pytest.mark.parametrize("s", [2.0**300, 2.0**-300, 2.0**511, 2.0**520, 1e300, 1e-300],
+                             ids=["2^300", "2^-300", "2^511", "2^520", "1e300", "1e-300"])
+    @pytest.mark.parametrize("name", sorted(SCALE_SETS))
+    def test_scaled_set_keeps_its_algebra(self, name, s):
+        M = MatrixSet.from_matrices(SCALE_SETS[name])
+        S = MatrixSet(s * M.gens)
+        A, As = generated_subalgebra(M), generated_subalgebra(S)
+        assert As.dim == A.dim
+        assert jacobson_radical(As).dim == jacobson_radical(A).dim
+        rep, reps = check_inessential(M), check_inessential(S)
+        assert (reps.passed, reps.algebra_dim, reps.radical_dim) == (
+            rep.passed, rep.algebra_dim, rep.radical_dim)
+        if math.frexp(s)[0] == 0.5:
+            # a power of two scales the coefficients exactly
+            for g, gs in zip(M.gens, S.gens):
+                assert np.array_equal(As.coeffs_of(gs), s * As.coeffs_of(g))
 
 
 class TestNilpotentSpan:

@@ -5,6 +5,9 @@ exponent, rank) triples, and refine's witness rule shaves by
 _kernels._EIG_SAFETY.  sets._sweep is the one decoder of the triples and
 _kernels.witness_root the one re-measure of a witness, so no other module
 names the helpers that read that format.
+
+_kernels also makes every eigensolve and turns LAPACK's failure into
+NonConvergence, so no other module calls np.linalg.eigvals or eigvalsh.
 """
 
 import ast
@@ -69,3 +72,35 @@ def test_detector_sees_each_form():
     ])
     assert format_uses(source) == [(1, "root"), (2, "*"), (5, "_EIG_SAFETY"),
                                    (6, "scale"), (7, "word_product")]
+
+
+SOLVES = {"eigvals", "eigvalsh"}
+SOLVER_MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "_kernels.py")
+
+
+def solver_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every import or attribute read of eigvals or eigvalsh."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            uses += [(node.lineno, a.name) for a in node.names if a.name in SOLVES]
+        elif isinstance(node, ast.Attribute) and node.attr in SOLVES:
+            uses.append((node.lineno, node.attr))
+    return sorted(uses)
+
+
+@pytest.mark.parametrize("module", SOLVER_MODULES)
+def test_only_kernels_calls_the_eigensolvers(module):
+    assert solver_uses((SRC / module).read_text()) == []
+
+
+def test_solver_detector_sees_each_form():
+    source = "\n".join([
+        "np.linalg.eigvals(a)",
+        "from numpy.linalg import eigvalsh as h",
+        "linalg.eigvalsh(g)",
+        "np.linalg.svd(a)",
+        "eigvals = 1",
+    ])
+    assert solver_uses(source) == [(1, "eigvals"), (2, "eigvalsh"), (3, "eigvalsh")]
+    assert "sets.py" in SOLVER_MODULES and solver_uses((SRC / "_kernels.py").read_text())

@@ -208,13 +208,6 @@ class TestRefine:
             with pytest.raises(ValueError):
                 refine(golden(), width)
 
-    @pytest.mark.parametrize("max_depth", [0, -1])
-    def test_max_depth_validation(self, max_depth):
-        # a single generator with max_depth 0 used to run no pass at all
-        for M in (golden(), MatrixSet.from_matrices([_unipotent(3)])):
-            with pytest.raises(ValueError):
-                refine(M, 0.1, max_depth=max_depth)
-
     @pytest.mark.parametrize("fro", [False, True])
     @pytest.mark.parametrize("gens,blocks", [
         ([[[3.0]], [[1.0]]], (1,)),
@@ -231,11 +224,12 @@ class TestRefine:
         assert rep.lower <= 3.0 <= rep.upper <= rep.lower + 1e-9
 
     @pytest.mark.parametrize("fro", [False, True])
-    def test_max_depth_caps_every_generator_count(self, fro):
+    def test_max_depth_caps_every_generator_count(self, fro, monkeypatch):
         # golden converges at depth 2 and the unipotent generator never
         # prunes: a cap of 1 stops both after the depth-1 pass
+        monkeypatch.setattr(bounds, "_MAX_DEPTH", 1)
         for M in (golden(), MatrixSet.from_matrices([_unipotent(3)])):
-            rep = refine(M, 1e-6, 10**4, max_depth=1, frobenius=fro)
+            rep = refine(M, 1e-6, 10**4, frobenius=fro)
             assert rep.depth_used == 1 and not rep.converged
 
 
@@ -455,6 +449,12 @@ def _upper_triangular(seed, d, m, complex_entries):
     return g
 
 
+# lower_bound_r's tie rule: every depth of all-tie ties at root 1, and a
+# triangular set's best root is a diagonal entry reached at every depth
+LOWER_CASES = {**SWEEP_CASES, "all-tie": np.stack([np.eye(2), np.eye(2)]).astype(complex),
+               "triangular": _upper_triangular(5, 3, 2, False).astype(complex)}
+
+
 def _haar_frame(seed, gens):
     """Q gens Q^H for a Haar-random orthogonal (real gens) or unitary Q.
 
@@ -594,6 +594,27 @@ class TestBatchedEngine:
         _kernels.sweep_tree(gens, n, (size,))
         assert sum(sizes) == tree_size(m, n)
 
+    @pytest.mark.parametrize("name", sorted(LOWER_CASES))
+    def test_lower_bound_r_matches_loop(self, name):
+        gens = LOWER_CASES[name]
+        for n in (1, 3, 5):
+            lb = lower_bound_r(MatrixSet(gens), n)
+            value, wit = oracles.loop_lower_bound_r(gens, n)
+            assert (_hex(lb.value), lb.witness) == (_hex(value), wit)
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_perturbation_directions_match_loop(self, fro):
+        rng = np.random.default_rng(61)
+        for _ in range(15):
+            d, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            M = MatrixSet(oracles.random_set(rng, d, m))
+            seed = int(rng.integers(0, 2**31))
+            got = perturbation_directions(M, 4, seed, frobenius=fro)
+            want = oracles.loop_perturbation_directions(m, d, 4, seed, fro)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize("name,fro", [
         pytest.param(name, fro, id=f"{name}-frobenius" if fro else name)
         for name in sorted(REFINE_CASES) for fro in (False, True)])
@@ -663,7 +684,7 @@ class TestBatchedEngine:
         # but counts every visit against the budget
         M = MatrixSet.from_matrices([_unipotent(2)])
         count = _CountNorms(monkeypatch)
-        rep = refine(M, 1e-6, 10**6, max_depth=4096)
+        rep = refine(M, 1e-6, 10**6)
         assert rep.depth_used == 4096
         assert rep.nodes_explored == sum(range(1, 9)) + sum(2**t for t in range(4, 13))
         assert count.matrices == 4096
@@ -775,12 +796,12 @@ class TestBatchedEngine:
 
     def test_single_generator_deep_refine_memory_is_flat(self):
         # a unipotent generator never prunes, so refine walks the single
-        # path to max_depth; the engine keeps O(1) products, not one per depth
+        # path to _MAX_DEPTH; the engine keeps O(1) products, not one per depth
         M = MatrixSet.from_matrices([_unipotent(16)])
-        refine(M, 1e-6, 10**6, max_depth=16)  # warm caches outside the trace
+        refine(M, 1e-6, 10**6)  # warm caches outside the trace
         tracemalloc.start()
         try:
-            rep = refine(M, 1e-6, 10**6, max_depth=4096)
+            rep = refine(M, 1e-6, 10**6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -896,7 +917,7 @@ class TestBlockReduction:
         assert rep.blocks == (M.dim,)
         got = (rep.nodes_explored, rep.depth_used, len(rep.lower_witness), rep.converged)
         assert got == want
-        lower, wit, upper, _, _, _ = bounds._deepen(M.gens, width, budget, 0.0, 4096, fro)
+        lower, wit, upper, _, _, _ = bounds._deepen(M.gens, width, budget, 0.0, fro)
         assert (rep.lower, rep.upper) == (lower, upper)
         assert rep.lower_witness == (wit or (0,))
         if name == "zero":

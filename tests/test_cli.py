@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,34 @@ class TestErrors:
         path = write_set(tmp_path / "big.json", big)
         code, err = self.err(capsys, ["lift-check", path, "--depth", "2"])
         assert code == 1 and err.startswith("error:") and "residual" in err
+
+    @pytest.mark.parametrize("cmd", ["refine", "bounds", "verify-bw", "lift-check",
+                                     "inessential"])
+    def test_eigensolver_failure_is_a_typed_error(self, capsys, monkeypatch, hand_file, cmd):
+        # a LinAlgError from LAPACK once ended these runs in a traceback
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, err = self.err(capsys, [cmd, hand_file])
+        assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("s", [1e300, 1e-300])
+    @pytest.mark.parametrize("cmd", ["radical", "inessential", "chain"])
+    def test_algebra_commands_at_extreme_scale(self, capsys, tmp_path, cmd, s):
+        # every generator's norm overflowed or underflowed, so each was
+        # taken for zero: "all generators are zero", exit 1
+        path = write_set(tmp_path / "golden.json", [[[s, s], [0, s]], [[s, 0], [s, s]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_json(capsys, [cmd, path, "--format", "json"])
+        res = rep["result"]
+        assert code == 0
+        if cmd == "chain":
+            assert [r["ideal_dim"] for r in res["rows"]] == [0]
+        else:
+            assert (res["algebra_dim"], res["radical_dim"]) == (4, 0)
 
     def test_lift_check_passes_at_large_finite_scale(self, capsys, tmp_path):
         # (|a| |b|)^2 is about 1e145 here; the slack is compared at its square root

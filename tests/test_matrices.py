@@ -4,12 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from jsrkit import (
     DimensionOverflow,
+    MatrixSet,
     NonConvergence,
     ShapeError,
     as_matrix,
+    check_lift_identities,
     frobenius_norm,
     kron,
     op_norm,
+    refine,
+    sandwich_profiles,
     spectral_radius,
 )
 
@@ -113,6 +117,16 @@ def test_lapack_failure_is_non_convergence(monkeypatch):
         spectral_radius(np.eye(2))
     with pytest.raises(NonConvergence, match="norm eigensolve"):
         op_norm(np.eye(2))
+    # the engine types the failure, so its callers raise it too
+    M = MatrixSet.from_matrices(oracles.GOLDEN)
+    with pytest.raises(NonConvergence, match="norm eigensolve"):
+        refine(M, 0.01)
+    with pytest.raises(NonConvergence, match="eigenvalue iteration"):
+        refine(M, 0.01, frobenius=True)
+    with pytest.raises(NonConvergence, match="norm eigensolve"):
+        sandwich_profiles(M, 3)
+    with pytest.raises(NonConvergence, match="eigenvalue iteration"):
+        check_lift_identities(M, 2)
 
 
 class TestKron:
