@@ -439,3 +439,31 @@ def loop_ideal_columns(structure, x):
         for j in range(m):
             cols.append(loop_multiply(structure, eye[i], loop_multiply(structure, x, eye[j])))
     return np.stack(cols, axis=1)
+
+
+def loop_w_identity(gens):
+    """(w_resid, w_pass) of the former per-pair w-identity loop.
+
+    For every ordered pair (a, b) the seven lifts kron(q^T, p) of
+    w_{ba}, l_b, w_a, r_b, r_a, w_b and l_a are built unscaled, the larger
+    Frobenius residual of w_{ba} = l_b w_a r_b and w_{ba} = r_a w_b l_a is
+    taken, and the largest over all pairs passes when it is at most 1e-300
+    or its square root is at most 1e-5 top^2, top the largest generator
+    Frobenius norm.
+    """
+    gens = [np.asarray(g, dtype=complex) for g in gens]
+    eye = np.eye(gens[0].shape[0], dtype=complex)
+
+    def lift(p, q):
+        return np.kron(q.T, p)
+
+    def resid(a, b):
+        ba = b @ a
+        w_ba = lift(ba, ba)
+        r1 = float(np.linalg.norm(w_ba - lift(b, eye) @ lift(a, a) @ lift(eye, b)))
+        r2 = float(np.linalg.norm(w_ba - lift(eye, a) @ lift(b, b) @ lift(a, eye)))
+        return max(r1, r2)
+
+    w = max(resid(a, b) for a in gens for b in gens)
+    top = max(loop_norm(loop_real(g), True) for g in gens)
+    return w, w <= 1e-300 or math.sqrt(w) <= 1e-5 * top * top

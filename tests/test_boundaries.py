@@ -8,6 +8,9 @@ names the helpers that read that format.
 
 _kernels also makes every eigensolve and turns LAPACK's failure into
 NonConvergence, so no other module calls np.linalg.eigvals or eigvalsh.
+
+The lift identities and their pass rules live in lift's report, so the
+CLI takes check_lift_identities from lift and nothing from matrices.
 """
 
 import ast
@@ -104,3 +107,45 @@ def test_solver_detector_sees_each_form():
     ])
     assert solver_uses(source) == [(1, "eigvals"), (2, "eigvalsh"), (3, "eigvalsh")]
     assert "sets.py" in SOLVER_MODULES and solver_uses((SRC / "_kernels.py").read_text())
+
+
+def package_imports(source: str) -> dict[str, set[str]]:
+    """module -> names imported from it, for every jsrkit module; a module
+    imported whole takes "*"."""
+    out = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not (node.level or module.startswith("jsrkit")):
+                continue
+            if module in ("", "jsrkit"):  # from . import lift
+                for a in node.names:
+                    out.setdefault(a.name, set()).add("*")
+            else:
+                out.setdefault(module.rsplit(".", 1)[-1], set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("jsrkit."):
+                    out.setdefault(a.name.rsplit(".", 1)[-1], set()).add("*")
+    return out
+
+
+def test_cli_takes_only_the_lift_report():
+    uses = package_imports((SRC / "cli.py").read_text())
+    assert "matrices" not in uses
+    assert uses["lift"] == {"check_lift_identities"}
+
+
+def test_import_detector_sees_each_form():
+    source = "\n".join([
+        "from .matrices import frobenius_norm",
+        "from .lift import check_lift_identities, check_w_product_identity",
+        "from . import lift",
+        "import jsrkit.matrices as m",
+        "from jsrkit.sets import MatrixSet",
+        "from numpy import linalg",
+    ])
+    assert package_imports(source) == {
+        "matrices": {"frobenius_norm", "*"},
+        "lift": {"check_lift_identities", "check_w_product_identity", "*"},
+        "sets": {"MatrixSet"}}

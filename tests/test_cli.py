@@ -310,13 +310,25 @@ class TestErrors:
         code, err = self.err(capsys, ["refine", str(p)])
         assert code == 1 and "dim" in err
 
+    def scaled_golden_refused(self, capsys, tmp_path, s):
+        path = write_set(tmp_path / "big.json", [[[s, s], [0, s]], [[s, 0], [s, s]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.err(capsys, ["lift-check", path, "--depth", "2"])
+        assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1
+        return err
+
     def test_lift_check_past_the_double_range_is_a_typed_error(self, capsys, tmp_path):
-        # near 1e80 the lifts of the w-identity's products pass 1e308; the
-        # identity's slack (|a| |b|)^2 once ended in an OverflowError traceback
-        big = [[[1e80, 1e80], [0, 1e80]], [[1e80, 0], [1e80, 1e80]]]
-        path = write_set(tmp_path / "big.json", big)
-        code, err = self.err(capsys, ["lift-check", path, "--depth", "2"])
-        assert code == 1 and err.startswith("error:") and "residual" in err
+        # at 2**512 the lifts' entries pass 2**1024
+        err = self.scaled_golden_refused(capsys, tmp_path, 2.0**512)
+        assert "lift action residual is not finite" in err
+
+    def test_lift_check_with_rho_squared_past_the_double_range_is_a_typed_error(
+            self, capsys, tmp_path):
+        # at 1.9 * 2**511 the lifts are finite, but rho(M)^2 is not; the
+        # w residual, rounding-level times 2**2048, is refused first
+        err = self.scaled_golden_refused(capsys, tmp_path, 1.9 * 2.0**511)
+        assert "is not finite" in err
 
     @pytest.mark.parametrize("cmd", ["refine", "bounds", "verify-bw", "lift-check",
                                      "inessential"])
@@ -353,6 +365,29 @@ class TestErrors:
         code, rep = run_json(capsys, ["lift-check", path, "--depth", "2", "--format", "json"])
         assert code == 0 and rep["result"]["w_pass"] is True
 
+
+    def test_lift_check_passes_past_the_old_lift_range(self, capsys, tmp_path):
+        # the lifts' self-check norms overflowed from about 2**140 on
+        s = 2.0**300
+        path = write_set(tmp_path / "golden.json", [[[s, s], [0, s]], [[s, 0], [s, s]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_json(capsys, ["lift-check", path, "--depth", "2", "--budget", "20000",
+                                          "--format", "json"])
+        res = rep["result"]
+        assert code == 0 and res["pass"] is True and res["w_pass"] is True
+        assert res["w_residual_max"] == 0.0
+
+    @pytest.mark.parametrize("flag,value", [("--budget", "5"), ("--budget", "99999999"),
+                                            ("--norm", "frobenius")])
+    def test_radical_takes_no_norm_and_no_budget(self, capsys, hand_file, flag, value):
+        # radical bounds nothing: both flags were validated and then ignored
+        with pytest.raises(SystemExit) as info:
+            main(["radical", hand_file, flag, value])
+        assert info.value.code == 64
+        assert "unrecognized arguments" in capsys.readouterr().err
+        code, rep = run_json(capsys, ["radical", hand_file, "--format", "json"])
+        assert code == 0 and rep["norm"] is None and "budget" not in rep["params"]
 
 class TestCaps:
     def test_dim_cap_applies(self, capsys, tmp_path):

@@ -166,6 +166,7 @@ class TestLiftIdentities:
         d = check_lift_identities(M, 2, budget=20_000).to_dict()
         assert d["pass"] is True
         assert "r_exact_gap" in d and "lifted_interval" in d
+        assert list(d)[-2:] == ["w_residual_max", "w_pass"] and d["w_pass"] is True
 
 
     @pytest.mark.parametrize("kw", [{"tol": math.inf}, {"tol": math.nan}, {"tol": 0.0},
@@ -193,11 +194,111 @@ class TestWProductIdentity:
         assert check_w_product_identity(e, e) == 0.0
 
     def test_residual_past_the_double_range_is_refused(self, monkeypatch):
-        # lifts scaled by 1e200 are finite, but their triple products are not
+        # doubled lifts leave a residual of order 1 on the fitted pair, and
+        # scaled back by 2**(4 * 301) it is no finite double
         build = lift._lifts
-        monkeypatch.setattr(lift, "_lifts", lambda a, b: 1e200 * build(a, b))
+        monkeypatch.setattr(lift, "_lifts", lambda a, b: 2.0 * build(a, b))
+        a, b = (2.0**300 * g for g in oracles.GOLDEN)
         with pytest.raises(SelfCheckFailed, match="w-product residual"):
-            check_w_product_identity(oracles.GOLDEN[0], oracles.GOLDEN[1])
+            check_w_product_identity(a, b)
+
+
+def _scaled_pairs():
+    rng = np.random.default_rng(50)
+    cplx = oracles.random_set(rng, 3, 2, complex_entries=True)
+    return {"golden": np.stack(oracles.GOLDEN), "complex-3x3": cplx}
+
+
+SCALES = (141, 200, 255, 300, 400, 511)
+
+
+class TestExtremeScales:
+    """lift(2**k M) = 2**(2k) lift(M), and the w identity has degree 4."""
+
+    @pytest.mark.parametrize("k", SCALES)
+    @pytest.mark.parametrize("name", ["golden", "complex-3x3"])
+    def test_lift_set_scales_exactly(self, name, k):
+        g = _scaled_pairs()[name]
+        want = lift_set(MatrixSet(g)).gens
+        got = lift_set(MatrixSet(np.ldexp(g.view(float), k).view(complex))).gens
+        assert np.array_equal(got.view(float), np.ldexp(want.view(float), 2 * k))
+
+    @pytest.mark.parametrize("k", SCALES)
+    @pytest.mark.parametrize("name", ["golden", "complex-3x3"])
+    def test_w_residual_scales_by_the_fourth_power(self, name, k):
+        a, b = _scaled_pairs()[name]
+        r = check_w_product_identity(a, b)
+        big = [np.ldexp(x.view(float), k).view(complex) for x in (a, b)]
+        if r == 0.0 or math.frexp(r)[1] + 4 * k <= 1024:
+            assert check_w_product_identity(*big) == math.ldexp(r, 4 * k)
+        else:
+            with pytest.raises(SelfCheckFailed, match="w-product residual"):
+                check_w_product_identity(*big)
+
+    @pytest.mark.parametrize("k", SCALES)
+    @pytest.mark.parametrize("name", ["golden", "complex-3x3"])
+    def test_lift_identities_keep_their_verdicts(self, name, k):
+        g = _scaled_pairs()[name]
+        r = check_lift_identities(MatrixSet(g), 2, budget=2_000).w_residual_max
+        M = MatrixSet(np.ldexp(g.view(float), k).view(complex))
+        if r == 0.0 or math.frexp(r)[1] + 4 * k <= 1024:
+            rep = check_lift_identities(M, 2, budget=2_000)
+            assert rep.passed and rep.w_pass
+            assert rep.w_residual_max == math.ldexp(r, 4 * k)
+        else:  # a rounding-level residual times 2**(4k) is no double
+            with pytest.raises(SelfCheckFailed, match="w-product residual"):
+                check_lift_identities(M, 2, budget=2_000)
+
+    @pytest.mark.parametrize("s,match", [(2.0**512, "lift action residual"),
+                                         (1.9 * 2.0**511, "w-product residual")],
+                             ids=["2**512", "1.9*2**511"])
+    def test_past_the_double_range_is_refused(self, s, match):
+        # at 2**512 the lift's entries pass 2**1024; at 1.9 * 2**511 they
+        # do not, but the w residual scaled back by 2**2048 does
+        M = MatrixSet(s * np.stack(oracles.GOLDEN))
+        with pytest.raises(SelfCheckFailed, match=match):
+            check_lift_identities(M, 2, budget=2_000)
+
+    def test_rho_squared_past_the_double_range_is_refused(self):
+        # the lifts and the exact w identity stay finite, rho(M)^2 does
+        # not; squaring it raised OverflowError
+        M = MatrixSet(1.5 * 2.0**511 * np.stack(oracles.GOLDEN))
+        with pytest.raises(SelfCheckFailed, match=r"rho\(M\)\^2"):
+            check_lift_identities(M, 2, budget=2_000)
+
+
+def _w_sets():
+    """A2 members 0-49, the cli-cold sets, the zero set and 60 random sets."""
+    out = []
+    for i in range(50):
+        rng = np.random.default_rng(20_000 + i)
+        d, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        out.append(oracles.random_set(rng, d, m))
+    out += [np.stack(oracles.GOLDEN), np.stack(oracles.HAND_PAIR)]
+    for i in (5, 16):  # the block-upper cli-cold inputs are A4 members
+        rng = np.random.default_rng(40_000 + i)
+        d, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        out.append(oracles.random_block_upper(rng, d, m))
+    out.append(np.zeros((2, 3, 3), dtype=complex))
+    rng = np.random.default_rng(51)
+    for t in range(60):
+        d, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        out.append(oracles.random_set(rng, d, m, complex_entries=t % 2 == 1))
+    return out
+
+
+class TestWIdentityOracle:
+    def test_w_fields_match_the_pair_loop(self):
+        for g in _w_sets():
+            i, j = np.divmod(np.arange(len(g) ** 2), len(g))
+            got = lift._w_identity(g, i, j)
+            want = oracles.loop_w_identity(g)
+            assert got[0].hex() == float(want[0]).hex() and got[1] == want[1], g
+
+    def test_report_carries_the_w_fields(self):
+        for g in _w_sets()[::10]:
+            rep = check_lift_identities(MatrixSet(g), 1, budget=500)
+            assert (rep.w_residual_max, rep.w_pass) == oracles.loop_w_identity(g)
 
 
 def test_noncompactness_radius_is_zero_for_bounded_sets():
