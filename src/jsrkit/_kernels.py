@@ -21,8 +21,9 @@ has been fitted.  A product becomes a factor only after _fit scales it
 by an exact power of two where its own largest entry has left the band,
 and a generator set outside the band is fitted once.  In-band products
 are never rescaled, so at e = 0 the arithmetic is that of the unscaled
-products.  A value x reads as x * 2**e, its k-th root as root(x, e, k),
-and prunes compare log(x) + e ln 2.
+products.  A value x reads as x * 2**e, its k-th root as root(x, e, k).
+Exponents travel with their products; refine_pass's memo keeps the roots
+and log-norms _measure derives from them, so its walk reads no exponent.
 """
 
 import math
@@ -272,26 +273,27 @@ def sweep_tree(gens, nmax, measures):
 class Memo:
     """What a refine's passes have learnt about the product tree.
 
-    One record per expanded node: m slots, one per child, with the child's
-    norm, its radius (-1 where eigvals was skipped) and the index of its
-    own record (-1 until it is expanded), and the exponent exp[r] of
-    record r, which fills slots r*m .. r*m + m - 1.  A stored child costs
-    24 + 8/m bytes.  Only a single generator's chain of one-slot records
-    keeps a product: end, its last node's, fitted, with its exponent.
+    One record per expanded node: m slots, one per child P of length k,
+    with ||P||^(1/k), rho(P)^(1/k) shaved by _EIG_SAFETY (-1 where eigvals
+    was skipped, which only a lower above 0 does), log ||P|| (-inf for a
+    zero norm) and the index of P's own record (-1 until it is expanded).
+    A stored child costs 32 bytes.  Only a single generator's chain of
+    one-slot records keeps a product: end, its last node's, fitted, with
+    its exponent.
     """
 
-    __slots__ = ("norm", "rho", "kid", "exp", "end")
+    __slots__ = ("norm_root", "cand", "log_norm", "kid", "end")
 
     def __init__(self):
-        self.norm = array("d")
-        self.rho = array("d")
+        self.norm_root = array("d")
+        self.cand = array("d")
+        self.log_norm = array("d")
         self.kid = array("q")
-        self.exp = array("q")
         self.end = None
 
     @property
     def nbytes(self):
-        return 24 * len(self.kid) + 8 * len(self.exp)
+        return 32 * len(self.kid)
 
 
 def _skipped(r, lower):
@@ -300,19 +302,21 @@ def _skipped(r, lower):
 
 
 def _measure(memo, kids, lengths, exps, lower, fro):
-    """Append one slot per product in kids (of length lengths[i] and exponent
-    exps[i]) to memo, with no child record yet.  One batched norms call
-    measures them all, one batched radii call those whose norm root can
-    beat lower; the other radii are stored as -1."""
+    """Append one slot per product in kids (of length lengths[i], times
+    2**exps[i]) to memo, with no child record yet: the one place a node's
+    roots and log-norm are derived.  One batched norms call measures them
+    all, one batched radii call those whose norm root can beat lower."""
     nrm = norms(kids, fro).tolist()
-    want = [i for i, (x, e, k) in enumerate(zip(nrm, exps, lengths))
-            if not _skipped(root(x, e, k), lower)]
-    rho = [-1.0] * len(nrm)
+    nroot = [root(x, e, k) for x, e, k in zip(nrm, exps, lengths)]
+    cand = [-1.0] * len(nrm)
+    want = [i for i, r in enumerate(nroot) if not _skipped(r, lower)]
     if want:
         for i, r in zip(want, radii(kids[want]).tolist()):
-            rho[i] = r
-    memo.norm.extend(nrm)
-    memo.rho.extend(rho)
+            cand[i] = root(r, exps[i], lengths[i]) * (1.0 - _EIG_SAFETY)
+    memo.norm_root.extend(nroot)
+    memo.cand.extend(cand)
+    memo.log_norm.extend([-math.inf if x <= 0.0 else np.log(x) + e * _LN2
+                          for x, e in zip(nrm, exps)])
     memo.kid.extend([-1] * len(nrm))
 
 
@@ -326,7 +330,6 @@ def _expand(memo, prod, e, gens, k, room, lower, fro):
     m, d, _ = gens.shape
     first = len(memo.kid)
     if m > 1:
-        memo.exp.append(e)
         _measure(memo, prod @ gens, [k + 1] * m, [e] * m, lower, fro)
         return first // m
     n = max(1, min(room, _BLOCK_BYTES // (3 * 16 * d * d)))
@@ -349,7 +352,6 @@ def _expand(memo, prod, e, gens, k, room, lower, fro):
         exps += [e] * (t + 1 - t0)
         prod, s = _fit(block[t])
         e += s
-    memo.exp.extend(exps)
     _measure(memo, block, range(k + 1, k + n + 1), exps, lower, fro)
     memo.kid[first:first + n - 1] = array("q", range(first + 1, first + n))
     memo.end = (prod.copy(), e)
@@ -357,20 +359,21 @@ def _expand(memo, prod, e, gens, k, room, lower, fro):
 
 
 def _rebuild(stack, word, gens):
-    """Fitted product of the top frame's node, from the deepest frame with one."""
+    """(P, e), P fitted, of the top frame's node, from the deepest frame with one."""
     i = len(stack) - 1
     while i >= 0 and stack[i][3] is None:
         i -= 1
     if i >= 0:
-        prod, t = stack[i][3], stack[i][1] - 1
+        (prod, e), t = stack[i][3], stack[i][1] - 1
     else:
-        prod, t = np.eye(gens.shape[1], dtype=gens.dtype), 0
+        prod, e, t = np.eye(gens.shape[1], dtype=gens.dtype), 0, 0
     for frame in stack[i + 1:]:
         while t < frame[1] - 1:
-            prod = _fit(prod @ gens[word[t]])[0]
+            prod, s = _fit(prod @ gens[word[t]])
+            e += s
             t += 1
-        frame[3] = prod
-    return prod
+        frame[3] = (prod, e)
+    return prod, e
 
 
 def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
@@ -383,21 +386,22 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     fitted, with width, lower_in and the results scaled by its exponent.
 
     The walk is a lexicographic depth-first search.  Expanding a node
-    measures all of its children in one batch into memo, and a node memo
-    holds is replayed from it.  A replayed radius is ignored where eigvals
+    measures all of its children in one batch into memo (see _measure), and
+    a node memo holds is replayed from it: a visit only compares the stored
+    roots and log-norm.  A replayed candidate root is ignored where eigvals
     would be skipped under the lower at its expansion, as a fresh expansion
     skips it, so a pass reports the same with or without an earlier memo.
     A memo may serve later passes over the same gens and fro whose
     lower_in is at least the lower every earlier pass returned (refine's
     deepening does this).
 
-    Each open depth keeps at most its fitted parent product, rebuilt only
-    when a fresh expansion below it needs it, and is dropped once its last
-    child is entered.  A single generator's path is measured in blocks
-    from memo.end (see _expand), never past depth_cap or the budget left,
-    the next block only at the end of this one, so O(1) products are held
-    however deep the pass goes.  No fresh expansion is made when the
-    budget leaves no node to enter.
+    Each open depth keeps at most its fitted parent product and its
+    exponent, rebuilt only when a fresh expansion below it needs it, and is
+    dropped once its last child is entered.  A single generator's path is
+    measured in blocks from memo.end (see _expand), never past depth_cap or
+    the budget left, the next block only at the end of this one, so O(1)
+    products are held however deep the pass goes.  No fresh expansion is
+    made when the budget leaves no node to enter.
 
     Returns (lower, wit_len, wit_word, frontier_max, saw_frontier,
     completed, nodes, deepest).  wit_len == 0 means no word improved on
@@ -407,7 +411,7 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     gens, e1 = _fit(_real_if_real(gens))
     m, d, _ = gens.shape
     memo = Memo() if memo is None else memo
-    mnorm, mrho, mkid, mexp = memo.norm, memo.rho, memo.kid, memo.exp
+    mroot, mcand, mlog, mkid = memo.norm_root, memo.cand, memo.log_norm, memo.kid
     width = scale(width, -e1)
     lower = scale(lower_in, -e1)
     # both may underflow when the set is far above them
@@ -417,11 +421,11 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     wit_len = nodes = deepest = 0
     frontier_max, saw_frontier, completed = 0.0, False, True
 
-    # frame: [record, child length k, lower at expansion, fitted parent
-    # product or None until needed, next child]
-    stack = [[0, 1, lower, np.eye(d, dtype=gens.dtype), 0]]
+    # frame: [record, child length k, lower at expansion, the parent's
+    # fitted (P, e) or None until needed, next child]
+    stack = [[0, 1, lower, (np.eye(d, dtype=gens.dtype), 0), 0]]
     if not mkid:
-        _expand(memo, stack[0][3], 0, gens, 0, min(depth_cap, budget), lower, fro)
+        _expand(memo, *stack[0][3], gens, 0, min(depth_cap, budget), lower, fro)
     while stack:
         if nodes >= budget:
             completed = False
@@ -433,22 +437,17 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
         if k > deepest:
             deepest = k
         s = rec * m + j
-        nrm, rho, e = mnorm[s], mrho[s], mexp[rec]
-        h = 2.0 ** (e / (2 * k))  # root(x, e, k) is x ** (1/k) * h * h
-        if rho >= 0.0 and not _skipped(nrm ** (1.0 / k) * h * h, lo):
-            v = rho ** (1.0 / k) * h * h * (1.0 - _EIG_SAFETY)
-            if v > lower * (1.0 + _TIE):
-                lower = v
-                log_thr = np.log(lower + width)
-                wit_len = k
-                wit_word[:k] = word[:k]
-        alive = not (nrm <= 0.0 or np.log(nrm) + e * _LN2 <= k * log_thr)
+        nroot, cand = mroot[s], mcand[s]
+        if cand > lower * (1.0 + _TIE) and not _skipped(nroot, lo):
+            lower = cand
+            log_thr = np.log(lower + width)
+            wit_len = k
+            wit_word[:k] = word[:k]
+        alive = not (mlog[s] <= k * log_thr)
         expand = alive and k < depth_cap
         if alive and not expand:
             saw_frontier = True
-            fm = root(nrm, e, k)
-            if fm > frontier_max:
-                frontier_max = fm
+            frontier_max = max(frontier_max, nroot)
         child = None
         if expand:
             kid = mkid[s]
@@ -459,13 +458,12 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
                     break
                 if m == 1:
                     # a single generator expands only the chain's last node
-                    child, e = memo.end
+                    child = memo.end
                 else:
-                    if parent is None:
-                        parent = _rebuild(stack, word, gens)
-                    child, shift = _fit(parent @ gens[j])
-                    e += shift
-                kid = mkid[s] = _expand(memo, child, e, gens, k,
+                    prod, e = parent or _rebuild(stack, word, gens)
+                    prod, shift = _fit(prod @ gens[j])
+                    child = (prod, e + shift)
+                kid = mkid[s] = _expand(memo, *child, gens, k,
                                         min(depth_cap - k, budget - nodes), lower, fro)
         if j == m - 1:
             stack.pop()

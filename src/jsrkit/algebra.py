@@ -331,9 +331,10 @@ class QuotientAlgebra:
             u, s, _ = np.linalg.svd(P)
             K = np.ascontiguousarray(u[:, :q])
 
-        # structure constants of the quotient in the complement basis
-        T = np.einsum("ia,jb,ijk->abk", K, K, parent.structure)
-        cq = np.einsum("abk,kc->abc", T, np.conj(K))
+        # structure constants of the quotient in the complement basis,
+        # sum_ijk K[i,a] K[j,b] S[i,j,k] conj(K[k,c]), one index at a time
+        T = np.tensordot(np.tensordot(K, parent.structure, (0, 0)), K, (1, 0))  # a, k, b
+        cq = np.tensordot(T, np.conj(K), (1, 0))
 
         unit_q = _find_unit(cq) if q > 0 else None
         unital = unit_q is not None

@@ -209,9 +209,8 @@ def _deepen(gens: np.ndarray, width: float, budget: int, lower_in: float,
         if new_cap <= depth_cap:
             break  # cannot deepen any further
         depth_cap = new_cap
-        (plower, wlen, wword, fmax, saw_frontier, completed, nodes,
-         deep) = refine_pass(gens, depth_cap, width, lower,
-                             budget - nodes_total, frobenius, memo)
+        plower, wlen, wword, fmax, _, completed, nodes, deep = refine_pass(
+            gens, depth_cap, width, lower, budget - nodes_total, frobenius, memo)
         nodes_total += int(nodes)
         deepest = max(deepest, int(deep))
         if plower > lower:
@@ -219,10 +218,8 @@ def _deepen(gens: np.ndarray, width: float, budget: int, lower_in: float,
             if wlen > 0:
                 wit = tuple(int(x) for x in wword[:wlen])
         if completed:
-            cand = lower + width
-            if saw_frontier:
-                cand = max(cand, float(fmax))
-            upper = min(upper, cand)
+            # frontier_max is 0.0 when the pass left no frontier
+            upper = min(upper, max(lower + width, fmax))
         # compared with lower + width as it rounds, not through the
         # difference: a completed pass with no frontier sets upper to it,
         # and a deeper pass would only replay its cut tree

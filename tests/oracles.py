@@ -11,8 +11,12 @@ must reproduce their outputs bit for bit.
 
 import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
+
+import jsrkit
 
 
 def words(size: int, length: int):
@@ -467,3 +471,12 @@ def loop_w_identity(gens):
     w = max(resid(a, b) for a in gens for b in gens)
     top = max(loop_norm(loop_real(g), True) for g in gens)
     return w, w <= 1e-300 or math.sqrt(w) <= 1e-5 * top * top
+
+
+def cli_env() -> dict[str, str]:
+    """os.environ with PYTHONPATH led by the directory that holds the
+    imported jsrkit, so a `python -m jsrkit.cli` child runs the package
+    under test, installed or not."""
+    src = str(Path(jsrkit.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, rest] if rest else [src])}

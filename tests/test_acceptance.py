@@ -299,7 +299,7 @@ def test_a9_reports_are_deterministic(capsys, tmp_path):
         for cmd in runs:
             proc = subprocess.run(
                 [sys.executable, "-m", "jsrkit.cli", *cmd],
-                capture_output=True, check=False)
+                capture_output=True, check=False, env=o.cli_env())
             if proc.returncode != 0:
                 ok = False
             outs.append(proc.stdout)

@@ -11,6 +11,9 @@ NonConvergence, so no other module calls np.linalg.eigvals or eigvalsh.
 
 The lift identities and their pass rules live in lift's report, so the
 CLI takes check_lift_identities from lift and nothing from matrices.
+
+A k-th root is taken by _kernels.root alone: no other function raises to
+a power whose exponent is a quotient, such as x ** (1.0 / k).
 """
 
 import ast
@@ -149,3 +152,55 @@ def test_import_detector_sees_each_form():
         "matrices": {"frobenius_norm", "*"},
         "lift": {"check_lift_identities", "check_w_product_identity", "*"},
         "sets": {"MatrixSet"}}
+
+
+POWERS = {"pow", "power", "float_power"}
+
+
+def root_powers(source: str) -> list[tuple[int, str | None]]:
+    """(line, innermost enclosing function or None) of every power whose
+    exponent is a division: x ** (a / b), x **= a / b, pow(x, a / b) or
+    np.power(x, a / b)."""
+    uses = []
+
+    def is_div(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Pow):
+                exponent = child.right if isinstance(child, ast.BinOp) else child.value
+                if is_div(exponent):
+                    uses.append((child.lineno, fn))
+            elif isinstance(child, ast.Call) and len(child.args) == 2:
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in POWERS and is_div(child.args[1]):
+                    uses.append((child.lineno, fn))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else fn)
+
+    visit(ast.parse(source), None)
+    return sorted(uses, key=lambda u: u[0])
+
+
+def test_only_kernels_root_takes_a_kth_root():
+    found = {(path.name, fn) for path in SRC.glob("*.py")
+             for _, fn in root_powers(path.read_text())}
+    assert found == {("_kernels.py", "root")}
+
+
+def test_power_detector_sees_each_form():
+    source = "\n".join([
+        "def f(x, k):",
+        "    return x ** (1.0 / k)",
+        "def g(e, k):",
+        "    h = 2.0 ** (e / (2 * k))",
+        "    def inner(y):",
+        "        y **= 1 / k",
+        "        return pow(y, 1 / 3) + np.power(y, k / 2)",
+        "    return h ** 2, h ** k, 1.0 / k, pow(h, 2), math.sqrt(h / 2)",
+        "z = w ** (1 / 2)",
+    ])
+    assert root_powers(source) == [(2, "f"), (4, "g"), (6, "inner"), (7, "inner"),
+                                   (7, "inner"), (9, None)]

@@ -420,7 +420,7 @@ class TestCaps:
 class TestDeterminism:
     def run_proc(self, argv):
         cmd = [sys.executable, "-m", "jsrkit.cli"] + argv
-        proc = subprocess.run(cmd, capture_output=True)
+        proc = subprocess.run(cmd, capture_output=True, env=oracles.cli_env())
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 
