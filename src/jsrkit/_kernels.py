@@ -6,6 +6,13 @@ it would get alone, so batched values are bit-identical to one at a time.
 These are the package's only eigensolves; LAPACK's failure in one leaves
 the engine as NonConvergence.
 
+A sweep's radius maxima r_k are taken over necklace representatives:
+rho(ab) = rho(ba), so one word per class of cyclic rotations, its
+lexicographically smallest, is measured (sweep_tree).  In exact
+arithmetic that is the maximum over all words, and the smallest rotation
+is the necklace's first word, so the reported rank is unchanged.
+refine_pass measures every node it expands.
+
 Generators are stored complex128, but a set none of whose entries has
 an imaginary part is measured in float64 from end to end (_real_if_real
 at every entry point): its products, Gram matrices, sums of squares and
@@ -170,38 +177,85 @@ def witness_root(gens, word):
     return root(float(radii(prod[None])[0]), e, len(word)) * (1.0 - _EIG_SAFETY)
 
 
-def _records(vals, best, rank, r0):
-    """Running argmax over vals (lexicographic order, first rank r0).
+def _records(vals, best):
+    """Running argmax over vals, in order.
 
     A value replaces best when it exceeds best * (1 + _TIE); returns the
-    updated (best, rank).  Only strict prefix maxima can do that, so only
+    updated best and the index of the last value that replaced it (-1
+    when none did).  Only strict prefix maxima can replace it, so only
     those are visited.
     """
     run = np.maximum.accumulate(vals)
     if not run[-1] > best * (1.0 + _TIE):
-        return best, rank
-    for i in [0, *(np.flatnonzero(vals[1:] > run[:-1]) + 1).tolist()]:
-        x = vals[i]
+        return best, -1
+    i = -1
+    for j in [0, *(np.flatnonzero(vals[1:] > run[:-1]) + 1).tolist()]:
+        x = vals[j]
         if x > best * (1.0 + _TIE):
-            best = x
-            rank = r0 + i
-    return best, rank
+            best, i = x, j
+    return best, i
 
 
-def sweep_tree(gens, nmax, measures):
-    """Evaluate every product of length 1..nmax under each measure.
+def _least_rotations(first, n, m, k):
+    """Which of the length-k words of ranks first .. first + n - 1 are
+    lexicographically smallest among their cyclic rotations.
 
-    measures is a tuple of functions, each mapping an (N, d, d) stack of
-    products to N floats that scale with them (radii, or norms with fro
-    bound by functools.partial); only these are evaluated.  Returns one
-    (best, exps, ranks) per measure: best[k] * 2**exps[k] is its maximum
-    over the words of length k and ranks[k] the lexicographic rank of the
-    smallest maximizing word (its letters are the base-m digits).  Index 0
-    is unused; best stays at -1 there.
+    A rank's base-m digits are the word's letters, so the rotation by s
+    letters maps rank r to (r mod m**(k-s)) * m**s + r div m**(k-s).
+    Ranks of m**k >= 2**63 are compared as Python ints.
+    """
+    if m == 1 or k == 1:
+        return np.ones(n, bool)
+    dtype = np.int64 if m**k < 2**63 else object
+    r = first + np.arange(n, dtype=dtype)
+    tail = np.array([m**(k - s) for s in range(1, k)], dtype)[:, None]
+    head = r // tail
+    return ((r - head * tail) * (m**k // tail) + head >= r).all(axis=0)
+
+
+def _update(side, k, vals, le, first, idx):
+    """Fold the values of the length-k words of ranks first + idx, each
+    read as vals[i] * 2**le (le an int, or one per word of the level),
+    into side's (best, exps, ranks) at depth k."""
+    best, exps, ranks = side
+    if isinstance(le, int):
+        new, i = _records(vals, scale(best[k], exps[k] - le))
+        if i >= 0:
+            best[k], exps[k], ranks[k] = new, le, first + int(idx[i])
+        return
+    # one exponent per product: _records' rule, one at a time
+    for y, ey, j in zip(vals.tolist(), le[idx].tolist(), idx.tolist()):
+        if y > scale(best[k], exps[k] - ey) * (1.0 + _TIE):
+            best[k], exps[k], ranks[k] = y, ey, first + j
+
+
+def sweep_tree(gens, nmax, fro=None, rho=False):
+    """Maxima of the norm and of the spectral radius over the words of
+    each length 1..nmax.
+
+    fro picks the norm side: None for no norms, else the Frobenius (True)
+    or operator 2-norm (False) of every word; rho asks for the radius
+    side.  Returns (norms, radii), each (best, exps, ranks) or None when
+    not asked for: best[k] * 2**exps[k] is the maximum over the words of
+    length k and ranks[k] the lexicographic rank of the smallest word
+    attaining it (its letters are the base-m digits).  Index 0 is unused;
+    best stays at -1 there.
+
+    rho(ab) = rho(ba), so every cyclic rotation of a word has its radius,
+    and the radius side measures one word per necklace: the rotation that
+    is lexicographically smallest (_least_rotations), which is also the
+    necklace's first word in lexicographic order, so ranks[k] stays the
+    smallest word attaining the maximum.  Its best[k] is the maximum over
+    these representatives, which in exact arithmetic is the maximum over
+    all words.  When norms are measured too, a representative whose norm
+    times (1 + _SKIP_SLACK) is at most the best radius its depth held
+    before the block is not measured either: its computed radius, at most
+    (1 + O(d u)) times its computed norm, could not set a record.  The
+    first word of each depth, 0^k, is always measured.
 
     The tree is cut into blocks: one block holds the products of every
     word below one prefix, down to a few levels, and is evaluated with one
-    batched call per measure.  Blocks are walked depth-first, prefixes in
+    batched call per side.  Blocks are walked depth-first, prefixes in
     lexicographic order, so each depth sees its words in lexicographic
     order.  Products are formed left to right, as a one-word-at-a-time
     walk forms them, each level from the one above it, each product of
@@ -210,9 +264,12 @@ def sweep_tree(gens, nmax, measures):
     """
     gens, e1 = _fit(_real_if_real(gens))
     m, d, _ = gens.shape
-    best = [np.full(nmax + 1, -1.0) for _ in measures]
-    exps = [[0] * (nmax + 1) for _ in measures]
-    ranks = [[0] * (nmax + 1) for _ in measures]
+
+    def side():  # best, exps and ranks by depth
+        return np.full(nmax + 1, -1.0), [0] * (nmax + 1), [0] * (nmax + 1)
+
+    nside = None if fro is None else side()
+    rside = side() if rho else None
     # levels per full block: m + m^2 + ... + m^h products fit the cap
     cap = max(m, _BLOCK_BYTES // (16 * d * d))
     h_max, size, total = 0, 1, 0
@@ -236,38 +293,47 @@ def sweep_tree(gens, nmax, measures):
         counts = [m**t for t in range(1, h + 1)]
         buf = np.empty((sum(counts), d, d), gens.dtype)
         prev = leaves[i:i + 1]
-        level_exps = []
+        base = r0 + i
+        # per level: depth k, offset in buf, count, exponent, first rank
+        levels = []
         off = 0
-        for n in counts:
+        for k, n in zip(range(p + 1, p + h + 1), counts):
             out = buf[off:off + n]
             np.matmul(prev[:, None], gens[None], out=out.reshape(n // m, m, d, d))
             if not isinstance(e, int):
                 e = np.repeat(e, m)
-            level_exps.append(e)
+            levels.append((k, off, n, e, base * n))
             prev, s = _fit_rows(out)
             e = e + s
             off += n
-        vals = [f(buf) for f in measures]
-        off = 0
-        base = r0 + i
-        for k, n, le in zip(range(p + 1, p + h + 1), counts, level_exps):
-            first = base * n
-            for b, x, r, v in zip(best, exps, ranks, vals):
-                if isinstance(le, int):
-                    old = scale(b[k], x[k] - le)
-                    new, r[k] = _records(v[off:off + n], old, r[k], first)
-                    if new != old:
-                        b[k], x[k] = new, le
-                    continue
-                # one exponent per product: _records' rule, one at a time
-                for j, (y, ey) in enumerate(zip(v[off:off + n].tolist(), le.tolist())):
-                    if y > scale(b[k], x[k] - ey) * (1.0 + _TIE):
-                        b[k], x[k], r[k] = y, ey, first + j
-            off += n
+        if nside is not None:
+            nrm = norms(buf, fro)
+            for k, off, n, le, first in levels:
+                _update(nside, k, nrm[off:off + n], le, first, np.arange(n))
+        if rside is not None:
+            # per level, the indices into buf of the words whose radii it measures
+            picks = []
+            for k, off, n, le, first in levels:
+                idx = off + np.flatnonzero(_least_rotations(first, n, m, k))
+                if nside is not None:
+                    # the best radius depth k held before this block, read
+                    # at each word's exponent
+                    best, exps, _ = rside
+                    shifts = exps[k] - (le if isinstance(le, int) else le[idx - off])
+                    thr = np.array([scale(best[k], x) for x in np.ravel(shifts).tolist()])
+                    idx = idx[~(nrm[idx] * (1.0 + _SKIP_SLACK) <= thr)]
+                picks.append(idx)
+            rad = radii(buf[np.concatenate(picks)])
+            at = 0
+            for (k, off, _, le, first), idx in zip(levels, picks):
+                if idx.size:
+                    _update(rside, k, rad[at:at + idx.size], le, first, idx - off)
+                    at += idx.size
         if p + h < nmax:
             stack.append([prev.copy(), e, p + h, base * counts[-1], 0])
-    return tuple((b, [x + k * e1 for k, x in enumerate(xs)], r)
-                 for b, xs, r in zip(best, exps, ranks))
+    return tuple(None if side is None else
+                 (side[0], [x + k * e1 for k, x in enumerate(side[1])], side[2])
+                 for side in (nside, rside))
 
 
 class Memo:

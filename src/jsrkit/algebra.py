@@ -526,7 +526,7 @@ def rcq_membership(A: FDAlgebra, x) -> RcqReport:
     wit_word = None
     wit_rho = 0.0
     for n in range(1, n_cap + 1):
-        [radii] = _sweep(S, n, (_kernels.radii,), witness_budget + S.size)
+        _, radii = _sweep(S, n, witness_budget + S.size, rho=True)
         v = radii.scale[n - 1]
         if v > _WITNESS_RHO:
             wit_word = radii.word(n)

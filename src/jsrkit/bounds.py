@@ -116,19 +116,22 @@ class BergerWangReport:
 def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> LowerBound:
     """Best spectral-radius root over all words of length <= n.
 
-    Ties resolve as the sweep resolves them (within 1e-12 relative, see
+    rho is invariant under cyclic rotation, so the sweep measures one word
+    per necklace, the smallest of its rotations: the maximum over these
+    equals the maximum over all words in exact arithmetic.  Ties resolve
+    as the sweep resolves them (within 1e-12 relative, see
     _kernels._records): to the shortest word, then the lexicographically
     smallest.
     """
-    [radii] = _sweep(M, n, (_kernels.radii,), budget)
-    best, k = _kernels._records(np.asarray(radii.root), -1.0, 0, 1)
-    return LowerBound(max(float(best), 0.0), radii.word(k))
+    _, radii = _sweep(M, n, budget, rho=True)
+    best, i = _kernels._records(np.asarray(radii.root), -1.0)
+    return LowerBound(max(float(best), 0.0), radii.word(i + 1))
 
 
 def upper_bound(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
                 frobenius: bool = False) -> float:
     """Best norm root min_{k<=n} (max_{|w|=k} ||P_w||)^(1/k)."""
-    [norms] = _sweep(M, n, (partial(_kernels.norms, fro=frobenius),), budget)
+    norms, _ = _sweep(M, n, budget, fro=frobenius)
     return min(norms.root)
 
 
@@ -137,16 +140,17 @@ def sandwich_profiles(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
     """Cumulative (lower, upper) sandwich values for every depth 1..n.
 
     Returns arrays (r, beta) of length n where r[k-1] = lower_bound_r(M, k)
-    value and beta[k-1] = upper_bound(M, k), from a single sweep.
+    value and beta[k-1] = upper_bound(M, k), from a single sweep.  Norms
+    are measured on every word, radii on necklace representatives (as in
+    lower_bound_r) whose norm could still beat their depth's best radius.
     """
-    norms, radii = _sweep(M, n, (partial(_kernels.norms, fro=frobenius), _kernels.radii),
-                          budget)
+    norms, radii = _sweep(M, n, budget, fro=frobenius, rho=True)
     return np.maximum.accumulate(radii.root), np.minimum.accumulate(norms.root)
 
 
 def _lower_profile(M: MatrixSet, n: int, budget: int) -> np.ndarray:
     """The r array of sandwich_profiles alone, from a radius-only sweep."""
-    [radii] = _sweep(M, n, (_kernels.radii,), budget)
+    _, radii = _sweep(M, n, budget, rho=True)
     return np.maximum.accumulate(radii.root)
 
 

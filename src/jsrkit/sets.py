@@ -1,7 +1,6 @@
 """Finite matrix sets, product words, and exhaustive norm sweeps."""
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -98,6 +97,9 @@ class Peaks(NamedTuple):
     scale[k-1] is the maximum over the words of length k (inf past the
     double range), root[k-1] its k-th root (finite even where scale is
     not), and word(k) the lexicographically smallest word attaining it.
+    A spectral radius is taken over necklace representatives, each the
+    smallest of its word's cyclic rotations (_kernels.sweep_tree): in
+    exact arithmetic that is the maximum over all words.
     """
 
     scale: list[float]
@@ -109,11 +111,14 @@ class Peaks(NamedTuple):
         return _word_at(self.ranks, k, self.size)
 
 
-def _sweep(M: MatrixSet, nmax: int, measures: tuple, budget: int) -> list[Peaks]:
-    """The Peaks of each measure over every word of length 1..nmax, within budget.
+def _sweep(M: MatrixSet, nmax: int, budget: int, *, fro: bool | None = None,
+           rho: bool = False) -> tuple[Peaks | None, Peaks | None]:
+    """The (norm, radius) Peaks over the words of length 1..nmax, within budget.
 
-    The only reader of _kernels.sweep_tree's (mantissa, exponent, rank)
-    output.
+    The norm side (Frobenius when fro, operator 2-norm when not, None when
+    fro is None) and the radius side (None unless rho) are those of
+    _kernels.sweep_tree, the only reader of whose (mantissa, exponent,
+    rank) output this is.
     """
     if nmax < 1:
         raise ShapeError("depth must be >= 1")
@@ -122,9 +127,15 @@ def _sweep(M: MatrixSet, nmax: int, measures: tuple, budget: int) -> list[Peaks]
         raise BudgetExceeded(
             f"sweep to depth {nmax} needs {total} words, budget is {budget}")
     depths = range(1, nmax + 1)
-    return [Peaks([_kernels.scale(float(best[k]), exps[k]) for k in depths],
-                  [_kernels.root(float(best[k]), exps[k], k) for k in depths], ranks, M.size)
-            for best, exps, ranks in _kernels.sweep_tree(M.gens, nmax, measures)]
+    out = []
+    for side in _kernels.sweep_tree(M.gens, nmax, fro, rho):
+        if side is not None:
+            best, exps, ranks = side
+            side = Peaks([_kernels.scale(float(best[k]), exps[k]) for k in depths],
+                         [_kernels.root(float(best[k]), exps[k], k) for k in depths],
+                         ranks, M.size)
+        out.append(side)
+    return tuple(out)
 
 
 def _word_at(ranks, k: int, size: int) -> Word:
@@ -143,7 +154,7 @@ def _word_at(ranks, k: int, size: int) -> Word:
 def set_norm(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
              frobenius: bool = False) -> float:
     """max over words w of length n of ||product(w)||, by full enumeration."""
-    [norms] = _sweep(M, n, (partial(_kernels.norms, fro=frobenius),), budget)
+    norms, _ = _sweep(M, n, budget, fro=frobenius)
     return norms.scale[n - 1]
 
 
@@ -156,7 +167,7 @@ def leading_products(M: MatrixSet, nmax: int, *, budget: int = config.MAX_WORDS,
     lexicographically smallest word.  Norms along the list are
     nondecreasing.
     """
-    [norms] = _sweep(M, nmax, (partial(_kernels.norms, fro=frobenius),), budget)
+    norms, _ = _sweep(M, nmax, budget, fro=frobenius)
     out: list[LeadingProduct] = []
     running = 0.0
     for k, v in enumerate(norms.scale, 1):

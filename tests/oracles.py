@@ -210,7 +210,7 @@ def loop_rho(a):
     return r
 
 
-def loop_sweep_tree(gens, nmax, want_rho, fro):
+def loop_sweep_tree(gens, nmax, want_rho, fro, every_word=False):
     """Evaluate every product of length 1..nmax in lexicographic DFS order.
 
     A product P * 2**e is measured as formed, and fitted before it becomes
@@ -222,6 +222,10 @@ def loop_sweep_tree(gens, nmax, want_rho, fro):
     lexicographically smallest maximizing word per depth, and the number
     of evaluated words.  Index 0 of the per-depth arrays is unused and
     stays at -1.
+
+    The norm is measured on every word.  rho is invariant under cyclic
+    rotation, so it is measured only on words that are <= each of their
+    rotations, one per necklace, unless every_word is set.
     """
     gens, e1 = loop_fit(loop_real(gens))
     m, d, _ = gens.shape
@@ -238,6 +242,10 @@ def loop_sweep_tree(gens, nmax, want_rho, fro):
             for t in range(k if m > 1 else 0):
                 words[name][k, t] = word[t]
 
+    def least_rotation(w):
+        # a single generator's only word of each length is its own rotation
+        return m == 1 or all(w <= w[s:] + w[:s] for s in range(1, len(w)))
+
     prod = np.empty((nmax + 1, d, d), gens.dtype)
     prod[0] = np.eye(d, dtype=gens.dtype)
     pexp = [0] * (nmax + 1)
@@ -252,7 +260,7 @@ def loop_sweep_tree(gens, nmax, want_rho, fro):
         pexp[k] = pexp[k - 1] + s + e1
         nodes += 1
         record("norm", k, loop_norm(prod[k], fro), pexp[k], word)
-        if want_rho:
+        if want_rho and (every_word or least_rotation(tuple(word[:k].tolist()))):
             record("rho", k, loop_rho(prod[k]), pexp[k], word)
         if depth < nmax:
             depth += 1
@@ -264,6 +272,63 @@ def loop_sweep_tree(gens, nmax, want_rho, fro):
                 word[depth - 1] += 1
     return (best["norm"], exps["norm"], best["rho"], exps["rho"],
             words["norm"], words["rho"], nodes)
+
+
+def unimodular(rng, d):
+    """(S, S^-1), exact int64 and d >= 2: S is the product of 3d
+    elementary row operations, row i += c row j with c in -2..2."""
+    s, inv = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
+    for _ in range(3 * d):
+        i, j = rng.choice(d, 2, replace=False)
+        c = int(rng.integers(-2, 3))
+        e = np.eye(d, dtype=np.int64)
+        e[i, j] = c
+        s = e @ s
+        e[i, j] = -c
+        inv = inv @ e
+    return s, inv
+
+
+def integer_triangular_sets(seed, count):
+    """count pairs (gens, rho) of dense integer sets with an exact rho.
+
+    Each set is S T_k S^-1 for one S from unimodular and upper
+    triangular integer T_k with a strict part in -2..2 and a diagonal in
+    -3..3, so rho is the largest |diagonal entry|.  d is 2..5 and m is
+    1..3; every second set has a constant diagonal in each generator,
+    which makes its products defective.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(count):
+        d, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        tri = np.triu(rng.integers(-2, 3, (m, d, d)), 1)
+        diag = rng.integers(-3, 4, (m, 1) if t % 2 else (m, d))
+        tri[:, np.arange(d), np.arange(d)] = diag
+        s, inv = unimodular(rng, d)
+        out.append(((s @ tri @ inv).astype(float), float(np.abs(diag).max())))
+    return out
+
+
+def jordan_pairs():
+    """{A, A A / 2} for d = 2..5, A = S J_d S^-1 exact integer (S from
+    unimodular on one default_rng(3)): a commuting defective pair whose
+    JSR is exactly 1."""
+    rng = np.random.default_rng(3)
+    out = {}
+    for d in range(2, 6):
+        s, inv = unimodular(rng, d)
+        a = s @ (np.eye(d, dtype=np.int64) + np.eye(d, k=1, dtype=np.int64)) @ inv
+        out[d] = np.stack([a, a @ a / 2.0])
+    return out
+
+
+def loop_full_radii(gens, nmax):
+    """The radius maxima over every word of each length 1..nmax, the
+    rotations of a necklace included: (best, exps, words) of
+    loop_sweep_tree with every_word set."""
+    _, _, best, exps, _, words, _ = loop_sweep_tree(gens, nmax, True, False, every_word=True)
+    return best, exps, words
 
 
 def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):

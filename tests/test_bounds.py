@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import itertools
 import math
 import tracemalloc
@@ -400,7 +399,11 @@ BAND_CASES = {"band-high": 2.0**200 * ENGINE_CASES["golden"],
               "tiny-cycle": TINY_CYCLE,
               "path-and-scalar": PATH_AND_SCALAR}
 PASS_CASES = {**ENGINE_CASES, **BAND_CASES}
-SWEEP_CASES = {**ENGINE_CASES, **BAND_CASES,
+# diagonal, so every product's rho is its norm: at each depth the last
+# word, 1^k, beats the record of the first, 0^k, by (1 + 2**-20)^k, and a
+# sweep that skipped radii on a wider norm margin than refine's would miss it
+NEAR_TIE = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + 2.0**-20])]).astype(complex)
+SWEEP_CASES = {**ENGINE_CASES, **BAND_CASES, "near-tie": NEAR_TIE,
                **{f"{k}-single": g[:1] for k, g in BAND_CASES.items() if k.startswith("band")}}
 
 
@@ -536,17 +539,17 @@ def _report(M, width, budget, fro=False):
             for k, v in refine(M, width, budget, frobenius=fro).to_dict().items()}
 
 
-class _CountNorms:
-    """Wraps _kernels.norms and counts the matrices it measures."""
+class _Counted:
+    """Wraps _kernels.norms or _kernels.radii and counts the matrices it measures."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, name="norms"):
         self.matrices = 0
-        self._norms = _kernels.norms
-        monkeypatch.setattr(_kernels, "norms", self)
+        self._measure = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, self)
 
-    def __call__(self, stack, fro):
+    def __call__(self, stack, *args):
         self.matrices += stack.shape[0]
-        return self._norms(stack, fro)
+        return self._measure(stack, *args)
 
 
 class TestBatchedEngine:
@@ -571,28 +574,21 @@ class TestBatchedEngine:
         gens = SWEEP_CASES[name]
         m = gens.shape[0]
         n = SWEEP_DEPTH[m]
-        norm = functools.partial(_kernels.norms, fro=fro)
         bn, bne, br, bre, nw, rw, _ = oracles.loop_sweep_tree(gens, n, True, fro)
-        loop = {norm: (bn, bne, nw), _kernels.radii: (br, bre, rw)}
-        for measures in ((norm,), (_kernels.radii,), (norm, _kernels.radii)):
-            got = _kernels.sweep_tree(gens, n, measures)
-            assert len(got) == len(measures)
-            for f, (best, exps, ranks) in zip(measures, got):
-                want, want_exps, words = loop[f]
-                assert _hex(best) == _hex(want)
+        for norm_side, rho in ((fro, False), (None, True), (fro, True)):
+            got = _kernels.sweep_tree(gens, n, norm_side, rho)
+            want = (None if norm_side is None else (bn, bne, nw),
+                    (br, bre, rw) if rho else None)
+            for side, loop in zip(got, want):
+                assert (side is None) == (loop is None)
+                if side is None:
+                    continue
+                (best, exps, ranks), (want_best, want_exps, words) = side, loop
+                assert _hex(best) == _hex(want_best)
                 assert exps == want_exps
                 for k in range(1, n + 1):
                     loop_w = (0,) * k if m == 1 else tuple(words[k, :k].tolist())
                     assert _word_at(ranks, k, m) == loop_w
-        # every word is measured exactly once
-        sizes = []
-
-        def size(stack):
-            sizes.append(stack.shape[0])
-            return np.zeros(stack.shape[0])
-
-        _kernels.sweep_tree(gens, n, (size,))
-        assert sum(sizes) == tree_size(m, n)
 
     @pytest.mark.parametrize("name", sorted(LOWER_CASES))
     def test_lower_bound_r_matches_loop(self, name):
@@ -658,7 +654,7 @@ class TestBatchedEngine:
             passes.append((depth_cap, res[7], len(memo.kid)))
             return res
 
-        count = _CountNorms(monkeypatch)
+        count = _Counted(monkeypatch)
         monkeypatch.setattr(bounds, "refine_pass", spy)
         rep = refine(M, width, budget)
         assert rep.converged and rep.depth_used == 1166
@@ -672,7 +668,7 @@ class TestBatchedEngine:
         # caps 1..8, 16, ..., 1024 visit 2,068 nodes, so the cap-2048 pass
         # runs out of budget at depth 1,524, inside a block of 341 products
         M = REFINE_CASES["jordan-d2"][0]
-        count = _CountNorms(monkeypatch)
+        count = _Counted(monkeypatch)
         rep = refine(M, 1e-3, 2068 + 1524)
         assert not rep.converged and rep.nodes_explored == 2068 + 1524
         assert rep.depth_used == 1524
@@ -683,7 +679,7 @@ class TestBatchedEngine:
         # single generator's refine to depth 4096 measures each depth once
         # but counts every visit against the budget
         M = MatrixSet.from_matrices([_unipotent(2)])
-        count = _CountNorms(monkeypatch)
+        count = _Counted(monkeypatch)
         rep = refine(M, 1e-6, 10**6)
         assert rep.depth_used == 4096
         assert rep.nodes_explored == sum(range(1, 9)) + sum(2**t for t in range(4, 13))
@@ -697,7 +693,7 @@ class TestBatchedEngine:
         # passes after it measure again what they would have replayed;
         # each cap is below the set's memo but leaves its depth limit alone
         M, width, budget = REFINE_CASES[name]
-        count = _CountNorms(monkeypatch)
+        count = _Counted(monkeypatch)
         kept = _report(M, width, budget)
         measured = count.matrices
         monkeypatch.setattr(bounds, "_STACK_BYTES", cap)
@@ -721,12 +717,12 @@ class TestBatchedEngine:
         rep = verify_berger_wang(M, tol=1e-12, budget=8191)
         assert rep.depth_reached == 4096 and rep.words_evaluated == 8191
         bn, bne, br, bre, _, _, _ = oracles.loop_sweep_tree(M.gens, 4096, True, False)
-        norm = functools.partial(_kernels.norms, fro=False)
-        for measures, want in (((norm,), [(bn, bne)]), ((_kernels.radii,), [(br, bre)]),
-                               ((norm, _kernels.radii), [(bn, bne), (br, bre)])):
-            got = _kernels.sweep_tree(M.gens, 4096, measures)
-            assert [(_hex(best), exps) for best, exps, _ in got] == \
-                [(_hex(b), e) for b, e in want]
+        for sides, want in (((False, False), [(bn, bne), None]),
+                            ((None, True), [None, (br, bre)]),
+                            ((False, True), [(bn, bne), (br, bre)])):
+            got = _kernels.sweep_tree(M.gens, 4096, *sides)
+            assert [side and (_hex(side[0]), side[1]) for side in got] == \
+                [w and (_hex(w[0]), w[1]) for w in want]
 
     def test_sweeps_compute_only_what_they_read(self, monkeypatch):
         # the lower end reads only radii and the upper end only norms
@@ -807,6 +803,125 @@ class TestBatchedEngine:
             tracemalloc.stop()
         assert rep.depth_used == 4096
         assert peak < 384 * 1024
+
+
+def _necklaces(m, k):
+    """Moreau's count of necklaces of k beads in m colours:
+    (1/k) sum over d | k of phi(d) m**(k/d)."""
+    def phi(d):
+        return sum(math.gcd(i, d) == 1 for i in range(1, d + 1))
+    return sum(phi(d) * m ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+
+
+def _least(word):
+    """Whether a word (a tuple) is <= each of its cyclic rotations."""
+    return all(word <= word[s:] + word[:s] for s in range(1, len(word)))
+
+
+def _digits(r, m, k):
+    """The length-k word of rank r over m letters, most significant first."""
+    out = []
+    for _ in range(k):
+        r, x = divmod(r, m)
+        out.append(x)
+    return tuple(reversed(out))
+
+
+# dense integer sets with defective products (exact rho, see oracles)
+DEFECTIVE_CASES = {
+    **{f"triangular-{i}": g for i, (g, _) in enumerate(oracles.integer_triangular_sets(2026, 24))},
+    **{f"jordan-pair-d{d}": g for d, g in oracles.jordan_pairs().items()},
+}
+
+
+class TestNecklaceSweep:
+    """The radius side of a sweep measures one word per necklace."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_least_rotations_match_brute_force(self, m):
+        rng = np.random.default_rng(m)
+        for k in range(1, 9):
+            total = m**k
+            brute = [_least(w) for w in itertools.product(range(m), repeat=k)]
+            # the whole level; windows that start just before the first
+            # rank of a new prefix of each length, as a block's do not;
+            # and random windows
+            windows = [(0, total)]
+            windows += [(max(0, c * m**j - 2), 5) for j in range(1, k) for c in (1, m - 1)]
+            for _ in range(8):
+                a = int(rng.integers(0, total))
+                windows.append((a, int(rng.integers(1, total - a + 1))))
+            for a, n in windows:
+                n = min(n, total - a)
+                got = _kernels._least_rotations(a, n, m, k)
+                assert got.dtype == bool and got.tolist() == brute[a:a + n], (k, a, n)
+
+    @pytest.mark.parametrize("m,k", [(2, 62), (3, 39), (2, 63), (2, 64), (2, 70), (3, 41),
+                                     (4, 33), (4, 40)])
+    def test_least_rotations_near_and_past_int64(self, m, k):
+        # ranks stay exact below 2**63 (int64) and past it (Python ints)
+        total = m**k
+        for a in (0, 2**62 - 7, 2**63 - 7, total // 3, total - 40):
+            if 0 <= a < total:
+                n = min(40, total - a)
+                want = [_least(_digits(r, m, k)) for r in range(a, a + n)]
+                got = _kernels._least_rotations(a, n, m, k)
+                assert got.dtype == bool and got.tolist() == want
+
+    def test_necklace_count(self):
+        assert [_necklaces(2, k) for k in range(1, 9)] == [2, 3, 4, 6, 8, 14, 20, 36]
+        assert [_necklaces(3, k) for k in range(1, 7)] == [3, 6, 11, 24, 51, 130]
+        for m, k in ((2, 8), (3, 5), (4, 4)):
+            count = sum(_least(w) for w in itertools.product(range(m), repeat=k))
+            assert count == _necklaces(m, k)
+
+    @pytest.mark.parametrize("block_bytes", [_kernels._BLOCK_BYTES, 256])
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+    def test_radii_measure_one_word_per_necklace(self, name, block_bytes, monkeypatch):
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
+        M = MatrixSet(SWEEP_CASES[name])
+        n = SWEEP_DEPTH[M.size]
+        necklaces = sum(_necklaces(M.size, k) for k in range(1, n + 1))
+        radii = _Counted(monkeypatch, "radii")
+        norms = _Counted(monkeypatch, "norms")
+        lower_bound_r(M, n)
+        assert (radii.matrices, norms.matrices) == (necklaces, 0)
+        for fro in (False, True):
+            radii.matrices = norms.matrices = 0
+            sandwich_profiles(M, n, frobenius=fro)
+            assert 0 < radii.matrices <= necklaces
+            if name in ("refine-2x5x5", "path-and-scalar", "zero"):
+                # words whose norm cannot beat their depth's best radius
+                assert radii.matrices < necklaces
+            assert norms.matrices == tree_size(M.size, n)
+
+    @pytest.mark.parametrize("name", sorted(LOWER_CASES))
+    def test_radii_equal_the_full_enumeration(self, name):
+        # on these sets no rotation's radius beats its necklace's first
+        # word by the tie margin, so skipping rotations moves nothing
+        gens = LOWER_CASES[name]
+        m = gens.shape[0]
+        n = SWEEP_DEPTH[m]
+        best, exps, words = oracles.loop_full_radii(gens, n)
+        for fro in (None, False, True):
+            _, (got, got_exps, ranks) = _kernels.sweep_tree(gens, n, fro, True)
+            assert _hex(got) == _hex(best) and got_exps == exps
+            for k in range(1, n + 1):
+                loop_w = (0,) * k if m == 1 else tuple(words[k, :k].tolist())
+                assert _word_at(ranks, k, m) == loop_w
+
+    @pytest.mark.parametrize("name", sorted(DEFECTIVE_CASES))
+    def test_defective_radii_stay_under_the_full_enumeration(self, name):
+        # a rotation's computed radius can beat its necklace's first word
+        # on a defective product, but never the full maximum's tie margin:
+        # every value is at most the full record times (1 + _TIE)
+        gens = DEFECTIVE_CASES[name]
+        n = SWEEP_DEPTH[gens.shape[0]]
+        best, exps, _ = oracles.loop_full_radii(gens, n)
+        for fro in (None, False, True):
+            _, (got, got_exps, _) = _kernels.sweep_tree(gens, n, fro, True)
+            for k in range(1, n + 1):
+                assert math.ldexp(got[k], got_exps[k] - exps[k]) <= best[k] * (1 + _kernels._TIE)
 
 
 def _closed_form(M):
@@ -1095,6 +1210,24 @@ def test_refine_is_scale_covariant(seed, s):
     rep = refine(MatrixSet(2.0**s * M.gens), 2.0**s * 0.05, 20_000)
     back = (rep.lower * 2.0**-s, rep.upper * 2.0**-s)
     assert interval_distance(base.interval, back) == 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), s=st.sampled_from([0, 600, -600]), fro=st.booleans())
+def test_sandwich_profiles_match_full_enumeration(seed, s, fro):
+    # beta is the norm maxima over every word bit for bit, and r never
+    # exceeds the radius maxima over every word by more than the tie margin
+    rng = np.random.default_rng(seed)
+    d, m, n = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 7))
+    g = oracles.random_set(rng, d, m, complex_entries=bool(seed % 2))
+    M = MatrixSet(2.0**s * g)
+    r, beta = sandwich_profiles(M, n, frobenius=fro)
+    bn, bne, _, _, _, _, _ = oracles.loop_sweep_tree(M.gens, n, False, fro)
+    want = np.minimum.accumulate([oracles._root(float(bn[k]), bne[k], k) for k in range(1, n + 1)])
+    assert _hex(beta) == _hex(want)
+    full = [max(oracles.eig_rho(oracles.word_product(g, w)) for w in oracles.words(m, k))
+            ** (1.0 / k) for k in range(1, n + 1)]
+    assert np.all(r <= 2.0**s * np.maximum.accumulate(full) * (1.0 + _kernels._TIE))
 
 
 class TestNilpotencyHook:
