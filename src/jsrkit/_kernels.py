@@ -341,8 +341,9 @@ class Memo:
 
     One record per expanded node: m slots, one per child P of length k,
     with ||P||^(1/k), rho(P)^(1/k) shaved by _EIG_SAFETY (-1 where eigvals
-    was skipped, which only a lower above 0 does), log ||P|| (-inf for a
-    zero norm) and the index of P's own record (-1 until it is expanded).
+    was skipped, which only a lower above 0 does; kept as is when lower
+    grows), log ||P|| (-inf for a zero norm) and the index of P's own
+    record (-1 until it is expanded).
     A stored child costs 32 bytes.  Only a single generator's chain of
     one-slot records keeps a product: end, its last node's, fitted, with
     its exponent.
@@ -362,11 +363,6 @@ class Memo:
         return 32 * len(self.kid)
 
 
-def _skipped(r, lower):
-    """Whether eigvals is skipped for a child whose norm root is r."""
-    return lower > 0.0 and r * (1.0 + _SKIP_SLACK) <= lower
-
-
 def _measure(memo, kids, lengths, exps, lower, fro):
     """Append one slot per product in kids (of length lengths[i], times
     2**exps[i]) to memo, with no child record yet: the one place a node's
@@ -375,7 +371,8 @@ def _measure(memo, kids, lengths, exps, lower, fro):
     nrm = norms(kids, fro).tolist()
     nroot = [root(x, e, k) for x, e, k in zip(nrm, exps, lengths)]
     cand = [-1.0] * len(nrm)
-    want = [i for i, r in enumerate(nroot) if not _skipped(r, lower)]
+    want = [i for i, r in enumerate(nroot)
+            if not (lower > 0.0 and r * (1.0 + _SKIP_SLACK) <= lower)]
     if want:
         for i, r in zip(want, radii(kids[want]).tolist()):
             cand[i] = root(r, exps[i], lengths[i]) * (1.0 - _EIG_SAFETY)
@@ -427,10 +424,10 @@ def _expand(memo, prod, e, gens, k, room, lower, fro):
 def _rebuild(stack, word, gens):
     """(P, e), P fitted, of the top frame's node, from the deepest frame with one."""
     i = len(stack) - 1
-    while i >= 0 and stack[i][3] is None:
+    while i >= 0 and stack[i][2] is None:
         i -= 1
     if i >= 0:
-        (prod, e), t = stack[i][3], stack[i][1] - 1
+        (prod, e), t = stack[i][2], stack[i][1] - 1
     else:
         prod, e, t = np.eye(gens.shape[1], dtype=gens.dtype), 0, 0
     for frame in stack[i + 1:]:
@@ -438,7 +435,7 @@ def _rebuild(stack, word, gens):
             prod, s = _fit(prod @ gens[word[t]])
             e += s
             t += 1
-        frame[3] = (prod, e)
+        frame[2] = (prod, e)
     return prod, e
 
 
@@ -454,9 +451,10 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     The walk is a lexicographic depth-first search.  Expanding a node
     measures all of its children in one batch into memo (see _measure), and
     a node memo holds is replayed from it: a visit only compares the stored
-    roots and log-norm.  A replayed candidate root is ignored where eigvals
-    would be skipped under the lower at its expansion, as a fresh expansion
-    skips it, so a pass reports the same with or without an earlier memo.
+    roots and log-norm.  A stored candidate root counts wherever it beats
+    lower by _TIE: one a fresh expansion would skip (_SKIP_SLACK) is at most
+    its norm root, so at most lower, and a pass reports the same with or
+    without an earlier memo.
     A memo may serve later passes over the same gens and fro whose
     lower_in is at least the lower every earlier pass returned (refine's
     deepening does this).
@@ -487,24 +485,24 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     wit_len = nodes = deepest = 0
     frontier_max, saw_frontier, completed = 0.0, False, True
 
-    # frame: [record, child length k, lower at expansion, the parent's
-    # fitted (P, e) or None until needed, next child]
-    stack = [[0, 1, lower, (np.eye(d, dtype=gens.dtype), 0), 0]]
+    # frame: [record, child length k, the parent's fitted (P, e) or None
+    # until needed, next child]
+    stack = [[0, 1, (np.eye(d, dtype=gens.dtype), 0), 0]]
     if not mkid:
-        _expand(memo, *stack[0][3], gens, 0, min(depth_cap, budget), lower, fro)
+        _expand(memo, *stack[0][2], gens, 0, min(depth_cap, budget), lower, fro)
     while stack:
         if nodes >= budget:
             completed = False
             break
         top = stack[-1]
-        rec, k, lo, parent, j = top
+        rec, k, parent, j = top
         word[k - 1] = j
         nodes += 1
         if k > deepest:
             deepest = k
         s = rec * m + j
         nroot, cand = mroot[s], mcand[s]
-        if cand > lower * (1.0 + _TIE) and not _skipped(nroot, lo):
+        if cand > lower * (1.0 + _TIE):
             lower = cand
             log_thr = np.log(lower + width)
             wit_len = k
@@ -534,9 +532,9 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
         if j == m - 1:
             stack.pop()
         else:
-            top[4] = j + 1
+            top[3] = j + 1
         if expand:
-            stack.append([kid, k + 1, lower, child, 0])
+            stack.append([kid, k + 1, child, 0])
     # with no new witness lower_in stands as given: scaled, it may have
     # left the double range (a block far below the one that set it)
     return (scale(lower, e1) if wit_len else lower_in, wit_len, wit_word,

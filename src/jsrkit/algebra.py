@@ -391,10 +391,11 @@ class QuotientAlgebra:
     def _self_check(self):
         reps = self.rep_coeffs(np.eye(self.parent.dim))
         norms = _norms(reps, 1)
-        # one row of pairs (i, all j) per step keeps the memory at m reps
+        # one row of pairs (i, all j) per step keeps the memory at m reps;
+        # rep is linear, so rep(b_i b_j) = sum_k S[i, j, k] rep(b_k)
         for i in range(len(reps)):
             err = reps[i] @ reps
-            err -= self.rep_coeffs(self.parent.structure[i].T)
+            err -= np.tensordot(self.parent.structure[i], reps, (1, 0))
             scale = np.maximum(1.0, norms[i] * norms)
             bad = np.flatnonzero(_norms(err, 1) > _QUOTIENT_TOL * scale)
             if bad.size:

@@ -8,7 +8,8 @@ report streams.  The wall_time_s line measures from after argument
 parsing to the end of the report: interpreter start and imports are not
 in it.  --norm picks the norm of every bound: --norm frobenius calls
 them with frobenius=True.  radical bounds nothing, so it takes neither
---norm nor --budget and reports "norm" as null.
+--norm nor --budget and reports "norm" as null.  "params" echoes a
+subcommand's own flags in declaration order, the order --help lists.
 
 Exit status: 0 on pass/converged, 2 when a check computed fine but did
 not pass (or did not converge), 64 (EX_USAGE) on a usage error, 1 on any
@@ -148,52 +149,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"jsrkit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, help, budget_default):
+    def command(name, help, *flags):
+        """Flags are (name, type, default[, help]); params echo them in this order."""
         sp = sub.add_parser(name, help=help)
         sp.add_argument("input", help="JSON matrix-set file")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--max-dim", type=_positive_int, default=config.MAX_DIM)
         sp.add_argument("--max-generators", type=_positive_int, default=config.MAX_GENERATORS)
-        if budget_default is None:  # no bound on rho: no norm, no budget
-            sp.set_defaults(norm=None, budget=None)
-            return sp
-        sp.add_argument("--norm", choices=(config.NORM_SPECTRAL, config.NORM_FROBENIUS),
-                        default=config.NORM_SPECTRAL)
-        sp.add_argument("--budget", type=_positive_int, default=budget_default,
-                        help="word evaluation budget")
-        return sp
+        # radical has neither --norm nor --budget; a flag's own default wins
+        sp.set_defaults(params=[f[0].replace("-", "_") for f in flags], norm=None, budget=None)
+        for flag, parse, default, *text in flags:
+            if flag == "budget":  # a bound on rho: its norm is picked too
+                sp.add_argument("--norm", choices=(config.NORM_SPECTRAL, config.NORM_FROBENIUS),
+                                default=config.NORM_SPECTRAL)
+            sp.add_argument(f"--{flag}", type=parse, default=default, help=text[0] if text else None)
 
-    sp = command("bounds", "depth-limited sandwich bounds", 10**6)
-    sp.add_argument("--depth", type=_positive_int, default=6)
+    def budget(default):
+        return ("budget", _positive_int, default, "word evaluation budget")
 
-    sp = command("refine", "branch-and-bound interval for rho", 10**6)
-    sp.add_argument("--width", type=_positive_float, default=0.01)
-
-    sp = command("verify-bw", "drive the sandwich to a target gap", 10**6)
-    sp.add_argument("--tol", type=_positive_float, default=1e-6)
-
-    sp = command("lift-check", "two-sided multiplication lift identities", 200_000)
-    sp.add_argument("--depth", type=_positive_int, default=4)
-    sp.add_argument("--tol", type=_positive_float, default=1e-7)
-    sp.add_argument("--width", type=_positive_float, default=0.05)
-
-    sp = command("radical", "generated subalgebra and its radical", None)
-    sp.add_argument("--max-algebra-dim", type=_positive_int, default=64)
-
-    sp = command("inessential", "does killing the radical change rho?", 200_000)
-    sp.add_argument("--width", type=_positive_float, default=0.05)
-    sp.add_argument("--max-algebra-dim", type=_positive_int, default=64)
-
-    sp = command("chain", "rho along quotients by radical powers", 10**5)
-    sp.add_argument("--width", type=_positive_float, default=0.02)
-    sp.add_argument("--max-algebra-dim", type=_positive_int, default=64)
-
-    sp = command("continuity", "interval deviation under perturbations", 50_000)
-    sp.add_argument("--eps", type=_eps_list, default=[0.1, 0.03, 0.01],
-                    help="comma-separated nonincreasing schedule")
-    sp.add_argument("--trials", type=_positive_int, default=20)
-    sp.add_argument("--seed", type=_nonnegative_int, default=0)
-
+    algebra_dim = ("max-algebra-dim", _positive_int, 64)
+    command("bounds", "depth-limited sandwich bounds",
+            ("depth", _positive_int, 6), budget(10**6))
+    command("refine", "branch-and-bound interval for rho",
+            ("width", _positive_float, 0.01), budget(10**6))
+    command("verify-bw", "drive the sandwich to a target gap",
+            ("tol", _positive_float, 1e-6), budget(10**6))
+    command("lift-check", "two-sided multiplication lift identities",
+            ("depth", _positive_int, 4), ("tol", _positive_float, 1e-7),
+            ("width", _positive_float, 0.05), budget(200_000))
+    command("radical", "generated subalgebra and its radical", algebra_dim)
+    command("inessential", "does killing the radical change rho?",
+            ("width", _positive_float, 0.05), budget(200_000), algebra_dim)
+    command("chain", "rho along quotients by radical powers",
+            ("width", _positive_float, 0.02), budget(10**5), algebra_dim)
+    command("continuity", "interval deviation under perturbations",
+            ("eps", _eps_list, [0.1, 0.03, 0.01], "comma-separated nonincreasing schedule"),
+            ("trials", _positive_int, 20), ("seed", _nonnegative_int, 0), budget(50_000))
     return p
 
 
@@ -210,60 +201,49 @@ def _enforce_caps(args, M: MatrixSet) -> None:
 
 
 def _run_command(args, M: MatrixSet, frobenius: bool):
-    """Returns (params dict, result dict, exit code)."""
+    """Returns (result dict, exit code)."""
     cmd = args.command
     if cmd == "bounds":
         lo = lower_bound_r(M, args.depth, budget=args.budget)
         up = upper_bound(M, args.depth, budget=args.budget, frobenius=frobenius)
-        result = {"lower": lo.value, "lower_witness": list(lo.witness), "upper": up}
-        return {"depth": args.depth, "budget": args.budget}, result, 0
+        return {"lower": lo.value, "lower_witness": list(lo.witness), "upper": up}, 0
 
     if cmd == "refine":
         rep = refine(M, args.width, args.budget, frobenius=frobenius)
-        params = {"width": args.width, "budget": args.budget}
-        return params, rep.to_dict(), 0 if rep.converged else 2
+        return rep.to_dict(), 0 if rep.converged else 2
 
     if cmd == "verify-bw":
         rep = verify_berger_wang(M, args.tol, args.budget, frobenius=frobenius)
-        return {"tol": args.tol, "budget": args.budget}, rep.to_dict(), 0 if rep.passed else 2
+        return rep.to_dict(), 0 if rep.passed else 2
 
     if cmd == "lift-check":
         rep = check_lift_identities(M, args.depth, tol=args.tol, width=args.width,
                                     budget=args.budget, frobenius=frobenius)
-        params = {"depth": args.depth, "tol": args.tol, "width": args.width,
-                  "budget": args.budget}
-        return params, rep.to_dict(), 0 if rep.passed and rep.w_pass else 2
+        return rep.to_dict(), 0 if rep.passed and rep.w_pass else 2
 
     if cmd == "radical":
         A = generated_subalgebra(M, args.max_algebra_dim)
         rad = jacobson_radical(A)
         Q = quotient(A, rad)
-        result = {"algebra_dim": A.dim, "unital": A.unital,
-                  "radical_dim": rad.dim, "quotient_rep_dim": Q.rep_dim}
-        return {"max_algebra_dim": args.max_algebra_dim}, result, 0
+        return {"algebra_dim": A.dim, "unital": A.unital,
+                "radical_dim": rad.dim, "quotient_rep_dim": Q.rep_dim}, 0
 
     if cmd == "inessential":
         rep = check_inessential(M, width=args.width, budget=args.budget,
                                 max_dim=args.max_algebra_dim, frobenius=frobenius)
-        params = {"width": args.width, "budget": args.budget,
-                  "max_algebra_dim": args.max_algebra_dim}
-        return params, rep.to_dict(), 0 if rep.passed else 2
+        return rep.to_dict(), 0 if rep.passed else 2
 
     if cmd == "chain":
         A = generated_subalgebra(M, args.max_algebra_dim)
         chain = radical_power_chain(A)
         rep = ideal_chain_monotonicity(M, chain, width=args.width,
                                        budget=args.budget, frobenius=frobenius)
-        params = {"width": args.width, "budget": args.budget,
-                  "max_algebra_dim": args.max_algebra_dim}
-        return params, rep.to_dict(), 0
+        return rep.to_dict(), 0
 
     # continuity: argparse admits no other command
     rows = continuity_probe(M, args.eps, args.trials, args.seed,
                             budget=args.budget, frobenius=frobenius)
-    params = {"eps": args.eps, "trials": args.trials, "seed": args.seed,
-              "budget": args.budget}
-    return params, {"rows": [_as_dict(r) for r in rows]}, 0 if all(r.complete for r in rows) else 2
+    return {"rows": [_as_dict(r) for r in rows]}, 0 if all(r.complete for r in rows) else 2
 
 
 def _emit_text(report: dict, out) -> None:
@@ -287,7 +267,7 @@ def main(argv=None) -> int:
     try:
         M, digest = load_matrix_set(args.input)
         _enforce_caps(args, M)
-        params, result, code = _run_command(args, M, frobenius)
+        result, code = _run_command(args, M, frobenius)
     except JsrError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -301,7 +281,7 @@ def main(argv=None) -> int:
         "dim": M.dim,
         "generators": M.size,
         "norm": args.norm,
-        "params": params,
+        "params": {dest: getattr(args, dest) for dest in args.params},
         "result": result,
         "exit_status": code,
     }

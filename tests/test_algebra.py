@@ -306,6 +306,17 @@ class TestQuotient:
         with pytest.raises(SelfCheckFailed, match="does not vanish"):
             Q._self_check()
 
+    @pytest.mark.parametrize("where", [(0, 0, 0), (1, 0, 1), (2, 2, 2)])
+    def test_self_check_sees_one_moved_structure_constant(self, where):
+        # at the default tolerance, 1e-6 in one constant breaks multiplicativity
+        A = ut2()
+        Q = quotient(A, Ideal.zero(A))
+        Q._self_check()
+        Q.structure = Q.structure.copy()
+        Q.structure[where] += 1e-6
+        with pytest.raises(SelfCheckFailed, match="not multiplicative"):
+            Q._self_check()
+
     def test_quotient_of_quotient_by_radical_is_semisimple(self):
         rng = np.random.default_rng(56)
         for _ in range(5):

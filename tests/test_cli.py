@@ -215,6 +215,25 @@ class TestReports:
         assert code in (0, 2)
         assert seen and set(seen) == {norm == "frobenius"}
 
+    @pytest.mark.parametrize("cmd,params", [
+        ("bounds", [("depth", 6), ("budget", 10**6)]),
+        ("refine", [("width", 0.01), ("budget", 10**6)]),
+        ("verify-bw", [("tol", 1e-6), ("budget", 10**6)]),
+        ("lift-check", [("depth", 4), ("tol", 1e-7), ("width", 0.05), ("budget", 200_000)]),
+        ("radical", [("max_algebra_dim", 64)]),
+        ("inessential", [("width", 0.05), ("budget", 200_000), ("max_algebra_dim", 64)]),
+        ("chain", [("width", 0.02), ("budget", 10**5), ("max_algebra_dim", 64)]),
+        ("continuity", [("eps", [0.1, 0.03, 0.01]), ("trials", 20), ("seed", 0),
+                        ("budget", 50_000)]),
+    ])
+    def test_params_echo_the_subcommand_flags_in_order(self, capsys, tmp_path, cmd, params):
+        # no flag given: each value is its flag's default; the caps, the
+        # format and the norm are flags too, but never params
+        path = write_set(tmp_path / "scalars.json", [[[0.5]], [[0.25]]])
+        _, rep = run_json(capsys, [cmd, path, "--format", "json"])
+        assert list(rep["params"].items()) == params
+        assert not {"format", "max_dim", "max_generators", "norm"} & set(rep["params"])
+
 
 class TestErrors:
     def err(self, capsys, argv):
