@@ -6,12 +6,16 @@ it would get alone, so batched values are bit-identical to one at a time.
 These are the package's only eigensolves; LAPACK's failure in one leaves
 the engine as NonConvergence.
 
-A sweep's radius maxima r_k are taken over necklace representatives:
+A sweep pays an eigensolve only where it can set a record (sweep_tree).
+Every word's Frobenius norm bounds its 2-norm and its radius from above;
+the Gram eigvalsh runs only where that bound could beat the depth's best
+2-norm.  Radius maxima r_k are taken over necklace representatives:
 rho(ab) = rho(ba), so one word per class of cyclic rotations, its
-lexicographically smallest, is measured (sweep_tree).  In exact
-arithmetic that is the maximum over all words, and the smallest rotation
-is the necklace's first word, so the reported rank is unchanged.
-refine_pass measures every node it expands.
+lexicographically smallest, is measured, and only where its norm or
+bound could beat the depth's best radius.  In exact arithmetic that is
+the maximum over all words, and the smallest rotation is the necklace's
+first word, so the reported rank is unchanged.  refine_pass measures
+every node it expands.
 
 Generators are stored complex128, but a set none of whose entries has
 an imaginary part is measured in float64 from end to end (_real_if_real
@@ -141,6 +145,16 @@ def _squares(stack, fro):
         raise NonConvergence(f"norm eigensolve failed: {e}") from e
 
 
+def _bound(stack):
+    """Per-matrix Frobenius norm, an upper bound on the 2-norm and the
+    spectral radius; inf where its square is not a normal double, since an
+    underflowed sum of squares bounds nothing.  Sweeps read it in place of
+    the norms they skip; it is no reported norm, so it does not go through
+    norms."""
+    sq = _squares(stack, True)
+    return np.sqrt(np.where(sq < _NORMAL, np.inf, sq))
+
+
 def norms(stack, fro):
     """Per-matrix operator 2-norm (Gram matrix eigvalsh) or Frobenius norm.
 
@@ -196,21 +210,48 @@ def _records(vals, best):
     return best, i
 
 
-def _least_rotations(first, n, m, k):
-    """Which of the length-k words of ranks first .. first + n - 1 are
+def _least_rotations(base, p, m, idx):
+    """Which words of a sweep block, at block indices idx (ascending), are
     lexicographically smallest among their cyclic rotations.
 
-    A rank's base-m digits are the word's letters, so the rotation by s
-    letters maps rank r to (r mod m**(k-s)) * m**s + r div m**(k-s).
-    Ranks of m**k >= 2**63 are compared as Python ints.
+    The block holds the words below the length-p prefix of rank base, level
+    by level: index i of level t (offset o_t = m + ... + m**(t-1)) is the
+    word of length k = p + t and rank r = base * m**t + i - o_t.  A rank's
+    base-m digits are the word's letters, so the rotation by s letters maps
+    r to (r mod m**u) * m**(k-u) + r div m**u, u = k - s; a word shorter
+    than the longest one reads u = 0 for its rotations by s >= k, which map
+    r to itself.  Ranks are compared in int64 while the longest word's
+    m**k < 2**63, as Python ints past it.
     """
-    if m == 1 or k == 1:
-        return np.ones(n, bool)
-    dtype = np.int64 if m**k < 2**63 else object
-    r = first + np.arange(n, dtype=dtype)
-    tail = np.array([m**(k - s) for s in range(1, k)], dtype)[:, None]
+    if m == 1 or not idx.size:
+        return np.ones(idx.size, bool)
+    offs = [0]
+    while offs[-1] <= idx[-1]:
+        offs.append(offs[-1] * m + m)
+    kmax = p + len(offs) - 1
+    dtype = np.int64 if m**kmax < 2**63 else object
+    pw = np.array([m**j for j in range(kmax + 1)], dtype)
+    t = np.searchsorted(offs, idx, "right")
+    k = p + t
+    r = base * pw[t] + (idx - np.array(offs)[t - 1]).astype(dtype)
+    u = np.maximum(k - np.arange(1, kmax)[:, None], 0)
+    tail = pw[u]
     head = r // tail
-    return ((r - head * tail) * (m**k // tail) + head >= r).all(axis=0)
+    return ((r - head * tail) * pw[k - u] + head >= r).all(axis=0)
+
+
+def _may_beat(upper, side, levels):
+    """Which words of a block's levels have an upper value that, times
+    (1 + _SKIP_SLACK), exceeds the best its depth held on side before the
+    block, read at the word's exponent.  Any other word's computed value,
+    at most (1 + O(d u)) times its upper value, cannot set a record: the
+    best only grows within the block."""
+    best, exps, _ = side
+    thr = np.empty(upper.shape)
+    for k, off, n, le, _ in levels:
+        thr[off:off + n] = (scale(best[k], exps[k] - le) if isinstance(le, int) else
+                            [scale(best[k], exps[k] - x) for x in le.tolist()])
+    return ~(upper * (1.0 + _SKIP_SLACK) <= thr)
 
 
 def _update(side, k, vals, le, first, idx):
@@ -241,17 +282,24 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
     attaining it (its letters are the base-m digits).  Index 0 is unused;
     best stays at -1 there.
 
+    A word's upper value is its measured norm or its Frobenius norm
+    (_bound, a sum of squares, at least its 2-norm); its computed 2-norm
+    and radius are at most (1 + O(d u)) times that, far inside
+    _SKIP_SLACK.  Each eigensolve runs only on the words whose upper value
+    can beat the best their depth held on that side before the block
+    (_may_beat).  Frobenius sweeps measure every word's norm.  2-norm
+    sweeps take the Gram eigvalsh where the bound can beat the depth's
+    best norm, and a word skipped keeps its bound as its value, which
+    cannot set a record either.  Radius-only sweeps read the bound alone.
+    The first word of each depth, 0^k, is always measured.
+
     rho(ab) = rho(ba), so every cyclic rotation of a word has its radius,
     and the radius side measures one word per necklace: the rotation that
     is lexicographically smallest (_least_rotations), which is also the
     necklace's first word in lexicographic order, so ranks[k] stays the
     smallest word attaining the maximum.  Its best[k] is the maximum over
     these representatives, which in exact arithmetic is the maximum over
-    all words.  When norms are measured too, a representative whose norm
-    times (1 + _SKIP_SLACK) is at most the best radius its depth held
-    before the block is not measured either: its computed radius, at most
-    (1 + O(d u)) times its computed norm, could not set a record.  The
-    first word of each depth, 0^k, is always measured.
+    all words.
 
     The tree is cut into blocks: one block holds the products of every
     word below one prefix, down to a few levels, and is evaluated with one
@@ -306,29 +354,27 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
             prev, s = _fit_rows(out)
             e = e + s
             off += n
+        # each word's upper value: its measured norm, or its Frobenius bound
+        if fro:
+            upper = norms(buf, True)
+        else:
+            upper = _bound(buf)
+            if nside is not None:
+                want = np.flatnonzero(_may_beat(upper, nside, levels))
+                if want.size:
+                    upper[want] = norms(buf[want], False)
         if nside is not None:
-            nrm = norms(buf, fro)
             for k, off, n, le, first in levels:
-                _update(nside, k, nrm[off:off + n], le, first, np.arange(n))
+                _update(nside, k, upper[off:off + n], le, first, np.arange(n))
         if rside is not None:
-            # per level, the indices into buf of the words whose radii it measures
-            picks = []
-            for k, off, n, le, first in levels:
-                idx = off + np.flatnonzero(_least_rotations(first, n, m, k))
-                if nside is not None:
-                    # the best radius depth k held before this block, read
-                    # at each word's exponent
-                    best, exps, _ = rside
-                    shifts = exps[k] - (le if isinstance(le, int) else le[idx - off])
-                    thr = np.array([scale(best[k], x) for x in np.ravel(shifts).tolist()])
-                    idx = idx[~(nrm[idx] * (1.0 + _SKIP_SLACK) <= thr)]
-                picks.append(idx)
-            rad = radii(buf[np.concatenate(picks)])
-            at = 0
-            for (k, off, _, le, first), idx in zip(levels, picks):
-                if idx.size:
-                    _update(rside, k, rad[at:at + idx.size], le, first, idx - off)
-                    at += idx.size
+            idx = np.flatnonzero(_may_beat(upper, rside, levels))
+            idx = idx[_least_rotations(base, p, m, idx)]
+            if idx.size:
+                rad = radii(buf[idx])
+                cuts = np.searchsorted(idx, [off for _, off, *_ in levels] + [len(buf)])
+                for (k, off, _, le, first), a, b in zip(levels, cuts, cuts[1:]):
+                    if a < b:
+                        _update(rside, k, rad[a:b], le, first, idx[a:b] - off)
         if p + h < nmax:
             stack.append([prev.copy(), e, p + h, base * counts[-1], 0])
     return tuple(None if side is None else

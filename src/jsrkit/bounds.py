@@ -117,9 +117,10 @@ def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> Lo
     """Best spectral-radius root over all words of length <= n.
 
     rho is invariant under cyclic rotation, so the sweep measures one word
-    per necklace, the smallest of its rotations: the maximum over these
-    equals the maximum over all words in exact arithmetic.  Ties resolve
-    as the sweep resolves them (within 1e-12 relative, see
+    per necklace, the smallest of its rotations, and only where its
+    Frobenius norm could beat its depth's best radius: the maximum over
+    these equals the maximum over all words in exact arithmetic.  Ties
+    resolve as the sweep resolves them (within 1e-12 relative, see
     _kernels._records): to the shortest word, then the lexicographically
     smallest.
     """
@@ -140,9 +141,11 @@ def sandwich_profiles(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
     """Cumulative (lower, upper) sandwich values for every depth 1..n.
 
     Returns arrays (r, beta) of length n where r[k-1] = lower_bound_r(M, k)
-    value and beta[k-1] = upper_bound(M, k), from a single sweep.  Norms
-    are measured on every word, radii on necklace representatives (as in
-    lower_bound_r) whose norm could still beat their depth's best radius.
+    value and beta[k-1] = upper_bound(M, k), from a single sweep.  Each
+    eigensolve runs only where it could set a record (_kernels.sweep_tree):
+    2-norms on words whose Frobenius bound could beat their depth's best
+    norm, radii on necklace representatives (as in lower_bound_r) whose
+    norm or bound could beat their depth's best radius.
     """
     norms, radii = _sweep(M, n, budget, fro=frobenius, rho=True)
     return np.maximum.accumulate(radii.root), np.minimum.accumulate(norms.root)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from ._kernels import _fit_rows
+from ._kernels import _fit_rows, scale
 from .bounds import _as_dict, _lower_profile, _positive_finite, interval_distance, refine
 from .errors import DimensionOverflow, SelfCheckFailed
 from .matrices import as_matrix, frobenius_norm, require_same_dim
@@ -155,10 +155,11 @@ def _w_identity(gens: np.ndarray, i, j) -> tuple[float, bool]:
     l, r, w, w_ba = np.split(L, [m, 2 * m, 3 * m])
     u, v = w_ba - l[j] @ w[i] @ r[j], w_ba - r[i] @ w[j] @ l[i]
     resid = max(float(np.linalg.norm(x)) for x in (*u, *v))
-    if not (resid == 0.0 or math.isfinite(resid) and math.frexp(resid)[1] + 4 * s <= 1024):
+    back = scale(resid, 4 * s)
+    if not math.isfinite(back):
         raise SelfCheckFailed(f"w-product residual {resid:.3e} * 2**{4 * s} is not finite")
     top = max(frobenius_norm(a) for a in g)
-    return math.ldexp(resid, 4 * s), math.sqrt(resid) <= 1e-5 * top * top
+    return back, math.sqrt(resid) <= 1e-5 * top * top
 
 
 def check_w_product_identity(a, b) -> float:

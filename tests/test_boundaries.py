@@ -4,7 +4,8 @@ The engine's sweep maxima leave _kernels as (mantissa, power-of-two
 exponent, rank) triples, and refine's witness rule shaves by
 _kernels._EIG_SAFETY.  sets._sweep is the one decoder of the triples and
 _kernels.witness_root the one re-measure of a witness, so no other module
-names the helpers that read that format.
+names the helpers that read that format.  _kernels.scale, x * 2**e or inf
+past the double range, decodes no format, and any module may call it.
 
 _kernels also makes every eigensolve and turns LAPACK's failure into
 NonConvergence, so no other module calls np.linalg.eigvals or eigvalsh.
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "jsrkit"
-FORMAT = {"root", "scale", "word_product", "_EIG_SAFETY"}
+FORMAT = {"root", "word_product", "_EIG_SAFETY"}
 OWNERS = {"_kernels.py", "sets.py"}
 
 
@@ -71,13 +72,14 @@ def test_detector_sees_each_form():
         "from . import _kernels",
         "import jsrkit._kernels as k",
         "_kernels._EIG_SAFETY",
-        "k.scale(1.0, 2)",
+        "k.root(1.0, 0, 2)",
         "jsrkit._kernels.word_product(g, w)",
         "_kernels.radii(s)",
         "other.root",
+        "_kernels.scale(1.0, 2)",
     ])
     assert format_uses(source) == [(1, "root"), (2, "*"), (5, "_EIG_SAFETY"),
-                                   (6, "scale"), (7, "word_product")]
+                                   (6, "root"), (7, "word_product")]
 
 
 SOLVES = {"eigvals", "eigvalsh"}

@@ -403,7 +403,22 @@ PASS_CASES = {**ENGINE_CASES, **BAND_CASES}
 # word, 1^k, beats the record of the first, 0^k, by (1 + 2**-20)^k, and a
 # sweep that skipped radii on a wider norm margin than refine's would miss it
 NEAR_TIE = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + 2.0**-20])]).astype(complex)
-SWEEP_CASES = {**ENGINE_CASES, **BAND_CASES, "near-tie": NEAR_TIE,
+# the same race inside the skip slack: at depth k <= 9, 1^k beats 0^k by
+# (1 + 2**-36)^k, a relative 1.5e-11 to 1.3e-10, above _TIE and below
+# _SKIP_SLACK, in a later block than 0^k (a sweep of 256-byte blocks from
+# depth 2, of the default blocks from depth 3).  The 2**-10 entry makes
+# 1^2's Frobenius bound exceed its 2-norm by 2**-41 relative, so a sweep
+# that kept that bound in place of the 2-norm would report it.
+SLACK_TIE = np.stack([np.diag([1.0, 0.0, 0.0]),
+                      np.diag([0.0, 1.0 + 2.0**-36, 2.0**-10])]).astype(complex)
+# depth 2's largest norm, 2**-600 on 10, is formed from the in-band prefix
+# E10 times the 2**-600 generator, so its sum of squares underflows to 0
+# before it is fitted; the block before it set the depth's best to 00's
+# 2**-1200, which reads 0 at 10's exponent.  A Frobenius bound taken from
+# that underflowed sum could not beat it, and the record would be lost.
+TINY_RECORD = np.stack([2.0**-600 * _unit(2, 0, 0), _unit(2, 1, 0)])
+SWEEP_CASES = {**ENGINE_CASES, **BAND_CASES, "near-tie": NEAR_TIE, "slack-tie": SLACK_TIE,
+               "tiny-record": TINY_RECORD,
                **{f"{k}-single": g[:1] for k, g in BAND_CASES.items() if k.startswith("band")}}
 
 
@@ -839,34 +854,43 @@ class TestNecklaceSweep:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_least_rotations_match_brute_force(self, m):
+        # blocks of words up to 8 letters long below prefixes of length
+        # 0..7, on all of a block's words and on ascending subsets of them
         rng = np.random.default_rng(m)
-        for k in range(1, 9):
-            total = m**k
-            brute = [_least(w) for w in itertools.product(range(m), repeat=k)]
-            # the whole level; windows that start just before the first
-            # rank of a new prefix of each length, as a block's do not;
-            # and random windows
-            windows = [(0, total)]
-            windows += [(max(0, c * m**j - 2), 5) for j in range(1, k) for c in (1, m - 1)]
-            for _ in range(8):
-                a = int(rng.integers(0, total))
-                windows.append((a, int(rng.integers(1, total - a + 1))))
-            for a, n in windows:
-                n = min(n, total - a)
-                got = _kernels._least_rotations(a, n, m, k)
-                assert got.dtype == bool and got.tolist() == brute[a:a + n], (k, a, n)
+        brute = {k: [_least(w) for w in itertools.product(range(m), repeat=k)]
+                 for k in range(1, 9)}
+        levels = {1: 8, 2: 8, 3: 6, 4: 5}[m]
+        for p in range(8):
+            for h in range(1, min(levels, 8 - p) + 1):
+                bases = range(m**p) if m**p <= 8 else \
+                    [0, 1, m**p - 1, *rng.integers(0, m**p, 5).tolist()]
+                for base in bases:
+                    want = [brute[p + t][base * m**t + j]
+                            for t in range(1, h + 1) for j in range(m**t)]
+                    everything = np.arange(len(want))
+                    subsets = [everything, everything[:0], everything[-1:]]
+                    subsets += [np.flatnonzero(rng.random(len(want)) < q) for q in (0.1, 0.5)]
+                    for idx in subsets:
+                        got = _kernels._least_rotations(base, p, m, idx)
+                        assert got.dtype == bool, (p, h, base)
+                        assert got.tolist() == [want[i] for i in idx], (p, h, base)
 
-    @pytest.mark.parametrize("m,k", [(2, 62), (3, 39), (2, 63), (2, 64), (2, 70), (3, 41),
-                                     (4, 33), (4, 40)])
-    def test_least_rotations_near_and_past_int64(self, m, k):
-        # ranks stay exact below 2**63 (int64) and past it (Python ints)
-        total = m**k
+    @pytest.mark.parametrize("m,p,h", [
+        (2, 59, 3), (3, 37, 2),  # every rank below 2**63: int64
+        (2, 60, 3), (2, 67, 3), (4, 38, 2),  # m**k >= 2**63 at the deepest level: Python ints
+        (2, 61, 3), (3, 38, 3), (4, 30, 3)])  # levels on both sides of 2**63
+    def test_least_rotations_near_and_past_int64(self, m, p, h):
+        # a block's ranks are compared in int64 while its longest words'
+        # m**k < 2**63 and as Python ints past it; blocks hit ranks near 0,
+        # 2**62, 2**63, a third and the end of their deepest level
+        total = m**(p + h)
         for a in (0, 2**62 - 7, 2**63 - 7, total // 3, total - 40):
-            if 0 <= a < total:
-                n = min(40, total - a)
-                want = [_least(_digits(r, m, k)) for r in range(a, a + n)]
-                got = _kernels._least_rotations(a, n, m, k)
-                assert got.dtype == bool and got.tolist() == want
+            if a < total:
+                base = a // m**h
+                want = [_least(_digits(base * m**t + j, m, p + t))
+                        for t in range(1, h + 1) for j in range(m**t)]
+                got = _kernels._least_rotations(base, p, m, np.arange(len(want)))
+                assert got.dtype == bool and got.tolist() == want, base
 
     def test_necklace_count(self):
         assert [_necklaces(2, k) for k in range(1, 9)] == [2, 3, 4, 6, 8, 14, 20, 36]
@@ -878,22 +902,34 @@ class TestNecklaceSweep:
     @pytest.mark.parametrize("block_bytes", [_kernels._BLOCK_BYTES, 256])
     @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
     def test_radii_measure_one_word_per_necklace(self, name, block_bytes, monkeypatch):
+        # radii: at most one word per necklace, and none whose norm or
+        # Frobenius bound cannot beat its depth's best radius; 2-norms:
+        # none whose Frobenius bound cannot beat its depth's best norm.
+        # Frobenius norms are taken on every word, and radius-only sweeps
+        # take no norm.  On the named sets the bounds cut every count.
         monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
         M = MatrixSet(SWEEP_CASES[name])
         n = SWEEP_DEPTH[M.size]
         necklaces = sum(_necklaces(M.size, k) for k in range(1, n + 1))
+        words = tree_size(M.size, n)
+        cut = name in ("refine-2x5x5", "random-0", "random-3")
         radii = _Counted(monkeypatch, "radii")
         norms = _Counted(monkeypatch, "norms")
         lower_bound_r(M, n)
-        assert (radii.matrices, norms.matrices) == (necklaces, 0)
+        assert norms.matrices == 0
+        assert 0 < radii.matrices <= necklaces
+        assert radii.matrices < necklaces or not cut
         for fro in (False, True):
             radii.matrices = norms.matrices = 0
             sandwich_profiles(M, n, frobenius=fro)
             assert 0 < radii.matrices <= necklaces
-            if name in ("refine-2x5x5", "path-and-scalar", "zero"):
-                # words whose norm cannot beat their depth's best radius
+            if cut or name in ("path-and-scalar", "zero"):
                 assert radii.matrices < necklaces
-            assert norms.matrices == tree_size(M.size, n)
+            if fro:
+                assert norms.matrices == words
+            else:
+                assert 0 < norms.matrices <= words
+                assert norms.matrices < words or not cut
 
     @pytest.mark.parametrize("name", sorted(LOWER_CASES))
     def test_radii_equal_the_full_enumeration(self, name):

@@ -235,6 +235,24 @@ class TestExtremeScales:
             with pytest.raises(SelfCheckFailed, match="w-product residual"):
                 check_w_product_identity(*big)
 
+    def test_w_residual_is_refused_exactly_past_the_double_range(self):
+        # the fitted pair, so its residual, is the same at every 2**k, and
+        # that residual scaled back by 2**(4k) is returned up to the last k
+        # at which it is a finite double and refused from the next k on
+        a, b = _scaled_pairs()["complex-3x3"]
+        r = check_w_product_identity(a, b)
+        assert r > 0.0
+        last = (1024 - math.frexp(r)[1]) // 4
+        for k in (last - 1, last):
+            big = [np.ldexp(x.view(float), k).view(complex) for x in (a, b)]
+            got = check_w_product_identity(*big)
+            assert got == math.ldexp(r, 4 * k) and math.isfinite(got)
+        assert math.ldexp(r, 4 * last) > 2.0**1020
+        for k in (last + 1, last + 2):
+            big = [np.ldexp(x.view(float), k).view(complex) for x in (a, b)]
+            with pytest.raises(SelfCheckFailed, match="w-product residual"):
+                check_w_product_identity(*big)
+
     @pytest.mark.parametrize("k", SCALES)
     @pytest.mark.parametrize("name", ["golden", "complex-3x3"])
     def test_lift_identities_keep_their_verdicts(self, name, k):
