@@ -14,8 +14,14 @@ rho(ab) = rho(ba), so one word per class of cyclic rotations, its
 lexicographically smallest, is measured, and only where its norm or
 bound could beat the depth's best radius.  In exact arithmetic that is
 the maximum over all words, and the smallest rotation is the necklace's
-first word, so the reported rank is unchanged.  refine_pass measures
-every node it expands.
+first word, so the reported rank is unchanged.  refine_pass takes the
+norm of every child it measures, and eigvals only where the child's
+radius root could beat the lower end: its norm root bounds it, and for
+siblings so does the square rule rho(P)^2 <= ||P^2|| (_square_bound, one
+matmul and sum of squares per expansion).  A single generator's path
+blocks keep the norm bound alone: on the benchmark's Jordan powers the
+square rule cut no child of the d = 2 and 3 paths, and a check on every
+child cost more than it saved.
 
 Generators are stored complex128, but a set none of whose entries has
 an imaginary part is measured in float64 from end to end (_real_if_real
@@ -54,11 +60,21 @@ _TIE = 1e-12
 _EIG_SAFETY = 1e-12
 # refine skips eigvals for a child P of length k when
 # ||P||^(1/k) * (1 + _SKIP_SLACK) <= lower: the computed rho of P is at
-# most (1 + O(d u)) ||P||, so its shaved root could not raise lower.
+# most (1 + O(d u)) ||P||, so its shaved root could not raise lower.  The
+# same margin serves the square bound's root (_square_bound).
 _SKIP_SLACK = 1e-9
+# _square_bound pads ||fl(P P)||_F by this relative slack s and by
+# s d ||P||^2: together they cover the rounding of P P (gamma_d |P||P|),
+# of its sum of squares, and eigvals' backward error E, since
+# ||(P + E)^2|| <= ||P^2|| + (2 ||E|| + ||E||^2 / ||P||) ||P||
+_SQUARE_SLACK = 2.0**-40
 # bytes of product matrices in one block of a sweep; a block of a single
 # generator's path fits its products and their norm temporaries in it
 _BLOCK_BYTES = 64 * 2**10
+# entries of one rotations x candidates temporary of _least_rotations:
+# 16 KiB of int64, so a block's necklace mask stays small however many
+# of its words are candidates
+_MASK_CELLS = 2048
 # A factor's largest real or imaginary part lies in [2**-_BAND, 2**_BAND)
 # or is 0.  For d <= 64 = 2**6 an in-band entry has modulus below
 # 2**(_BAND + 1/2), so an in-band product times an in-band generator has
@@ -155,6 +171,27 @@ def _bound(stack):
     return np.sqrt(np.where(sq < _NORMAL, np.inf, sq))
 
 
+def _square_bound(stack, nrm):
+    """Per-matrix upper bound on the spectral radius, and on the radius
+    eigvals computes, from Gelfand's rho(P)^2 <= ||P^2||_2:
+    sqrt(||fl(P P)||_F (1 + s) + s d ||P||^2), s = _SQUARE_SLACK, with nrm
+    the stack's measured norms as a list (either norm: ||P||_F^2 is at
+    most d ||P||_2^2).  inf where ||P|| >= 2**_BAND, whose square might
+    overflow, or where the sum of squares of fl(P P) is not a normal
+    double, which underflow may have shrunk.  A list of Python floats:
+    refine compares each in scalar arithmetic."""
+    out = [math.inf] * len(nrm)
+    ok = [i for i, x in enumerate(nrm) if x < _HI]
+    if ok:
+        sub = stack if len(ok) == len(nrm) else stack[ok]
+        sq = (sub @ sub).view(np.float64).reshape(len(ok), -1)
+        pad = _SQUARE_SLACK * stack.shape[1]
+        for i, q in zip(ok, (sq * sq).sum(axis=1).tolist()):
+            if _NORMAL <= q < math.inf:
+                out[i] = math.sqrt(math.sqrt(q) * (1.0 + _SQUARE_SLACK) + pad * nrm[i] * nrm[i])
+    return out
+
+
 def norms(stack, fro):
     """Per-matrix operator 2-norm (Gram matrix eigvalsh) or Frobenius norm.
 
@@ -221,7 +258,9 @@ def _least_rotations(base, p, m, idx):
     r to (r mod m**u) * m**(k-u) + r div m**u, u = k - s; a word shorter
     than the longest one reads u = 0 for its rotations by s >= k, which map
     r to itself.  Ranks are compared in int64 while the longest word's
-    m**k < 2**63, as Python ints past it.
+    m**k < 2**63, as Python ints past it.  Candidates go in chunks whose
+    rotations x candidates temporaries hold at most _MASK_CELLS entries
+    each, formed in place where they can be.
     """
     if m == 1 or not idx.size:
         return np.ones(idx.size, bool)
@@ -234,10 +273,21 @@ def _least_rotations(base, p, m, idx):
     t = np.searchsorted(offs, idx, "right")
     k = p + t
     r = base * pw[t] + (idx - np.array(offs)[t - 1]).astype(dtype)
-    u = np.maximum(k - np.arange(1, kmax)[:, None], 0)
-    tail = pw[u]
-    head = r // tail
-    return ((r - head * tail) * pw[k - u] + head >= r).all(axis=0)
+    shifts = np.arange(1, kmax)[:, None]
+    step = _MASK_CELLS // max(1, kmax - 1)
+    out = np.empty(idx.size, bool)
+    for a in range(0, idx.size, step):
+        ra, ka = r[a:a + step], k[a:a + step]
+        u = np.maximum(ka - shifts, 0)
+        tail = pw[u]
+        head = ra // tail
+        tail *= head
+        np.subtract(ra, tail, out=tail)  # r mod m**u
+        np.subtract(ka, u, out=u)
+        tail *= pw[u]
+        tail += head
+        out[a:a + step] = (tail >= ra).all(axis=0)
+    return out
 
 
 def _may_beat(upper, side, levels):
@@ -387,8 +437,9 @@ class Memo:
 
     One record per expanded node: m slots, one per child P of length k,
     with ||P||^(1/k), rho(P)^(1/k) shaved by _EIG_SAFETY (-1 where eigvals
-    was skipped, which only a lower above 0 does; kept as is when lower
-    grows), log ||P|| (-inf for a zero norm) and the index of P's own
+    was skipped because the norm root or, for siblings, the square bound
+    put it at or below lower, which only a lower above 0 does; kept as is
+    when lower grows), log ||P|| (-inf for a zero norm) and the index of P's own
     record (-1 until it is expanded).
     A stored child costs 32 bytes.  Only a single generator's chain of
     one-slot records keeps a product: end, its last node's, fitted, with
@@ -413,12 +464,23 @@ def _measure(memo, kids, lengths, exps, lower, fro):
     """Append one slot per product in kids (of length lengths[i], times
     2**exps[i]) to memo, with no child record yet: the one place a node's
     roots and log-norm are derived.  One batched norms call measures them
-    all, one batched radii call those whose norm root can beat lower."""
+    all, one batched radii call those whose radius root can beat lower.
+
+    A child's radius root is at most its norm root and, for siblings (m >= 2
+    children of one length), at most the root of its _square_bound; eigvals
+    is skipped where either, times 1 + _SKIP_SLACK, is at most lower.  Only
+    siblings that pass the norm test take the square bound, in one batch;
+    a single generator's path blocks keep the norm test alone."""
     nrm = norms(kids, fro).tolist()
     nroot = [root(x, e, k) for x, e, k in zip(nrm, exps, lengths)]
     cand = [-1.0] * len(nrm)
     want = [i for i, r in enumerate(nroot)
             if not (lower > 0.0 and r * (1.0 + _SKIP_SLACK) <= lower)]
+    if lower > 0.0 and want and len(nrm) > 1 and lengths[0] == lengths[-1]:
+        sub = kids if len(want) == len(nrm) else kids[want]
+        bound = _square_bound(sub, [nrm[i] for i in want])
+        want = [i for i, b in zip(want, bound)
+                if not root(b, exps[i], lengths[i]) * (1.0 + _SKIP_SLACK) <= lower]
     if want:
         for i, r in zip(want, radii(kids[want]).tolist()):
             cand[i] = root(r, exps[i], lengths[i]) * (1.0 - _EIG_SAFETY)
@@ -499,8 +561,8 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     a node memo holds is replayed from it: a visit only compares the stored
     roots and log-norm.  A stored candidate root counts wherever it beats
     lower by _TIE: one a fresh expansion would skip (_SKIP_SLACK) is at most
-    its norm root, so at most lower, and a pass reports the same with or
-    without an earlier memo.
+    its norm root or its square bound's root, so at most lower, and a pass
+    reports the same with or without an earlier memo.
     A memo may serve later passes over the same gens and fro whose
     lower_in is at least the lower every earlier pass returned (refine's
     deepening does this).

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -958,6 +959,130 @@ class TestNecklaceSweep:
             _, (got, got_exps, _) = _kernels.sweep_tree(gens, n, fro, True)
             for k in range(1, n + 1):
                 assert math.ldexp(got[k], got_exps[k] - exps[k]) <= best[k] * (1 + _kernels._TIE)
+
+
+def _nilpotent_stacks(rng, n):
+    """Q J Q^T scaled by 0.5..4, Q a random rotation: J the 2 x 2 Jordan
+    block, and the 3 x 3 one, every other one with J^2 = 0 (J_2 beside a
+    zero).  rho is 0, and eigvals reads about u**(1/2) ||P|| for J^2 = 0."""
+    out = []
+    for d in (2, 3):
+        j = np.zeros((n, d, d))
+        j[:, np.arange(d - 1), np.arange(1, d)] = 1.0
+        if d == 3:
+            j[1::2, 1, 2] = 0.0
+        q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
+        out.append(rng.uniform(0.5, 4.0, (n, 1, 1)) * (q @ j @ q.transpose(0, 2, 1)))
+    return out
+
+
+def _no_square_bound(stack, nrm):
+    """_kernels._square_bound that bounds nothing: refine's norm test alone."""
+    return [math.inf] * len(nrm)
+
+
+class TestSquareBound:
+    """refine skips eigvals for siblings whose ||P^2|| bound cannot beat lower."""
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_bound_holds_the_computed_radius(self, fro):
+        # the pad s d ||P||^2 is what holds on the nilpotent stacks: there
+        # ||fl(P P)||_F**0.5 alone is below eigvals' radius on 595 of the
+        # 10,000 matrices, by up to 4.3x
+        rng = np.random.default_rng(19)
+        stacks = _nilpotent_stacks(rng, 5000)
+        for d in range(1, 6):
+            z = rng.standard_normal((1000, d, d)) + 1j * rng.standard_normal((1000, d, d))
+            stacks.append(z * np.ldexp(1.0, rng.integers(-200, 201, (1000, 1, 1))))
+        for i, stack in enumerate(stacks):
+            nrm = _kernels.norms(stack, fro).tolist()
+            bound = _kernels._square_bound(stack, nrm)
+            rad = _kernels.radii(stack).tolist()
+            assert max(bound) < math.inf
+            assert all(b >= r for b, r in zip(bound, rad))
+            if i == 0:  # on a 2 x 2 Jordan block the bound is far below the norm
+                assert max(b / x for b, x in zip(bound, nrm)) < 1e-5
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_no_bound_at_or_past_the_band(self, fro):
+        # ||P|| >= 2**_BAND gets no bound, whether P P would overflow
+        # (2**300) or not (2**249), and no numpy warning; 2**246 does
+        shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+        stack = np.stack([np.ldexp(shear, e) for e in (246, 249, 300, 500)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nrm = _kernels.norms(stack, fro).tolist()
+            bound = _kernels._square_bound(stack, nrm)
+            assert bound[1:] == [math.inf] * 3
+            assert _kernels._square_bound(stack[1:], nrm[1:]) == [math.inf] * 3
+        assert bound[0] >= _kernels.radii(stack[:1])[0]
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_no_bound_where_the_square_underflows(self, fro):
+        # the sum of squares of fl(P P) is 2**-1019 at 2**-255 (a bound),
+        # subnormal at 2**-256 and 2**-300, and P P itself underflows at
+        # 2**-520 and 2**-600: no bound there, though rho = ||P|| > 0
+        scales = (-255, -256, -300, -520, -600)
+        stack = np.stack([np.ldexp(np.eye(2), e) for e in scales])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = _kernels._square_bound(stack, _kernels.norms(stack, fro).tolist())
+        assert bound[1:] == [math.inf] * 4
+        assert bound[0] >= _kernels.radii(stack[:1])[0]
+
+    @pytest.mark.parametrize("name,fro", [
+        pytest.param(name, fro, id=f"{name}-frobenius" if fro else name)
+        for name in sorted(REFINE_CASES) for fro in (False, True)])
+    def test_refine_reports_do_not_depend_on_the_bound(self, name, fro, monkeypatch):
+        M, width, budget = REFINE_CASES[name]
+        got = _report(M, width, budget, fro)
+        monkeypatch.setattr(_kernels, "_square_bound", _no_square_bound)
+        assert _report(M, width, budget, fro) == got
+
+    @pytest.mark.parametrize("fro", [False, True])
+    @pytest.mark.parametrize("name", sorted(PASS_CASES))
+    def test_pass_reports_do_not_depend_on_the_bound(self, name, fro, monkeypatch):
+        # PASS_CASES holds BAND_CASES: products fitted inside the passes
+        gens = PASS_CASES[name]
+
+        def outputs():
+            return (_report(MatrixSet(gens), 0.02, 50_000, fro),
+                    _pass_outputs(_kernels.refine_pass, gens, fro))
+
+        got = outputs()
+        monkeypatch.setattr(_kernels, "_square_bound", _no_square_bound)
+        assert outputs() == got
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_bound_cuts_eigvals_on_refine_2x5x5(self, fro, monkeypatch):
+        # the same nodes and norms, far fewer radii
+        M, width, budget = REFINE_CASES["refine-2x5x5"]
+        radii = _Counted(monkeypatch, "radii")
+        norms = _Counted(monkeypatch, "norms")
+        rep = refine(M, width, budget, frobenius=fro)
+        cut = radii.matrices, norms.matrices
+        monkeypatch.setattr(_kernels, "_square_bound", _no_square_bound)
+        radii.matrices = norms.matrices = 0
+        full = refine(M, width, budget, frobenius=fro)
+        assert full.nodes_explored == rep.nodes_explored
+        assert norms.matrices == cut[1]
+        assert 0 < cut[0] < radii.matrices
+
+    def test_single_generator_paths_take_no_square_bound(self, monkeypatch):
+        # path blocks keep the norm test alone; siblings take the bound
+        calls = []
+        real = _kernels._square_bound
+
+        def spy(stack, nrm):
+            calls.append(stack.shape[0])
+            return real(stack, nrm)
+
+        monkeypatch.setattr(_kernels, "_square_bound", spy)
+        for name in ("jordan-d2", "jordan-d3", "jordan-d4"):
+            refine(*REFINE_CASES[name])
+        assert calls == []
+        refine(*REFINE_CASES["refine-2x5x5"])
+        assert calls
 
 
 def _closed_form(M):
