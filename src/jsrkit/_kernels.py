@@ -17,11 +17,19 @@ the maximum over all words, and the smallest rotation is the necklace's
 first word, so the reported rank is unchanged.  refine_pass takes the
 norm of every child it measures, and eigvals only where the child's
 radius root could beat the lower end: its norm root bounds it, and for
-siblings so does the square rule rho(P)^2 <= ||P^2|| (_square_bound, one
-matmul and sum of squares per expansion).  A single generator's path
-blocks keep the norm bound alone: on the benchmark's Jordan powers the
-square rule cut no child of the d = 2 and 3 paths, and a check on every
-child cost more than it saved.
+children of one length so does the square rule rho(P)^2 <= ||P^2||
+(_square_bound, one matmul and sum of squares per batch).  A single
+generator's path blocks keep the norm bound alone: on the benchmark's
+Jordan powers the square rule cut no child of the d = 2 and 3 paths, and
+a check on every child cost more than it saved.
+
+With m >= 2 generators a pass measures its new levels before it walks
+(_grow): from the memo's front, the nodes the last completed pass left
+alive at its depth cap, it forms the children of every node still alive
+one level at a time, with one matmul and one _measure call per level
+(per _BLOCK_BYTES of products), and the walk replays them.  On small
+matrices most of an expansion's cost is Python and numpy call overhead,
+which a level pays once instead of once per node.
 
 Generators are stored complex128, but a set none of whose entries has
 an imaginary part is measured in float64 from end to end (_real_if_real
@@ -31,9 +39,9 @@ fast as the complex ones.  Every array the engine allocates follows the
 dtype of the generators, so a complex set runs the same calls as before.
 
 Every batch of products (the siblings of one refine_pass expansion, one
-level of a sweep_tree block, one step of a single-generator block)
-carries an integer exponent e and holds its products divided by 2**e;
-a sweep level's exponent is one per product once any of its products
+level of a sweep_tree block or of _grow, one step of a single-generator
+block) carries an integer exponent e and holds its products divided by
+2**e; a level's exponent is one per product once any of its products
 has been fitted.  A product becomes a factor only after _fit scales it
 by an exact power of two where its own largest entry has left the band,
 and a generator set outside the band is fitted once.  In-band products
@@ -71,6 +79,9 @@ _SQUARE_SLACK = 2.0**-40
 # bytes of product matrices in one block of a sweep; a block of a single
 # generator's path fits its products and their norm temporaries in it
 _BLOCK_BYTES = 64 * 2**10
+# bytes of products one level of refine's growth (_grow) may hold; a
+# wider level is left to the walk, which holds one product per depth
+_FRONT_BYTES = 4 * 2**20
 # entries of one rotations x candidates temporary of _least_rotations:
 # 16 KiB of int64, so a block's necklace mask stays small however many
 # of its words are candidates
@@ -437,16 +448,20 @@ class Memo:
 
     One record per expanded node: m slots, one per child P of length k,
     with ||P||^(1/k), rho(P)^(1/k) shaved by _EIG_SAFETY (-1 where eigvals
-    was skipped because the norm root or, for siblings, the square bound
-    put it at or below lower, which only a lower above 0 does; kept as is
-    when lower grows), log ||P|| (-inf for a zero norm) and the index of P's own
-    record (-1 until it is expanded).
+    was skipped because the norm root or, for children of one length, the
+    square bound put it at or below lower, which only a lower above 0 does;
+    kept as is when lower grows), log ||P|| (-inf for a zero norm) and the
+    index of P's own record (-1 until it is expanded).
     A stored child costs 32 bytes.  Only a single generator's chain of
     one-slot records keeps a product: end, its last node's, fitted, with
-    its exponent.
+    its exponent.  With m >= 2 generators front holds (k, slots, products,
+    exponents): the nodes of length k, the last completed pass's depth
+    cap, that were alive there, with their fitted products, from which
+    the next pass grows (_grow); on a fresh memo, the root's children.
+    nbytes counts both.
     """
 
-    __slots__ = ("norm_root", "cand", "log_norm", "kid", "end")
+    __slots__ = ("norm_root", "cand", "log_norm", "kid", "end", "front")
 
     def __init__(self):
         self.norm_root = array("d")
@@ -454,10 +469,12 @@ class Memo:
         self.log_norm = array("d")
         self.kid = array("q")
         self.end = None
+        self.front = None
 
     @property
     def nbytes(self):
-        return 32 * len(self.kid)
+        front = 0 if self.front is None else sum(a.nbytes for a in self.front[1:])
+        return 32 * len(self.kid) + front
 
 
 def _measure(memo, kids, lengths, exps, lower, fro):
@@ -466,11 +483,12 @@ def _measure(memo, kids, lengths, exps, lower, fro):
     roots and log-norm are derived.  One batched norms call measures them
     all, one batched radii call those whose radius root can beat lower.
 
-    A child's radius root is at most its norm root and, for siblings (m >= 2
-    children of one length), at most the root of its _square_bound; eigvals
-    is skipped where either, times 1 + _SKIP_SLACK, is at most lower.  Only
-    siblings that pass the norm test take the square bound, in one batch;
-    a single generator's path blocks keep the norm test alone."""
+    A child's radius root is at most its norm root and, for children of
+    one length (those of one or more nodes with m >= 2 generators), at most
+    the root of its _square_bound; eigvals is skipped where either, times
+    1 + _SKIP_SLACK, is at most lower.  Only children that pass the norm
+    test take the square bound, in one batch; a single generator's path
+    blocks keep the norm test alone."""
     nrm = norms(kids, fro).tolist()
     nroot = [root(x, e, k) for x, e, k in zip(nrm, exps, lengths)]
     cand = [-1.0] * len(nrm)
@@ -529,6 +547,52 @@ def _expand(memo, prod, e, gens, k, room, lower, fro):
     return first
 
 
+def _grow(memo, gens, depth_cap, lower, log_thr, room, fro):
+    """Measure, one level at a time from memo.front down to depth_cap, the
+    children of every node a pass from lower could expand, and leave the
+    nodes alive at depth_cap as the new front (m >= 2 generators).
+
+    A node of length k is alive as the walk tests it, not (log ||P|| <=
+    k log_thr), here under the pass's starting lower; lower only rises in a
+    pass, so every node the walk expands is among them.  A level's
+    children are its fitted products times gens, as the walk forms them,
+    in one matmul, measured with one _measure call per _BLOCK_BYTES of
+    products and linked to their parents' slots.  No node at or below the
+    front has children in memo: a walk expands only above its depth cap,
+    and the front is the deepest cap grown.  Growth stops, and clears the
+    front, before a level whose children would take the children grown
+    past room (the pass's budget left), or whose products would pass
+    _FRONT_BYTES; the walk expands the rest one node at a time.  It does
+    nothing when depth_cap is at most the front's depth."""
+    if memo.front is None or memo.front[0] >= depth_cap:
+        return
+    k, slots, prods, exps = memo.front
+    m, d, _ = gens.shape
+    step = m * max(1, _BLOCK_BYTES // (16 * m * d * d))  # children per call
+    while True:
+        alive = ~(np.frombuffer(memo.log_norm)[slots] <= k * log_thr)
+        slots, prods, exps = slots[alive], prods[alive], exps[alive]
+        if k == depth_cap or not slots.size:
+            break
+        room -= slots.size * m
+        if room < 0 or slots.size * m * prods[0].nbytes > _FRONT_BYTES:
+            memo.front = None
+            return
+        kids = np.matmul(prods[:, None], gens[None]).reshape(-1, d, d)
+        exps = np.repeat(exps, m)
+        e = exps.tolist()
+        first = len(memo.kid)
+        for a in range(0, len(e), step):
+            part = e[a:a + step]
+            _measure(memo, kids[a:a + step], [k + 1] * len(part), part, lower, fro)
+        np.frombuffer(memo.kid, np.int64)[slots] = np.arange(first // m, len(memo.kid) // m)
+        slots = np.arange(first, len(memo.kid))
+        prods, shift = _fit_rows(kids)
+        exps = exps + shift
+        k += 1
+    memo.front = (depth_cap, slots, prods, exps)
+
+
 def _rebuild(stack, word, gens):
     """(P, e), P fitted, of the top frame's node, from the deepest frame with one."""
     i = len(stack) - 1
@@ -567,13 +631,20 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     lower_in is at least the lower every earlier pass returned (refine's
     deepening does this).
 
-    Each open depth keeps at most its fitted parent product and its
-    exponent, rebuilt only when a fresh expansion below it needs it, and is
-    dropped once its last child is entered.  A single generator's path is
-    measured in blocks from memo.end (see _expand), never past depth_cap or
-    the budget left, the next block only at the end of this one, so O(1)
-    products are held however deep the pass goes.  No fresh expansion is
-    made when the budget leaves no node to enter.
+    With m >= 2 generators the pass first grows memo's front down to
+    depth_cap (_grow): every node alive under lower_in below the front is
+    expanded there, a level at a time, until the children grown would pass
+    the budget or a level _FRONT_BYTES, and the walk replays them.  A child
+    measured under lower_in rather than the walk's higher lower only stores
+    a candidate root that cannot count, as above, so reports do not depend
+    on growth.  The walk expands a node itself only where growth stopped:
+    each open depth keeps at most its fitted parent product and its exponent,
+    rebuilt only when such an expansion below it needs it, and is dropped
+    once its last child is entered.  A single generator's path is measured
+    in blocks from memo.end (see _expand), never past depth_cap or the
+    budget left, the next block only at the end of this one, so O(1)
+    products are held however deep the pass goes.  The walk makes no fresh
+    expansion when the budget leaves no node to enter.
 
     Returns (lower, wit_len, wit_word, frontier_max, saw_frontier,
     completed, nodes, deepest).  wit_len == 0 means no word improved on
@@ -595,9 +666,15 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
 
     # frame: [record, child length k, the parent's fitted (P, e) or None
     # until needed, next child]
-    stack = [[0, 1, (np.eye(d, dtype=gens.dtype), 0), 0]]
+    eye = np.eye(d, dtype=gens.dtype)
+    stack = [[0, 1, (eye, 0), 0]]
     if not mkid:
-        _expand(memo, *stack[0][2], gens, 0, min(depth_cap, budget), lower, fro)
+        _expand(memo, eye, 0, gens, 0, min(depth_cap, budget), lower, fro)
+        if m > 1:
+            prods, e = _fit_rows(eye @ gens)
+            memo.front = (1, np.arange(m), prods, np.zeros(m, np.int64) + e)
+    if m > 1:
+        _grow(memo, gens, depth_cap, lower, log_thr, budget, fro)
     while stack:
         if nodes >= budget:
             completed = False

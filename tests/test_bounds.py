@@ -399,7 +399,6 @@ BAND_CASES = {"band-high": 2.0**200 * ENGINE_CASES["golden"],
               "band-low": 2.0**-200 * ENGINE_CASES["golden"],
               "tiny-cycle": TINY_CYCLE,
               "path-and-scalar": PATH_AND_SCALAR}
-PASS_CASES = {**ENGINE_CASES, **BAND_CASES}
 # diagonal, so every product's rho is its norm: at each depth the last
 # word, 1^k, beats the record of the first, 0^k, by (1 + 2**-20)^k, and a
 # sweep that skipped radii on a wider norm margin than refine's would miss it
@@ -418,13 +417,20 @@ SLACK_TIE = np.stack([np.diag([1.0, 0.0, 0.0]),
 # 2**-1200, which reads 0 at 10's exponent.  A Frobenius bound taken from
 # that underflowed sum could not beat it, and the record would be lost.
 TINY_RECORD = np.stack([2.0**-600 * _unit(2, 0, 0), _unit(2, 1, 0)])
-SWEEP_CASES = {**ENGINE_CASES, **BAND_CASES, "near-tie": NEAR_TIE, "slack-tie": SLACK_TIE,
-               "tiny-record": TINY_RECORD,
+# in the tie sets a pass from lower 0 raises lower at depth 1 and cuts the
+# branch below 0, which refine_pass's growth has measured from lower 0
+PASS_CASES = {**ENGINE_CASES, **BAND_CASES, "near-tie": NEAR_TIE, "slack-tie": SLACK_TIE}
+SWEEP_CASES = {**PASS_CASES, "tiny-record": TINY_RECORD,
                **{f"{k}-single": g[:1] for k, g in BAND_CASES.items() if k.startswith("band")}}
 
 
 # sweep depth per generator count: about a thousand words for 2 or 3
 SWEEP_DEPTH = {1: 40, 2: 9, 3: 6}
+
+
+def _pass_result(res):
+    """One refine_pass result with its witness cut to length, as hex."""
+    return _hex(res[:2] + (res[2][:res[1]],) + res[3:])
 
 
 def _pass_outputs(fn, gens, fro):
@@ -435,11 +441,10 @@ def _pass_outputs(fn, gens, fro):
     memo = _kernels.Memo()
     for cap in (1, 2, 3, 5, 7):
         res = fn(gens, cap, 0.05, lower, 4000, fro, memo)
-        out.append(res[:2] + (res[2][:res[1]],) + res[3:])
+        out.append(_pass_result(res))
         lower = max(lower, res[0])
-    res = fn(gens, 12, 0.05, 0.0, 37, fro, _kernels.Memo())
-    out.append(res[:2] + (res[2][:res[1]],) + res[3:])
-    return _hex(out)
+    out.append(_pass_result(fn(gens, 12, 0.05, 0.0, 37, fro, _kernels.Memo())))
+    return out
 
 
 def _loop_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
@@ -556,14 +561,16 @@ def _report(M, width, budget, fro=False):
 
 
 class _Counted:
-    """Wraps _kernels.norms or _kernels.radii and counts the matrices it measures."""
+    """Wraps _kernels.norms or _kernels.radii and counts its calls and the
+    matrices it measures."""
 
     def __init__(self, monkeypatch, name="norms"):
-        self.matrices = 0
+        self.calls = self.matrices = 0
         self._measure = getattr(_kernels, name)
         monkeypatch.setattr(_kernels, name, self)
 
     def __call__(self, stack, *args):
+        self.calls += 1
         self.matrices += stack.shape[0]
         return self._measure(stack, *args)
 
@@ -571,9 +578,13 @@ class _Counted:
 class TestBatchedEngine:
     """The batched kernels reproduce the one-node-at-a-time loop kernels."""
 
+    @pytest.mark.parametrize("block_bytes", [_kernels._BLOCK_BYTES, 256])
     @pytest.mark.parametrize("fro", [False, True])
     @pytest.mark.parametrize("name", sorted(PASS_CASES))
-    def test_refine_pass_matches_loop_kernel(self, name, fro):
+    def test_refine_pass_matches_loop_kernel(self, name, fro, block_bytes, monkeypatch):
+        # 256 bytes hold one to eight products, so grown levels are measured
+        # in several calls
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
         gens = PASS_CASES[name]
         want = _pass_outputs(_loop_pass, gens, fro)
         got = _pass_outputs(_kernels.refine_pass, gens, fro)
@@ -1083,6 +1094,91 @@ class TestSquareBound:
         assert calls == []
         refine(*REFINE_CASES["refine-2x5x5"])
         assert calls
+
+
+def _chain(gens, caps, width):
+    """Passes at the given caps sharing one memo, each from the lower the
+    one before it returned; each must match the loop kernel.  Returns the
+    memo and the last lower."""
+    memo, lower = _kernels.Memo(), 0.0
+    for cap in caps:
+        res = _kernels.refine_pass(gens, cap, width, lower, 10**6, False, memo)
+        assert _pass_result(res) == _pass_result(
+            oracles.loop_refine_pass(gens, cap, width, lower, 10**6, False))
+        lower = max(lower, res[0])
+    return memo, lower
+
+
+class TestGrowth:
+    """refine_pass measures its new levels from the memo's front, one call per level."""
+
+    def test_refine_2x5x5_measures_a_level_per_call(self, monkeypatch):
+        # one node at a time the same refine makes 2,114 norms calls of two
+        # matrices each
+        M, width, budget = REFINE_CASES["refine-2x5x5"]
+        norms = _Counted(monkeypatch)
+        rep = refine(M, width, budget)
+        assert rep.nodes_explored == 11_910
+        assert norms.calls <= 120
+        assert norms.matrices <= 4_400
+
+    def test_growth_stops_at_the_budget_left(self, monkeypatch):
+        # levels 9, 10, 11 of refine-2x5x5 hold 78, 88 and 100 children
+        # alive under the chain's lower, so a cap-16 pass with 300 nodes
+        # left grows three levels and leaves the rest to its walk
+        gens = ENGINE_CASES["refine-2x5x5"]
+        memo, lower = _chain(gens, (1, 2, 3, 5, 7, 8), 0.005)
+        norms = _Counted(monkeypatch)
+        grown = []
+        grow = _kernels._grow
+
+        def spy(*args):
+            before = norms.matrices
+            grow(*args)
+            grown.append(norms.matrices - before)
+
+        monkeypatch.setattr(_kernels, "_grow", spy)
+        res = _kernels.refine_pass(gens, 16, 0.005, lower, 300, False, memo)
+        assert _pass_result(res) == _pass_result(
+            oracles.loop_refine_pass(gens, 16, 0.005, lower, 300, False))
+        assert not res[5]
+        assert grown == [78 + 88 + 100]
+        assert memo.front is None
+
+    def test_no_growth_at_or_above_the_front(self, monkeypatch):
+        gens = ENGINE_CASES["refine-2x5x5"]
+        memo, lower = _chain(gens, (1, 2, 3, 5, 7), 0.005)
+        front = memo.front
+        assert front[0] == 7
+        norms = _Counted(monkeypatch)
+        for cap in (5, 7):
+            res = _kernels.refine_pass(gens, cap, 0.005, lower, 10**6, False, memo)
+            assert _pass_result(res) == _pass_result(
+                oracles.loop_refine_pass(gens, cap, 0.005, lower, 10**6, False))
+            assert memo.front is front
+        assert norms.matrices == 0
+
+    def test_memo_bytes_hold_the_front(self):
+        gens = ENGINE_CASES["refine-2x5x5"]
+        memo, _ = _chain(gens, (1, 2, 3, 5, 7), 0.005)
+        k, slots, prods, exps = memo.front
+        assert prods.shape == (slots.size, 5, 5) and exps.shape == slots.shape
+        assert memo.nbytes == 32 * len(memo.kid) + slots.nbytes + prods.nbytes + exps.nbytes
+        assert prods.nbytes > 0
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_wide_levels_are_left_to_the_walk(self, fro, monkeypatch):
+        # a level whose products pass _FRONT_BYTES (here sixteen complex
+        # 5 x 5 products) ends growth; the walk measures the rest one node
+        # at a time, with the same report
+        M, width, budget = REFINE_CASES["refine-2x5x5"]
+        norms = _Counted(monkeypatch)
+        want = _report(M, width, budget, fro)
+        grown = norms.calls
+        monkeypatch.setattr(_kernels, "_FRONT_BYTES", 16 * 400)
+        norms.calls = 0
+        assert _report(M, width, budget, fro) == want
+        assert norms.calls > 10 * grown
 
 
 def _closed_form(M):
