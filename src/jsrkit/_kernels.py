@@ -23,28 +23,30 @@ generator's path blocks keep the norm bound alone: on the benchmark's
 Jordan powers the square rule cut no child of the d = 2 and 3 paths, and
 a check on every child cost more than it saved.
 
-With m >= 2 generators a pass measures its new levels before it walks
-(_grow): from the memo's front, the nodes the last completed pass left
-alive at its depth cap, it forms the children of every node still alive
-one level at a time, with one matmul and one _measure call per level
-(per _BLOCK_BYTES of products), and the walk replays them.  On small
-matrices most of an expansion's cost is Python and numpy call overhead,
-which a level pays once instead of once per node.
+refine_pass forms no product itself: its walk replays the memo, and where
+it meets an alive node below its cap with no children it calls _grow,
+which expands that node and the pending nodes after it one level at a
+time, with one matmul and one _measure call per level, in runs that fit
+the budget left and _BLOCK_BYTES.  On small matrices most of an
+expansion's cost is Python and numpy call overhead, which a level pays
+once instead of once per node.  Products are held only in the memo's
+pending fronts, the nodes measured but not yet expanded, as sweep_tree
+holds its frame stack.
 
 Generators are stored complex128, but a set none of whose entries has
-an imaginary part is measured in float64 from end to end (_real_if_real
-at every entry point): its products, Gram matrices, sums of squares and
+an imaginary part is measured in float64 from end to end (_fit_set at
+every entry point): its products, Gram matrices, sums of squares and
 eigenvalue problems take the real BLAS/LAPACK routines, about twice as
 fast as the complex ones.  Every array the engine allocates follows the
 dtype of the generators, so a complex set runs the same calls as before.
 
-Every batch of products (the siblings of one refine_pass expansion, one
-level of a sweep_tree block or of _grow, one step of a single-generator
-block) carries an integer exponent e and holds its products divided by
-2**e; a level's exponent is one per product once any of its products
-has been fitted.  A product becomes a factor only after _fit scales it
-by an exact power of two where its own largest entry has left the band,
-and a generator set outside the band is fitted once.  In-band products
+Every batch of products (one level of a sweep_tree block or of a _grow
+run, one step of a single-generator block) carries an integer exponent
+e and holds its products divided by 2**e; a level's exponent is one per
+product once any of its products has been fitted.  A product becomes a
+factor only after _fit scales it by an exact power of two where its own
+largest entry has left the band, and a generator set outside the band
+is fitted once.  In-band products
 are never rescaled, so at e = 0 the arithmetic is that of the unscaled
 products.  A value x reads as x * 2**e, its k-th root as root(x, e, k).
 Exponents travel with their products; refine_pass's memo keeps the roots
@@ -79,9 +81,6 @@ _SQUARE_SLACK = 2.0**-40
 # bytes of product matrices in one block of a sweep; a block of a single
 # generator's path fits its products and their norm temporaries in it
 _BLOCK_BYTES = 64 * 2**10
-# bytes of products one level of refine's growth (_grow) may hold; a
-# wider level is left to the walk, which holds one product per depth
-_FRONT_BYTES = 4 * 2**20
 # entries of one rotations x candidates temporary of _least_rotations:
 # 16 KiB of int64, so a block's necklace mask stays small however many
 # of its words are candidates
@@ -103,12 +102,6 @@ _NORMAL = 2.0**-1022
 _LN2 = math.log(2.0)
 
 
-def _real_if_real(stack):
-    """stack in the arithmetic the engine measures it in: its real part,
-    as float64, when no entry has an imaginary part, else stack itself."""
-    return stack if stack.imag.any() else np.ascontiguousarray(stack.real)
-
-
 def _fit(stack):
     """(stack / 2**e, e): e = 0 in band, else the largest part goes to [0.5, 1)."""
     top = float(abs(stack.view(np.float64)).max())
@@ -116,6 +109,12 @@ def _fit(stack):
         return stack, 0
     e = math.frexp(top)[1]
     return np.ldexp(stack.view(np.float64), -e).view(stack.dtype), e
+
+
+def _fit_set(stack):
+    """_fit of stack in the arithmetic the engine measures it in: its real
+    part, as float64, when no entry has an imaginary part, else stack."""
+    return _fit(stack if stack.imag.any() else np.ascontiguousarray(stack.real))
 
 
 def _fit_rows(stack):
@@ -144,13 +143,13 @@ def root(x, e, k):
 
 def peak(measure, stack):
     """The largest measure (a norm or a radius) of the matrices in stack."""
-    stack, e = _fit(_real_if_real(stack))
+    stack, e = _fit_set(stack)
     return scale(float(measure(stack).max()), e)
 
 
 def word_product(gens, word):
     """(P, e): P * 2**e is the left-to-right product of gens[word], fitted as sweeps fit."""
-    gens, e1 = _fit(_real_if_real(gens))
+    gens, e1 = _fit_set(gens)
     prod, e = gens[word[0]], e1 * len(word)
     for i in word[1:]:
         prod, s = _fit(prod)
@@ -371,7 +370,7 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
     which is fitted on its own: fitting a level as one batch would scale
     its small products by its largest and could flush them to zero.
     """
-    gens, e1 = _fit(_real_if_real(gens))
+    gens, e1 = _fit_set(gens)
     m, d, _ = gens.shape
 
     def side():  # best, exps and ranks by depth
@@ -452,29 +451,27 @@ class Memo:
     square bound put it at or below lower, which only a lower above 0 does;
     kept as is when lower grows), log ||P|| (-inf for a zero norm) and the
     index of P's own record (-1 until it is expanded).
-    A stored child costs 32 bytes.  Only a single generator's chain of
-    one-slot records keeps a product: end, its last node's, fitted, with
-    its exponent.  With m >= 2 generators front holds (k, slots, products,
-    exponents): the nodes of length k, the last completed pass's depth
-    cap, that were alive there, with their fitted products, from which
-    the next pass grows (_grow); on a fresh memo, the root's children.
-    nbytes counts both.
+    A stored child costs 32 bytes.  front maps a depth k to the pending
+    fronts there: a list of (slots, products, exponents), nodes of length k
+    measured but not yet expanded, with their fitted products, from which
+    growth goes on (_grow).  A depth's nodes are measured in lexicographic
+    order, so there slot order is lexicographic order.  nbytes counts the
+    records and the fronts' arrays.
     """
 
-    __slots__ = ("norm_root", "cand", "log_norm", "kid", "end", "front")
+    __slots__ = ("norm_root", "cand", "log_norm", "kid", "front")
 
     def __init__(self):
         self.norm_root = array("d")
         self.cand = array("d")
         self.log_norm = array("d")
         self.kid = array("q")
-        self.end = None
-        self.front = None
+        self.front = {}
 
     @property
     def nbytes(self):
-        front = 0 if self.front is None else sum(a.nbytes for a in self.front[1:])
-        return 32 * len(self.kid) + front
+        return 32 * len(self.kid) + sum(a.nbytes for level in self.front.values()
+                                        for part in level for a in part)
 
 
 def _measure(memo, kids, lengths, exps, lower, fro):
@@ -509,106 +506,96 @@ def _measure(memo, kids, lengths, exps, lower, fro):
     memo.kid.extend([-1] * len(nrm))
 
 
-def _expand(memo, prod, e, gens, k, room, lower, fro):
-    """Measure the children of a node of length k, fitted product prod * 2**e.
+def _grow(memo, gens, s, k, depth_cap, lower, log_thr, room, fro):
+    """Expand the pending node s of length k and the pending nodes after
+    it, one level at a time, no deeper than depth_cap: the one place a
+    pass forms products.
 
-    Returns the index of their record: m siblings for m >= 2.  With one
-    generator the next min(room, block) nodes of the path form a block of
-    chained one-slot records, whose products (formed left to right) and
-    norm temporaries fit in _BLOCK_BYTES; memo.end keeps the last."""
+    Each level's run is the longest lexicographic run of pending nodes,
+    from s or from the level's first, whose children fit one _measure call
+    of _BLOCK_BYTES and the budget left, room, counted once for each depth
+    from the run's own to depth_cap, as if every level below were as wide;
+    the first run holds s at least.  Of the run, the nodes alive as the walk
+    tests them, not (log ||P|| <= k log_thr), are expanded: their fitted
+    products times gens in one matmul, measured, and linked to their
+    slots.  The children alive in turn are the next level's pending front,
+    and room loses the children measured.  The rest of each level stays
+    pending until the walk reaches it, and the children at depth_cap until
+    a deeper pass does.
+
+    A single generator's front is its path's last node, and its run goes a
+    block at a time: the next min(room, block) nodes of the path, never
+    past depth_cap, chained one-slot records whose products (formed left
+    to right) and norm temporaries fit in _BLOCK_BYTES, in one _measure
+    call."""
     m, d, _ = gens.shape
-    first = len(memo.kid)
-    if m > 1:
-        _measure(memo, prod @ gens, [k + 1] * m, [e] * m, lower, fro)
-        return first // m
-    n = max(1, min(room, _BLOCK_BYTES // (3 * 16 * d * d)))
-    block = np.empty((n, d, d), gens.dtype)
-    g = gens[0]
-    # a step multiplies the largest part by less than 2 + 2 d |g|, so `run`
-    # steps from an in-band product stay below 2**1000: a run is formed
-    # unchecked, and its first product outside the band starts the next
-    grow = math.log2(2.0 + 2 * d * float(abs(g.view(np.float64)).max()))
-    run = max(1, int((1000 - _BAND) / grow))
-    exps = []
-    while len(exps) < n:
-        t0 = len(exps)
-        stop = min(n, t0 + run)
-        for t in range(t0, stop):
-            prod = np.matmul(prod, g, out=block[t])
-        top = abs(block[t0:stop].view(np.float64)).max(axis=(1, 2))
-        out = np.flatnonzero((top >= _HI) | (top < _LO) & (top > 0.0))
-        t = t0 + int(out[0]) if out.size else stop - 1
-        exps += [e] * (t + 1 - t0)
-        prod, s = _fit(block[t])
-        e += s
-    _measure(memo, block, range(k + 1, k + n + 1), exps, lower, fro)
-    memo.kid[first:first + n - 1] = array("q", range(first + 1, first + n))
-    memo.end = (prod.copy(), e)
-    return first
-
-
-def _grow(memo, gens, depth_cap, lower, log_thr, room, fro):
-    """Measure, one level at a time from memo.front down to depth_cap, the
-    children of every node a pass from lower could expand, and leave the
-    nodes alive at depth_cap as the new front (m >= 2 generators).
-
-    A node of length k is alive as the walk tests it, not (log ||P|| <=
-    k log_thr), here under the pass's starting lower; lower only rises in a
-    pass, so every node the walk expands is among them.  A level's
-    children are its fitted products times gens, as the walk forms them,
-    in one matmul, measured with one _measure call per _BLOCK_BYTES of
-    products and linked to their parents' slots.  No node at or below the
-    front has children in memo: a walk expands only above its depth cap,
-    and the front is the deepest cap grown.  Growth stops, and clears the
-    front, before a level whose children would take the children grown
-    past room (the pass's budget left), or whose products would pass
-    _FRONT_BYTES; the walk expands the rest one node at a time.  It does
-    nothing when depth_cap is at most the front's depth."""
-    if memo.front is None or memo.front[0] >= depth_cap:
-        return
-    k, slots, prods, exps = memo.front
-    m, d, _ = gens.shape
-    step = m * max(1, _BLOCK_BYTES // (16 * m * d * d))  # children per call
-    while True:
-        alive = ~(np.frombuffer(memo.log_norm)[slots] <= k * log_thr)
-        slots, prods, exps = slots[alive], prods[alive], exps[alive]
-        if k == depth_cap or not slots.size:
-            break
-        room -= slots.size * m
-        if room < 0 or slots.size * m * prods[0].nbytes > _FRONT_BYTES:
-            memo.front = None
-            return
-        kids = np.matmul(prods[:, None], gens[None]).reshape(-1, d, d)
-        exps = np.repeat(exps, m)
-        e = exps.tolist()
+    level = memo.front[k]
+    while level[0][0][-1] < s:  # fronts the walk has passed: dead or below a cut
+        del level[0]
+    slots, prods, exps = level[0]
+    i = 0 if slots[0] == s else int(np.searchsorted(slots, s))
+    if m == 1:
         first = len(memo.kid)
-        for a in range(0, len(e), step):
-            part = e[a:a + step]
-            _measure(memo, kids[a:a + step], [k + 1] * len(part), part, lower, fro)
-        np.frombuffer(memo.kid, np.int64)[slots] = np.arange(first // m, len(memo.kid) // m)
-        slots = np.arange(first, len(memo.kid))
-        prods, shift = _fit_rows(kids)
-        exps = exps + shift
+        n = max(1, min(room, depth_cap - k, _BLOCK_BYTES // (3 * 16 * d * d)))
+        block = np.empty((n, d, d), gens.dtype)
+        g, prod, e = gens[0], prods[i], int(exps[i])
+        # a step multiplies the largest part by less than 2 + 2 d |g|, so `run`
+        # steps from an in-band product stay below 2**1000: a run is formed
+        # unchecked, and its first product outside the band starts the next
+        grow = math.log2(2.0 + 2 * d * float(abs(g.view(np.float64)).max()))
+        run = max(1, int((1000 - _BAND) / grow))
+        kexps = []
+        while len(kexps) < n:
+            t0 = len(kexps)
+            stop = min(n, t0 + run)
+            for t in range(t0, stop):
+                prod = np.matmul(prod, g, out=block[t])
+            top = abs(block[t0:stop].view(np.float64)).max(axis=(1, 2))
+            out = np.flatnonzero((top >= _HI) | (top < _LO) & (top > 0.0))
+            t = t0 + int(out[0]) if out.size else stop - 1
+            kexps += [e] * (t + 1 - t0)
+            prod, shift = _fit(block[t])
+            e += shift
+        _measure(memo, block, range(k + 1, k + n + 1), kexps, lower, fro)
+        memo.kid[first:first + n - 1] = array("q", range(first + 1, first + n))
+        if k:
+            memo.kid[s] = first
+        memo.front = {k + n: [(np.array([first + n - 1]), prod[None].copy(), np.array([e]))]}
+        return
+    step = max(1, _BLOCK_BYTES // (16 * m * d * d))  # nodes whose children fill a call
+    n = max(1, min(step, room // (m * (depth_cap - k + 1))))
+    run, parents, pexps = slots[i:i + n], prods[i:i + n], exps[i:i + n]
+    if run.size > 1:  # s is alive; the walk has not yet tested the nodes after it
+        live = ~(np.frombuffer(memo.log_norm)[run] <= k * log_thr)
+        run, parents, pexps = run[live], parents[live], pexps[live]
+    while True:
+        if i + n < slots.size:
+            level[0] = (slots[i + n:], prods[i + n:], exps[i + n:])
+        else:
+            del level[0]
+        kids = np.matmul(parents[:, None], gens[None]).reshape(-1, d, d)
+        e = np.repeat(pexps, m)
+        first = len(memo.kid)
+        _measure(memo, kids, [k + 1] * e.size, e.tolist(), lower, fro)
+        if k:
+            np.frombuffer(memo.kid, np.int64)[run] = np.arange(first // m, len(memo.kid) // m)
+        room -= e.size
         k += 1
-    memo.front = (depth_cap, slots, prods, exps)
-
-
-def _rebuild(stack, word, gens):
-    """(P, e), P fitted, of the top frame's node, from the deepest frame with one."""
-    i = len(stack) - 1
-    while i >= 0 and stack[i][2] is None:
-        i -= 1
-    if i >= 0:
-        (prod, e), t = stack[i][2], stack[i][1] - 1
-    else:
-        prod, e, t = np.eye(gens.shape[1], dtype=gens.dtype), 0, 0
-    for frame in stack[i + 1:]:
-        while t < frame[1] - 1:
-            prod, s = _fit(prod @ gens[word[t]])
-            e += s
-            t += 1
-        frame[2] = (prod, e)
-    return prod, e
+        prods, shift = _fit_rows(kids)
+        slots = np.arange(first, len(memo.kid))
+        live = ~(np.frombuffer(memo.log_norm)[slots] <= k * log_thr)
+        part = [(slots[live], prods[live], (e + shift)[live])] if live.any() else []
+        if k == depth_cap:
+            memo.front.setdefault(k, []).extend(part)
+            return
+        # the depth's older fronts lie before s: the walk has passed them
+        level = memo.front[k] = part
+        n = part and min(part[0][0].size, step, max(room, 0) // (m * (depth_cap - k + 1)))
+        if not n:
+            return
+        (slots, prods, exps), = part
+        i = 0
+        run, parents, pexps = slots[:n], prods[:n], exps[:n]
 
 
 def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
@@ -631,27 +618,25 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     lower_in is at least the lower every earlier pass returned (refine's
     deepening does this).
 
-    With m >= 2 generators the pass first grows memo's front down to
-    depth_cap (_grow): every node alive under lower_in below the front is
-    expanded there, a level at a time, until the children grown would pass
-    the budget or a level _FRONT_BYTES, and the walk replays them.  A child
-    measured under lower_in rather than the walk's higher lower only stores
-    a candidate root that cannot count, as above, so reports do not depend
-    on growth.  The walk expands a node itself only where growth stopped:
-    each open depth keeps at most its fitted parent product and its exponent,
-    rebuilt only when such an expansion below it needs it, and is dropped
-    once its last child is entered.  A single generator's path is measured
-    in blocks from memo.end (see _expand), never past depth_cap or the
-    budget left, the next block only at the end of this one, so O(1)
-    products are held however deep the pass goes.  The walk makes no fresh
-    expansion when the budget leaves no node to enter.
+    Where the walk meets an alive node below depth_cap with no record it
+    calls _grow, which measures that node's children and those of the
+    pending nodes after it, level by level, from the memo's pending fronts;
+    a fresh memo's one pending node is the root.  A child measured under a
+    lower below the walk's only stores a candidate root that cannot count,
+    as above, so reports do not depend on how growth is batched.  The walk
+    holds no product: each open depth keeps its record and next child, and
+    is dropped once its last child is entered.  Growth sizes its runs to
+    the budget left, and none is asked for when the budget leaves no node
+    to enter; what a cut pass leaves pending, a later pass on the memo
+    grows.  After a completed pass the memo's front is the nodes alive at
+    depth_cap.
 
     Returns (lower, wit_len, wit_word, frontier_max, saw_frontier,
     completed, nodes, deepest).  wit_len == 0 means no word improved on
     lower_in.  frontier_max is the max norm root over the frontier.
     Every visit counts as a node, replayed or not.
     """
-    gens, e1 = _fit(_real_if_real(gens))
+    gens, e1 = _fit_set(gens)
     m, d, _ = gens.shape
     memo = Memo() if memo is None else memo
     mroot, mcand, mlog, mkid = memo.norm_root, memo.cand, memo.log_norm, memo.kid
@@ -664,23 +649,18 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     wit_len = nodes = deepest = 0
     frontier_max, saw_frontier, completed = 0.0, False, True
 
-    # frame: [record, child length k, the parent's fitted (P, e) or None
-    # until needed, next child]
-    eye = np.eye(d, dtype=gens.dtype)
-    stack = [[0, 1, (eye, 0), 0]]
-    if not mkid:
-        _expand(memo, eye, 0, gens, 0, min(depth_cap, budget), lower, fro)
-        if m > 1:
-            prods, e = _fit_rows(eye @ gens)
-            memo.front = (1, np.arange(m), prods, np.zeros(m, np.int64) + e)
-    if m > 1:
-        _grow(memo, gens, depth_cap, lower, log_thr, budget, fro)
+    if not mkid:  # the root: the one pending node of a fresh memo
+        memo.front = {0: [(np.full(1, -1), np.eye(d, dtype=gens.dtype)[None],
+                           np.zeros(1, np.int64))]}
+        _grow(memo, gens, -1, 0, depth_cap, lower, log_thr, budget, fro)
+    # frame: [record, child length k, next child]
+    stack = [[0, 1, 0]]
     while stack:
         if nodes >= budget:
             completed = False
             break
         top = stack[-1]
-        rec, k, parent, j = top
+        rec, k, j = top
         word[k - 1] = j
         nodes += 1
         if k > deepest:
@@ -697,29 +677,26 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
         if alive and not expand:
             saw_frontier = True
             frontier_max = max(frontier_max, nroot)
-        child = None
-        if expand:
-            kid = mkid[s]
-            if kid < 0:
-                if nodes >= budget:
-                    # the walk would stop before entering the child
-                    completed = False
-                    break
-                if m == 1:
-                    # a single generator expands only the chain's last node
-                    child = memo.end
-                else:
-                    prod, e = parent or _rebuild(stack, word, gens)
-                    prod, shift = _fit(prod @ gens[j])
-                    child = (prod, e + shift)
-                kid = mkid[s] = _expand(memo, *child, gens, k,
-                                        min(depth_cap - k, budget - nodes), lower, fro)
+        if expand and mkid[s] < 0:
+            if nodes >= budget:
+                # the walk would stop before entering the child
+                completed = False
+                break
+            _grow(memo, gens, s, k, depth_cap, lower, log_thr, budget - nodes, fro)
         if j == m - 1:
             stack.pop()
         else:
-            top[3] = j + 1
+            top[2] = j + 1
         if expand:
-            stack.append([kid, k + 1, child, 0])
+            stack.append([mkid[s], k + 1, 0])
+    if completed:
+        # the walk passed every pending node above the cap: what it did not
+        # expand is dead; those at the cap are the next pass's front
+        front = memo.front
+        for k in [k for k in front if k < depth_cap]:
+            del front[k]
+        if len(front.get(depth_cap, ())) > 1:
+            front[depth_cap] = [tuple(map(np.concatenate, zip(*front[depth_cap])))]
     # with no new witness lower_in stands as given: scaled, it may have
     # left the double range (a block far below the one that set it)
     return (scale(lower, e1) if wit_len else lower_in, wit_len, wit_word,

@@ -33,9 +33,10 @@ from . import _kernels, config
 from ._kernels import Memo, refine_pass
 from .sets import MatrixSet, Word, _sweep, tree_size
 
-# product-stack memory allowed per branch-and-bound pass (one parent
-# product per open depth); refine also drops its memo of earlier passes
-# once the memo outgrows it
+# memory allowed for a branch-and-bound pass's pending fronts, which with
+# two or more generators may hold a product at every open depth, so it
+# sets their deepest pass; refine also drops its memo of earlier passes,
+# fronts included, once the memo outgrows it
 _STACK_BYTES = 64 * 2**20
 _MAX_DEPTH = 4096  # deepest pass refine runs
 
@@ -159,11 +160,9 @@ def _lower_profile(M: MatrixSet, n: int, budget: int) -> np.ndarray:
 
 def _pass_depth_limit(dim: int, size: int) -> int:
     if size == 1:
-        # singleton trees are paths: the kernel drops each depth as it
-        # enters its only child and holds one block of the path at a time
+        # a path's pending front is its last node: one product at any depth
         return _MAX_DEPTH
-    per_level = 16 * dim * dim
-    return min(_MAX_DEPTH, max(2, _STACK_BYTES // per_level))
+    return min(_MAX_DEPTH, max(2, _STACK_BYTES // (16 * dim * dim)))
 
 
 def _blocks(gens: np.ndarray) -> list[np.ndarray]:

@@ -19,7 +19,7 @@ class MatrixSet:
     gens is a read-only (size, dim, dim) complex128 array; generator order
     is significant (words index into it).  A set none of whose entries has
     an imaginary part is measured in real (float64) arithmetic, a set with
-    one in complex arithmetic (see _kernels._real_if_real).
+    one in complex arithmetic (see _kernels._fit_set).
     """
 
     gens: np.ndarray

@@ -43,7 +43,28 @@ def eig_rho(a) -> float:
 
 
 def brute_interval(mats, nmax: int) -> tuple[float, float]:
-    """(max rho root, min norm root) over all words of length <= nmax."""
+    """(max rho root, min norm root) over all words of length <= nmax.
+
+    The words of each length are formed at once, each as its prefix's
+    product times its last letter, in word_product's order, and measured
+    with one eigvals and one svd call per length: brute_interval_by_word's
+    values, bit for bit.
+    """
+    mats = np.asarray([np.asarray(m, dtype=complex) for m in mats])
+    d = mats.shape[1]
+    lo, hi = 0.0, math.inf
+    prods = np.eye(d, dtype=complex)[None]
+    for k in range(1, nmax + 1):
+        prods = (prods[:, None] @ mats[None]).reshape(-1, d, d)
+        top_rho = float(np.max(np.abs(np.linalg.eigvals(prods))))
+        top_nrm = float(np.max(np.linalg.svd(prods, compute_uv=False)[:, 0]))
+        lo = max(lo, top_rho ** (1.0 / k) if top_rho > 0 else 0.0)
+        hi = min(hi, top_nrm ** (1.0 / k) if top_nrm > 0 else 0.0)
+    return lo, hi
+
+
+def brute_interval_by_word(mats, nmax: int) -> tuple[float, float]:
+    """brute_interval one word at a time, the reference it is checked against."""
     mats = [np.asarray(m, dtype=complex) for m in mats]
     lo, hi = 0.0, math.inf
     for k in range(1, nmax + 1):

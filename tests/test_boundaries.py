@@ -15,6 +15,10 @@ CLI takes check_lift_identities from lift and nothing from matrices.
 
 A k-th root is taken by _kernels.root alone: no other function raises to
 a power whose exponent is a quotient, such as x ** (1.0 / k).
+
+refine_pass forms no product: growth (_kernels._grow) forms, fits and
+measures every product a pass needs, and the walk only replays the memo.
+refine_pass fits only the generator set, through _kernels._fit_set.
 """
 
 import ast
@@ -206,3 +210,46 @@ def test_power_detector_sees_each_form():
     ])
     assert root_powers(source) == [(2, "f"), (4, "g"), (6, "inner"), (7, "inner"),
                                    (7, "inner"), (9, None)]
+
+
+PRODUCT_CALLS = {"matmul", "_fit", "_fit_rows"}
+
+
+def product_forms(source: str, function: str) -> list[tuple[int, str]]:
+    """(line, form) of every matrix product (@ or @=) and every matmul,
+    _fit or _fit_rows call in the named function."""
+    tree = ast.parse(source)
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    uses = []
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in PRODUCT_CALLS:
+                uses.append((node.lineno, name))
+    return sorted(uses)
+
+
+def test_refine_pass_forms_no_product():
+    assert product_forms((SRC / "_kernels.py").read_text(), "refine_pass") == []
+
+
+def test_product_detector_sees_each_form():
+    source = "\n".join([
+        "def refine_pass(a, b):",
+        "    c = a @ b",
+        "    c @= b",
+        "    np.matmul(a, b, out=c)",
+        "    p, e = _fit(c)",
+        "    q, s = _kernels._fit_rows(c)",
+        "    return matmul(a, b), a * b, fit(a)",
+        "def other(a, b):",
+        "    return a @ b",
+    ])
+    assert product_forms(source, "refine_pass") == [
+        (2, "@"), (3, "@"), (4, "matmul"), (5, "_fit"), (6, "_fit_rows"), (7, "matmul")]
+    assert product_forms(source, "other") == [(9, "@")]
+    assert product_forms((SRC / "_kernels.py").read_text(), "_grow")

@@ -159,6 +159,19 @@ class TestRefine:
             assert rep.lower <= lo * (1 + 1e-9) + 1e-12
             assert rep.upper >= hi * (1 - 1e-9) - 1e-12 or rep.upper >= lo
 
+    def test_brute_interval_matches_the_word_by_word_oracle(self):
+        # the level-batched oracle the test above uses gives the per-word
+        # loop's bits, on its own sets and on random ones
+        rng = np.random.default_rng(26)
+        sets = [oracles.random_set(rng, 2, 2) for _ in range(6)]
+        rng = np.random.default_rng(5)
+        for i in range(20):
+            d, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            sets.append(oracles.random_set(rng, d, m, complex_entries=bool(i % 2)))
+        for g in sets:
+            assert (_hex(oracles.brute_interval(list(g), 5))
+                    == _hex(oracles.brute_interval_by_word(list(g), 5)))
+
     def test_budget_exhaustion_keeps_validity(self):
         rng = np.random.default_rng(27)
         M = MatrixSet.from_matrices(oracles.random_set(rng, 3, 3))
@@ -1110,7 +1123,7 @@ def _chain(gens, caps, width):
 
 
 class TestGrowth:
-    """refine_pass measures its new levels from the memo's front, one call per level."""
+    """refine_pass measures its new nodes through _grow, one call per level of a run."""
 
     def test_refine_2x5x5_measures_a_level_per_call(self, monkeypatch):
         # one node at a time the same refine makes 2,114 norms calls of two
@@ -1123,62 +1136,77 @@ class TestGrowth:
         assert norms.matrices <= 4_400
 
     def test_growth_stops_at_the_budget_left(self, monkeypatch):
-        # levels 9, 10, 11 of refine-2x5x5 hold 78, 88 and 100 children
-        # alive under the chain's lower, so a cap-16 pass with 300 nodes
-        # left grows three levels and leaves the rest to its walk
+        # a cap-16 pass with 300 nodes left reaches 250 new children one
+        # node at a time; growth whole levels at a time measured 266 before
+        # its walk took over.  Runs sized to the budget left measure no more.
         gens = ENGINE_CASES["refine-2x5x5"]
         memo, lower = _chain(gens, (1, 2, 3, 5, 7, 8), 0.005)
         norms = _Counted(monkeypatch)
-        grown = []
-        grow = _kernels._grow
-
-        def spy(*args):
-            before = norms.matrices
-            grow(*args)
-            grown.append(norms.matrices - before)
-
-        monkeypatch.setattr(_kernels, "_grow", spy)
         res = _kernels.refine_pass(gens, 16, 0.005, lower, 300, False, memo)
         assert _pass_result(res) == _pass_result(
             oracles.loop_refine_pass(gens, 16, 0.005, lower, 300, False))
         assert not res[5]
-        assert grown == [78 + 88 + 100]
-        assert memo.front is None
+        assert norms.matrices <= 78 + 88 + 100
 
     def test_no_growth_at_or_above_the_front(self, monkeypatch):
         gens = ENGINE_CASES["refine-2x5x5"]
         memo, lower = _chain(gens, (1, 2, 3, 5, 7), 0.005)
-        front = memo.front
-        assert front[0] == 7
+        assert list(memo.front) == [7] and len(memo.front[7]) == 1
+        front = memo.front[7][0]
         norms = _Counted(monkeypatch)
         for cap in (5, 7):
             res = _kernels.refine_pass(gens, cap, 0.005, lower, 10**6, False, memo)
             assert _pass_result(res) == _pass_result(
                 oracles.loop_refine_pass(gens, cap, 0.005, lower, 10**6, False))
-            assert memo.front is front
+            assert list(memo.front) == [7] and memo.front[7][0] is front
         assert norms.matrices == 0
 
     def test_memo_bytes_hold_the_front(self):
+        # a completed pass leaves one front, at its cap: the nodes alive
+        # there, measured but not expanded, with their products
         gens = ENGINE_CASES["refine-2x5x5"]
         memo, _ = _chain(gens, (1, 2, 3, 5, 7), 0.005)
-        k, slots, prods, exps = memo.front
+        (slots, prods, exps), = memo.front[7]
         assert prods.shape == (slots.size, 5, 5) and exps.shape == slots.shape
         assert memo.nbytes == 32 * len(memo.kid) + slots.nbytes + prods.nbytes + exps.nbytes
         assert prods.nbytes > 0
+        assert (np.frombuffer(memo.kid, np.int64)[slots] == -1).all()
 
     @pytest.mark.parametrize("fro", [False, True])
-    def test_wide_levels_are_left_to_the_walk(self, fro, monkeypatch):
-        # a level whose products pass _FRONT_BYTES (here sixteen complex
-        # 5 x 5 products) ends growth; the walk measures the rest one node
-        # at a time, with the same report
+    def test_narrow_blocks_keep_growing(self, fro, monkeypatch):
+        # with _BLOCK_BYTES at sixteen complex 5 x 5 products, runs are cut
+        # at every level, and what they leave pending grows when the walk
+        # reaches it, in this pass or a later one: the report stands, and
+        # norms calls stay a small multiple of the default's (about 4,400
+        # matrices take at least 275 calls; one node at a time takes 2,114)
         M, width, budget = REFINE_CASES["refine-2x5x5"]
         norms = _Counted(monkeypatch)
         want = _report(M, width, budget, fro)
         grown = norms.calls
-        monkeypatch.setattr(_kernels, "_FRONT_BYTES", 16 * 400)
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 16 * 400)
         norms.calls = 0
         assert _report(M, width, budget, fro) == want
-        assert norms.calls > 10 * grown
+        assert norms.calls <= 6 * grown
+
+    @pytest.mark.parametrize("block_bytes", [_kernels._BLOCK_BYTES, 256])
+    @pytest.mark.parametrize("name,width,cut", [("refine-2x5x5", 0.005, 300),
+                                                ("jordan-d3", 1e-3, 10)])
+    def test_passes_after_a_cut_grow_what_it_left(self, name, width, cut, block_bytes,
+                                                   monkeypatch):
+        # a cap-16 pass cut by its budget leaves nodes pending at several
+        # depths; deeper passes on the same memo grow them, and every pass
+        # matches the loop kernel
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
+        gens = np.ascontiguousarray(REFINE_CASES[name][0].gens)
+        memo, lower = _chain(gens, (1, 2, 3, 5), width)
+        for cap, budget in ((16, cut), (16, 10**6), (24, 10**6)):
+            res = _kernels.refine_pass(gens, cap, width, lower, budget, False, memo)
+            assert _pass_result(res) == _pass_result(
+                oracles.loop_refine_pass(gens, cap, width, lower, budget, False))
+            assert res[5] == (budget > cut)
+            if budget == cut:
+                assert any(k < cap and level for k, level in memo.front.items())
+            lower = max(lower, res[0])
 
 
 def _closed_form(M):
