@@ -31,7 +31,9 @@ the budget left and _BLOCK_BYTES.  On small matrices most of an
 expansion's cost is Python and numpy call overhead, which a level pays
 once instead of once per node.  Products are held only in the memo's
 pending fronts, the nodes measured but not yet expanded, as sweep_tree
-holds its frame stack.
+holds its stack of runs.  sweep_tree grows the tree the same way with
+nothing pruned, and a single generator's path, in both, goes a block at
+a time through _path.
 
 Generators are stored complex128, but a set none of whose entries has
 an imaginary part is measured in float64 from end to end (_fit_set at
@@ -40,14 +42,14 @@ eigenvalue problems take the real BLAS/LAPACK routines, about twice as
 fast as the complex ones.  Every array the engine allocates follows the
 dtype of the generators, so a complex set runs the same calls as before.
 
-Every batch of products (one level of a sweep_tree block or of a _grow
-run, one step of a single-generator block) carries an integer exponent
-e and holds its products divided by 2**e; a level's exponent is one per
-product once any of its products has been fitted.  A product becomes a
-factor only after _fit scales it by an exact power of two where its own
-largest entry has left the band, and a generator set outside the band
-is fitted once.  In-band products
-are never rescaled, so at e = 0 the arithmetic is that of the unscaled
+Every batch of products (the children of a run's first nodes in
+sweep_tree or _grow, one _path block of a single generator's path)
+carries an integer exponent e and holds its products divided by 2**e; a
+run's exponent is one per product once any of its products has been
+fitted.  A product becomes a factor only after _fit scales it by an
+exact power of two where its own largest entry has left the band, and a
+generator set outside the band is fitted once.  In-band products are
+never rescaled, so at e = 0 the arithmetic is that of the unscaled
 products.  A value x reads as x * 2**e, its k-th root as root(x, e, k).
 Exponents travel with their products; refine_pass's memo keeps the roots
 and log-norms _measure derives from them, so its walk reads no exponent.
@@ -78,13 +80,10 @@ _SKIP_SLACK = 1e-9
 # of its sum of squares, and eigvals' backward error E, since
 # ||(P + E)^2|| <= ||P^2|| + (2 ||E|| + ||E||^2 / ||P||) ||P||
 _SQUARE_SLACK = 2.0**-40
-# bytes of product matrices in one block of a sweep; a block of a single
-# generator's path fits its products and their norm temporaries in it
+# bytes of the children formed from one run in a sweep or a pass; a
+# block of a single generator's path fits its products and their norm
+# temporaries in it
 _BLOCK_BYTES = 64 * 2**10
-# entries of one rotations x candidates temporary of _least_rotations:
-# 16 KiB of int64, so a block's necklace mask stays small however many
-# of its words are candidates
-_MASK_CELLS = 2048
 # A factor's largest real or imaginary part lies in [2**-_BAND, 2**_BAND)
 # or is 0.  For d <= 64 = 2**6 an in-band entry has modulus below
 # 2**(_BAND + 1/2), so an in-band product times an in-band generator has
@@ -257,66 +256,39 @@ def _records(vals, best):
     return best, i
 
 
-def _least_rotations(base, p, m, idx):
-    """Which words of a sweep block, at block indices idx (ascending), are
+def _least_rotations(first, k, m, idx):
+    """Which length-k words of ranks first + idx (idx ascending) are
     lexicographically smallest among their cyclic rotations.
 
-    The block holds the words below the length-p prefix of rank base, level
-    by level: index i of level t (offset o_t = m + ... + m**(t-1)) is the
-    word of length k = p + t and rank r = base * m**t + i - o_t.  A rank's
-    base-m digits are the word's letters, so the rotation by s letters maps
-    r to (r mod m**u) * m**(k-u) + r div m**u, u = k - s; a word shorter
-    than the longest one reads u = 0 for its rotations by s >= k, which map
-    r to itself.  Ranks are compared in int64 while the longest word's
-    m**k < 2**63, as Python ints past it.  Candidates go in chunks whose
-    rotations x candidates temporaries hold at most _MASK_CELLS entries
-    each, formed in place where they can be.
+    A rank's base-m digits are the word's letters, so the rotation by s
+    letters maps r to (r mod m**u) * m**(k-u) + r div m**u, u = k - s.
+    Ranks are compared in int64 while m**k < 2**63, as Python ints past it.
     """
     if m == 1 or not idx.size:
         return np.ones(idx.size, bool)
-    offs = [0]
-    while offs[-1] <= idx[-1]:
-        offs.append(offs[-1] * m + m)
-    kmax = p + len(offs) - 1
-    dtype = np.int64 if m**kmax < 2**63 else object
-    pw = np.array([m**j for j in range(kmax + 1)], dtype)
-    t = np.searchsorted(offs, idx, "right")
-    k = p + t
-    r = base * pw[t] + (idx - np.array(offs)[t - 1]).astype(dtype)
-    shifts = np.arange(1, kmax)[:, None]
-    step = _MASK_CELLS // max(1, kmax - 1)
-    out = np.empty(idx.size, bool)
-    for a in range(0, idx.size, step):
-        ra, ka = r[a:a + step], k[a:a + step]
-        u = np.maximum(ka - shifts, 0)
-        tail = pw[u]
-        head = ra // tail
-        tail *= head
-        np.subtract(ra, tail, out=tail)  # r mod m**u
-        np.subtract(ka, u, out=u)
-        tail *= pw[u]
-        tail += head
-        out[a:a + step] = (tail >= ra).all(axis=0)
-    return out
+    dtype = np.int64 if m**k < 2**63 else object
+    r = idx.astype(dtype) + first
+    pw = np.array([m**u for u in range(1, k)], dtype)[:, None]
+    head = r // pw
+    rot = (r - head * pw) * pw[::-1] + head
+    return (rot >= r).all(axis=0)
 
 
-def _may_beat(upper, side, levels):
-    """Which words of a block's levels have an upper value that, times
-    (1 + _SKIP_SLACK), exceeds the best its depth held on side before the
-    block, read at the word's exponent.  Any other word's computed value,
-    at most (1 + O(d u)) times its upper value, cannot set a record: the
-    best only grows within the block."""
+def _may_beat(upper, side, k, le):
+    """Which length-k words, read at exponents le (an int, or one per
+    word), have an upper value that, times (1 + _SKIP_SLACK), exceeds the
+    best depth k holds on side.  Any other word's computed value, at most
+    (1 + O(d u)) times its upper value, cannot set a record: the best only
+    grows."""
     best, exps, _ = side
-    thr = np.empty(upper.shape)
-    for k, off, n, le, _ in levels:
-        thr[off:off + n] = (scale(best[k], exps[k] - le) if isinstance(le, int) else
-                            [scale(best[k], exps[k] - x) for x in le.tolist()])
+    thr = (scale(best[k], exps[k] - le) if isinstance(le, int) else
+           np.array([scale(best[k], exps[k] - x) for x in le.tolist()]))
     return ~(upper * (1.0 + _SKIP_SLACK) <= thr)
 
 
 def _update(side, k, vals, le, first, idx):
     """Fold the values of the length-k words of ranks first + idx, each
-    read as vals[i] * 2**le (le an int, or one per word of the level),
+    read as vals[i] * 2**le (le an int, or one per word of the run),
     into side's (best, exps, ranks) at depth k."""
     best, exps, ranks = side
     if isinstance(le, int):
@@ -328,6 +300,35 @@ def _update(side, k, vals, le, first, idx):
     for y, ey, j in zip(vals.tolist(), le[idx].tolist(), idx.tolist()):
         if y > scale(best[k], exps[k] - ey) * (1.0 + _TIE):
             best[k], exps[k], ranks[k] = y, ey, first + j
+
+
+def _path(g, prod, e, n):
+    """The next n products of a single generator's path after the fitted
+    product prod * 2**e, formed left to right as a one-word-at-a-time walk
+    forms them: (block, exps, last, e), with block[t] * 2**exps[t] the
+    t-th product and last * 2**e the last one fitted, the next factor.
+
+    A step multiplies the largest part by less than 2 + 2 d |g|, so `run`
+    steps from an in-band product stay below 2**1000: a run is formed
+    unchecked, and its first product outside the band, fitted, starts the
+    next (the products after it are formed again from it)."""
+    d = g.shape[0]
+    block = np.empty((n, d, d), g.dtype)
+    grow = math.log2(2.0 + 2 * d * float(abs(g.view(np.float64)).max()))
+    run = max(1, int((1000 - _BAND) / grow))
+    exps = []
+    while len(exps) < n:
+        t0 = len(exps)
+        stop = min(n, t0 + run)
+        for t in range(t0, stop):
+            prod = np.matmul(prod, g, out=block[t])
+        top = abs(block[t0:stop].view(np.float64)).max(axis=(1, 2))
+        out = np.flatnonzero((top >= _HI) | (top < _LO) & (top > 0.0))
+        t = t0 + int(out[0]) if out.size else stop - 1
+        exps += [e] * (t + 1 - t0)
+        prod, shift = _fit(block[t])
+        e += shift
+    return block, exps, prod, e
 
 
 def sweep_tree(gens, nmax, fro=None, rho=False):
@@ -346,12 +347,11 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
     (_bound, a sum of squares, at least its 2-norm); its computed 2-norm
     and radius are at most (1 + O(d u)) times that, far inside
     _SKIP_SLACK.  Each eigensolve runs only on the words whose upper value
-    can beat the best their depth held on that side before the block
-    (_may_beat).  Frobenius sweeps measure every word's norm.  2-norm
-    sweeps take the Gram eigvalsh where the bound can beat the depth's
-    best norm, and a word skipped keeps its bound as its value, which
-    cannot set a record either.  Radius-only sweeps read the bound alone.
-    The first word of each depth, 0^k, is always measured.
+    can beat the best their depth holds on that side (_may_beat).
+    Frobenius sweeps measure every word's norm.  2-norm sweeps take the
+    Gram eigvalsh where the bound can beat the depth's best norm, and a
+    word skipped keeps its bound as its value, which cannot set a record
+    either.  Radius-only sweeps read the bound alone.
 
     rho(ab) = rho(ba), so every cyclic rotation of a word has its radius,
     and the radius side measures one word per necklace: the rotation that
@@ -361,14 +361,14 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
     these representatives, which in exact arithmetic is the maximum over
     all words.
 
-    The tree is cut into blocks: one block holds the products of every
-    word below one prefix, down to a few levels, and is evaluated with one
-    batched call per side.  Blocks are walked depth-first, prefixes in
-    lexicographic order, so each depth sees its words in lexicographic
-    order.  Products are formed left to right, as a one-word-at-a-time
-    walk forms them, each level from the one above it, each product of
-    which is fitted on its own: fitting a level as one batch would scale
-    its small products by its largest and could flush them to zero.
+    The tree grows as in _grow, with nothing pruned: a stack of runs of
+    fitted products of one length, deepest last.  A run's first nodes (one
+    for a depth's first run, else as many as _grow takes) are split off,
+    their children formed with one matmul, measured, fitted each on its
+    own (fitted as one batch, small products could flush to zero) and
+    pushed as the next run.  So each depth sees its words in lexicographic
+    order, and every run after a depth's first meets a record.  A single
+    generator's path goes a _path block at a time, one word per depth.
     """
     gens, e1 = _fit_set(gens)
     m, d, _ = gens.shape
@@ -378,65 +378,52 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
 
     nside = None if fro is None else side()
     rside = side() if rho else None
-    # levels per full block: m + m^2 + ... + m^h products fit the cap
-    cap = max(m, _BLOCK_BYTES // (16 * d * d))
-    h_max, size, total = 0, 1, 0
-    while total + size * m <= cap:
-        size *= m
-        total += size
-        h_max += 1
-    # frame: [fitted prefix products at depth p, their exponent (an int,
-    # or one per product), p, rank of the first, next index]
-    stack = [[np.eye(d, dtype=gens.dtype)[None], 0, 0, 0, 0]]
-    while stack:
-        leaves, e, p, r0, i = top = stack[-1]
-        if i == leaves.shape[0] - 1:
-            stack.pop()
-        else:
-            top[4] = i + 1
+    eye = np.eye(d, dtype=gens.dtype)
+    if m == 1:
+        k, prod, e = 0, eye, 0
+        size = max(1, _BLOCK_BYTES // (3 * 16 * d * d))
+        while k < nmax:
+            n = min(size, nmax - k)
+            block, exps, prod, e = _path(gens[0], prod, e, n)
+            at = slice(k + 1, k + n + 1)  # one word per depth: each is its record
+            if nside is not None:
+                nside[0][at], nside[1][at] = norms(block, fro), exps
+            if rside is not None:
+                rside[0][at], rside[1][at] = radii(block), exps
+            k += n
+    step = max(1, _BLOCK_BYTES // (16 * m * d * d))  # nodes whose children fill a call
+    # run: (length k, fitted products, exponent (an int, or one per
+    # product), rank of the first); a single generator's sweep has none
+    runs = [] if m == 1 else [(0, eye[None], 0, 0)]
+    while runs:
+        k, prods, e, r0 = runs.pop()
+        n = step if r0 else 1
+        if n < prods.shape[0]:
+            runs.append((k, prods[n:], e if isinstance(e, int) else e[n:], r0 + n))
+            prods, e = prods[:n], e if isinstance(e, int) else e[:n]
+        kids = np.matmul(prods[:, None], gens[None]).reshape(-1, d, d)
         if not isinstance(e, int):
-            e = int(e[i])
-        # the first block below the root is the short one, the rest are full
-        h = (nmax - p - 1) % h_max + 1
-        counts = [m**t for t in range(1, h + 1)]
-        buf = np.empty((sum(counts), d, d), gens.dtype)
-        prev = leaves[i:i + 1]
-        base = r0 + i
-        # per level: depth k, offset in buf, count, exponent, first rank
-        levels = []
-        off = 0
-        for k, n in zip(range(p + 1, p + h + 1), counts):
-            out = buf[off:off + n]
-            np.matmul(prev[:, None], gens[None], out=out.reshape(n // m, m, d, d))
-            if not isinstance(e, int):
-                e = np.repeat(e, m)
-            levels.append((k, off, n, e, base * n))
-            prev, s = _fit_rows(out)
-            e = e + s
-            off += n
+            e = np.repeat(e, m)
+        k, first = k + 1, r0 * m
         # each word's upper value: its measured norm, or its Frobenius bound
         if fro:
-            upper = norms(buf, True)
+            upper = norms(kids, True)
         else:
-            upper = _bound(buf)
+            upper = _bound(kids)
             if nside is not None:
-                want = np.flatnonzero(_may_beat(upper, nside, levels))
+                want = np.flatnonzero(_may_beat(upper, nside, k, e))
                 if want.size:
-                    upper[want] = norms(buf[want], False)
+                    upper[want] = norms(kids[want], False)
         if nside is not None:
-            for k, off, n, le, first in levels:
-                _update(nside, k, upper[off:off + n], le, first, np.arange(n))
+            _update(nside, k, upper, e, first, np.arange(kids.shape[0]))
         if rside is not None:
-            idx = np.flatnonzero(_may_beat(upper, rside, levels))
-            idx = idx[_least_rotations(base, p, m, idx)]
+            idx = np.flatnonzero(_may_beat(upper, rside, k, e))
+            idx = idx[_least_rotations(first, k, m, idx)]
             if idx.size:
-                rad = radii(buf[idx])
-                cuts = np.searchsorted(idx, [off for _, off, *_ in levels] + [len(buf)])
-                for (k, off, _, le, first), a, b in zip(levels, cuts, cuts[1:]):
-                    if a < b:
-                        _update(rside, k, rad[a:b], le, first, idx[a:b] - off)
-        if p + h < nmax:
-            stack.append([prev.copy(), e, p + h, base * counts[-1], 0])
+                _update(rside, k, radii(kids[idx]), e, first, idx)
+        if k < nmax:
+            kids, s = _fit_rows(kids)
+            runs.append((k, kids, e + s, first))
     return tuple(None if side is None else
                  (side[0], [x + k * e1 for k, x in enumerate(side[1])], side[2])
                  for side in (nside, rside))
@@ -525,8 +512,8 @@ def _grow(memo, gens, s, k, depth_cap, lower, log_thr, room, fro):
 
     A single generator's front is its path's last node, and its run goes a
     block at a time: the next min(room, block) nodes of the path, never
-    past depth_cap, chained one-slot records whose products (formed left
-    to right) and norm temporaries fit in _BLOCK_BYTES, in one _measure
+    past depth_cap, chained one-slot records whose products (formed by
+    _path) and norm temporaries fit in _BLOCK_BYTES, in one _measure
     call."""
     m, d, _ = gens.shape
     level = memo.front[k]
@@ -537,25 +524,7 @@ def _grow(memo, gens, s, k, depth_cap, lower, log_thr, room, fro):
     if m == 1:
         first = len(memo.kid)
         n = max(1, min(room, depth_cap - k, _BLOCK_BYTES // (3 * 16 * d * d)))
-        block = np.empty((n, d, d), gens.dtype)
-        g, prod, e = gens[0], prods[i], int(exps[i])
-        # a step multiplies the largest part by less than 2 + 2 d |g|, so `run`
-        # steps from an in-band product stay below 2**1000: a run is formed
-        # unchecked, and its first product outside the band starts the next
-        grow = math.log2(2.0 + 2 * d * float(abs(g.view(np.float64)).max()))
-        run = max(1, int((1000 - _BAND) / grow))
-        kexps = []
-        while len(kexps) < n:
-            t0 = len(kexps)
-            stop = min(n, t0 + run)
-            for t in range(t0, stop):
-                prod = np.matmul(prod, g, out=block[t])
-            top = abs(block[t0:stop].view(np.float64)).max(axis=(1, 2))
-            out = np.flatnonzero((top >= _HI) | (top < _LO) & (top > 0.0))
-            t = t0 + int(out[0]) if out.size else stop - 1
-            kexps += [e] * (t + 1 - t0)
-            prod, shift = _fit(block[t])
-            e += shift
+        block, kexps, prod, e = _path(gens[0], prods[i], int(exps[i]), n)
         _measure(memo, block, range(k + 1, k + n + 1), kexps, lower, fro)
         memo.kid[first:first + n - 1] = array("q", range(first + 1, first + n))
         if k:

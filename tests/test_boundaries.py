@@ -253,3 +253,13 @@ def test_product_detector_sees_each_form():
         (2, "@"), (3, "@"), (4, "matmul"), (5, "_fit"), (6, "_fit_rows"), (7, "matmul")]
     assert product_forms(source, "other") == [(9, "@")]
     assert product_forms((SRC / "_kernels.py").read_text(), "_grow")
+
+
+def test_products_are_formed_in_three_places():
+    # sweep_tree and _grow form a level with one matmul and fit it with
+    # one _fit_rows; a single generator's path, fitted product by product,
+    # is formed only in _path
+    source = (SRC / "_kernels.py").read_text()
+    for function in ("sweep_tree", "_grow"):
+        assert [form for _, form in product_forms(source, function)] == ["matmul", "_fit_rows"]
+    assert sorted(form for _, form in product_forms(source, "_path")) == ["_fit", "matmul"]

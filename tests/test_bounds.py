@@ -764,6 +764,26 @@ class TestBatchedEngine:
             assert [side and (_hex(side[0]), side[1]) for side in got] == \
                 [w and (_hex(w[0]), w[1]) for w in want]
 
+    @pytest.mark.parametrize("block_bytes", [_kernels._BLOCK_BYTES, 768])
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_single_generator_sweep_crosses_the_band_inside_a_block(
+            self, fro, block_bytes, monkeypatch):
+        # 3 x a rotation leaves the band about every 156 steps: twice inside
+        # a default path block of 341 products, whose products after each
+        # crossing are formed again from the fitted one, and between the
+        # four-product blocks of 768 bytes
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
+        t = 0.7
+        gens = 3.0 * np.array([[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]])
+        bn, bne, br, bre, _, _, _ = oracles.loop_sweep_tree(gens, 2000, True, fro)
+        norms, radii = _kernels.sweep_tree(gens, 2000, fro, True)
+        assert (_hex(norms[0]), norms[1]) == (_hex(bn), bne)
+        assert (_hex(radii[0]), radii[1]) == (_hex(br), bre)
+        assert norms[2] == radii[2] == [0] * 2001
+        block = _kernels._BLOCK_BYTES // (3 * 16 * 4)
+        assert len(set(bne[1:block + 1])) == (3 if block >= 341 else 1)
+        assert len(set(bne)) > 10
+
     def test_sweeps_compute_only_what_they_read(self, monkeypatch):
         # the lower end reads only radii and the upper end only norms
         calls = {"norms": 0, "radii": 0}
@@ -879,43 +899,40 @@ class TestNecklaceSweep:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_least_rotations_match_brute_force(self, m):
-        # blocks of words up to 8 letters long below prefixes of length
-        # 0..7, on all of a block's words and on ascending subsets of them
+        # runs of words 1..8 letters long from several first ranks, on all
+        # of a run's words and on ascending subsets of them
         rng = np.random.default_rng(m)
-        brute = {k: [_least(w) for w in itertools.product(range(m), repeat=k)]
-                 for k in range(1, 9)}
-        levels = {1: 8, 2: 8, 3: 6, 4: 5}[m]
-        for p in range(8):
-            for h in range(1, min(levels, 8 - p) + 1):
-                bases = range(m**p) if m**p <= 8 else \
-                    [0, 1, m**p - 1, *rng.integers(0, m**p, 5).tolist()]
-                for base in bases:
-                    want = [brute[p + t][base * m**t + j]
-                            for t in range(1, h + 1) for j in range(m**t)]
-                    everything = np.arange(len(want))
+        for k in range(1, 9):
+            brute = [_least(w) for w in itertools.product(range(m), repeat=k)]
+            total = m**k
+            firsts = range(total) if total <= 8 else \
+                [0, 1, total - 1, *rng.integers(0, total, 5).tolist()]
+            for first in firsts:
+                left = total - first
+                for n in sorted({1, min(m, left), left, int(rng.integers(1, left + 1))}):
+                    want = brute[first:first + n]
+                    everything = np.arange(n)
                     subsets = [everything, everything[:0], everything[-1:]]
-                    subsets += [np.flatnonzero(rng.random(len(want)) < q) for q in (0.1, 0.5)]
+                    subsets += [np.flatnonzero(rng.random(n) < q) for q in (0.1, 0.5)]
                     for idx in subsets:
-                        got = _kernels._least_rotations(base, p, m, idx)
-                        assert got.dtype == bool, (p, h, base)
-                        assert got.tolist() == [want[i] for i in idx], (p, h, base)
+                        got = _kernels._least_rotations(first, k, m, idx)
+                        assert got.dtype == bool, (k, first, n)
+                        assert got.tolist() == [want[i] for i in idx], (k, first, n)
 
-    @pytest.mark.parametrize("m,p,h", [
-        (2, 59, 3), (3, 37, 2),  # every rank below 2**63: int64
-        (2, 60, 3), (2, 67, 3), (4, 38, 2),  # m**k >= 2**63 at the deepest level: Python ints
-        (2, 61, 3), (3, 38, 3), (4, 30, 3)])  # levels on both sides of 2**63
-    def test_least_rotations_near_and_past_int64(self, m, p, h):
-        # a block's ranks are compared in int64 while its longest words'
-        # m**k < 2**63 and as Python ints past it; blocks hit ranks near 0,
-        # 2**62, 2**63, a third and the end of their deepest level
-        total = m**(p + h)
+    @pytest.mark.parametrize("m,k", [
+        (2, 62), (3, 39), (4, 31), (2, 61),  # m**k < 2**63: int64
+        (2, 63), (2, 70), (3, 40), (4, 32)])  # m**k >= 2**63: Python ints
+    def test_least_rotations_near_and_past_int64(self, m, k):
+        # ranks are compared in int64 while m**k < 2**63 and as Python ints
+        # past it; runs start near 0, 2**62, 2**63, a third and the end of
+        # their length
+        total = m**k
         for a in (0, 2**62 - 7, 2**63 - 7, total // 3, total - 40):
             if a < total:
-                base = a // m**h
-                want = [_least(_digits(base * m**t + j, m, p + t))
-                        for t in range(1, h + 1) for j in range(m**t)]
-                got = _kernels._least_rotations(base, p, m, np.arange(len(want)))
-                assert got.dtype == bool and got.tolist() == want, base
+                n = min(40, total - a)
+                want = [_least(_digits(a + j, m, k)) for j in range(n)]
+                got = _kernels._least_rotations(a, k, m, np.arange(n))
+                assert got.dtype == bool and got.tolist() == want, a
 
     def test_necklace_count(self):
         assert [_necklaces(2, k) for k in range(1, 9)] == [2, 3, 4, 6, 8, 14, 20, 36]
@@ -955,6 +972,22 @@ class TestNecklaceSweep:
             else:
                 assert 0 < norms.matrices <= words
                 assert norms.matrices < words or not cut
+
+    def test_sweeps_take_at_most_the_block_sweeps_eigensolves(self, monkeypatch):
+        # 2-norm sandwich_profiles plus lower_bound_r over SWEEP_CASES took
+        # 15,756 norm and 7,152 radius matrices in multi-level blocks, most
+        # of them on the first block below 0^p, where no depth had a record.
+        # Runs whose depth starts with one node take 7,637 and 3,669, and
+        # runs without that rule 20,127 and 7,881.
+        radii = _Counted(monkeypatch, "radii")
+        norms = _Counted(monkeypatch, "norms")
+        for gens in SWEEP_CASES.values():
+            M = MatrixSet(gens)
+            n = SWEEP_DEPTH[M.size]
+            sandwich_profiles(M, n)
+            lower_bound_r(M, n)
+        assert norms.matrices <= 15_756
+        assert radii.matrices <= 7_152
 
     @pytest.mark.parametrize("name", sorted(LOWER_CASES))
     def test_radii_equal_the_full_enumeration(self, name):
