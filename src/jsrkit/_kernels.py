@@ -52,7 +52,8 @@ generator set outside the band is fitted once.  In-band products are
 never rescaled, so at e = 0 the arithmetic is that of the unscaled
 products.  A value x reads as x * 2**e, its k-th root as root(x, e, k).
 Exponents travel with their products; refine_pass's memo keeps the roots
-and log-norms _measure derives from them, so its walk reads no exponent.
+_measure derives from them, so its walk reads no exponent, and every test
+it makes compares k-th roots.
 """
 
 import math
@@ -98,7 +99,6 @@ _BLOCK_BYTES = 64 * 2**10
 _BAND = 248
 _HI, _LO = 2.0**_BAND, 2.0**-_BAND
 _NORMAL = 2.0**-1022
-_LN2 = math.log(2.0)
 
 
 def _fit(stack):
@@ -262,13 +262,13 @@ def _least_rotations(first, k, m, idx):
 
     A rank's base-m digits are the word's letters, so the rotation by s
     letters maps r to (r mod m**u) * m**(k-u) + r div m**u, u = k - s.
-    Ranks are compared in int64 while m**k < 2**63, as Python ints past it.
+    Ranks are compared in int64: for m**k <= 2**63 (sets._sweep goes no
+    deeper) every rank and every rotated rank is below m**k.
     """
     if m == 1 or not idx.size:
         return np.ones(idx.size, bool)
-    dtype = np.int64 if m**k < 2**63 else object
-    r = idx.astype(dtype) + first
-    pw = np.array([m**u for u in range(1, k)], dtype)[:, None]
+    r = idx.astype(np.int64) + first
+    pw = np.array([m**u for u in range(1, k)], np.int64)[:, None]
     head = r // pw
     rot = (r - head * pw) * pw[::-1] + head
     return (rot >= r).all(axis=0)
@@ -436,36 +436,34 @@ class Memo:
     with ||P||^(1/k), rho(P)^(1/k) shaved by _EIG_SAFETY (-1 where eigvals
     was skipped because the norm root or, for children of one length, the
     square bound put it at or below lower, which only a lower above 0 does;
-    kept as is when lower grows), log ||P|| (-inf for a zero norm) and the
-    index of P's own record (-1 until it is expanded).
-    A stored child costs 32 bytes.  front maps a depth k to the pending
-    fronts there: a list of (slots, products, exponents), nodes of length k
-    measured but not yet expanded, with their fitted products, from which
-    growth goes on (_grow).  A depth's nodes are measured in lexicographic
-    order, so there slot order is lexicographic order.  nbytes counts the
-    records and the fronts' arrays.
+    kept as is when lower grows) and the index of P's own record (-1 until
+    it is expanded).  A stored child costs 24 bytes.  front maps a depth k
+    to the pending fronts there: a list of (slots, products, exponents),
+    nodes of length k measured but not yet expanded, with their fitted
+    products, from which growth goes on (_grow).  A depth's nodes are
+    measured in lexicographic order, so there slot order is lexicographic
+    order.  nbytes counts the records and the fronts' arrays.
     """
 
-    __slots__ = ("norm_root", "cand", "log_norm", "kid", "front")
+    __slots__ = ("norm_root", "cand", "kid", "front")
 
     def __init__(self):
         self.norm_root = array("d")
         self.cand = array("d")
-        self.log_norm = array("d")
         self.kid = array("q")
         self.front = {}
 
     @property
     def nbytes(self):
-        return 32 * len(self.kid) + sum(a.nbytes for level in self.front.values()
+        return 24 * len(self.kid) + sum(a.nbytes for level in self.front.values()
                                         for part in level for a in part)
 
 
 def _measure(memo, kids, lengths, exps, lower, fro):
     """Append one slot per product in kids (of length lengths[i], times
     2**exps[i]) to memo, with no child record yet: the one place a node's
-    roots and log-norm are derived.  One batched norms call measures them
-    all, one batched radii call those whose radius root can beat lower.
+    roots are derived.  One batched norms call measures them all, one
+    batched radii call those whose radius root can beat lower.
 
     A child's radius root is at most its norm root and, for children of
     one length (those of one or more nodes with m >= 2 generators), at most
@@ -488,12 +486,10 @@ def _measure(memo, kids, lengths, exps, lower, fro):
             cand[i] = root(r, exps[i], lengths[i]) * (1.0 - _EIG_SAFETY)
     memo.norm_root.extend(nroot)
     memo.cand.extend(cand)
-    memo.log_norm.extend([-math.inf if x <= 0.0 else np.log(x) + e * _LN2
-                          for x, e in zip(nrm, exps)])
     memo.kid.extend([-1] * len(nrm))
 
 
-def _grow(memo, gens, s, k, depth_cap, lower, log_thr, room, fro):
+def _grow(memo, gens, s, k, depth_cap, lower, thr, room, fro):
     """Expand the pending node s of length k and the pending nodes after
     it, one level at a time, no deeper than depth_cap: the one place a
     pass forms products.
@@ -503,7 +499,7 @@ def _grow(memo, gens, s, k, depth_cap, lower, log_thr, room, fro):
     of _BLOCK_BYTES and the budget left, room, counted once for each depth
     from the run's own to depth_cap, as if every level below were as wide;
     the first run holds s at least.  Of the run, the nodes alive as the walk
-    tests them, not (log ||P|| <= k log_thr), are expanded: their fitted
+    tests them, not (||P||^(1/k) <= thr), are expanded: their fitted
     products times gens in one matmul, measured, and linked to their
     slots.  The children alive in turn are the next level's pending front,
     and room loses the children measured.  The rest of each level stays
@@ -535,7 +531,7 @@ def _grow(memo, gens, s, k, depth_cap, lower, log_thr, room, fro):
     n = max(1, min(step, room // (m * (depth_cap - k + 1))))
     run, parents, pexps = slots[i:i + n], prods[i:i + n], exps[i:i + n]
     if run.size > 1:  # s is alive; the walk has not yet tested the nodes after it
-        live = ~(np.frombuffer(memo.log_norm)[run] <= k * log_thr)
+        live = ~(np.frombuffer(memo.norm_root)[run] <= thr)
         run, parents, pexps = run[live], parents[live], pexps[live]
     while True:
         if i + n < slots.size:
@@ -552,7 +548,7 @@ def _grow(memo, gens, s, k, depth_cap, lower, log_thr, room, fro):
         k += 1
         prods, shift = _fit_rows(kids)
         slots = np.arange(first, len(memo.kid))
-        live = ~(np.frombuffer(memo.log_norm)[slots] <= k * log_thr)
+        live = ~(np.frombuffer(memo.norm_root)[slots] <= thr)
         part = [(slots[live], prods[live], (e + shift)[live])] if live.any() else []
         if k == depth_cap:
             memo.front.setdefault(k, []).extend(part)
@@ -570,19 +566,20 @@ def _grow(memo, gens, s, k, depth_cap, lower, log_thr, room, fro):
 def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     """One depth-capped branch-and-bound sweep of the product tree.
 
-    A branch is cut at a product P of length k when ||P|| <= (lower+width)^k
-    (compared in log space); the threshold only grows during the sweep, so
-    every cut also holds for the final lower bound.  Nodes that reach
-    depth_cap alive form the frontier.  A set outside the band is walked
-    fitted, with width, lower_in and the results scaled by its exponent.
+    A branch is cut at a product P of length k when ||P||^(1/k) <= thr =
+    lower + width, read from the stored norm root the frontier also reads;
+    thr only grows during the sweep, so every cut also holds for the final
+    lower bound.  Nodes that reach depth_cap alive form the frontier.  A
+    set outside the band is walked fitted, with width, lower_in and the
+    results scaled by its exponent.
 
     The walk is a lexicographic depth-first search.  Expanding a node
     measures all of its children in one batch into memo (see _measure), and
     a node memo holds is replayed from it: a visit only compares the stored
-    roots and log-norm.  A stored candidate root counts wherever it beats
-    lower by _TIE: one a fresh expansion would skip (_SKIP_SLACK) is at most
-    its norm root or its square bound's root, so at most lower, and a pass
-    reports the same with or without an earlier memo.
+    roots.  A stored candidate root counts wherever it beats lower by _TIE:
+    one a fresh expansion would skip (_SKIP_SLACK) is at most its norm root
+    or its square bound's root, so at most lower, and a pass reports the
+    same with or without an earlier memo.
     A memo may serve later passes over the same gens and fro whose
     lower_in is at least the lower every earlier pass returned (refine's
     deepening does this).
@@ -608,11 +605,11 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     gens, e1 = _fit_set(gens)
     m, d, _ = gens.shape
     memo = Memo() if memo is None else memo
-    mroot, mcand, mlog, mkid = memo.norm_root, memo.cand, memo.log_norm, memo.kid
+    mroot, mcand, mkid = memo.norm_root, memo.cand, memo.kid
     width = scale(width, -e1)
     lower = scale(lower_in, -e1)
     # both may underflow when the set is far above them
-    log_thr = np.log(lower + width) if lower + width > 0.0 else -np.inf
+    thr = lower + width
     wit_word = np.zeros(depth_cap, np.int64)
     word = [0] * depth_cap
     wit_len = nodes = deepest = 0
@@ -621,7 +618,7 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     if not mkid:  # the root: the one pending node of a fresh memo
         memo.front = {0: [(np.full(1, -1), np.eye(d, dtype=gens.dtype)[None],
                            np.zeros(1, np.int64))]}
-        _grow(memo, gens, -1, 0, depth_cap, lower, log_thr, budget, fro)
+        _grow(memo, gens, -1, 0, depth_cap, lower, thr, budget, fro)
     # frame: [record, child length k, next child]
     stack = [[0, 1, 0]]
     while stack:
@@ -638,10 +635,10 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
         nroot, cand = mroot[s], mcand[s]
         if cand > lower * (1.0 + _TIE):
             lower = cand
-            log_thr = np.log(lower + width)
+            thr = lower + width
             wit_len = k
             wit_word[:k] = word[:k]
-        alive = not (mlog[s] <= k * log_thr)
+        alive = not (nroot <= thr)
         expand = alive and k < depth_cap
         if alive and not expand:
             saw_frontier = True
@@ -651,7 +648,7 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
                 # the walk would stop before entering the child
                 completed = False
                 break
-            _grow(memo, gens, s, k, depth_cap, lower, log_thr, budget - nodes, fro)
+            _grow(memo, gens, s, k, depth_cap, lower, thr, budget - nodes, fro)
         if j == m - 1:
             stack.pop()
         else:

@@ -222,7 +222,7 @@ def _deepen(gens: np.ndarray, width: float, budget: int, lower_in: float,
         if plower > lower:
             lower = float(plower)
             if wlen > 0:
-                wit = tuple(int(x) for x in wword[:wlen])
+                wit = tuple(wword[:wlen].tolist())
         if completed:
             # frontier_max is 0.0 when the pass left no frontier
             upper = min(upper, max(lower + width, fmax))

@@ -6,7 +6,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import _kernels, config
-from .errors import BudgetExceeded, DimensionMismatch, IndexOutOfRange, ShapeError
+from .errors import (BudgetExceeded, CapExceeded, DimensionMismatch, IndexOutOfRange,
+                     ShapeError)
 from .matrices import as_matrix
 
 Word = tuple[int, ...]
@@ -126,6 +127,9 @@ def _sweep(M: MatrixSet, nmax: int, budget: int, *, fro: bool | None = None,
     if total > budget:
         raise BudgetExceeded(
             f"sweep to depth {nmax} needs {total} words, budget is {budget}")
+    if M.size ** nmax > 2**63:  # sweep_tree ranks words in int64
+        raise CapExceeded(f"sweep to depth {nmax} has {M.size}**{nmax} words of one length, "
+                          "past 2**63")
     depths = range(1, nmax + 1)
     out = []
     for side in _kernels.sweep_tree(M.gens, nmax, fro, rho):

@@ -355,9 +355,9 @@ def loop_full_radii(gens, nmax):
 def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
     """One depth-capped branch-and-bound sweep of the product tree.
 
-    A branch is cut at a product P of length k when ||P|| <= (lower+width)^k
-    (compared in log space); the prune threshold only grows during the
-    sweep, so every cut also holds for the final lower bound.  Nodes that
+    A branch is cut at a product P of length k when ||P||^(1/k) <=
+    lower + width; the prune threshold only grows during the sweep, so
+    every cut also holds for the final lower bound.  Nodes that
     reach depth_cap alive form the frontier.  Products carry exponents
     and are fitted as in loop_sweep_tree, but a set outside the band is
     walked fitted, with width, lower_in and the results scaled by its
@@ -403,13 +403,12 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
             wit_len = k
             for t in range(k):
                 wit_word[t] = word[t]
-        thr = np.log(lower + width) if lower + width > 0.0 else -np.inf
-        alive = not (nrm <= 0.0 or np.log(nrm) + e * math.log(2.0) <= k * thr)
+        fm = _root(nrm, e, k)
+        alive = not (fm <= lower + width)
         descend = False
         if alive:
             if k == depth_cap:
                 saw_frontier = True
-                fm = _root(nrm, e, k)
                 if fm > frontier_max:
                     frontier_max = fm
             else:

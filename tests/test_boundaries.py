@@ -19,6 +19,9 @@ a power whose exponent is a quotient, such as x ** (1.0 / k).
 refine_pass forms no product: growth (_kernels._grow) forms, fits and
 measures every product a pass needs, and the walk only replays the memo.
 refine_pass fits only the generator set, through _kernels._fit_set.
+
+A pass decides in one space: its cut, like its other tests, compares
+k-th roots, so refine_pass, _grow and _measure take no logarithm.
 """
 
 import ast
@@ -215,14 +218,16 @@ def test_power_detector_sees_each_form():
 PRODUCT_CALLS = {"matmul", "_fit", "_fit_rows"}
 
 
+def _function(source: str, function: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+
+
 def product_forms(source: str, function: str) -> list[tuple[int, str]]:
     """(line, form) of every matrix product (@ or @=) and every matmul,
     _fit or _fit_rows call in the named function."""
-    tree = ast.parse(source)
-    fn = next(node for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef) and node.name == function)
     uses = []
-    for node in ast.walk(fn):
+    for node in ast.walk(_function(source, function)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             uses.append((node.lineno, "@"))
         elif isinstance(node, ast.Call):
@@ -263,3 +268,38 @@ def test_products_are_formed_in_three_places():
     for function in ("sweep_tree", "_grow"):
         assert [form for _, form in product_forms(source, function)] == ["matmul", "_fit_rows"]
     assert sorted(form for _, form in product_forms(source, "_path")) == ["_fit", "matmul"]
+
+
+LOGS = {"log", "log2", "log10", "log1p"}
+
+
+def log_uses(source: str, function: str) -> list[tuple[int, str]]:
+    """(line, name) of every logarithm the named function names, as a
+    name (log(x)) or an attribute (np.log(x), math.log2)."""
+    uses = []
+    for node in ast.walk(_function(source, function)):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if isinstance(node, (ast.Attribute, ast.Name)) and name in LOGS:
+            uses.append((node.lineno, name))
+    return sorted(uses)
+
+
+@pytest.mark.parametrize("function", ["refine_pass", "_grow", "_measure"])
+def test_a_pass_takes_no_logarithm(function):
+    assert log_uses((SRC / "_kernels.py").read_text(), function) == []
+
+
+def test_log_detector_sees_each_form():
+    source = "\n".join([
+        "def refine_pass(x, e, k):",
+        "    t = np.log(x) + e * math.log2(2.0)",
+        "    u = log10(x) if k else np.log1p(x)",
+        "    f = np.log",
+        "    return memo.log_norm, logit(x), x.logs, log_thr",
+        "def other(x):",
+        "    return log(x)",
+    ])
+    assert log_uses(source, "refine_pass") == [
+        (2, "log"), (2, "log2"), (3, "log10"), (3, "log1p"), (4, "log")]
+    assert log_uses(source, "other") == [(7, "log")]
+    assert log_uses((SRC / "_kernels.py").read_text(), "_path")

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from jsrkit import (
     BudgetExceeded,
+    CapExceeded,
     MatrixSet,
     continuity_probe,
     frobenius_norm,
@@ -81,6 +82,12 @@ class TestLowerBound:
             M = MatrixSet.from_matrices(oracles.random_set(rng, 2, 3))
             want, _ = oracles.brute_interval(list(M.gens), 4)
             assert lower_bound_r(M, 4).value == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_ranks_past_int64_are_refused(self):
+        # 2**64 words of length 64 fit this budget, but their ranks do not
+        # fit int64, and a sweep would never get there
+        with pytest.raises(CapExceeded, match="2\\*\\*64"):
+            lower_bound_r(golden(), 64, budget=2**70)
 
 
 class TestUpperBound:
@@ -919,13 +926,10 @@ class TestNecklaceSweep:
                         assert got.dtype == bool, (k, first, n)
                         assert got.tolist() == [want[i] for i in idx], (k, first, n)
 
-    @pytest.mark.parametrize("m,k", [
-        (2, 62), (3, 39), (4, 31), (2, 61),  # m**k < 2**63: int64
-        (2, 63), (2, 70), (3, 40), (4, 32)])  # m**k >= 2**63: Python ints
+    @pytest.mark.parametrize("m,k", [(2, 62), (3, 39), (4, 31), (2, 61), (2, 63)])
     def test_least_rotations_near_and_past_int64(self, m, k):
-        # ranks are compared in int64 while m**k < 2**63 and as Python ints
-        # past it; runs start near 0, 2**62, 2**63, a third and the end of
-        # their length
+        # ranks are compared in int64, exact up to m**k = 2**63; runs start
+        # near 0, 2**62, 2**63, a third and the end of their length
         total = m**k
         for a in (0, 2**62 - 7, 2**63 - 7, total // 3, total - 40):
             if a < total:
@@ -1155,6 +1159,29 @@ def _chain(gens, caps, width):
     return memo, lower
 
 
+class TestCut:
+    """A branch is cut where its norm root is at most lower + width, inclusive."""
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_cut_at_exactly_the_threshold(self, fro):
+        # both norms of [[0, 0.75], [0, 0]] are exactly 0.75, its radius and
+        # its square are 0; from lower 0.5 the root sits at thr = 0.75 or one
+        # ulp above it
+        gens = np.array([[[0.0, 0.75], [0.0, 0.0]]], complex)
+        below = np.nextafter(0.75, 0.0) - 0.5
+        # width: (frontier max, saw frontier) at cap 1, nodes at cap 2
+        for width, frontier, nodes in ((0.25, (0.0, False), 1), (below, (0.75, True), 2)):
+            for cap in (1, 2):
+                res = _kernels.refine_pass(gens, cap, width, 0.5, 100, fro)
+                assert _pass_result(res) == _pass_result(
+                    oracles.loop_refine_pass(gens, cap, width, 0.5, 100, fro))
+                assert res[0] == 0.5 and res[1] == 0 and res[5]
+                if cap == 1:
+                    assert res[3:5] == frontier
+                else:
+                    assert res[6] == nodes and not res[4]
+
+
 class TestGrowth:
     """refine_pass measures its new nodes through _grow, one call per level of a run."""
 
@@ -1201,7 +1228,7 @@ class TestGrowth:
         memo, _ = _chain(gens, (1, 2, 3, 5, 7), 0.005)
         (slots, prods, exps), = memo.front[7]
         assert prods.shape == (slots.size, 5, 5) and exps.shape == slots.shape
-        assert memo.nbytes == 32 * len(memo.kid) + slots.nbytes + prods.nbytes + exps.nbytes
+        assert memo.nbytes == 24 * len(memo.kid) + slots.nbytes + prods.nbytes + exps.nbytes
         assert prods.nbytes > 0
         assert (np.frombuffer(memo.kid, np.int64)[slots] == -1).all()
 
