@@ -33,7 +33,9 @@ once instead of once per node.  Products are held only in the memo's
 pending fronts, the nodes measured but not yet expanded, as sweep_tree
 holds its stack of runs.  sweep_tree grows the tree the same way with
 nothing pruned, and a single generator's path, in both, goes a block at
-a time through _path.
+a time through _path.  A tree is walked node by node; a path, whose
+walk order is the memo's slot order, is scanned in numpy segments
+between the points where lower rises (_scan_path).
 
 Generators are stored complex128, but a set none of whose entries has
 an imaginary part is measured in float64 from end to end (_fit_set at
@@ -237,6 +239,18 @@ def witness_root(gens, word):
     return root(float(radii(prod[None])[0]), e, len(word)) * (1.0 - _EIG_SAFETY)
 
 
+def _prefix_maxima(vals, floor):
+    """The indices, ascending, of vals' strict prefix maxima (0 and every
+    index whose value exceeds all values before it), or none when no value
+    exceeds floor.  A running best >= 0 that a value replaces when it
+    exceeds best * (1 + _TIE), floor at the start, is replaced only at
+    these."""
+    run = np.maximum.accumulate(vals)
+    if not run[-1] > floor:
+        return []
+    return [0, *(np.flatnonzero(vals[1:] > run[:-1]) + 1).tolist()]
+
+
 def _records(vals, best):
     """Running argmax over vals, in order.
 
@@ -245,11 +259,8 @@ def _records(vals, best):
     when none did).  Only strict prefix maxima can replace it, so only
     those are visited.
     """
-    run = np.maximum.accumulate(vals)
-    if not run[-1] > best * (1.0 + _TIE):
-        return best, -1
     i = -1
-    for j in [0, *(np.flatnonzero(vals[1:] > run[:-1]) + 1).tolist()]:
+    for j in _prefix_maxima(vals, best * (1.0 + _TIE)):
         x = vals[j]
         if x > best * (1.0 + _TIE):
             best, i = x, j
@@ -563,6 +574,36 @@ def _grow(memo, gens, s, k, depth_cap, lower, thr, room, fro):
         run, parents, pexps = slots[:n], prods[:n], exps[:n]
 
 
+def _scan_path(memo, a, b, lower, width):
+    """The walk's visits to slots a..b-1 of a single generator's path,
+    slot k - 1 holding depth k, as numpy segments between lower's records:
+    (last, lower, rec, cut), with last the slot visited last (the first
+    cut, else b - 1), lower as the walk leaves it there and rec the slot
+    of its last record (-1 if none).
+
+    The records are the candidate roots, among the slots' strict prefix
+    maxima, that beat lower by _TIE in turn; between two of them thr =
+    lower + width is constant, and the first cut is the first stored norm
+    root at or below it.  Its views of the memo end with the call: an
+    array that exports a buffer cannot grow."""
+    nroot = np.frombuffer(memo.norm_root)[a:b]
+    cand = np.frombuffer(memo.cand)[a:b]
+    idx = _prefix_maxima(cand, lower * (1.0 + _TIE))
+    recs, best = [], lower
+    for j, x in zip(idx, cand[idx].tolist()):
+        if x > best * (1.0 + _TIE):
+            best = x
+            recs.append((j, x))
+    i, rec = 0, -1
+    for j, x in [*recs, (b - a, None)]:
+        cut = np.flatnonzero(nroot[i:j] <= lower + width)
+        if cut.size:
+            return a + i + int(cut[0]), lower, rec, True
+        if x is None:
+            return b - 1, lower, rec, False
+        i, rec, lower = j, a + j, x
+
+
 def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     """One depth-capped branch-and-bound sweep of the product tree.
 
@@ -576,10 +617,14 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     The walk is a lexicographic depth-first search.  Expanding a node
     measures all of its children in one batch into memo (see _measure), and
     a node memo holds is replayed from it: a visit only compares the stored
-    roots.  A stored candidate root counts wherever it beats lower by _TIE:
-    one a fresh expansion would skip (_SKIP_SLACK) is at most its norm root
-    or its square bound's root, so at most lower, and a pass reports the
-    same with or without an earlier memo.
+    roots.  A tree is walked one visit at a time; a single generator's
+    tree is a path whose depth k sits at slot k - 1, and is scanned in
+    slot order between lower's records (_scan_path), with the walk's
+    visits, cuts, exits and calls to _grow.  A stored candidate root
+    counts wherever it beats lower by _TIE: one a fresh expansion would
+    skip (_SKIP_SLACK) is at most its norm root or its square bound's
+    root, so at most lower, and a pass reports the same with or without
+    an earlier memo.
     A memo may serve later passes over the same gens and fro whose
     lower_in is at least the lower every earlier pass returned (refine's
     deepening does this).
@@ -619,8 +664,25 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
         memo.front = {0: [(np.full(1, -1), np.eye(d, dtype=gens.dtype)[None],
                            np.zeros(1, np.int64))]}
         _grow(memo, gens, -1, 0, depth_cap, lower, thr, budget, fro)
+    if m == 1:  # a path: DFS order is slot order, slot k - 1 holds depth k
+        while nodes < budget:
+            end = min(len(mkid), depth_cap, budget)
+            last, lower, rec, cut = _scan_path(memo, nodes, end, lower, width)
+            nodes = deepest = last + 1
+            thr = lower + width
+            if rec >= 0:
+                wit_len = rec + 1
+            if cut:
+                break
+            if nodes == depth_cap:
+                saw_frontier, frontier_max = True, max(frontier_max, mroot[last])
+                break
+            if nodes < budget:  # the stored path ends here
+                _grow(memo, gens, last, nodes, depth_cap, lower, thr, budget - nodes, fro)
+        else:
+            completed = False
     # frame: [record, child length k, next child]
-    stack = [[0, 1, 0]]
+    stack = [] if m == 1 else [[0, 1, 0]]
     while stack:
         if nodes >= budget:
             completed = False

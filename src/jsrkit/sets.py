@@ -1,5 +1,6 @@
 """Finite matrix sets, product words, and exhaustive norm sweeps."""
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -123,10 +124,14 @@ def _sweep(M: MatrixSet, nmax: int, budget: int, *, fro: bool | None = None,
     """
     if nmax < 1:
         raise ShapeError("depth must be >= 1")
-    total = tree_size(M.size, nmax)
-    if total > budget:
-        raise BudgetExceeded(
-            f"sweep to depth {nmax} needs {total} words, budget is {budget}")
+    # two or more letters give over 2**nmax words, past a finite budget
+    # from depth budget.bit_length() on; the count is formed only where it
+    # has at most 4,300 digits, as many as str() prints of an int
+    over = M.size >= 2 and budget < math.inf and nmax >= int(budget).bit_length()
+    total = tree_size(M.size, nmax) if not over or nmax * math.log10(M.size) < 4299 else None
+    if over or total > budget:
+        words = f"more than 2**{nmax}" if total is None else total
+        raise BudgetExceeded(f"sweep to depth {nmax} needs {words} words, budget is {budget}")
     if M.size ** nmax > 2**63:  # sweep_tree ranks words in int64
         raise CapExceeded(f"sweep to depth {nmax} has {M.size}**{nmax} words of one length, "
                           "past 2**63")

@@ -89,6 +89,18 @@ class TestLowerBound:
         with pytest.raises(CapExceeded, match="2\\*\\*64"):
             lower_bound_r(golden(), 64, budget=2**70)
 
+    @pytest.mark.parametrize("sweep", [lower_bound_r, sandwich_profiles])
+    def test_depths_past_a_printable_count_are_refused(self, sweep):
+        # 2**20001 - 2 words has more digits than str() prints, and at depth
+        # 10**10 the count alone would be a 1.25 GB integer: neither is formed
+        for n in (20_000, 10**10):
+            with pytest.raises(BudgetExceeded, match=f"^sweep to depth {n} needs more than "
+                                                     f"2\\*\\*{n} words, budget is 10000000$"):
+                sweep(golden(), n)
+        with pytest.raises(BudgetExceeded, match="^sweep to depth 40 needs 2199023255550 words"):
+            sweep(golden(), 40, budget=10**6)
+        assert sweep(golden(), 3, budget=math.inf) is not None  # a budget with no bit length
+
 
 class TestUpperBound:
     def test_diag_pair_depth_one(self):
@@ -575,6 +587,27 @@ def _refine_cases():
 REFINE_CASES = _refine_cases()
 
 
+def _nilpotent():
+    """S T S^-1 for a dense integer S and T strictly upper with T^3 != 0 =
+    T^4: a path whose norm roots are 0 from depth 4 on, and whose first
+    candidate roots are eigvals' noise."""
+    s, inv = oracles.unimodular(np.random.default_rng(5), 4)
+    t = np.eye(4, k=1) + 2 * np.eye(4, k=2) - np.eye(4, k=3)
+    return s @ t.astype(np.int64) @ inv
+
+
+# single-generator paths: the first generator of every pass case, one
+# whose norm roots fall at every depth, a nilpotent one, and the Jordan
+# sets, whose candidate roots (eigvals of defective powers) beat lower by
+# more than _TIE at many depths (jordan-d4 at 8 of its first 13)
+SINGLE_CASES = {k: np.ascontiguousarray(g, dtype=complex) for k, g in {
+    **{k: g[:1] for k, g in PASS_CASES.items()},
+    "unipotent": _unipotent(2)[None], "nilpotent": _nilpotent()[None],
+    **{k: REFINE_CASES[k][0].gens for k in ("jordan-d2", "jordan-d3", "jordan-d4")}}.items()}
+# eigvals matrices of each Jordan set's refine at the default _BLOCK_BYTES
+JORDAN_RADII = {"jordan-d2": 4096, "jordan-d3": 4096, "jordan-d4": 1194}
+
+
 def _report(M, width, budget, fro=False):
     return {k: _hex(v)
             for k, v in refine(M, width, budget, frobenius=fro).to_dict().items()}
@@ -670,15 +703,36 @@ class TestBatchedEngine:
             assert got["nodes_explored"] == 11_910
 
     @pytest.mark.parametrize("fro", [False, True])
-    @pytest.mark.parametrize("name", sorted(PASS_CASES))
+    @pytest.mark.parametrize("name", sorted(SINGLE_CASES))
     def test_single_generator_blocks_match_loop_kernel(self, name, fro, monkeypatch):
+        gens = SINGLE_CASES[name]
+        if name in JORDAN_RADII and not fro:
+            radii = _Counted(monkeypatch, "radii")
+            refine(*REFINE_CASES[name])
+            assert radii.matrices == JORDAN_RADII[name]
         # 768 bytes hold one to four products of d = 2..5 with their norm
         # temporaries, so a pass chains many short blocks
         monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 768)
-        gens = np.ascontiguousarray(PASS_CASES[name][:1])
         want = _pass_outputs(_loop_pass, gens, fro)
         assert _pass_outputs(_kernels.refine_pass, gens, fro) == want
         assert _pass_outputs(_memoless_pass, gens, fro) == want
+        # every budget, at caps past several blocks, on a fresh memo and on
+        # one that holds a cap-3 pass's path; from lower 0, and where it can
+        # be, from a lower_in that puts the depth-3 norm root exactly at thr
+        w = 2.0**-4
+        top = oracles.loop_refine_pass(gens, 3, 0.0, 0.0, 3, fro)
+        at = top[3] - w
+        starts = [0.0] + ([at] if top[4] and at >= 0.0 and at + w == top[3] else [])
+        assert len(starts) == 2 or name != "unipotent"
+        for cap in (6, 13):
+            for budget in range(1, cap + 2):
+                for start in starts:
+                    memo = _kernels.Memo()
+                    lower = max(start, _kernels.refine_pass(gens, 3, w, start, 3, fro, memo)[0])
+                    want = _pass_result(_loop_pass(gens, cap, w, lower, budget, fro))
+                    got = _kernels.refine_pass(gens, cap, w, lower, budget, fro, memo)
+                    assert _pass_result(got) == want
+                    assert _pass_result(_memoless_pass(gens, cap, w, lower, budget, fro)) == want
 
     @pytest.mark.parametrize("fro", [False, True])
     @pytest.mark.parametrize("name", ["jordan-d2", "jordan-d3", "jordan-d4"])

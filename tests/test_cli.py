@@ -361,6 +361,19 @@ class TestErrors:
         code, err = self.err(capsys, [cmd, hand_file])
         assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("cmd", ["bounds", "lift-check"])
+    def test_sweep_past_printable_count_is_a_typed_error(self, capsys, hand_file, cmd):
+        # the word count of depth 20000, 2**20001 - 2, has more digits than
+        # str() prints, and once ended these runs in a ValueError traceback
+        code, err = self.err(capsys, [cmd, hand_file, "--depth", "20000"])
+        assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1
+        assert "needs more than 2**20000 words" in err
+
+    def test_sweep_over_budget_names_its_count(self, capsys, hand_file):
+        code, err = self.err(capsys, ["bounds", hand_file, "--depth", "40"])
+        assert code == 1
+        assert err == "error: sweep to depth 40 needs 2199023255550 words, budget is 1000000\n"
+
     @pytest.mark.parametrize("s", [1e300, 1e-300])
     @pytest.mark.parametrize("cmd", ["radical", "inessential", "chain"])
     def test_algebra_commands_at_extreme_scale(self, capsys, tmp_path, cmd, s):
