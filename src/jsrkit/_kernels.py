@@ -239,32 +239,25 @@ def witness_root(gens, word):
     return root(float(radii(prod[None])[0]), e, len(word)) * (1.0 - _EIG_SAFETY)
 
 
-def _prefix_maxima(vals, floor):
-    """The indices, ascending, of vals' strict prefix maxima (0 and every
-    index whose value exceeds all values before it), or none when no value
-    exceeds floor.  A running best >= 0 that a value replaces when it
-    exceeds best * (1 + _TIE), floor at the start, is replaced only at
-    these."""
-    run = np.maximum.accumulate(vals)
-    if not run[-1] > floor:
-        return []
-    return [0, *(np.flatnonzero(vals[1:] > run[:-1]) + 1).tolist()]
-
-
 def _records(vals, best):
-    """Running argmax over vals, in order.
+    """The records of a running best over vals, in order, as (index,
+    value) pairs with value the element vals[index]; [] when there are none.
 
-    A value replaces best when it exceeds best * (1 + _TIE); returns the
-    updated best and the index of the last value that replaced it (-1
-    when none did).  Only strict prefix maxima can replace it, so only
-    those are visited.
+    A value replaces best, the given one at the start, when it exceeds
+    best * (1 + _TIE).  Only strict prefix maxima (index 0 and every index
+    whose value exceeds all values before it) can, so only those are
+    visited.
     """
-    i = -1
-    for j in _prefix_maxima(vals, best * (1.0 + _TIE)):
+    run = np.maximum.accumulate(vals)
+    if not run[-1] > best * (1.0 + _TIE):
+        return []
+    recs = []
+    for j in [0, *(np.flatnonzero(vals[1:] > run[:-1]) + 1).tolist()]:
         x = vals[j]
         if x > best * (1.0 + _TIE):
-            best, i = x, j
-    return best, i
+            best = x
+            recs.append((j, x))
+    return recs
 
 
 def _least_rotations(first, k, m, idx):
@@ -276,8 +269,6 @@ def _least_rotations(first, k, m, idx):
     Ranks are compared in int64: for m**k <= 2**63 (sets._sweep goes no
     deeper) every rank and every rotated rank is below m**k.
     """
-    if m == 1 or not idx.size:
-        return np.ones(idx.size, bool)
     r = idx.astype(np.int64) + first
     pw = np.array([m**u for u in range(1, k)], np.int64)[:, None]
     head = r // pw
@@ -303,8 +294,9 @@ def _update(side, k, vals, le, first, idx):
     into side's (best, exps, ranks) at depth k."""
     best, exps, ranks = side
     if isinstance(le, int):
-        new, i = _records(vals, scale(best[k], exps[k] - le))
-        if i >= 0:
+        recs = _records(vals, scale(best[k], exps[k] - le))
+        if recs:
+            i, new = recs[-1]
             best[k], exps[k], ranks[k] = new, le, first + int(idx[i])
         return
     # one exponent per product: _records' rule, one at a time
@@ -448,7 +440,9 @@ class Memo:
     was skipped because the norm root or, for children of one length, the
     square bound put it at or below lower, which only a lower above 0 does;
     kept as is when lower grows) and the index of P's own record (-1 until
-    it is expanded).  A stored child costs 24 bytes.  front maps a depth k
+    it is expanded).  A single generator's path keeps -1 there: its slot
+    k - 1 holds depth k, so a node's child is the next slot.  A stored
+    child costs 24 bytes.  front maps a depth k
     to the pending fronts there: a list of (slots, products, exponents),
     nodes of length k measured but not yet expanded, with their fitted
     products, from which growth goes on (_grow).  A depth's nodes are
@@ -519,7 +513,7 @@ def _grow(memo, gens, s, k, depth_cap, lower, thr, room, fro):
 
     A single generator's front is its path's last node, and its run goes a
     block at a time: the next min(room, block) nodes of the path, never
-    past depth_cap, chained one-slot records whose products (formed by
+    past depth_cap, appended as the next slots, whose products (formed by
     _path) and norm temporaries fit in _BLOCK_BYTES, in one _measure
     call."""
     m, d, _ = gens.shape
@@ -529,14 +523,10 @@ def _grow(memo, gens, s, k, depth_cap, lower, thr, room, fro):
     slots, prods, exps = level[0]
     i = 0 if slots[0] == s else int(np.searchsorted(slots, s))
     if m == 1:
-        first = len(memo.kid)
         n = max(1, min(room, depth_cap - k, _BLOCK_BYTES // (3 * 16 * d * d)))
         block, kexps, prod, e = _path(gens[0], prods[i], int(exps[i]), n)
         _measure(memo, block, range(k + 1, k + n + 1), kexps, lower, fro)
-        memo.kid[first:first + n - 1] = array("q", range(first + 1, first + n))
-        if k:
-            memo.kid[s] = first
-        memo.front = {k + n: [(np.array([first + n - 1]), prod[None].copy(), np.array([e]))]}
+        memo.front = {k + n: [(np.array([len(memo.kid) - 1]), prod[None].copy(), np.array([e]))]}
         return
     step = max(1, _BLOCK_BYTES // (16 * m * d * d))  # nodes whose children fill a call
     n = max(1, min(step, room // (m * (depth_cap - k + 1))))
@@ -581,19 +571,14 @@ def _scan_path(memo, a, b, lower, width):
     cut, else b - 1), lower as the walk leaves it there and rec the slot
     of its last record (-1 if none).
 
-    The records are the candidate roots, among the slots' strict prefix
-    maxima, that beat lower by _TIE in turn; between two of them thr =
+    The records are _records over the candidate roots from lower, their
+    values made Python floats as the tree walk's; between two of them thr =
     lower + width is constant, and the first cut is the first stored norm
     root at or below it.  Its views of the memo end with the call: an
     array that exports a buffer cannot grow."""
     nroot = np.frombuffer(memo.norm_root)[a:b]
     cand = np.frombuffer(memo.cand)[a:b]
-    idx = _prefix_maxima(cand, lower * (1.0 + _TIE))
-    recs, best = [], lower
-    for j, x in zip(idx, cand[idx].tolist()):
-        if x > best * (1.0 + _TIE):
-            best = x
-            recs.append((j, x))
+    recs = [(j, float(x)) for j, x in _records(cand, lower)]
     i, rec = 0, -1
     for j, x in [*recs, (b - a, None)]:
         cut = np.flatnonzero(nroot[i:j] <= lower + width)
@@ -642,9 +627,11 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     grows.  After a completed pass the memo's front is the nodes alive at
     depth_cap.
 
-    Returns (lower, wit_len, wit_word, frontier_max, saw_frontier,
-    completed, nodes, deepest).  wit_len == 0 means no word improved on
-    lower_in.  frontier_max is the max norm root over the frontier.
+    memo defaults to a fresh Memo.  Returns (lower, witness, frontier_max,
+    frontier, completed, deepest, nodes).  witness is the word of lower's
+    last record as a tuple, () when no word beat lower_in (lower is then
+    lower_in as given).  frontier counts the frontier's nodes and
+    frontier_max is the max norm root over them, 0.0 when there are none.
     Every visit counts as a node, replayed or not.
     """
     gens, e1 = _fit_set(gens)
@@ -655,10 +642,10 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
     lower = scale(lower_in, -e1)
     # both may underflow when the set is far above them
     thr = lower + width
-    wit_word = np.zeros(depth_cap, np.int64)
     word = [0] * depth_cap
-    wit_len = nodes = deepest = 0
-    frontier_max, saw_frontier, completed = 0.0, False, True
+    witness = ()
+    frontier = nodes = deepest = 0
+    frontier_max, completed = 0.0, True
 
     if not mkid:  # the root: the one pending node of a fresh memo
         memo.front = {0: [(np.full(1, -1), np.eye(d, dtype=gens.dtype)[None],
@@ -671,11 +658,11 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
             nodes = deepest = last + 1
             thr = lower + width
             if rec >= 0:
-                wit_len = rec + 1
+                witness = (0,) * (rec + 1)
             if cut:
                 break
             if nodes == depth_cap:
-                saw_frontier, frontier_max = True, max(frontier_max, mroot[last])
+                frontier, frontier_max = 1, max(frontier_max, mroot[last])
                 break
             if nodes < budget:  # the stored path ends here
                 _grow(memo, gens, last, nodes, depth_cap, lower, thr, budget - nodes, fro)
@@ -698,12 +685,11 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
         if cand > lower * (1.0 + _TIE):
             lower = cand
             thr = lower + width
-            wit_len = k
-            wit_word[:k] = word[:k]
+            witness = tuple(word[:k])
         alive = not (nroot <= thr)
         expand = alive and k < depth_cap
         if alive and not expand:
-            saw_frontier = True
+            frontier += 1
             frontier_max = max(frontier_max, nroot)
         if expand and mkid[s] < 0:
             if nodes >= budget:
@@ -727,5 +713,5 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
             front[depth_cap] = [tuple(map(np.concatenate, zip(*front[depth_cap])))]
     # with no new witness lower_in stands as given: scaled, it may have
     # left the double range (a block far below the one that set it)
-    return (scale(lower, e1) if wit_len else lower_in, wit_len, wit_word,
-            scale(frontier_max, e1), saw_frontier, completed, nodes, deepest)
+    return (scale(lower, e1) if witness else lower_in, witness, scale(frontier_max, e1),
+            frontier, completed, deepest, nodes)

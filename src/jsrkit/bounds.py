@@ -33,10 +33,15 @@ from . import _kernels, config
 from ._kernels import Memo, refine_pass
 from .sets import MatrixSet, Word, _sweep, tree_size
 
-# memory allowed for a branch-and-bound pass's pending fronts, which with
-# two or more generators may hold a product at every open depth, so it
-# sets their deepest pass; refine also drops its memo of earlier passes,
-# fronts included, once the memo outgrows it
+# memory allowed for a branch-and-bound pass's pending fronts, which sets
+# the deepest pass of two or more generators (_pass_depth_limit).  With m
+# generators an open depth holds what its level's run left, fewer than
+# m * step products (_kernels._grow): at most _BLOCK_BYTES of them, or
+# m - 1 products where step is 1, as it is for every d >= 33.  The limit
+# counts one product per open depth, so there the fronts may reach
+# (m - 1) * _STACK_BYTES; for d <= 32 it is _MAX_DEPTH whatever the count.
+# refine also drops its memo of earlier passes, fronts included, once the
+# memo outgrows it
 _STACK_BYTES = 64 * 2**20
 _MAX_DEPTH = 4096  # deepest pass refine runs
 
@@ -126,7 +131,7 @@ def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> Lo
     smallest.
     """
     _, radii = _sweep(M, n, budget, rho=True)
-    best, i = _kernels._records(np.asarray(radii.root), -1.0)
+    i, best = _kernels._records(np.asarray(radii.root), -1.0)[-1]
     return LowerBound(max(float(best), 0.0), radii.word(i + 1))
 
 
@@ -215,14 +220,14 @@ def _deepen(gens: np.ndarray, width: float, budget: int, lower_in: float,
         if new_cap <= depth_cap:
             break  # cannot deepen any further
         depth_cap = new_cap
-        plower, wlen, wword, fmax, _, completed, nodes, deep = refine_pass(
+        plower, witness, fmax, _, completed, deep, nodes = refine_pass(
             gens, depth_cap, width, lower, budget - nodes_total, frobenius, memo)
-        nodes_total += int(nodes)
-        deepest = max(deepest, int(deep))
+        nodes_total += nodes
+        deepest = max(deepest, deep)
         if plower > lower:
             lower = float(plower)
-            if wlen > 0:
-                wit = tuple(wword[:wlen].tolist())
+            if witness:
+                wit = witness
         if completed:
             # frontier_max is 0.0 when the pass left no frontier
             upper = min(upper, max(lower + width, fmax))

@@ -363,18 +363,18 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
     walked fitted, with width, lower_in and the results scaled by its
     exponent.
 
-    Returns (lower, wit_len, wit_word, frontier_max, saw_frontier,
-    completed, nodes, deepest).  wit_len == 0 means no word improved on
-    lower_in.  frontier_max is the max norm root over the frontier.
+    Returns (lower, witness, frontier_max, frontier, completed, deepest,
+    nodes).  witness is the word of lower's last record as a tuple, ()
+    when no word improved on lower_in.  frontier counts the frontier's
+    nodes and frontier_max is the max norm root over them.
     """
     gens, e1 = loop_fit(loop_real(gens))
     m, d, _ = gens.shape
     width = _shifted(width, -e1)
     lower = _shifted(lower_in, -e1)
-    wit_len = 0
-    wit_word = np.zeros(depth_cap, np.int64)
+    witness = ()
     frontier_max = 0.0
-    saw_frontier = False
+    frontier = 0
     nodes = 0
     deepest = 0
     completed = True
@@ -400,15 +400,13 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
         v = _root(loop_rho(prod[k]), e, k) * (1.0 - _EIG_SAFETY)
         if v > lower * (1.0 + _TIE):
             lower = v
-            wit_len = k
-            for t in range(k):
-                wit_word[t] = word[t]
+            witness = tuple(word[:k].tolist())
         fm = _root(nrm, e, k)
         alive = not (fm <= lower + width)
         descend = False
         if alive:
             if k == depth_cap:
-                saw_frontier = True
+                frontier += 1
                 if fm > frontier_max:
                     frontier_max = fm
             else:
@@ -421,8 +419,8 @@ def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
                 depth -= 1
             if depth > 0:
                 word[depth - 1] += 1
-    return (_shifted(lower, e1) if wit_len else lower_in, wit_len, wit_word,
-            _shifted(frontier_max, e1), saw_frontier, completed, nodes, deepest)
+    return (_shifted(lower, e1) if witness else lower_in, witness,
+            _shifted(frontier_max, e1), frontier, completed, deepest, nodes)
 
 
 def loop_lower_bound_r(gens, n):

@@ -461,8 +461,8 @@ SWEEP_DEPTH = {1: 40, 2: 9, 3: 6}
 
 
 def _pass_result(res):
-    """One refine_pass result with its witness cut to length, as hex."""
-    return _hex(res[:2] + (res[2][:res[1]],) + res[3:])
+    """One refine_pass result, as hex."""
+    return _hex(res)
 
 
 def _pass_outputs(fn, gens, fro):
@@ -752,7 +752,8 @@ class TestBatchedEngine:
 
         def spy(gens, depth_cap, width, lower_in, budget, fro, memo):
             res = _kernels.refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo)
-            passes.append((depth_cap, res[7], len(memo.kid)))
+            passes.append((depth_cap, res[5], len(memo.kid)))
+            assert set(memo.kid) == {-1}  # a path links no children
             return res
 
         count = _Counted(monkeypatch)
@@ -953,6 +954,50 @@ DEFECTIVE_CASES = {
     **{f"triangular-{i}": g for i, (g, _) in enumerate(oracles.integer_triangular_sets(2026, 24))},
     **{f"jordan-pair-d{d}": g for d, g in oracles.jordan_pairs().items()},
 }
+
+
+def _running_records(vals, best):
+    """_kernels._records' contract, one value at a time."""
+    out = []
+    for j, x in enumerate(vals.tolist()):
+        if x > best * (1.0 + _kernels._TIE):
+            best = x
+            out.append((j, x))
+    return out
+
+
+class TestRecords:
+    """_records lists a running best's records in order, as (index, value)."""
+
+    def test_records_match_a_running_best(self):
+        # values drawn from a few levels, with ties within _TIE of an
+        # earlier value, values at and one ulp above its floor, and zeros
+        rng = np.random.default_rng(25)
+        tie = _kernels._TIE
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            vals = rng.choice(rng.random(4) * 10.0 ** rng.integers(-3, 4), n)
+            for j in np.flatnonzero(rng.random(n) < 0.3):
+                floor = vals[int(rng.integers(0, j + 1))] * (1.0 + tie)
+                vals[j] = rng.choice([floor, np.nextafter(floor, np.inf), floor / (1.0 + tie / 2),
+                                      floor * (1.0 + tie / 2), 0.0])
+            best = float(rng.choice([-1.0, 0.0, vals.min(), vals.mean(), vals.max()]))
+            got = _kernels._records(vals, best)
+            assert [(j, float(x)) for j, x in got] == _running_records(vals, best)
+            for j, x in got:
+                assert type(x) is np.float64 and float(x).hex() == float(vals[j]).hex()
+
+    def test_records_at_the_floor(self):
+        vals = np.array([2.0, 2.0 * (1.0 + _kernels._TIE), 0.0, 1.0])
+        assert _kernels._records(vals, -1.0) == [(0, 2.0)]
+        up = np.nextafter(vals[1], np.inf)
+        assert _kernels._records(np.append(vals, up), -1.0) == [(0, 2.0), (4, up)]
+
+    def test_no_value_above_the_floor_gives_no_record(self):
+        # 3 is within _TIE of a best 1e-13 below it
+        for best in (3.0, 3.0 * (1.0 - 1e-13), 10.0):
+            assert _kernels._records(np.array([0.0, 3.0, 1.0, 3.0]), best) == []
+        assert _kernels._records(np.zeros(5), 0.0) == []
 
 
 class TestNecklaceSweep:
@@ -1223,17 +1268,17 @@ class TestCut:
         # ulp above it
         gens = np.array([[[0.0, 0.75], [0.0, 0.0]]], complex)
         below = np.nextafter(0.75, 0.0) - 0.5
-        # width: (frontier max, saw frontier) at cap 1, nodes at cap 2
-        for width, frontier, nodes in ((0.25, (0.0, False), 1), (below, (0.75, True), 2)):
+        # width: (frontier max, frontier nodes) at cap 1, nodes at cap 2
+        for width, frontier, nodes in ((0.25, (0.0, 0), 1), (below, (0.75, 1), 2)):
             for cap in (1, 2):
                 res = _kernels.refine_pass(gens, cap, width, 0.5, 100, fro)
                 assert _pass_result(res) == _pass_result(
                     oracles.loop_refine_pass(gens, cap, width, 0.5, 100, fro))
-                assert res[0] == 0.5 and res[1] == 0 and res[5]
+                assert res[0] == 0.5 and res[1] == () and res[4]
                 if cap == 1:
-                    assert res[3:5] == frontier
+                    assert res[2:4] == frontier
                 else:
-                    assert res[6] == nodes and not res[4]
+                    assert res[6] == nodes and not res[3]
 
 
 class TestGrowth:
@@ -1259,7 +1304,7 @@ class TestGrowth:
         res = _kernels.refine_pass(gens, 16, 0.005, lower, 300, False, memo)
         assert _pass_result(res) == _pass_result(
             oracles.loop_refine_pass(gens, 16, 0.005, lower, 300, False))
-        assert not res[5]
+        assert not res[4]
         assert norms.matrices <= 78 + 88 + 100
 
     def test_no_growth_at_or_above_the_front(self, monkeypatch):
@@ -1317,7 +1362,7 @@ class TestGrowth:
             res = _kernels.refine_pass(gens, cap, width, lower, budget, False, memo)
             assert _pass_result(res) == _pass_result(
                 oracles.loop_refine_pass(gens, cap, width, lower, budget, False))
-            assert res[5] == (budget > cut)
+            assert res[4] == (budget > cut)
             if budget == cut:
                 assert any(k < cap and level for k, level in memo.front.items())
             lower = max(lower, res[0])
