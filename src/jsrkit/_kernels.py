@@ -1,4 +1,4 @@
-"""Enumeration kernels: product-tree sweeps and branch-and-bound passes.
+"""Enumeration kernels: product-tree sweeps and refine's branch-and-bound search.
 
 One numpy engine batches the product tree's `matmul`, Gram-matrix
 `eigvalsh` (norms) and `eigvals` (radii), each matrix through the call
@@ -16,26 +16,23 @@ bound could beat the depth's best radius.  In exact arithmetic that is
 the maximum over all words, and the smallest rotation is the necklace's
 first word, so the reported rank is unchanged.  refine_pass takes the
 norm of every child it measures, and eigvals only where the child's
-radius root could beat the lower end: its norm root bounds it, and for
-children of one length so does the square rule rho(P)^2 <= ||P^2||
-(_square_bound, one matmul and sum of squares per batch).  A single
-generator's path blocks keep the norm bound alone: on the benchmark's
-Jordan powers the square rule cut no child of the d = 2 and 3 paths, and
-a check on every child cost more than it saved.
+radius root could beat the lower end: its norm root bounds it, and so
+does the square rule rho(P)^2 <= ||P^2|| (_square_bound, one matmul and
+sum of squares per step).  A single generator's path blocks keep the
+norm bound alone: on the benchmark's Jordan powers the square rule cut
+no child of the d = 2 and 3 paths, and a check on every child cost more
+than it saved.
 
-refine_pass forms no product itself: its walk replays the memo, and where
-it meets an alive node below its cap with no children it calls _grow,
-which expands that node and the pending nodes after it one level at a
-time, with one matmul and one _measure call per level, in runs that fit
-the budget left and _BLOCK_BYTES.  On small matrices most of an
-expansion's cost is Python and numpy call overhead, which a level pays
-once instead of once per node.  Products are held only in the memo's
-pending fronts, the nodes measured but not yet expanded, as sweep_tree
-holds its stack of runs.  sweep_tree grows the tree the same way with
-nothing pruned, and a single generator's path, in both, goes a block at
-a time through _path.  A tree is walked node by node; a path, whose
-walk order is the memo's slot order, is scanned in numpy segments
-between the points where lower rises (_scan_path).
+refine_pass is one best-first search: each step expands the open nodes
+with the largest norm roots, at most the ones whose children fill
+_BLOCK_BYTES, with one matmul and one _measure call.  On small matrices
+most of an expansion's cost is Python and numpy call overhead, which a
+step pays once instead of once per node.  Each node is measured once,
+and only the open nodes' fitted products are held, in a pool of rows
+under a heap of their roots, bounded by _STACK_BYTES.  sweep_tree grows
+the tree level run by level run with nothing pruned, and a single
+generator's path, in both, goes a block at a time through _path; refine
+scans a block in numpy segments between the points where lower rises.
 
 Generators are stored complex128, but a set none of whose entries has
 an imaginary part is measured in float64 from end to end (_fit_set at
@@ -44,8 +41,8 @@ eigenvalue problems take the real BLAS/LAPACK routines, about twice as
 fast as the complex ones.  Every array the engine allocates follows the
 dtype of the generators, so a complex set runs the same calls as before.
 
-Every batch of products (the children of a run's first nodes in
-sweep_tree or _grow, one _path block of a single generator's path)
+Every batch of products (the children of a sweep run's first nodes or
+of a search step, one _path block of a single generator's path)
 carries an integer exponent e and holds its products divided by 2**e; a
 run's exponent is one per product once any of its products has been
 fitted.  A product becomes a factor only after _fit scales it by an
@@ -53,13 +50,14 @@ exact power of two where its own largest entry has left the band, and a
 generator set outside the band is fitted once.  In-band products are
 never rescaled, so at e = 0 the arithmetic is that of the unscaled
 products.  A value x reads as x * 2**e, its k-th root as root(x, e, k).
-Exponents travel with their products; refine_pass's memo keeps the roots
-_measure derives from them, so its walk reads no exponent, and every test
-it makes compares k-th roots.
+Exponents travel with their products; refine_pass keeps the roots
+_measure derives from them, so every test it makes compares k-th roots.
 """
 
+import heapq
 import math
 from array import array
+from operator import itemgetter
 
 import numpy as np
 
@@ -83,10 +81,14 @@ _SKIP_SLACK = 1e-9
 # of its sum of squares, and eigvals' backward error E, since
 # ||(P + E)^2|| <= ||P^2|| + (2 ||E|| + ||E||^2 / ||P||) ||P||
 _SQUARE_SLACK = 2.0**-40
-# bytes of the children formed from one run in a sweep or a pass; a
-# block of a single generator's path fits its products and their norm
-# temporaries in it
+# bytes of the children formed from one run in a sweep or one step of
+# refine's search; a block of a single generator's path fits its products
+# and their norm temporaries in it
 _BLOCK_BYTES = 64 * 2**10
+# bytes that refine's open set and its parent links may hold: a search
+# whose step leaves more stops with stop reason "stack_limit", so it holds
+# at most one step's children past this
+_STACK_BYTES = 64 * 2**20
 # A factor's largest real or imaginary part lies in [2**-_BAND, 2**_BAND)
 # or is 0.  For d <= 64 = 2**6 an in-band entry has modulus below
 # 2**(_BAND + 1/2), so an in-band product times an in-band generator has
@@ -364,9 +366,10 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
     these representatives, which in exact arithmetic is the maximum over
     all words.
 
-    The tree grows as in _grow, with nothing pruned: a stack of runs of
-    fitted products of one length, deepest last.  A run's first nodes (one
-    for a depth's first run, else as many as _grow takes) are split off,
+    The tree grows level run by level run, with nothing pruned: a stack of
+    runs of fitted products of one length, deepest last.  A run's first
+    nodes (one for a depth's first run, else as many as fill _BLOCK_BYTES
+    with their children) are split off,
     their children formed with one matmul, measured, fitted each on its
     own (fitted as one batch, small products could flush to zero) and
     pushed as the next run.  So each depth sees its words in lexicographic
@@ -432,56 +435,27 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
                  for side in (nside, rside))
 
 
-class Memo:
-    """What a refine's passes have learnt about the product tree.
-
-    One record per expanded node: m slots, one per child P of length k,
-    with ||P||^(1/k), rho(P)^(1/k) shaved by _EIG_SAFETY (-1 where eigvals
-    was skipped because the norm root or, for children of one length, the
-    square bound put it at or below lower, which only a lower above 0 does;
-    kept as is when lower grows) and the index of P's own record (-1 until
-    it is expanded).  A single generator's path keeps -1 there: its slot
-    k - 1 holds depth k, so a node's child is the next slot.  A stored
-    child costs 24 bytes.  front maps a depth k
-    to the pending fronts there: a list of (slots, products, exponents),
-    nodes of length k measured but not yet expanded, with their fitted
-    products, from which growth goes on (_grow).  A depth's nodes are
-    measured in lexicographic order, so there slot order is lexicographic
-    order.  nbytes counts the records and the fronts' arrays.
-    """
-
-    __slots__ = ("norm_root", "cand", "kid", "front")
-
-    def __init__(self):
-        self.norm_root = array("d")
-        self.cand = array("d")
-        self.kid = array("q")
-        self.front = {}
-
-    @property
-    def nbytes(self):
-        return 24 * len(self.kid) + sum(a.nbytes for level in self.front.values()
-                                        for part in level for a in part)
 
 
-def _measure(memo, kids, lengths, exps, lower, fro):
-    """Append one slot per product in kids (of length lengths[i], times
-    2**exps[i]) to memo, with no child record yet: the one place a node's
-    roots are derived.  One batched norms call measures them all, one
-    batched radii call those whose radius root can beat lower.
+def _measure(kids, lengths, exps, lower, fro, square):
+    """(nroot, cand) for the products in kids, of length lengths[i] and read
+    times 2**exps[i]: the one place a node's roots are derived.  nroot
+    holds each ||P||^(1/k), cand its rho(P)^(1/k) shaved by _EIG_SAFETY, or
+    -1 where eigvals was skipped.  One batched norms call measures them
+    all, one batched radii call those whose radius root can beat lower.
 
-    A child's radius root is at most its norm root and, for children of
-    one length (those of one or more nodes with m >= 2 generators), at most
-    the root of its _square_bound; eigvals is skipped where either, times
-    1 + _SKIP_SLACK, is at most lower.  Only children that pass the norm
-    test take the square bound, in one batch; a single generator's path
-    blocks keep the norm test alone."""
+    A child's radius root is at most its norm root and, where square is
+    set, at most the root of its _square_bound; eigvals is skipped where
+    either, times 1 + _SKIP_SLACK, is at most lower, so a skipped child
+    could not have raised lower.  Only children that pass the norm test
+    take the square bound, in one batch; a single generator's path blocks
+    keep the norm test alone."""
     nrm = norms(kids, fro).tolist()
     nroot = [root(x, e, k) for x, e, k in zip(nrm, exps, lengths)]
     cand = [-1.0] * len(nrm)
     want = [i for i, r in enumerate(nroot)
             if not (lower > 0.0 and r * (1.0 + _SKIP_SLACK) <= lower)]
-    if lower > 0.0 and want and len(nrm) > 1 and lengths[0] == lengths[-1]:
+    if square and lower > 0.0 and want:
         sub = kids if len(want) == len(nrm) else kids[want]
         bound = _square_bound(sub, [nrm[i] for i in want])
         want = [i for i, b in zip(want, bound)
@@ -489,229 +463,189 @@ def _measure(memo, kids, lengths, exps, lower, fro):
     if want:
         for i, r in zip(want, radii(kids[want]).tolist()):
             cand[i] = root(r, exps[i], lengths[i]) * (1.0 - _EIG_SAFETY)
-    memo.norm_root.extend(nroot)
-    memo.cand.extend(cand)
-    memo.kid.extend([-1] * len(nrm))
+    return np.array(nroot), cand
 
 
-def _grow(memo, gens, s, k, depth_cap, lower, thr, room, fro):
-    """Expand the pending node s of length k and the pending nodes after
-    it, one level at a time, no deeper than depth_cap: the one place a
-    pass forms products.
-
-    Each level's run is the longest lexicographic run of pending nodes,
-    from s or from the level's first, whose children fit one _measure call
-    of _BLOCK_BYTES and the budget left, room, counted once for each depth
-    from the run's own to depth_cap, as if every level below were as wide;
-    the first run holds s at least.  Of the run, the nodes alive as the walk
-    tests them, not (||P||^(1/k) <= thr), are expanded: their fitted
-    products times gens in one matmul, measured, and linked to their
-    slots.  The children alive in turn are the next level's pending front,
-    and room loses the children measured.  The rest of each level stays
-    pending until the walk reaches it, and the children at depth_cap until
-    a deeper pass does.
-
-    A single generator's front is its path's last node, and its run goes a
-    block at a time: the next min(room, block) nodes of the path, never
-    past depth_cap, appended as the next slots, whose products (formed by
-    _path) and norm temporaries fit in _BLOCK_BYTES, in one _measure
-    call."""
-    m, d, _ = gens.shape
-    level = memo.front[k]
-    while level[0][0][-1] < s:  # fronts the walk has passed: dead or below a cut
-        del level[0]
-    slots, prods, exps = level[0]
-    i = 0 if slots[0] == s else int(np.searchsorted(slots, s))
-    if m == 1:
-        n = max(1, min(room, depth_cap - k, _BLOCK_BYTES // (3 * 16 * d * d)))
-        block, kexps, prod, e = _path(gens[0], prods[i], int(exps[i]), n)
-        _measure(memo, block, range(k + 1, k + n + 1), kexps, lower, fro)
-        memo.front = {k + n: [(np.array([len(memo.kid) - 1]), prod[None].copy(), np.array([e]))]}
-        return
-    step = max(1, _BLOCK_BYTES // (16 * m * d * d))  # nodes whose children fill a call
-    n = max(1, min(step, room // (m * (depth_cap - k + 1))))
-    run, parents, pexps = slots[i:i + n], prods[i:i + n], exps[i:i + n]
-    if run.size > 1:  # s is alive; the walk has not yet tested the nodes after it
-        live = ~(np.frombuffer(memo.norm_root)[run] <= thr)
-        run, parents, pexps = run[live], parents[live], pexps[live]
-    while True:
-        if i + n < slots.size:
-            level[0] = (slots[i + n:], prods[i + n:], exps[i + n:])
-        else:
-            del level[0]
-        kids = np.matmul(parents[:, None], gens[None]).reshape(-1, d, d)
-        e = np.repeat(pexps, m)
-        first = len(memo.kid)
-        _measure(memo, kids, [k + 1] * e.size, e.tolist(), lower, fro)
-        if k:
-            np.frombuffer(memo.kid, np.int64)[run] = np.arange(first // m, len(memo.kid) // m)
-        room -= e.size
-        k += 1
-        prods, shift = _fit_rows(kids)
-        slots = np.arange(first, len(memo.kid))
-        live = ~(np.frombuffer(memo.norm_root)[slots] <= thr)
-        part = [(slots[live], prods[live], (e + shift)[live])] if live.any() else []
-        if k == depth_cap:
-            memo.front.setdefault(k, []).extend(part)
-            return
-        # the depth's older fronts lie before s: the walk has passed them
-        level = memo.front[k] = part
-        n = part and min(part[0][0].size, step, max(room, 0) // (m * (depth_cap - k + 1)))
-        if not n:
-            return
-        (slots, prods, exps), = part
-        i = 0
-        run, parents, pexps = slots[:n], prods[:n], exps[:n]
+def _word(up, s, m):
+    """The word of the node in slot s: a slot is its parent's index times m
+    plus its last letter, and up[i] is the slot of the i-th expanded node
+    (-1 for the root)."""
+    word = []
+    while s >= 0:
+        s, j = divmod(s, m)
+        word.append(j)
+        s = up[s]
+    return tuple(reversed(word))
 
 
-def _scan_path(memo, a, b, lower, width):
-    """The walk's visits to slots a..b-1 of a single generator's path,
-    slot k - 1 holding depth k, as numpy segments between lower's records:
-    (last, lower, rec, cut), with last the slot visited last (the first
-    cut, else b - 1), lower as the walk leaves it there and rec the slot
-    of its last record (-1 if none).
+def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
+    """Gripenberg's branch-and-bound over the product tree, best first.
 
-    The records are _records over the candidate roots from lower, their
-    values made Python floats as the tree walk's; between two of them thr =
-    lower + width is constant, and the first cut is the first stored norm
-    root at or below it.  Its views of the memo end with the call: an
-    array that exports a buffer cannot grow."""
-    nroot = np.frombuffer(memo.norm_root)[a:b]
-    cand = np.frombuffer(memo.cand)[a:b]
-    recs = [(j, float(x)) for j, x in _records(cand, lower)]
-    i, rec = 0, -1
-    for j, x in [*recs, (b - a, None)]:
-        cut = np.flatnonzero(nroot[i:j] <= lower + width)
-        if cut.size:
-            return a + i + int(cut[0]), lower, rec, True
-        if x is None:
-            return b - 1, lower, rec, False
-        i, rec, lower = j, a + j, x
+    The open nodes are the products measured, alive and not yet expanded.
+    A product P of length k is cut when ||P||^(1/k) <= thr = lower + width,
+    read from its stored norm root; thr only grows.  A node alive at
+    depth_cap is capped: never expanded, it keeps its root.  Each step
+    takes the open nodes with the largest roots, at most step =
+    _BLOCK_BYTES // (16 m d**2) of them and as many as the budget left
+    holds, expands them in the order they were opened with one matmul,
+    measures their children (_measure), raises lower on the children's
+    candidate roots in that order, and opens the children it does not cut
+    or cap.  Open nodes that the new thr cuts are dropped.
 
+    The cut, open and capped nodes at that point form a prefix-complete
+    set of words whose cut roots are at most thr, so max(lower + width,
+    top open root, top capped root) bounds rho from above.  upper is the
+    smallest such bound over the steps, and the search stops at the first
+    step after which upper - lower <= width (as read in refine), when no
+    open node is left, when the budget cannot expand one more node, or
+    when the open set holds more than _STACK_BYTES.
 
-def refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
-    """One depth-capped branch-and-bound sweep of the product tree.
+    A single generator's tree is a path whose one open node is its last,
+    so a step is one node: the path goes a _path block at a time, its
+    block measured in one _measure call with no square bound, and is
+    scanned in numpy segments between the records of lower (_records) up
+    to its first cut or its first converged node.
 
-    A branch is cut at a product P of length k when ||P||^(1/k) <= thr =
-    lower + width, read from the stored norm root the frontier also reads;
-    thr only grows during the sweep, so every cut also holds for the final
-    lower bound.  Nodes that reach depth_cap alive form the frontier.  A
-    set outside the band is walked fitted, with width, lower_in and the
-    results scaled by its exponent.
-
-    The walk is a lexicographic depth-first search.  Expanding a node
-    measures all of its children in one batch into memo (see _measure), and
-    a node memo holds is replayed from it: a visit only compares the stored
-    roots.  A tree is walked one visit at a time; a single generator's
-    tree is a path whose depth k sits at slot k - 1, and is scanned in
-    slot order between lower's records (_scan_path), with the walk's
-    visits, cuts, exits and calls to _grow.  A stored candidate root
-    counts wherever it beats lower by _TIE: one a fresh expansion would
-    skip (_SKIP_SLACK) is at most its norm root or its square bound's
-    root, so at most lower, and a pass reports the same with or without
-    an earlier memo.
-    A memo may serve later passes over the same gens and fro whose
-    lower_in is at least the lower every earlier pass returned (refine's
-    deepening does this).
-
-    Where the walk meets an alive node below depth_cap with no record it
-    calls _grow, which measures that node's children and those of the
-    pending nodes after it, level by level, from the memo's pending fronts;
-    a fresh memo's one pending node is the root.  A child measured under a
-    lower below the walk's only stores a candidate root that cannot count,
-    as above, so reports do not depend on how growth is batched.  The walk
-    holds no product: each open depth keeps its record and next child, and
-    is dropped once its last child is entered.  Growth sizes its runs to
-    the budget left, and none is asked for when the budget leaves no node
-    to enter; what a cut pass leaves pending, a later pass on the memo
-    grows.  After a completed pass the memo's front is the nodes alive at
-    depth_cap.
-
-    memo defaults to a fresh Memo.  Returns (lower, witness, frontier_max,
-    frontier, completed, deepest, nodes).  witness is the word of lower's
-    last record as a tuple, () when no word beat lower_in (lower is then
-    lower_in as given).  frontier counts the frontier's nodes and
-    frontier_max is the max norm root over them, 0.0 when there are none.
-    Every visit counts as a node, replayed or not.
+    A set outside the band is searched fitted, with width, lower_in and
+    the results scaled by its exponent.  Returns (lower, witness, upper,
+    converged, stop, deepest, nodes, held).  witness is the word of
+    lower's last record as a tuple, () when no word beat lower_in (lower
+    is then lower_in as given).  stop is "converged", "budget",
+    "depth_limit" (no open node left and capped nodes above the width) or
+    "stack_limit".  deepest is the longest word the search reached,
+    and nodes counts the products it measured (past a single generator's
+    cut, too), at most budget.  held is the most bytes the open set and
+    its parent links held.  With no budget for one step, upper is the
+    largest generator norm, at least lower + width.
     """
     gens, e1 = _fit_set(gens)
     m, d, _ = gens.shape
-    memo = Memo() if memo is None else memo
-    mroot, mcand, mkid = memo.norm_root, memo.cand, memo.kid
-    width = scale(width, -e1)
-    lower = scale(lower_in, -e1)
-    # both may underflow when the set is far above them
-    thr = lower + width
-    word = [0] * depth_cap
-    witness = ()
-    frontier = nodes = deepest = 0
-    frontier_max, completed = 0.0, True
+    w = scale(width, -e1)
+    lower = scale(lower_in, -e1)  # both may underflow when the set is far above them
+    found = False  # whether some word has beaten lower_in
+    upper = math.inf
+    nodes = deepest = held = 0
+    witness, stop = (), None
 
-    if not mkid:  # the root: the one pending node of a fresh memo
-        memo.front = {0: [(np.full(1, -1), np.eye(d, dtype=gens.dtype)[None],
-                           np.zeros(1, np.int64))]}
-        _grow(memo, gens, -1, 0, depth_cap, lower, thr, budget, fro)
-    if m == 1:  # a path: DFS order is slot order, slot k - 1 holds depth k
-        while nodes < budget:
-            end = min(len(mkid), depth_cap, budget)
-            last, lower, rec, cut = _scan_path(memo, nodes, end, lower, width)
-            nodes = deepest = last + 1
-            thr = lower + width
-            if rec >= 0:
-                witness = (0,) * (rec + 1)
-            if cut:
+    # upper and the convergence test read lower as refine reports it
+    def bound(top):
+        lo = scale(lower, e1) if found else lower_in
+        return max(lo + width, scale(top, e1))
+
+    def done(u):
+        lo = scale(lower, e1) if found else lower_in
+        return u - lo <= width * (1.0 + 1e-9) or u <= lo + width
+
+    if m == 1:
+        prod, e, k = np.eye(d, dtype=gens.dtype), 0, 0
+        size = max(1, _BLOCK_BYTES // (3 * 16 * d * d))
+        held = prod.nbytes
+        while stop is None:
+            # a block ends by the next of depths 1..8, 16, 32, ...: a path
+            # cut at depth c has measured fewer than 2 c products
+            n = min(size, depth_cap - k, budget - nodes, 1 if k < 8 else (1 << k.bit_length()) - k)
+            if not n:
+                stop = "depth_limit" if k == depth_cap else "budget"
                 break
-            if nodes == depth_cap:
-                frontier, frontier_max = 1, max(frontier_max, mroot[last])
+            block, exps, prod, e = _path(gens[0], prod, e, n)
+            nroot, cand = _measure(block, range(k + 1, k + n + 1), exps, lower, fro, False)
+            nodes += n
+            i = 0
+            # segment i..j-1 is scanned under one lower; node j is its next record
+            for j, x in [*_records(np.asarray(cand), lower), (n, None)]:
+                cut = np.flatnonzero(nroot[i:j] <= lower + w)
+                c = int(cut[0]) if cut.size else j - i  # the nodes open in turn
+                if c:
+                    u = min(upper, bound(float(nroot[i:i + c].min())))
+                    if done(u):  # the search converged at one of them: the first
+                        for t, r in enumerate(nroot[i:i + c].tolist()):
+                            upper = min(upper, bound(r))
+                            if done(upper):
+                                break
+                        deepest, stop = k + i + t + 1, "converged"
+                        break
+                    upper = u
+                if cut.size:  # no node is left open
+                    upper = min(upper, bound(0.0))
+                    deepest, stop = k + i + c + 1, "converged"
+                    break
+                if x is None:
+                    break
+                i, lower, found = j, float(x), True
+                witness = (0,) * (k + j + 1)
+            if stop is None:
+                deepest = k = k + n
+    else:
+        step = max(1, _BLOCK_BYTES // (16 * m * d * d))  # nodes whose children fill a call
+        # the open set is a heap of (-norm root, slot, row, exponent, length),
+        # its fitted products the rows of pool (free lists the unused ones);
+        # slots grow in the order nodes are opened, so equal roots pop in
+        # that order.  up holds the slot of every expanded node, in the order
+        # expanded, and the root is slot -1
+        pool = np.eye(d, dtype=gens.dtype)[None]
+        heap, free, up = [(-math.inf, -1, 0, 0, 0)], [], array("q")
+        per_node = pool.nbytes + 40  # a product and its five fields
+        capped, wslot = 0.0, -1
+        while stop is None:
+            n = min(step, (budget - nodes) // m)
+            if not n:
+                stop = "budget"
                 break
-            if nodes < budget:  # the stored path ends here
-                _grow(memo, gens, last, nodes, depth_cap, lower, thr, budget - nodes, fro)
-        else:
-            completed = False
-    # frame: [record, child length k, next child]
-    stack = [] if m == 1 else [[0, 1, 0]]
-    while stack:
-        if nodes >= budget:
-            completed = False
-            break
-        top = stack[-1]
-        rec, k, j = top
-        word[k - 1] = j
-        nodes += 1
-        if k > deepest:
-            deepest = k
-        s = rec * m + j
-        nroot, cand = mroot[s], mcand[s]
-        if cand > lower * (1.0 + _TIE):
-            lower = cand
-            thr = lower + width
-            witness = tuple(word[:k])
-        alive = not (nroot <= thr)
-        expand = alive and k < depth_cap
-        if alive and not expand:
-            frontier += 1
-            frontier_max = max(frontier_max, nroot)
-        if expand and mkid[s] < 0:
-            if nodes >= budget:
-                # the walk would stop before entering the child
-                completed = False
-                break
-            _grow(memo, gens, s, k, depth_cap, lower, thr, budget - nodes, fro)
-        if j == m - 1:
-            stack.pop()
-        else:
-            top[2] = j + 1
-        if expand:
-            stack.append([mkid[s], k + 1, 0])
-    if completed:
-        # the walk passed every pending node above the cap: what it did not
-        # expand is dead; those at the cap are the next pass's front
-        front = memo.front
-        for k in [k for k in front if k < depth_cap]:
-            del front[k]
-        if len(front.get(depth_cap, ())) > 1:
-            front[depth_cap] = [tuple(map(np.concatenate, zip(*front[depth_cap])))]
-    # with no new witness lower_in stands as given: scaled, it may have
-    # left the double range (a block far below the one that set it)
-    return (scale(lower, e1) if witness else lower_in, witness, scale(frontier_max, e1),
-            frontier, completed, deepest, nodes)
+            thr = lower + w
+            batch = []
+            while heap and len(batch) < n and -heap[0][0] > thr:
+                batch.append(heapq.heappop(heap))
+            if heap and -heap[0][0] <= thr:  # the rest of the open set is cut
+                free += [h[2] for h in heap]
+                heap = []
+            batch.sort(key=itemgetter(1))
+            first = len(up) * m  # the slot of the batch's first child
+            up.extend([b[1] for b in batch])
+            rows = [b[2] for b in batch]
+            free += rows
+            kids = np.matmul(pool[rows][:, None], gens[None]).reshape(-1, d, d)
+            kexps = [b[3] for b in batch for _ in range(m)]
+            klens = [b[4] + 1 for b in batch for _ in range(m)]
+            nroot, cand = _measure(kids, klens, kexps, lower, fro, True)
+            nodes += kids.shape[0]
+            deepest = max(deepest, max(klens))
+            recs = _records(np.asarray(cand), lower)
+            if recs:
+                j, x = recs[-1]
+                lower, found, wslot = float(x), True, first + j
+            thr = lower + w
+            alive = np.flatnonzero(~(nroot <= thr)).tolist()
+            grow = [i for i in alive if klens[i] < depth_cap]
+            for i in alive:
+                if klens[i] == depth_cap:
+                    capped = max(capped, float(nroot[i]))
+            if grow:
+                fitted, shift = _fit_rows(kids[grow])
+                if len(free) < len(grow):
+                    free += range(pool.shape[0], 2 * pool.shape[0] + len(grow))
+                    pool = np.concatenate([pool, np.empty((pool.shape[0] + len(grow), d, d),
+                                                          pool.dtype)])
+                rows = [free.pop() for _ in grow]
+                pool[rows] = fitted
+                shift = shift.tolist() if isinstance(shift, np.ndarray) else [0] * len(grow)
+                for i, row, s in zip(grow, rows, shift):
+                    heapq.heappush(heap, (-float(nroot[i]), first + i, row, kexps[i] + s,
+                                          klens[i]))
+            top = -heap[0][0] if heap else 0.0
+            if top <= thr:  # every open node is cut
+                heap, top = [], 0.0
+            nbytes = per_node * len(heap) + up.itemsize * len(up)
+            held = max(held, nbytes)
+            upper = min(upper, bound(max(capped, top)))
+            if done(upper):
+                stop = "converged"
+            elif not heap:
+                stop = "depth_limit"
+            elif nbytes > _STACK_BYTES:
+                stop = "stack_limit"
+        if found:
+            witness = _word(up, wslot, m)
+    lo = scale(lower, e1) if found else lower_in
+    if not nodes:
+        upper = max(lo + width, scale(float(norms(gens, fro).max()), e1))
+    return lo, witness, max(upper, lo), stop == "converged", stop, deepest, nodes, held

@@ -30,20 +30,10 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels, config
-from ._kernels import Memo, refine_pass
+from ._kernels import refine_pass
 from .sets import MatrixSet, Word, _sweep, tree_size
 
-# memory allowed for a branch-and-bound pass's pending fronts, which sets
-# the deepest pass of two or more generators (_pass_depth_limit).  With m
-# generators an open depth holds what its level's run left, fewer than
-# m * step products (_kernels._grow): at most _BLOCK_BYTES of them, or
-# m - 1 products where step is 1, as it is for every d >= 33.  The limit
-# counts one product per open depth, so there the fronts may reach
-# (m - 1) * _STACK_BYTES; for d <= 32 it is _MAX_DEPTH whatever the count.
-# refine also drops its memo of earlier passes, fronts included, once the
-# memo outgrows it
-_STACK_BYTES = 64 * 2**20
-_MAX_DEPTH = 4096  # deepest pass refine runs
+_MAX_DEPTH = 4096  # longest word refine expands to
 
 
 def _as_dict(value):
@@ -83,7 +73,11 @@ class BoundsReport:
     blocks holds the sizes of the diagonal blocks of the set's exact
     block-triangular form, in the order refine ran them (largest
     generator norm first, ties to the block with the smaller smallest
-    index): (dim,) when the set is irreducible.
+    index): (dim,) when the set is irreducible.  stop_reason says why the
+    search ended: "converged", or for the first block that did not
+    converge "budget", "depth_limit" (only words of _MAX_DEPTH letters
+    were left open) or "stack_limit" (the open set outgrew
+    _kernels._STACK_BYTES).
     """
 
     lower: float
@@ -93,6 +87,7 @@ class BoundsReport:
     nodes_explored: int
     converged: bool
     blocks: tuple[int, ...]
+    stop_reason: str
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -163,13 +158,6 @@ def _lower_profile(M: MatrixSet, n: int, budget: int) -> np.ndarray:
     return np.maximum.accumulate(radii.root)
 
 
-def _pass_depth_limit(dim: int, size: int) -> int:
-    if size == 1:
-        # a path's pending front is its last node: one product at any depth
-        return _MAX_DEPTH
-    return min(_MAX_DEPTH, max(2, _STACK_BYTES // (16 * dim * dim)))
-
-
 def _blocks(gens: np.ndarray) -> list[np.ndarray]:
     """Index sets of the diagonal blocks of the set's exact block-triangular form.
 
@@ -197,55 +185,6 @@ def _blocks(gens: np.ndarray) -> list[np.ndarray]:
     return blocks or [np.arange(d)]
 
 
-def _deepen(gens: np.ndarray, width: float, budget: int, lower_in: float,
-            frobenius: bool):
-    """refine's deepening passes over one set, from the lower end lower_in.
-
-    Returns (lower, witness, upper, nodes, depth_used, converged); the
-    witness is None when no word beat lower_in.  With no budget no pass
-    runs, and the upper end comes from the generator norms.
-    """
-    depth_limit = _pass_depth_limit(gens.shape[1], gens.shape[0])
-    lower = lower_in
-    wit = None
-    upper = math.inf
-    nodes_total = 0
-    deepest = 0
-    converged = False
-    depth_cap = 0
-    target = 1
-    memo = Memo()
-    while nodes_total < budget:
-        new_cap = min(target, depth_limit)
-        if new_cap <= depth_cap:
-            break  # cannot deepen any further
-        depth_cap = new_cap
-        plower, witness, fmax, _, completed, deep, nodes = refine_pass(
-            gens, depth_cap, width, lower, budget - nodes_total, frobenius, memo)
-        nodes_total += nodes
-        deepest = max(deepest, deep)
-        if plower > lower:
-            lower = float(plower)
-            if witness:
-                wit = witness
-        if completed:
-            # frontier_max is 0.0 when the pass left no frontier
-            upper = min(upper, max(lower + width, fmax))
-        # compared with lower + width as it rounds, not through the
-        # difference: a completed pass with no frontier sets upper to it,
-        # and a deeper pass would only replay its cut tree
-        converged = upper - lower <= width * (1.0 + 1e-9) or upper <= lower + width
-        if converged or not completed:
-            break
-        target = target + 1 if target < 8 else target * 2
-        if memo.nbytes > _STACK_BYTES:
-            memo = Memo()
-
-    if not math.isfinite(upper):
-        upper = max(lower + width, _kernels.peak(partial(_kernels.norms, fro=frobenius), gens))
-    return lower, wit, max(upper, lower), nodes_total, deepest, converged
-
-
 def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
            frobenius: bool = False) -> BoundsReport:
     """Branch-and-bound interval for rho(M), aiming at the given width.
@@ -261,18 +200,16 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     upper, and the run has converged only when every block has.  blocks
     lists the block sizes in the order they ran.
 
-    Each block runs depth-capped passes (depths 1..8, then doubling, to
-    at most _MAX_DEPTH = 4096), each a full lexicographic
-    DFS with Gripenberg pruning against the current lower bound.  The
-    passes share one memo, so a node an earlier pass expanded is replayed
-    from its stored norms and radii instead of measured again; the memo
-    is dropped between passes once it outgrows _STACK_BYTES.  The budget
-    counts every visited word, including replays across passes, so
-    reports are deterministic.  On budget exhaustion the best certified
-    interval so far is returned with converged=False (at least one
-    depth-1 sweep always runs); a block left with no certified upper end,
-    or with no budget at all, takes its largest generator norm (at least
-    lower + width) as its upper end.
+    Each block runs one best-first branch-and-bound (_kernels.refine_pass,
+    Gripenberg's, expanding the open words with the largest norm roots
+    first) on words of at most _MAX_DEPTH = 4096 letters, with pruning
+    against the current lower bound, until its interval is within width.
+    The budget counts the products measured, and nodes_explored reports
+    that count.  On budget exhaustion the best certified interval so far
+    is returned with converged=False (at least the depth-1 words are
+    always measured); a block left with no budget at all takes its
+    largest generator norm (at least lower + width) as its upper end.
+    stop_reason says why the run stopped.
 
     A witness is a word over the original generators, and its product's
     spectrum holds every block's.  With more than one block it is
@@ -301,22 +238,24 @@ def refine(M: MatrixSet, width: float, budget: int = 10**6, *,
     upper = 0.0
     nodes = 0
     deepest = 0
-    converged = True
+    stop = "converged"
     for gens in parts:
-        lower, bwit, bupper, bnodes, bdeep, bconv = _deepen(
-            gens, width, budget - nodes, lower, frobenius)
+        blower, bwit, bupper, _, bstop, bdeep, bnodes, _ = refine_pass(
+            gens, _MAX_DEPTH, width, lower, budget - nodes, frobenius)
+        lower = max(lower, blower)
         wit = bwit or wit
         upper = max(upper, bupper)
         nodes += bnodes
         deepest = max(deepest, bdeep)
-        converged = converged and bconv
+        if stop == "converged":
+            stop = bstop
     if len(parts) > 1:
         # one block measured the witness on itself alone, not on the others
         lower = max(lower, _kernels.witness_root(M.gens, wit))
     return BoundsReport(lower=lower, upper=max(upper, lower), lower_witness=wit,
                         depth_used=deepest, nodes_explored=nodes,
-                        converged=converged,
-                        blocks=tuple(g.shape[1] for g in parts))
+                        converged=stop == "converged",
+                        blocks=tuple(g.shape[1] for g in parts), stop_reason=stop)
 
 
 def verify_berger_wang(M: MatrixSet, tol: float, budget: int = 10**6, *,

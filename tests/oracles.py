@@ -352,75 +352,84 @@ def loop_full_radii(gens, nmax):
     return best, exps, words
 
 
-def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro):
-    """One depth-capped branch-and-bound sweep of the product tree.
+def loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro, step):
+    """refine's best-first branch-and-bound, one product at a time.
 
-    A branch is cut at a product P of length k when ||P||^(1/k) <=
-    lower + width; the prune threshold only grows during the sweep, so
-    every cut also holds for the final lower bound.  Nodes that
-    reach depth_cap alive form the frontier.  Products carry exponents
-    and are fitted as in loop_sweep_tree, but a set outside the band is
-    walked fitted, with width, lower_in and the results scaled by its
-    exponent.
+    The open words are the ones measured, alive and not expanded.  Each
+    step takes the step open words with the largest norm roots (the
+    earlier opened first among equal roots; one word for a single
+    generator) and as many as the budget left can expand, forms every
+    child in the order the words were opened, raises lower on its shaved
+    radius root where that beats lower by the relative _TIE, then keeps
+    each child whose norm root is above lower + width: capped at
+    depth_cap, else opened.  Open words at or below lower + width are
+    dropped.  After each step upper falls to max(lower + width, largest
+    open or capped root) where that is lower, and the search stops once
+    upper - lower <= width (relative 1e-9), or upper <= lower + width,
+    with no open word left, or with the budget spent.  Products are fitted
+    as in loop_sweep_tree; a set outside the band is searched fitted, with
+    width, lower_in and the results scaled by its exponent.
 
-    Returns (lower, witness, frontier_max, frontier, completed, deepest,
-    nodes).  witness is the word of lower's last record as a tuple, ()
-    when no word improved on lower_in.  frontier counts the frontier's
-    nodes and frontier_max is the max norm root over them.
+    Returns (lower, witness, upper, converged, stop, deepest, nodes):
+    witness is () and lower is lower_in when no word beat lower_in, and
+    nodes counts the products measured.  With no step run, upper is the
+    largest generator norm, at least lower + width.
     """
     gens, e1 = loop_fit(loop_real(gens))
     m, d, _ = gens.shape
-    width = _shifted(width, -e1)
+    step = 1 if m == 1 else step
+    w = _shifted(width, -e1)
     lower = _shifted(lower_in, -e1)
-    witness = ()
-    frontier_max = 0.0
-    frontier = 0
-    nodes = 0
-    deepest = 0
-    completed = True
+    found, witness = False, ()
+    upper, capped = math.inf, 0.0
+    nodes = deepest = 0
 
-    prod = np.empty((depth_cap + 1, d, d), gens.dtype)
-    prod[0] = np.eye(d, dtype=gens.dtype)
-    pexp = [0] * (depth_cap + 1)
-    word = np.zeros(depth_cap, np.int64)
-    depth = 1
-    word[0] = 0
-    while depth > 0:
-        if nodes >= budget:
-            completed = False
+    def lo():
+        return _shifted(lower, e1) if found else lower_in
+
+    def done():
+        return upper - lo() <= width * (1.0 + 1e-9) or upper <= lo() + width
+
+    # open words in the order opened: (norm root, product, exponent, word)
+    opened = [(math.inf, np.eye(d, dtype=gens.dtype), 0, ())]
+    while True:
+        n = min(step, len(opened), (budget - nodes) // m)
+        if not n:
+            stop = "budget"
             break
-        k = depth
-        parent, s = loop_fit(prod[k - 1])
-        prod[k] = parent @ gens[word[k - 1]]
-        e = pexp[k] = pexp[k - 1] + s
-        nodes += 1
-        if k > deepest:
-            deepest = k
-        nrm = loop_norm(prod[k], fro)
-        v = _root(loop_rho(prod[k]), e, k) * (1.0 - _EIG_SAFETY)
-        if v > lower * (1.0 + _TIE):
-            lower = v
-            witness = tuple(word[:k].tolist())
-        fm = _root(nrm, e, k)
-        alive = not (fm <= lower + width)
-        descend = False
-        if alive:
-            if k == depth_cap:
-                frontier += 1
-                if fm > frontier_max:
-                    frontier_max = fm
-            else:
-                descend = True
-        if descend:
-            depth += 1
-            word[depth - 1] = 0
-        else:
-            while depth > 0 and word[depth - 1] == m - 1:
-                depth -= 1
-            if depth > 0:
-                word[depth - 1] += 1
-    return (_shifted(lower, e1) if witness else lower_in, witness,
-            _shifted(frontier_max, e1), frontier, completed, deepest, nodes)
+        top = sorted(range(len(opened)), key=lambda i: -opened[i][0])[:n]
+        batch = [opened[i] for i in sorted(top)]
+        opened = [o for i, o in enumerate(opened) if i not in top]
+        kids = []
+        for _, prod, e, word in batch:
+            parent, s = loop_fit(prod)
+            for j in range(m):
+                child, k = parent @ gens[j], len(word) + 1
+                nodes += 1
+                deepest = max(deepest, k)
+                v = _root(loop_rho(child), e + s, k) * (1.0 - _EIG_SAFETY)
+                if v > lower * (1.0 + _TIE):
+                    lower, found, witness = v, True, word + (j,)
+                kids.append((_root(loop_norm(child, fro), e + s, k), child, e + s, word + (j,)))
+        thr = lower + w
+        opened = [o for o in opened if not o[0] <= thr]
+        for kid in kids:
+            if not kid[0] <= thr:
+                if len(kid[3]) == depth_cap:
+                    capped = max(capped, kid[0])
+                else:
+                    opened.append(kid)
+        top = max([capped] + [o[0] for o in opened])
+        upper = min(upper, max(lo() + width, _shifted(top, e1)))
+        if done():
+            stop = "converged"
+            break
+        if not opened:
+            stop = "depth_limit"
+            break
+    if not nodes:
+        upper = max(lo() + width, _shifted(max(loop_norm(g, fro) for g in gens), e1))
+    return lo(), witness, max(upper, lo()), stop == "converged", stop, deepest, nodes
 
 
 def loop_lower_bound_r(gens, n):

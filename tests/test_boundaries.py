@@ -16,12 +16,12 @@ CLI takes check_lift_identities from lift and nothing from matrices.
 A k-th root is taken by _kernels.root alone: no other function raises to
 a power whose exponent is a quotient, such as x ** (1.0 / k).
 
-refine_pass forms no product: growth (_kernels._grow) forms, fits and
-measures every product a pass needs, and the walk only replays the memo.
-refine_pass fits only the generator set, through _kernels._fit_set.
+refine's search forms a step's children with one matmul and fits the
+ones it opens with one _fit_rows, as a sweep forms and fits a level; a
+single generator's path is formed, product by product, only in _path.
 
-A pass decides in one space: its cut, like its other tests, compares
-k-th roots, so refine_pass, _grow and _measure take no logarithm.
+The search decides in one space: its cut, like its other tests, compares
+k-th roots, so refine_pass and _measure take no logarithm.
 """
 
 import ast
@@ -238,10 +238,6 @@ def product_forms(source: str, function: str) -> list[tuple[int, str]]:
     return sorted(uses)
 
 
-def test_refine_pass_forms_no_product():
-    assert product_forms((SRC / "_kernels.py").read_text(), "refine_pass") == []
-
-
 def test_product_detector_sees_each_form():
     source = "\n".join([
         "def refine_pass(a, b):",
@@ -257,15 +253,15 @@ def test_product_detector_sees_each_form():
     assert product_forms(source, "refine_pass") == [
         (2, "@"), (3, "@"), (4, "matmul"), (5, "_fit"), (6, "_fit_rows"), (7, "matmul")]
     assert product_forms(source, "other") == [(9, "@")]
-    assert product_forms((SRC / "_kernels.py").read_text(), "_grow")
+    assert product_forms((SRC / "_kernels.py").read_text(), "refine_pass")
 
 
 def test_products_are_formed_in_three_places():
-    # sweep_tree and _grow form a level with one matmul and fit it with
-    # one _fit_rows; a single generator's path, fitted product by product,
-    # is formed only in _path
+    # sweep_tree forms a level and refine_pass a step with one matmul and
+    # fits it with one _fit_rows; a single generator's path, fitted product
+    # by product, is formed only in _path
     source = (SRC / "_kernels.py").read_text()
-    for function in ("sweep_tree", "_grow"):
+    for function in ("sweep_tree", "refine_pass"):
         assert [form for _, form in product_forms(source, function)] == ["matmul", "_fit_rows"]
     assert sorted(form for _, form in product_forms(source, "_path")) == ["_fit", "matmul"]
 
@@ -284,7 +280,7 @@ def log_uses(source: str, function: str) -> list[tuple[int, str]]:
     return sorted(uses)
 
 
-@pytest.mark.parametrize("function", ["refine_pass", "_grow", "_measure"])
+@pytest.mark.parametrize("function", ["refine_pass", "_measure"])
 def test_a_pass_takes_no_logarithm(function):
     assert log_uses((SRC / "_kernels.py").read_text(), function) == []
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jsrkit import (
     BudgetExceeded,
@@ -265,6 +265,57 @@ class TestRefine:
             assert rep.depth_used == 1 and not rep.converged
 
 
+class TestStopReason:
+    """refine reports why its search ended."""
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_golden_converges(self, fro):
+        rep = refine(golden(), 0.02, frobenius=fro)
+        assert rep.converged and rep.stop_reason == "converged"
+        assert rep.to_dict()["stop_reason"] == "converged"
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_budget(self, fro):
+        rng = np.random.default_rng(27)
+        M = MatrixSet.from_matrices(oracles.random_set(rng, 3, 3))
+        rep = refine(M, 1e-6, budget=500, frobenius=fro)
+        assert not rep.converged and rep.stop_reason == "budget"
+        assert rep.nodes_explored <= 500
+
+    def test_depth_limit(self):
+        # jordan-d2 and the dense single generators 0 and 30 of the oracle
+        # sets (rho = 3) keep one open word at every depth up to _MAX_DEPTH
+        sets = oracles.integer_triangular_sets(2026, 120)
+        cases = [(REFINE_CASES["jordan-d2"][0], 1e-3)] + [
+            (MatrixSet.from_matrices(sets[i][0]), 1e-3) for i in (0, 30)]
+        for M, width in cases:
+            rep = refine(M, width, 20_000)
+            assert M.size == 1 and not rep.converged
+            assert rep.stop_reason == "depth_limit"
+            assert rep.depth_used == rep.nodes_explored == bounds._MAX_DEPTH
+
+    def test_every_block_reports_the_first_failure(self, monkeypatch):
+        # a depth cap of 1 stops golden before its witness; a block that
+        # did not run at all stops on the budget
+        monkeypatch.setattr(bounds, "_MAX_DEPTH", 1)
+        assert refine(golden(), 1e-6).stop_reason == "depth_limit"
+        monkeypatch.undo()
+        M, width, _ = REFINE_CASES["triu-3x3x2"]
+        assert refine(M, width, M.size).stop_reason == "budget"
+
+    @pytest.mark.parametrize("name,want", [("refine-2x5x5", 4_330), ("lift-a2-2", 2_907),
+                                           ("jordan-d2", 4_096), ("jordan-d3", 4_096)])
+    def test_measured_products_are_pinned(self, name, want, monkeypatch):
+        # nodes_explored counts the products measured, each once
+        if name == "lift-a2-2":
+            M, width, budget = lift_set(MatrixSet(_a2_member(2))), 0.05, 100_000
+        else:
+            M, width, budget = REFINE_CASES[name]
+        count = _Counted(monkeypatch)
+        rep = refine(M, width, budget)
+        assert rep.nodes_explored == count.matrices == want
+
+
 class TestBergerWang:
     def test_golden_gap_closes(self):
         rep = verify_berger_wang(golden(), tol=1e-9, budget=10**6)
@@ -382,8 +433,8 @@ def _hex(x):
         return [_hex(v) for v in x.tolist()]
     if isinstance(x, (list, tuple)):
         return [_hex(v) for v in x]
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
+    if isinstance(x, (bool, np.bool_, str)):
+        return x if isinstance(x, str) else bool(x)
     return int(x)
 
 
@@ -460,33 +511,36 @@ SWEEP_CASES = {**PASS_CASES, "tiny-record": TINY_RECORD,
 SWEEP_DEPTH = {1: 40, 2: 9, 3: 6}
 
 
-def _pass_result(res):
-    """One refine_pass result, as hex."""
-    return _hex(res)
+def _pass_result(res, gens):
+    """One refine_pass result as hex, up to its node count: a single
+    generator's path measures whole blocks, so past its stop it measures
+    more products than the loop kernel, which goes a node at a time."""
+    return _hex(res[:6] if gens.shape[0] == 1 else res[:7])
+
+
+def _step(gens):
+    """refine_pass's step: the open nodes whose children fill _BLOCK_BYTES."""
+    m, d, _ = gens.shape
+    return max(1, _kernels._BLOCK_BYTES // (16 * m * d * d))
+
+
+def _loop_pass(gens, depth_cap, width, lower_in, budget, fro):
+    """The loop kernel behind refine_pass's signature, at refine_pass's step."""
+    return oracles.loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro,
+                                    _step(np.asarray(gens)))
 
 
 def _pass_outputs(fn, gens, fro):
-    """A refine-like chain of passes sharing one memo, plus one pass cut by
-    its budget that restarts from lower = 0 with a fresh memo."""
+    """Searches at several depth caps, each from the lower end the one
+    before it returned, plus one cut by its budget from lower = 0."""
     out = []
     lower = 0.0
-    memo = _kernels.Memo()
     for cap in (1, 2, 3, 5, 7):
-        res = fn(gens, cap, 0.05, lower, 4000, fro, memo)
-        out.append(_pass_result(res))
+        res = fn(gens, cap, 0.05, lower, 4000, fro)
+        out.append(_pass_result(res, gens))
         lower = max(lower, res[0])
-    out.append(_pass_result(fn(gens, 12, 0.05, 0.0, 37, fro, _kernels.Memo())))
+    out.append(_pass_result(fn(gens, 12, 0.05, 0.0, 37, fro), gens))
     return out
-
-
-def _loop_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
-    """The loop kernel behind refine_pass's signature; it keeps no memo."""
-    return oracles.loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro)
-
-
-def _memoless_pass(gens, depth_cap, width, lower_in, budget, fro, memo=None):
-    """The batched kernel called with its six positional arguments only."""
-    return _kernels.refine_pass(gens, depth_cap, width, lower_in, budget, fro)
 
 
 def _a2_member(i):
@@ -635,15 +689,11 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("fro", [False, True])
     @pytest.mark.parametrize("name", sorted(PASS_CASES))
     def test_refine_pass_matches_loop_kernel(self, name, fro, block_bytes, monkeypatch):
-        # 256 bytes hold one to eight products, so grown levels are measured
-        # in several calls
+        # 256 bytes hold the children of one node, so every step expands one
         monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
         gens = PASS_CASES[name]
-        want = _pass_outputs(_loop_pass, gens, fro)
-        got = _pass_outputs(_kernels.refine_pass, gens, fro)
-        fresh = _pass_outputs(_memoless_pass, gens, fro)
-        assert got == want
-        assert fresh == want
+        assert _pass_outputs(_kernels.refine_pass, gens, fro) == \
+            _pass_outputs(_loop_pass, gens, fro)
 
     @pytest.mark.parametrize("block_bytes", [_kernels._BLOCK_BYTES, 256])
     @pytest.mark.parametrize("fro", [False, True])
@@ -697,10 +747,15 @@ class TestBatchedEngine:
     def test_refine_reports_match_loop_kernel(self, name, fro, monkeypatch):
         M, width, budget = REFINE_CASES[name]
         got = _report(M, width, budget, fro)
-        monkeypatch.setattr(bounds, "refine_pass", _loop_pass)
-        assert got == _report(M, width, budget, fro)
-        if name == "refine-2x5x5" and not fro:
-            assert got["nodes_explored"] == 11_910
+
+        def loop(gens, depth_cap, width, lower_in, budget, fro):
+            return (*_loop_pass(gens, depth_cap, width, lower_in, budget, fro), 0)
+
+        monkeypatch.setattr(bounds, "refine_pass", loop)
+        want = _report(M, width, budget, fro)
+        if M.size == 1:  # a path measures whole blocks
+            assert got.pop("nodes_explored") >= want.pop("nodes_explored")
+        assert got == want
 
     @pytest.mark.parametrize("fro", [False, True])
     @pytest.mark.parametrize("name", sorted(SINGLE_CASES))
@@ -711,97 +766,89 @@ class TestBatchedEngine:
             refine(*REFINE_CASES[name])
             assert radii.matrices == JORDAN_RADII[name]
         # 768 bytes hold one to four products of d = 2..5 with their norm
-        # temporaries, so a pass chains many short blocks
+        # temporaries, so a search chains many short blocks
         monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 768)
-        want = _pass_outputs(_loop_pass, gens, fro)
-        assert _pass_outputs(_kernels.refine_pass, gens, fro) == want
-        assert _pass_outputs(_memoless_pass, gens, fro) == want
-        # every budget, at caps past several blocks, on a fresh memo and on
-        # one that holds a cap-3 pass's path; from lower 0, and where it can
-        # be, from a lower_in that puts the depth-3 norm root exactly at thr
+        assert _pass_outputs(_kernels.refine_pass, gens, fro) == \
+            _pass_outputs(_loop_pass, gens, fro)
+        # every budget, at caps past several blocks, from lower 0 and, where
+        # it can be, from a lower_in that puts the depth-3 norm root exactly
+        # at thr
         w = 2.0**-4
-        top = oracles.loop_refine_pass(gens, 3, 0.0, 0.0, 3, fro)
-        at = top[3] - w
-        starts = [0.0] + ([at] if top[4] and at >= 0.0 and at + w == top[3] else [])
+        prod, e = _kernels.word_product(gens, (0, 0, 0))
+        nroot = _kernels.root(float(_kernels.norms(prod[None], fro)[0]), e, 3)
+        at = nroot - w
+        starts = [0.0] + ([at] if at >= 0.0 and at + w == nroot else [])
         assert len(starts) == 2 or name != "unipotent"
         for cap in (6, 13):
             for budget in range(1, cap + 2):
                 for start in starts:
-                    memo = _kernels.Memo()
-                    lower = max(start, _kernels.refine_pass(gens, 3, w, start, 3, fro, memo)[0])
-                    want = _pass_result(_loop_pass(gens, cap, w, lower, budget, fro))
-                    got = _kernels.refine_pass(gens, cap, w, lower, budget, fro, memo)
-                    assert _pass_result(got) == want
-                    assert _pass_result(_memoless_pass(gens, cap, w, lower, budget, fro)) == want
+                    got = _kernels.refine_pass(gens, cap, w, start, budget, fro)
+                    want = _loop_pass(gens, cap, w, start, budget, fro)
+                    assert _pass_result(got, gens) == _pass_result(want, gens)
+                    assert want[6] <= got[6] <= budget
 
     @pytest.mark.parametrize("fro", [False, True])
     @pytest.mark.parametrize("name", ["jordan-d2", "jordan-d3", "jordan-d4"])
     def test_short_blocks_keep_single_generator_reports(self, name, fro, monkeypatch):
-        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 768)
         M, width, budget = REFINE_CASES[name]
+        want = _report(M, width, budget, fro)
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 768)
         got = _report(M, width, budget, fro)
-        monkeypatch.setattr(bounds, "refine_pass", _loop_pass)
-        assert got == _report(M, width, budget, fro)
+        assert got.pop("nodes_explored") <= want.pop("nodes_explored")
+        assert got == want
 
     def test_single_generator_pass_measures_one_block_past_its_cut(self, monkeypatch):
-        # the walk asks for the next block only at the end of the last one,
-        # so a pass cut at depth c has measured fewer than c + block depths
+        # the scan takes the next block only at the end of the last one,
+        # and blocks end by depths 1..8, 16, 32, ...: a path cut at depth c
+        # has measured fewer than c + block products, and fewer than 2 c
         M, width, budget = REFINE_CASES["jordan-d4"]
         block = _kernels._BLOCK_BYTES // (3 * 16 * M.dim**2)
-        passes = []
-
-        def spy(gens, depth_cap, width, lower_in, budget, fro, memo):
-            res = _kernels.refine_pass(gens, depth_cap, width, lower_in, budget, fro, memo)
-            passes.append((depth_cap, res[5], len(memo.kid)))
-            assert set(memo.kid) == {-1}  # a path links no children
-            return res
-
         count = _Counted(monkeypatch)
-        monkeypatch.setattr(bounds, "refine_pass", spy)
         rep = refine(M, width, budget)
-        assert rep.converged and rep.depth_used == 1166
-        cut = [(deep, measured) for cap, deep, measured in passes if deep < cap]
-        assert cut
-        for deep, measured in cut:
-            assert measured < deep + block
-        assert count.matrices == passes[-1][2]
+        assert rep.converged and rep.depth_used == 1166 and rep.stop_reason == "converged"
+        assert rep.nodes_explored == count.matrices == 1194
+        assert rep.nodes_explored < min(rep.depth_used + block, 2 * rep.depth_used)
 
     def test_single_generator_measures_nothing_past_its_budget(self, monkeypatch):
-        # caps 1..8, 16, ..., 1024 visit 2,068 nodes, so the cap-2048 pass
-        # runs out of budget at depth 1,524, inside a block of 341 products
+        # a budget of 1,524 products ends the path at depth 1,524, inside a
+        # block of 341 products
         M = REFINE_CASES["jordan-d2"][0]
         count = _Counted(monkeypatch)
-        rep = refine(M, 1e-3, 2068 + 1524)
-        assert not rep.converged and rep.nodes_explored == 2068 + 1524
-        assert rep.depth_used == 1524
-        assert count.matrices == 1524
+        rep = refine(M, 1e-3, 1524)
+        assert not rep.converged and rep.stop_reason == "budget"
+        assert rep.nodes_explored == rep.depth_used == count.matrices == 1524
 
-    def test_deepening_measures_each_node_once(self, monkeypatch):
-        # every pass replays the path the passes before it walked, so a
-        # single generator's refine to depth 4096 measures each depth once
-        # but counts every visit against the budget
+    def test_single_generator_measures_each_depth_once(self, monkeypatch):
+        # a unipotent generator never prunes: its path runs to _MAX_DEPTH,
+        # measuring each depth once
         M = MatrixSet.from_matrices([_unipotent(2)])
         count = _Counted(monkeypatch)
         rep = refine(M, 1e-6, 10**6)
-        assert rep.depth_used == 4096
-        assert rep.nodes_explored == sum(range(1, 9)) + sum(2**t for t in range(4, 13))
-        assert count.matrices == 4096
+        assert rep.depth_used == rep.nodes_explored == count.matrices == 4096
+        assert rep.stop_reason == "depth_limit"
 
-    @pytest.mark.parametrize("name,cap", [("jordan-d2", 16 * 2**10),
-                                          ("refine-2x5x5", 64 * 2**10),
-                                          ("triu-2x2x3-haar", 16 * 2**10)])
-    def test_dropped_memo_keeps_reports(self, name, cap, monkeypatch):
-        # a memo past _STACK_BYTES is dropped between passes, and the
-        # passes after it measure again what they would have replayed;
-        # each cap is below the set's memo but leaves its depth limit alone
+    @pytest.mark.parametrize("name,cap", [("lift-a2-25", 4 * 2**10),
+                                          ("refine-2x5x5", 16 * 2**10),
+                                          ("triu-2x2x3-haar", 2 * 2**10)])
+    def test_stack_limit_stops_the_search(self, name, cap, monkeypatch):
+        # each cap is below the open set the search holds at the default;
+        # a search whose step leaves more than _STACK_BYTES stops there,
+        # having passed it by one step's children and their links at most
         M, width, budget = REFINE_CASES[name]
-        count = _Counted(monkeypatch)
         kept = _report(M, width, budget)
-        measured = count.matrices
-        monkeypatch.setattr(bounds, "_STACK_BYTES", cap)
-        count.matrices = 0
-        assert _report(M, width, budget) == kept
-        assert count.matrices > measured
+        held = _kernels.refine_pass(M.gens, bounds._MAX_DEPTH, width, 0.0, budget, False)[7]
+        assert held > cap
+        monkeypatch.setattr(_kernels, "_STACK_BYTES", held)
+        assert _report(M, width, budget) == kept  # a bound that does not bind
+        monkeypatch.setattr(_kernels, "_STACK_BYTES", cap)
+        rep = refine(M, width, budget)
+        assert not rep.converged and rep.stop_reason == "stack_limit"
+        assert rep.lower <= float.fromhex(kept["lower"])
+        assert rep.upper >= float.fromhex(kept["upper"])
+        res = _kernels.refine_pass(M.gens, bounds._MAX_DEPTH, width, 0.0, budget, False)
+        step = _step(M.gens)
+        assert res[4] == "stack_limit"
+        assert cap < res[7] <= cap + _kernels._BLOCK_BYTES + 48 * M.size * step
 
     def test_spectral_radius_uses_the_scalar_modulus(self):
         # on this stack numpy's vectorized complex abs differs from the
@@ -1245,127 +1292,97 @@ class TestSquareBound:
         assert calls
 
 
-def _chain(gens, caps, width):
-    """Passes at the given caps sharing one memo, each from the lower the
-    one before it returned; each must match the loop kernel.  Returns the
-    memo and the last lower."""
-    memo, lower = _kernels.Memo(), 0.0
-    for cap in caps:
-        res = _kernels.refine_pass(gens, cap, width, lower, 10**6, False, memo)
-        assert _pass_result(res) == _pass_result(
-            oracles.loop_refine_pass(gens, cap, width, lower, 10**6, False))
-        lower = max(lower, res[0])
-    return memo, lower
-
-
 class TestCut:
     """A branch is cut where its norm root is at most lower + width, inclusive."""
 
     @pytest.mark.parametrize("fro", [False, True])
     def test_cut_at_exactly_the_threshold(self, fro):
         # both norms of [[0, 0.75], [0, 0]] are exactly 0.75, its radius and
-        # its square are 0; from lower 0.5 the root sits at thr = 0.75 or one
-        # ulp above it
+        # its square are 0; from lower 0.5 the root sits at thr = 0.75, or
+        # above thr = 0.625, where a cap of 1 leaves it capped and a cap of
+        # 2 cuts its child
         gens = np.array([[[0.0, 0.75], [0.0, 0.0]]], complex)
-        below = np.nextafter(0.75, 0.0) - 0.5
-        # width: (frontier max, frontier nodes) at cap 1, nodes at cap 2
-        for width, frontier, nodes in ((0.25, (0.0, 0), 1), (below, (0.75, 1), 2)):
-            for cap in (1, 2):
+        # width: cap -> (upper, converged, stop, deepest)
+        cases = {0.25: {1: (0.75, True, "converged", 1), 2: (0.75, True, "converged", 1)},
+                 0.125: {1: (0.75, False, "depth_limit", 1), 2: (0.625, True, "converged", 2)}}
+        for width, caps in cases.items():
+            for cap, want in caps.items():
                 res = _kernels.refine_pass(gens, cap, width, 0.5, 100, fro)
-                assert _pass_result(res) == _pass_result(
-                    oracles.loop_refine_pass(gens, cap, width, 0.5, 100, fro))
-                assert res[0] == 0.5 and res[1] == () and res[4]
-                if cap == 1:
-                    assert res[2:4] == frontier
-                else:
-                    assert res[6] == nodes and not res[3]
+                assert _pass_result(res, gens) == _pass_result(
+                    _loop_pass(gens, cap, width, 0.5, 100, fro), gens)
+                assert res[0] == 0.5 and res[1] == ()
+                assert res[2:6] == want
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_open_nodes_at_the_new_threshold_are_dropped(self, fro):
+        # golden from lower 0: both depth-1 nodes are open at root phi; the
+        # depth-2 word (0, 1) raises lower to phi, which cuts every child
+        res = _kernels.refine_pass(ENGINE_CASES["golden"], 8, 0.02, 0.0, 100, fro)
+        assert res[1] == (0, 1) and res[4] == "converged"
+        assert (res[5], res[6]) == (2, 6)
 
 
-class TestGrowth:
-    """refine_pass measures its new nodes through _grow, one call per level of a run."""
+class TestSearch:
+    """refine_pass expands the open nodes with the largest roots a step at a time."""
 
-    def test_refine_2x5x5_measures_a_level_per_call(self, monkeypatch):
-        # one node at a time the same refine makes 2,114 norms calls of two
-        # matrices each
+    def test_refine_2x5x5_measures_a_step_per_call(self, monkeypatch):
+        # 81 nodes' children fill a step; one node at a time the same
+        # refine makes 2,114 norms calls of two matrices each
         M, width, budget = REFINE_CASES["refine-2x5x5"]
         norms = _Counted(monkeypatch)
         rep = refine(M, width, budget)
-        assert rep.nodes_explored == 11_910
+        assert rep.nodes_explored == norms.matrices == 4_330
         assert norms.calls <= 120
-        assert norms.matrices <= 4_400
-
-    def test_growth_stops_at_the_budget_left(self, monkeypatch):
-        # a cap-16 pass with 300 nodes left reaches 250 new children one
-        # node at a time; growth whole levels at a time measured 266 before
-        # its walk took over.  Runs sized to the budget left measure no more.
-        gens = ENGINE_CASES["refine-2x5x5"]
-        memo, lower = _chain(gens, (1, 2, 3, 5, 7, 8), 0.005)
-        norms = _Counted(monkeypatch)
-        res = _kernels.refine_pass(gens, 16, 0.005, lower, 300, False, memo)
-        assert _pass_result(res) == _pass_result(
-            oracles.loop_refine_pass(gens, 16, 0.005, lower, 300, False))
-        assert not res[4]
-        assert norms.matrices <= 78 + 88 + 100
-
-    def test_no_growth_at_or_above_the_front(self, monkeypatch):
-        gens = ENGINE_CASES["refine-2x5x5"]
-        memo, lower = _chain(gens, (1, 2, 3, 5, 7), 0.005)
-        assert list(memo.front) == [7] and len(memo.front[7]) == 1
-        front = memo.front[7][0]
-        norms = _Counted(monkeypatch)
-        for cap in (5, 7):
-            res = _kernels.refine_pass(gens, cap, 0.005, lower, 10**6, False, memo)
-            assert _pass_result(res) == _pass_result(
-                oracles.loop_refine_pass(gens, cap, 0.005, lower, 10**6, False))
-            assert list(memo.front) == [7] and memo.front[7][0] is front
-        assert norms.matrices == 0
-
-    def test_memo_bytes_hold_the_front(self):
-        # a completed pass leaves one front, at its cap: the nodes alive
-        # there, measured but not expanded, with their products
-        gens = ENGINE_CASES["refine-2x5x5"]
-        memo, _ = _chain(gens, (1, 2, 3, 5, 7), 0.005)
-        (slots, prods, exps), = memo.front[7]
-        assert prods.shape == (slots.size, 5, 5) and exps.shape == slots.shape
-        assert memo.nbytes == 24 * len(memo.kid) + slots.nbytes + prods.nbytes + exps.nbytes
-        assert prods.nbytes > 0
-        assert (np.frombuffer(memo.kid, np.int64)[slots] == -1).all()
-
-    @pytest.mark.parametrize("fro", [False, True])
-    def test_narrow_blocks_keep_growing(self, fro, monkeypatch):
-        # with _BLOCK_BYTES at sixteen complex 5 x 5 products, runs are cut
-        # at every level, and what they leave pending grows when the walk
-        # reaches it, in this pass or a later one: the report stands, and
-        # norms calls stay a small multiple of the default's (about 4,400
-        # matrices take at least 275 calls; one node at a time takes 2,114)
-        M, width, budget = REFINE_CASES["refine-2x5x5"]
-        norms = _Counted(monkeypatch)
-        want = _report(M, width, budget, fro)
-        grown = norms.calls
-        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 16 * 400)
-        norms.calls = 0
-        assert _report(M, width, budget, fro) == want
-        assert norms.calls <= 6 * grown
 
     @pytest.mark.parametrize("block_bytes", [_kernels._BLOCK_BYTES, 256])
-    @pytest.mark.parametrize("name,width,cut", [("refine-2x5x5", 0.005, 300),
+    @pytest.mark.parametrize("name,width,cut", [("refine-2x5x5", 0.005, 301),
                                                 ("jordan-d3", 1e-3, 10)])
-    def test_passes_after_a_cut_grow_what_it_left(self, name, width, cut, block_bytes,
-                                                   monkeypatch):
-        # a cap-16 pass cut by its budget leaves nodes pending at several
-        # depths; deeper passes on the same memo grow them, and every pass
-        # matches the loop kernel
+    def test_search_stops_at_the_budget(self, name, width, cut, block_bytes, monkeypatch):
+        # the budget counts measured products, and a step expands no more
+        # nodes than the budget left can measure
         monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
         gens = np.ascontiguousarray(REFINE_CASES[name][0].gens)
-        memo, lower = _chain(gens, (1, 2, 3, 5), width)
         for cap, budget in ((16, cut), (16, 10**6), (24, 10**6)):
-            res = _kernels.refine_pass(gens, cap, width, lower, budget, False, memo)
-            assert _pass_result(res) == _pass_result(
-                oracles.loop_refine_pass(gens, cap, width, lower, budget, False))
-            assert res[4] == (budget > cut)
-            if budget == cut:
-                assert any(k < cap and level for k, level in memo.front.items())
-            lower = max(lower, res[0])
+            norms = _Counted(monkeypatch)
+            res = _kernels.refine_pass(gens, cap, width, 0.0, budget, False)
+            assert _pass_result(res, gens) == _pass_result(
+                _loop_pass(gens, cap, width, 0.0, budget, False), gens)
+            assert res[6] == norms.matrices <= budget
+            assert res[5] <= cap
+            assert (res[4] == "budget") == (budget == cut)
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_no_node_past_the_depth_cap(self, fro):
+        # capped nodes keep their roots in the upper end and are not expanded
+        gens = ENGINE_CASES["refine-2x5x5"]
+        for cap in (1, 2, 5, 7):
+            res = _kernels.refine_pass(gens, cap, 0.005, 0.0, 10**6, fro)
+            assert res[4] == "depth_limit" and res[5] == cap and not res[3]
+            assert _pass_result(res, gens) == _pass_result(
+                _loop_pass(gens, cap, 0.005, 0.0, 10**6, fro), gens)
+
+    @pytest.mark.parametrize("name,fro", [
+        pytest.param(name, fro, id=f"{name}-frobenius" if fro else name)
+        for name in sorted(REFINE_CASES) for fro in (False, True)])
+    def test_converged_intervals_do_not_depend_on_the_step(self, name, fro, monkeypatch):
+        # 1 KiB and 4 KiB hold the children of one to a few nodes, so the
+        # search expands its open nodes in another order and batching
+        M, width, budget = REFINE_CASES[name]
+        want = _report(M, width, budget, fro)
+        for block_bytes in (1024, 4096):
+            monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
+            got = _report(M, width, budget, fro)
+            assert got["converged"] == want["converged"]
+            if name == "lift-a2-25" and not fro:
+                # a step of one node meets the rotation (3, 0) before (0, 3):
+                # their roots lie within _TIE, so the first one met stands
+                assert (want["lower_witness"], got["lower_witness"]) == ([0, 3], [3, 0])
+                for end in ("lower", "upper"):
+                    assert float.fromhex(got[end]) == pytest.approx(
+                        float.fromhex(want[end]), rel=1e-15)
+                continue
+            for key in ("lower", "upper", "lower_witness", "depth_used", "stop_reason"):
+                assert got[key] == want[key]
 
 
 def _closed_form(M):
@@ -1381,15 +1398,15 @@ def _block_bracket(g, split, n=6):
 
 
 # one-block sets: (nodes_explored, depth_used, witness length, converged)
-# per norm, as refine gave them before it split sets into blocks
+# per norm; nodes_explored counts measured products
 ONE_BLOCK_REPORTS = {
-    "golden": ((6, 2, 2, True), (8, 2, 2, True)),
-    "refine-2x5x5": ((11_910, 106, 5, True), (13_160, 106, 5, True)),
-    "jordan-d2": ((8212, 4096, 1636, False),) * 2,
+    "golden": ((6, 2, 2, True), (6, 2, 2, True)),
+    "refine-2x5x5": ((4_330, 106, 5, True), (4_508, 106, 5, True)),
+    "jordan-d2": ((4096, 4096, 1636, False),) * 2,
     # 2,361 letters in complex arithmetic: the defective eigenvalue moves
     # like u**(1/3) under any change of rounding
-    "jordan-d3": ((8212, 4096, 2358, False),) * 2,
-    "jordan-d4": ((3234, 1166, 107, True),) * 2,
+    "jordan-d3": ((4096, 4096, 2358, False),) * 2,
+    "jordan-d4": ((1194, 1166, 107, True),) * 2,
 }
 
 
@@ -1465,7 +1482,7 @@ class TestBlockReduction:
     @pytest.mark.parametrize("name", sorted(ONE_BLOCK_REPORTS) + ["zero"])
     def test_one_block_sets_keep_their_reports(self, name, fro):
         # a set with one strongly connected component, or one whose every
-        # vertex is a zero 1 x 1 block, runs the plain deepening loop
+        # vertex is a zero 1 x 1 block, runs one search on the whole set
         if name == "zero":
             M, width, budget = MatrixSet(ENGINE_CASES["zero"]), 0.02, 500_000
             want = (2, 1, 1, True)
@@ -1476,7 +1493,8 @@ class TestBlockReduction:
         assert rep.blocks == (M.dim,)
         got = (rep.nodes_explored, rep.depth_used, len(rep.lower_witness), rep.converged)
         assert got == want
-        lower, wit, upper, _, _, _ = bounds._deepen(M.gens, width, budget, 0.0, fro)
+        lower, wit, upper, *_ = _kernels.refine_pass(M.gens, bounds._MAX_DEPTH, width, 0.0,
+                                                     budget, fro)
         assert (rep.lower, rep.upper) == (lower, upper)
         assert rep.lower_witness == (wit or (0,))
         if name == "zero":
@@ -1693,3 +1711,20 @@ class TestNilpotencyHook:
             c = rng.uniform(-1, 1, 2)
             x = c[0] * g[0] + c[1] * g[1]
             assert np.linalg.norm(np.linalg.matrix_power(x, 4)) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), budget=st.integers(2, 300), fro=st.booleans())
+def test_budget_cut_intervals_meet_the_brute_interval(seed, budget, fro):
+    # both intervals hold rho(M), so an interval the budget cut short
+    # still meets the brute-force one
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    M = MatrixSet(oracles.random_set(rng, 2, m, complex_entries=bool(seed % 2)))
+    rep = refine(M, 1e-9, budget, frobenius=fro)
+    assert rep.nodes_explored <= max(budget, m)
+    assume(not rep.converged)
+    assert rep.stop_reason == "budget"
+    lo, hi = oracles.brute_interval(list(M.gens), 6)
+    assert rep.lower <= hi * (1 + 1e-9) + 1e-12
+    assert lo <= rep.upper * (1 + 1e-9) + 1e-12

@@ -85,15 +85,24 @@ class TestReports:
         assert r["lower_witness"] == [0, 1]
 
     def test_refine_reports_its_blocks(self, capsys, golden_file, hand_file):
-        # blocks comes last; the hand pair is triangular: two 1 x 1 blocks,
-        # the one holding 3 first
+        # blocks then stop_reason close the result; the hand pair is
+        # triangular: two 1 x 1 blocks, the one holding 3 first
         for path, want in ((golden_file, [2]), (hand_file, [1, 1])):
             _, rep = run_json(capsys, ["refine", path, "--width", "0.01", "--format", "json"])
-            assert list(rep["result"])[-1] == "blocks"
+            assert list(rep["result"])[-2:] == ["blocks", "stop_reason"]
             assert rep["result"]["blocks"] == want
+            assert rep["result"]["stop_reason"] == "converged"
         main(["refine", hand_file, "--width", "0.01"])
         out = capsys.readouterr().out
-        assert "result.blocks[0] = 1\nresult.blocks[1] = 1\n" in out
+        assert "result.blocks[0] = 1\nresult.blocks[1] = 1\nresult.stop_reason = converged\n" in out
+
+    def test_refine_prints_why_it_stopped(self, capsys, golden_file):
+        # a budget of 3 products measures golden's two depth-1 words, and
+        # expanding one of them would take 2 more
+        code, rep = run_json(capsys, ["refine", golden_file, "--width", "0.01", "--budget", "3",
+                                      "--format", "json"])
+        assert code == 2 and rep["result"]["stop_reason"] == "budget"
+        assert rep["result"]["nodes_explored"] == 2
 
     def test_text_format_flattens_keys(self, capsys, golden_file):
         code = main(["refine", golden_file, "--width", "0.02"])
