@@ -56,6 +56,7 @@ _measure derives from them, so every test it makes compares k-th roots.
 
 import heapq
 import math
+import sys
 from array import array
 from operator import itemgetter
 
@@ -85,9 +86,10 @@ _SQUARE_SLACK = 2.0**-40
 # refine's search; a block of a single generator's path fits its products
 # and their norm temporaries in it
 _BLOCK_BYTES = 64 * 2**10
-# bytes that refine's open set and its parent links may hold: a search
-# whose step leaves more stops with stop reason "stack_limit", so it holds
-# at most one step's children past this
+# bytes that refine's search may hold between steps: its pool of products
+# (the capacity), its heap entries' objects, its free rows and its parent
+# links.  A search whose step leaves more stops with stop reason
+# "stack_limit", so it holds at most one step's children past this
 _STACK_BYTES = 64 * 2**20
 # A factor's largest real or imaginary part lies in [2**-_BAND, 2**_BAND)
 # or is 0.  For d <= 64 = 2**6 an in-band entry has modulus below
@@ -490,7 +492,8 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
     holds, expands them in the order they were opened with one matmul,
     measures their children (_measure), raises lower on the children's
     candidate roots in that order, and opens the children it does not cut
-    or cap.  Open nodes that the new thr cuts are dropped.
+    or cap.  Open nodes that the new thr cuts are dropped then, so no node
+    at or below thr is expanded.
 
     The cut, open and capped nodes at that point form a prefix-complete
     set of words whose cut roots are at most thr, so max(lower + width,
@@ -514,8 +517,8 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
     "depth_limit" (no open node left and capped nodes above the width) or
     "stack_limit".  deepest is the longest word the search reached,
     and nodes counts the products it measured (past a single generator's
-    cut, too), at most budget.  held is the most bytes the open set and
-    its parent links held.  With no budget for one step, upper is the
+    cut, too), at most budget.  held is the most bytes counted against
+    _STACK_BYTES after a step.  With no budget for one step, upper is the
     largest generator norm, at least lower + width.
     """
     gens, e1 = _fit_set(gens)
@@ -581,23 +584,28 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
         # its fitted products the rows of pool (free lists the unused ones);
         # slots grow in the order nodes are opened, so equal roots pop in
         # that order.  up holds the slot of every expanded node, in the order
-        # expanded, and the root is slot -1
-        pool = np.eye(d, dtype=gens.dtype)[None]
+        # expanded, and the root is slot -1.  pool grows in place (no view of
+        # it is kept) by as many rows as the bound leaves room for, at least
+        # the ones a step needs
+        pool = np.empty((1, d, d), gens.dtype)
+        pool[0] = np.eye(d)
         heap, free, up = [(-math.inf, -1, 0, 0, 0)], [], array("q")
-        per_node = pool.nbytes + 40  # a product and its five fields
+        # a heap entry's tuple, float and four ints, a free row's int
+        big = sys.getsizeof(2**40)
+        entry = sys.getsizeof(heap[0]) + sys.getsizeof(0.5) + 4 * big
+        per_row = pool[0].nbytes + entry + 16  # an open row with its list slots
+
+        def held_now():  # the bytes of the pool, the open set, the free rows and up
+            return (pool.nbytes + entry * len(heap) + big * len(free) + sys.getsizeof(heap)
+                    + sys.getsizeof(free) + sys.getsizeof(up))
+
         capped, wslot = 0.0, -1
         while stop is None:
             n = min(step, (budget - nodes) // m)
             if not n:
                 stop = "budget"
                 break
-            thr = lower + w
-            batch = []
-            while heap and len(batch) < n and -heap[0][0] > thr:
-                batch.append(heapq.heappop(heap))
-            if heap and -heap[0][0] <= thr:  # the rest of the open set is cut
-                free += [h[2] for h in heap]
-                heap = []
+            batch = [heapq.heappop(heap) for _ in range(min(n, len(heap)))]
             batch.sort(key=itemgetter(1))
             first = len(up) * m  # the slot of the batch's first child
             up.extend([b[1] for b in batch])
@@ -610,10 +618,16 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
             nodes += kids.shape[0]
             deepest = max(deepest, max(klens))
             recs = _records(np.asarray(cand), lower)
+            thr = lower + w
             if recs:
                 j, x = recs[-1]
                 lower, found, wslot = float(x), True, first + j
-            thr = lower + w
+                thr = lower + w
+                live = [h for h in heap if -h[0] > thr]
+                if len(live) < len(heap):  # drop the open nodes the rise cuts
+                    free += [h[2] for h in heap if -h[0] <= thr]
+                    heap = live
+                    heapq.heapify(heap)
             alive = np.flatnonzero(~(nroot <= thr)).tolist()
             grow = [i for i in alive if klens[i] < depth_cap]
             for i in alive:
@@ -622,21 +636,20 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
             if grow:
                 fitted, shift = _fit_rows(kids[grow])
                 if len(free) < len(grow):
-                    free += range(pool.shape[0], 2 * pool.shape[0] + len(grow))
-                    pool = np.concatenate([pool, np.empty((pool.shape[0] + len(grow), d, d),
-                                                          pool.dtype)])
+                    n0 = pool.shape[0]
+                    room = n0 + (_STACK_BYTES - held_now()) // per_row
+                    n1 = max(n0 + len(grow) - len(free), min(2 * n0 + len(grow), room))
+                    pool.resize((n1, d, d), refcheck=False)
+                    free += range(n0, n1)
                 rows = [free.pop() for _ in grow]
                 pool[rows] = fitted
                 shift = shift.tolist() if isinstance(shift, np.ndarray) else [0] * len(grow)
                 for i, row, s in zip(grow, rows, shift):
                     heapq.heappush(heap, (-float(nroot[i]), first + i, row, kexps[i] + s,
                                           klens[i]))
-            top = -heap[0][0] if heap else 0.0
-            if top <= thr:  # every open node is cut
-                heap, top = [], 0.0
-            nbytes = per_node * len(heap) + up.itemsize * len(up)
+            nbytes = held_now()
             held = max(held, nbytes)
-            upper = min(upper, bound(max(capped, top)))
+            upper = min(upper, bound(max(capped, -heap[0][0] if heap else 0.0)))
             if done(upper):
                 stop = "converged"
             elif not heap:

@@ -524,6 +524,26 @@ def _step(gens):
     return max(1, _kernels._BLOCK_BYTES // (16 * m * d * d))
 
 
+def _step_bytes(gens):
+    """A bound on what one step's children add to refine_pass's held bytes:
+    each child's product and, within 400 bytes, its heap entry's objects
+    and list slots."""
+    m, d, _ = gens.shape
+    return m * _step(gens) * (16 * d * d + 400)
+
+
+def _traced_pass(gens, width, budget):
+    """refine_pass at _MAX_DEPTH from lower 0 in the 2-norm, and the peak
+    bytes tracemalloc sees it allocate."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = _kernels.refine_pass(gens, bounds._MAX_DEPTH, width, 0.0, budget, False)
+        return res, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def _loop_pass(gens, depth_cap, width, lower_in, budget, fro):
     """The loop kernel behind refine_pass's signature, at refine_pass's step."""
     return oracles.loop_refine_pass(gens, depth_cap, width, lower_in, budget, fro,
@@ -833,7 +853,7 @@ class TestBatchedEngine:
     def test_stack_limit_stops_the_search(self, name, cap, monkeypatch):
         # each cap is below the open set the search holds at the default;
         # a search whose step leaves more than _STACK_BYTES stops there,
-        # having passed it by one step's children and their links at most
+        # having passed it by one step's children at most
         M, width, budget = REFINE_CASES[name]
         kept = _report(M, width, budget)
         held = _kernels.refine_pass(M.gens, bounds._MAX_DEPTH, width, 0.0, budget, False)[7]
@@ -845,10 +865,26 @@ class TestBatchedEngine:
         assert not rep.converged and rep.stop_reason == "stack_limit"
         assert rep.lower <= float.fromhex(kept["lower"])
         assert rep.upper >= float.fromhex(kept["upper"])
-        res = _kernels.refine_pass(M.gens, bounds._MAX_DEPTH, width, 0.0, budget, False)
-        step = _step(M.gens)
+        res, peak = _traced_pass(M.gens, width, budget)
         assert res[4] == "stack_limit"
-        assert cap < res[7] <= cap + _kernels._BLOCK_BYTES + 48 * M.size * step
+        assert cap < res[7] <= cap + _step_bytes(M.gens)
+        assert peak <= cap + 4 * _kernels._BLOCK_BYTES
+
+    @pytest.mark.parametrize("name", ["lift-a2-43", "random-2x2x3"])
+    def test_stack_limit_bounds_what_the_search_allocates(self, name, monkeypatch):
+        # budget-cut searches whose open sets pass 1 MiB: what tracemalloc
+        # sees them allocate stays within the bound plus one step's working
+        # set (its children, their Gram matrices, squares and fitted copies)
+        if name == "lift-a2-43":
+            gens = lift_set(MatrixSet(_a2_member(43))).gens
+        else:
+            gens = np.random.default_rng(1).uniform(-1.0, 1.0, (3, 2, 2)) + 0j
+        cap = 2**20
+        monkeypatch.setattr(_kernels, "_STACK_BYTES", cap)
+        res, peak = _traced_pass(gens, 1e-9, 100_000)
+        assert res[4] == "stack_limit" and res[6] < 100_000
+        assert cap < res[7] <= cap + _step_bytes(gens)
+        assert peak <= cap + 4 * _kernels._BLOCK_BYTES
 
     def test_spectral_radius_uses_the_scalar_modulus(self):
         # on this stack numpy's vectorized complex abs differs from the
@@ -1312,6 +1348,47 @@ class TestCut:
                     _loop_pass(gens, cap, width, 0.5, 100, fro), gens)
                 assert res[0] == 0.5 and res[1] == ()
                 assert res[2:6] == want
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_child_at_exactly_the_threshold_is_never_expanded(self, fro):
+        # both norms of A = [[0, 0.75], [0, 0]] are exactly 0.75, B =
+        # [[0, 0.9], [0, 0]] keeps the search open, and every product of two
+        # is 0.  From lower 0.5 A's root sits at thr = 0.75, cut, or one ulp
+        # above thr, opened and expanded with B in the second step
+        gens = np.array([[[0.0, 0.75], [0.0, 0.0]], [[0.0, 0.9], [0.0, 0.0]]], complex)
+        above = np.nextafter(0.75, 0.0) - 0.5
+        for width, nodes in ((0.25, 4), (above, 6)):
+            for cap in (2, 8):
+                res = _kernels.refine_pass(gens, cap, width, 0.5, 100, fro)
+                assert _pass_result(res, gens) == _pass_result(
+                    _loop_pass(gens, cap, width, 0.5, 100, fro), gens)
+                assert res[:3] == (0.5, (), 0.5 + width)
+                assert res[3:7] == (True, "converged", 2, nodes)
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_open_node_at_a_risen_threshold_is_never_expanded(self, fro, monkeypatch):
+        # five nilpotent generators, two nodes a step.  From lower 0.6 the
+        # first step opens A (root 1), B (2), E (1.5) and G (1.2); the second
+        # expands B and E, and B D raises lower to x (BD = diag(0.81, 0)).
+        # A width of 1 - x puts thr at A's root: A leaves the open set, and
+        # the third step expands G alone.  At one ulp less A stays open and
+        # is expanded with G
+        def nil(up, low=0.0):
+            return [[0.0, up], [low, 0.0]]
+
+        gens = np.array([nil(1), nil(2), nil(1.5), nil(0, 0.405), nil(1.2)], complex)
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 640)
+        assert _step(gens) == 2
+        x, witness = _kernels.refine_pass(gens, 8, 0.25, 0.6, 1000, fro)[:2]
+        assert witness == (1, 3)
+        for thr, nodes in ((1.0, 20), (np.nextafter(1.0, 0.0), 25)):
+            width = thr - x
+            assert x + width == thr
+            res = _kernels.refine_pass(gens, 8, width, 0.6, 1000, fro)
+            assert _pass_result(res, gens) == _pass_result(
+                _loop_pass(gens, 8, width, 0.6, 1000, fro), gens)
+            assert res[:3] == (x, (1, 3), thr)
+            assert res[3:7] == (True, "converged", 2, nodes)
 
     @pytest.mark.parametrize("fro", [False, True])
     def test_open_nodes_at_the_new_threshold_are_dropped(self, fro):
