@@ -3,8 +3,12 @@
 One numpy engine batches the product tree's `matmul`, Gram-matrix
 `eigvalsh` (norms) and `eigvals` (radii), each matrix through the call
 it would get alone, so batched values are bit-identical to one at a time.
-These are the package's only eigensolves; LAPACK's failure in one leaves
-the engine as NonConvergence.
+These are the package's only eigensolves.  They call numpy's LAPACK
+gufuncs (numpy.linalg._umath_linalg) with np.linalg.eigvalsh's and
+eigvals' own signatures and error state, so the values are theirs bit
+for bit, without the wrappers' per-call checks, which cost more than the
+eigensolves of a small batch; LAPACK's failure in one leaves the engine
+as NonConvergence (_lapack).
 
 A sweep pays an eigensolve only where it can set a record (sweep_tree).
 Every word's Frobenius norm bounds its 2-norm and its radius from above;
@@ -15,13 +19,15 @@ lexicographically smallest, is measured, and only where its norm or
 bound could beat the depth's best radius.  In exact arithmetic that is
 the maximum over all words, and the smallest rotation is the necklace's
 first word, so the reported rank is unchanged.  refine_pass takes the
-norm of every child it measures, and eigvals only where the child's
-radius root could beat the lower end: its norm root bounds it, and so
-does the square rule rho(P)^2 <= ||P^2|| (_square_bound, one matmul and
-sum of squares per step).  A single generator's path blocks keep the
-norm bound alone: on the benchmark's Jordan powers the square rule cut
-no child of the d = 2 and 3 paths, and a check on every child cost more
-than it saved.
+2-norm of a child with m >= 2 generators only where its Frobenius root
+could beat the lower end; the others keep that root, are cut on it and
+skip eigvals, as their 2-norm roots would be (_measure).  It takes
+eigvals only where the child's radius root could beat the lower end: its
+norm root bounds it, and so does the square rule rho(P)^2 <= ||P^2||
+(_square_bound, one matmul and sum of squares per step).  A single
+generator's path blocks keep the norm bound alone: on the benchmark's
+Jordan powers the square rule cut no child of the d = 2 and 3 paths, and
+a check on every child cost more than it saved.
 
 refine_pass is one best-first search: each step expands the open nodes
 with the largest norm roots, at most the ones whose children fill
@@ -61,6 +67,7 @@ from array import array
 from operator import itemgetter
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NonConvergence
 
@@ -142,6 +149,8 @@ def scale(x, e):
 
 def root(x, e, k):
     """(x * 2**e) ** (1/k) for x >= 0; 2**(e/k) goes in halves that cannot overflow."""
+    if not e:
+        return x ** (1.0 / k)
     h = 2.0 ** (e / (2 * k))
     return x ** (1.0 / k) * h * h
 
@@ -162,6 +171,17 @@ def word_product(gens, word):
     return prod, e
 
 
+def _lapack(what):
+    """The errstate numpy's eigvalsh and eigvals wrappers call their LAPACK
+    gufuncs under: a failed eigensolve sets the invalid flag, which here
+    raises NonConvergence naming what failed, with numpy's message."""
+    def failed(err, flag):
+        raise NonConvergence(f"{what} failed: Eigenvalues did not converge")
+
+    return np.errstate(call=failed, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
 def _squares(stack, fro):
     """Per-matrix squared norm: top Gram eigenvalue or sum of squares."""
     if fro:
@@ -170,19 +190,21 @@ def _squares(stack, fro):
             sq += stack.imag * stack.imag
         # accumulate entries in row-major order, one at a time
         return np.cumsum(sq.reshape(stack.shape[0], -1), axis=1)[:, -1]
-    try:
-        return np.linalg.eigvalsh(np.conj(stack.transpose(0, 2, 1)) @ stack)[:, -1]
-    except np.linalg.LinAlgError as e:
-        raise NonConvergence(f"norm eigensolve failed: {e}") from e
+    gram = np.conj(stack.transpose(0, 2, 1)) @ stack
+    # np.linalg.eigvalsh's own gufunc and signature, without its per-call checks
+    with _lapack("norm eigensolve"):
+        return _umath_linalg.eigvalsh_lo(
+            gram, signature="D->d" if np.iscomplexobj(gram) else "d->d")[:, -1]
 
 
 def _bound(stack):
     """Per-matrix Frobenius norm, an upper bound on the 2-norm and the
     spectral radius; inf where its square is not a normal double, since an
     underflowed sum of squares bounds nothing.  Sweeps read it in place of
-    the norms they skip; it is no reported norm, so it does not go through
-    norms."""
-    sq = _squares(stack, True)
+    the norms they skip, and refine where its root cuts a child
+    (_measure); it is no reported norm, so it does not go through norms
+    and sums in numpy's own order."""
+    sq = np.square(stack.view(np.float64)).reshape(stack.shape[0], -1).sum(axis=1)
     return np.sqrt(np.where(sq < _NORMAL, np.inf, sq))
 
 
@@ -227,10 +249,13 @@ def norms(stack, fro):
 
 def radii(stack):
     """Per-matrix largest eigenvalue modulus."""
-    try:
-        ev = np.linalg.eigvals(stack)
-    except np.linalg.LinAlgError as e:
-        raise NonConvergence(f"eigenvalue iteration failed: {e}") from e
+    # np.linalg.eigvals' finite check, gufunc and signature; for a real
+    # stack it returns ev.real where ev.imag is all 0, and hypot reads both
+    # the same
+    if not np.isfinite(stack).all():
+        raise NonConvergence("eigenvalue iteration failed: Array must not contain infs or NaNs")
+    with _lapack("eigenvalue iteration"):
+        ev = _umath_linalg.eigvals(stack, signature="D->D" if np.iscomplexobj(stack) else "d->D")
     # hypot matches the scalar complex abs bit for bit; numpy's SIMD
     # complex abs does not
     return np.fmax.reduce(np.hypot(ev.real, ev.imag), axis=1, initial=0.0)
@@ -327,8 +352,8 @@ def _path(g, prod, e, n):
     while len(exps) < n:
         t0 = len(exps)
         stop = min(n, t0 + run)
-        for t in range(t0, stop):
-            prod = np.matmul(prod, g, out=block[t])
+        for row in block[t0:stop]:
+            prod = np.dot(prod, g, row)
         top = abs(block[t0:stop].view(np.float64)).max(axis=(1, 2))
         out = np.flatnonzero((top >= _HI) | (top < _LO) & (top > 0.0))
         t = t0 + int(out[0]) if out.size else stop - 1
@@ -443,8 +468,14 @@ def _measure(kids, lengths, exps, lower, fro, square):
     """(nroot, cand) for the products in kids, of length lengths[i] and read
     times 2**exps[i]: the one place a node's roots are derived.  nroot
     holds each ||P||^(1/k), cand its rho(P)^(1/k) shaved by _EIG_SAFETY, or
-    -1 where eigvals was skipped.  One batched norms call measures them
-    all, one batched radii call those whose radius root can beat lower.
+    -1 where eigvals was skipped.  One batched norms call measures them,
+    one batched radii call those whose radius root can beat lower.
+
+    Where square is set, in the 2-norm and from lower > 0, each child first
+    takes its Frobenius norm (_bound), and only children whose Frobenius
+    root times 1 + _SKIP_SLACK exceeds lower take the Gram eigvalsh; the
+    rest keep the Frobenius root.  Their 2-norm roots are at most that, so
+    they are cut and skip eigvals either way, and nothing reported moves.
 
     A child's radius root is at most its norm root and, where square is
     set, at most the root of its _square_bound; eigvals is skipped where
@@ -452,16 +483,22 @@ def _measure(kids, lengths, exps, lower, fro, square):
     could not have raised lower.  Only children that pass the norm test
     take the square bound, in one batch; a single generator's path blocks
     keep the norm test alone."""
-    nrm = norms(kids, fro).tolist()
+    n = kids.shape[0]
+    pre = square and not fro and lower > 0.0
+    nrm = (_bound(kids) if pre else norms(kids, fro)).tolist()
     nroot = [root(x, e, k) for x, e, k in zip(nrm, exps, lengths)]
-    cand = [-1.0] * len(nrm)
     want = [i for i, r in enumerate(nroot)
             if not (lower > 0.0 and r * (1.0 + _SKIP_SLACK) <= lower)]
+    if pre and want:
+        for i, x in zip(want, norms(kids if len(want) == n else kids[want], False).tolist()):
+            nrm[i], nroot[i] = x, root(x, exps[i], lengths[i])
+        want = [i for i in want if not nroot[i] * (1.0 + _SKIP_SLACK) <= lower]
     if square and lower > 0.0 and want:
-        sub = kids if len(want) == len(nrm) else kids[want]
+        sub = kids if len(want) == n else kids[want]
         bound = _square_bound(sub, [nrm[i] for i in want])
         want = [i for i, b in zip(want, bound)
                 if not root(b, exps[i], lengths[i]) * (1.0 + _SKIP_SLACK) <= lower]
+    cand = [-1.0] * n
     if want:
         for i, r in zip(want, radii(kids[want]).tolist()):
             cand[i] = root(r, exps[i], lengths[i]) * (1.0 - _EIG_SAFETY)

@@ -565,6 +565,19 @@ def loop_w_identity(gens):
     return w, w <= 1e-300 or math.sqrt(w) <= 1e-5 * top * top
 
 
+class FailingLapack:
+    """A stand-in for numpy's LAPACK gufunc module, which the engine reads
+    as jsrkit._kernels._umath_linalg, whose every eigensolver fails as
+    LAPACK's does there: it sets the floating-point invalid flag and
+    returns NaN."""
+
+    def __getattr__(self, name):
+        def gufunc(a, signature):
+            return np.sqrt(np.full(np.shape(a)[:-1], -1.0))
+
+        return gufunc
+
+
 def cli_env() -> dict[str, str]:
     """os.environ with PYTHONPATH led by the directory that holds the
     imported jsrkit, so a `python -m jsrkit.cli` child runs the package

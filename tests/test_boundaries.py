@@ -8,7 +8,8 @@ names the helpers that read that format.  _kernels.scale, x * 2**e or inf
 past the double range, decodes no format, and any module may call it.
 
 _kernels also makes every eigensolve and turns LAPACK's failure into
-NonConvergence, so no other module calls np.linalg.eigvals or eigvalsh.
+NonConvergence, so no other module calls np.linalg.eigvals or eigvalsh or
+numpy's LAPACK gufuncs (numpy.linalg._umath_linalg) behind them.
 
 The lift identities and their pass rules live in lift's report, so the
 CLI takes check_lift_identities from lift and nothing from matrices.
@@ -89,12 +90,13 @@ def test_detector_sees_each_form():
                                    (6, "root"), (7, "word_product")]
 
 
-SOLVES = {"eigvals", "eigvalsh"}
+SOLVES = {"eigvals", "eigvalsh", "_umath_linalg"}
 SOLVER_MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "_kernels.py")
 
 
 def solver_uses(source: str) -> list[tuple[int, str]]:
-    """(line, name) of every import or attribute read of eigvals or eigvalsh."""
+    """(line, name) of every import or attribute read of eigvals, eigvalsh
+    or numpy's _umath_linalg."""
     uses = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -116,8 +118,11 @@ def test_solver_detector_sees_each_form():
         "linalg.eigvalsh(g)",
         "np.linalg.svd(a)",
         "eigvals = 1",
+        "from numpy.linalg import _umath_linalg",
+        "np.linalg._umath_linalg.eigvalsh_lo(g)",
     ])
-    assert solver_uses(source) == [(1, "eigvals"), (2, "eigvalsh"), (3, "eigvalsh")]
+    assert solver_uses(source) == [(1, "eigvals"), (2, "eigvalsh"), (3, "eigvalsh"),
+                                   (6, "_umath_linalg"), (7, "_umath_linalg")]
     assert "sets.py" in SOLVER_MODULES and solver_uses((SRC / "_kernels.py").read_text())
 
 
@@ -215,7 +220,7 @@ def test_power_detector_sees_each_form():
                                    (7, "inner"), (9, None)]
 
 
-PRODUCT_CALLS = {"matmul", "_fit", "_fit_rows"}
+PRODUCT_CALLS = {"matmul", "dot", "_fit", "_fit_rows"}
 
 
 def _function(source: str, function: str) -> ast.FunctionDef:
@@ -225,7 +230,7 @@ def _function(source: str, function: str) -> ast.FunctionDef:
 
 def product_forms(source: str, function: str) -> list[tuple[int, str]]:
     """(line, form) of every matrix product (@ or @=) and every matmul,
-    _fit or _fit_rows call in the named function."""
+    dot, _fit or _fit_rows call in the named function."""
     uses = []
     for node in ast.walk(_function(source, function)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
@@ -246,13 +251,15 @@ def test_product_detector_sees_each_form():
         "    np.matmul(a, b, out=c)",
         "    p, e = _fit(c)",
         "    q, s = _kernels._fit_rows(c)",
+        "    c = np.dot(a, b, c)",
         "    return matmul(a, b), a * b, fit(a)",
         "def other(a, b):",
         "    return a @ b",
     ])
     assert product_forms(source, "refine_pass") == [
-        (2, "@"), (3, "@"), (4, "matmul"), (5, "_fit"), (6, "_fit_rows"), (7, "matmul")]
-    assert product_forms(source, "other") == [(9, "@")]
+        (2, "@"), (3, "@"), (4, "matmul"), (5, "_fit"), (6, "_fit_rows"), (7, "dot"),
+        (8, "matmul")]
+    assert product_forms(source, "other") == [(10, "@")]
     assert product_forms((SRC / "_kernels.py").read_text(), "refine_pass")
 
 
@@ -263,7 +270,7 @@ def test_products_are_formed_in_three_places():
     source = (SRC / "_kernels.py").read_text()
     for function in ("sweep_tree", "refine_pass"):
         assert [form for _, form in product_forms(source, function)] == ["matmul", "_fit_rows"]
-    assert sorted(form for _, form in product_forms(source, "_path")) == ["_fit", "matmul"]
+    assert sorted(form for _, form in product_forms(source, "_path")) == ["_fit", "dot"]
 
 
 LOGS = {"log", "log2", "log10", "log1p"}

@@ -303,17 +303,21 @@ class TestStopReason:
         M, width, _ = REFINE_CASES["triu-3x3x2"]
         assert refine(M, width, M.size).stop_reason == "budget"
 
-    @pytest.mark.parametrize("name,want", [("refine-2x5x5", 4_330), ("lift-a2-2", 2_907),
-                                           ("jordan-d2", 4_096), ("jordan-d3", 4_096)])
-    def test_measured_products_are_pinned(self, name, want, monkeypatch):
-        # nodes_explored counts the products measured, each once
-        if name == "lift-a2-2":
-            M, width, budget = lift_set(MatrixSet(_a2_member(2))), 0.05, 100_000
-        else:
-            M, width, budget = REFINE_CASES[name]
-        count = _Counted(monkeypatch)
+    @pytest.mark.parametrize("name,want,grams", [
+        ("refine-2x5x5", 4_330, 2_946), ("lift-a2-2", 2_907, 925),
+        ("jordan-d2", 4_096, 4_096), ("jordan-d3", 4_096, 4_096)])
+    def test_measured_products_are_pinned(self, name, want, grams, monkeypatch):
+        # nodes_explored counts the products measured, each once; the Gram
+        # matrices skip the children that the Frobenius prefilter cuts, and
+        # a single generator's path takes no prefilter
+        M, width, budget = _PINNED_CASES[name]
+        measured, norms = _Counted(monkeypatch, "_measure"), _Counted(monkeypatch)
         rep = refine(M, width, budget)
-        assert rep.nodes_explored == count.matrices == want
+        assert rep.nodes_explored == measured.matrices == want
+        assert norms.matrices == grams
+        monkeypatch.setattr(_kernels, "_bound", _no_frobenius_bound)
+        norms.matrices = 0
+        assert refine(M, width, budget).nodes_explored == norms.matrices == want
 
 
 class TestBergerWang:
@@ -659,6 +663,9 @@ def _refine_cases():
 
 
 REFINE_CASES = _refine_cases()
+# refines whose measured products and Gram matrices are pinned
+_PINNED_CASES = {"lift-a2-2": (lift_set(MatrixSet(_a2_member(2))), 0.05, 100_000),
+                 **{k: REFINE_CASES[k] for k in ("refine-2x5x5", "jordan-d2", "jordan-d3")}}
 
 
 def _nilpotent():
@@ -688,8 +695,8 @@ def _report(M, width, budget, fro=False):
 
 
 class _Counted:
-    """Wraps _kernels.norms or _kernels.radii and counts its calls and the
-    matrices it measures."""
+    """Wraps _kernels.norms, _kernels.radii or _kernels._measure and counts
+    its calls and the matrices it measures."""
 
     def __init__(self, monkeypatch, name="norms"):
         self.calls = self.matrices = 0
@@ -1224,6 +1231,47 @@ def _no_square_bound(stack, nrm):
     return [math.inf] * len(nrm)
 
 
+def _no_frobenius_bound(stack):
+    """_kernels._bound that bounds nothing: every child refine measures
+    takes the Gram eigvalsh."""
+    return np.full(stack.shape[0], np.inf)
+
+
+class TestFrobeniusPrefilter:
+    """refine cuts a child on its Frobenius root, skipping its Gram
+    eigvalsh, where that root cannot beat lower."""
+
+    @pytest.mark.parametrize("name,fro", [
+        pytest.param(name, fro, id=f"{name}-frobenius" if fro else name)
+        for name in sorted(REFINE_CASES) for fro in (False, True)])
+    def test_refine_reports_do_not_depend_on_the_prefilter(self, name, fro, monkeypatch):
+        M, width, budget = REFINE_CASES[name]
+        got = _report(M, width, budget, fro)
+        monkeypatch.setattr(_kernels, "_bound", _no_frobenius_bound)
+        assert _report(M, width, budget, fro) == got
+
+    @pytest.mark.parametrize("fro", [False, True])
+    def test_a2_lift_reports_do_not_depend_on_the_prefilter(self, fro, monkeypatch):
+        # the lifts of the A2 acceptance family, d = 1..9 with 1..9
+        # generators; the budget stops four of them (20, 35, 38 and 43)
+        lifts = [lift_set(MatrixSet(_a2_member(i))) for i in range(50)]
+        got = [_report(L, 0.05, 10_000, fro) for L in lifts]
+        monkeypatch.setattr(_kernels, "_bound", _no_frobenius_bound)
+        assert [_report(L, 0.05, 10_000, fro) for L in lifts] == got
+
+    def test_bound_is_the_frobenius_norm(self):
+        # _bound sums in numpy's order, so it may differ from the reported
+        # Frobenius norm by rounding only; inf where the square underflows
+        rng = np.random.default_rng(31)
+        for d in range(1, 7):
+            s = rng.standard_normal((40, d, d)) + 1j * rng.standard_normal((40, d, d))
+            for stack in (s.real.copy(), s):
+                assert _kernels._bound(stack) == pytest.approx(
+                    _kernels.norms(stack, True), rel=4 * d * d * 2.0**-53)
+        tiny = np.stack([np.ldexp(np.eye(2), e) for e in (-500, -520)])
+        assert _kernels._bound(tiny).tolist() == [math.sqrt(2.0**-999), math.inf]
+
+
 class TestSquareBound:
     """refine skips eigvals for siblings whose ||P^2|| bound cannot beat lower."""
 
@@ -1312,20 +1360,22 @@ class TestSquareBound:
         assert 0 < cut[0] < radii.matrices
 
     def test_single_generator_paths_take_no_square_bound(self, monkeypatch):
-        # path blocks keep the norm test alone; siblings take the bound
+        # path blocks keep the norm test alone; siblings take the square
+        # bound and the Frobenius prefilter
         calls = []
-        real = _kernels._square_bound
+        for name in ("_square_bound", "_bound"):
+            real = getattr(_kernels, name)
 
-        def spy(stack, nrm):
-            calls.append(stack.shape[0])
-            return real(stack, nrm)
+            def spy(stack, *args, real=real, name=name):
+                calls.append(name)
+                return real(stack, *args)
 
-        monkeypatch.setattr(_kernels, "_square_bound", spy)
+            monkeypatch.setattr(_kernels, name, spy)
         for name in ("jordan-d2", "jordan-d3", "jordan-d4"):
             refine(*REFINE_CASES[name])
         assert calls == []
         refine(*REFINE_CASES["refine-2x5x5"])
-        assert calls
+        assert set(calls) == {"_square_bound", "_bound"}
 
 
 class TestCut:
@@ -1406,10 +1456,11 @@ class TestSearch:
         # 81 nodes' children fill a step; one node at a time the same
         # refine makes 2,114 norms calls of two matrices each
         M, width, budget = REFINE_CASES["refine-2x5x5"]
-        norms = _Counted(monkeypatch)
+        measured, norms = _Counted(monkeypatch, "_measure"), _Counted(monkeypatch)
         rep = refine(M, width, budget)
-        assert rep.nodes_explored == norms.matrices == 4_330
-        assert norms.calls <= 120
+        assert rep.nodes_explored == measured.matrices == 4_330
+        assert measured.calls == norms.calls <= 120
+        assert norms.matrices == 2_946
 
     @pytest.mark.parametrize("block_bytes", [_kernels._BLOCK_BYTES, 256])
     @pytest.mark.parametrize("name,width,cut", [("refine-2x5x5", 0.005, 301),
@@ -1420,11 +1471,11 @@ class TestSearch:
         monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block_bytes)
         gens = np.ascontiguousarray(REFINE_CASES[name][0].gens)
         for cap, budget in ((16, cut), (16, 10**6), (24, 10**6)):
-            norms = _Counted(monkeypatch)
+            measured = _Counted(monkeypatch, "_measure")
             res = _kernels.refine_pass(gens, cap, width, 0.0, budget, False)
             assert _pass_result(res, gens) == _pass_result(
                 _loop_pass(gens, cap, width, 0.0, budget, False), gens)
-            assert res[6] == norms.matrices <= budget
+            assert res[6] == measured.matrices <= budget
             assert res[5] <= cap
             assert (res[4] == "budget") == (budget == cut)
 

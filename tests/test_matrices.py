@@ -16,6 +16,7 @@ from jsrkit import (
     sandwich_profiles,
     spectral_radius,
 )
+from jsrkit import _kernels
 
 import oracles
 
@@ -108,11 +109,8 @@ class TestSpectralRadius:
 
 
 def test_lapack_failure_is_non_convergence(monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigvals", fail)
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    # LAPACK's failure reaches the engine as the invalid flag of numpy's gufunc
+    monkeypatch.setattr(_kernels, "_umath_linalg", oracles.FailingLapack())
     with pytest.raises(NonConvergence, match="eigenvalue iteration"):
         spectral_radius(np.eye(2))
     with pytest.raises(NonConvergence, match="norm eigensolve"):
@@ -127,6 +125,49 @@ def test_lapack_failure_is_non_convergence(monkeypatch):
         sandwich_profiles(M, 3)
     with pytest.raises(NonConvergence, match="eigenvalue iteration"):
         check_lift_identities(M, 2)
+
+
+class TestLapackGufuncs:
+    """norms and radii call numpy's LAPACK gufuncs (numpy.linalg._umath_linalg)
+    with numpy's own signatures but without its wrappers, whose checks cost
+    more than the eigensolves of small batches.  The gufuncs are private, so
+    these pin the engine to the public functions."""
+
+    def test_values_match_numpys_functions_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for d in range(1, 10):
+            for n in (1, int(rng.integers(2, 50)), 50):
+                a = np.ldexp(rng.standard_normal((n, d, d)), rng.integers(-30, 31, (n, 1, 1)))
+                for s in (a, a + 1j * rng.standard_normal((n, d, d))):
+                    gram = np.conj(s.transpose(0, 2, 1)) @ s
+                    nrm = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+                    ev = np.linalg.eigvals(s)
+                    rho = np.fmax.reduce(np.hypot(ev.real, ev.imag), axis=1, initial=0.0)
+                    assert _kernels.norms(s, False).tobytes() == nrm.tobytes()
+                    assert _kernels.radii(s).tobytes() == rho.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_non_convergence(self, bad):
+        s = np.stack([np.eye(3), np.eye(3)])
+        s[1, 0, 1] = bad
+        for stack in (s, s.astype(complex)):
+            with pytest.raises(NonConvergence, match="eigenvalue iteration"):
+                _kernels.radii(stack)
+            if np.isnan(bad):  # an inf entry makes the Gram matmul's own NaN
+                with pytest.raises(NonConvergence, match="norm eigensolve"):
+                    _kernels.norms(stack, False)
+
+    def test_invalid_flag_is_non_convergence(self, monkeypatch):
+        before = np.geterr()
+        monkeypatch.setattr(_kernels, "_umath_linalg", oracles.FailingLapack())
+        for s in (np.eye(2)[None], np.eye(2, dtype=complex)[None]):
+            with pytest.raises(NonConvergence, match="norm eigensolve"):
+                _kernels.norms(s, False)
+            with pytest.raises(NonConvergence, match="eigenvalue iteration"):
+                _kernels.radii(s)
+            # the Frobenius norm takes no eigensolve
+            assert _kernels.norms(s, True).tolist() == [2.0**0.5]
+        assert np.geterr() == before
 
 
 class TestKron:
