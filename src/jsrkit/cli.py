@@ -28,13 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config
-from .algebra import (check_inessential, generated_subalgebra,
-                      ideal_chain_monotonicity, jacobson_radical, quotient,
-                      radical_power_chain)
 from .bounds import (_as_dict, _eps_schedule, _positive_finite, continuity_probe,
                      lower_bound_r, refine, upper_bound, verify_berger_wang)
 from .errors import CapExceeded, JsrError, ParseError, ShapeError
-from .lift import check_lift_identities
 from .sets import MatrixSet
 
 
@@ -200,50 +196,75 @@ def _enforce_caps(args, M: MatrixSet) -> None:
         raise CapExceeded(f"{M.size} generators exceed cap {args.max_generators}")
 
 
-def _run_command(args, M: MatrixSet, frobenius: bool):
-    """Returns (result dict, exit code)."""
+def _command(args):
+    """The subcommand as run(M) -> (result dict, exit code).
+
+    main calls this before it starts the clock, so the imports here stay
+    out of wall_time_s, and a cold process loads only what its subcommand
+    runs: algebra for radical, inessential and chain, lift for lift-check.
+    """
     cmd = args.command
+    frobenius = args.norm == config.NORM_FROBENIUS
     if cmd == "bounds":
-        lo = lower_bound_r(M, args.depth, budget=args.budget)
-        up = upper_bound(M, args.depth, budget=args.budget, frobenius=frobenius)
-        return {"lower": lo.value, "lower_witness": list(lo.witness), "upper": up}, 0
+        def run(M):
+            lo = lower_bound_r(M, args.depth, budget=args.budget)
+            up = upper_bound(M, args.depth, budget=args.budget, frobenius=frobenius)
+            return {"lower": lo.value, "lower_witness": list(lo.witness), "upper": up}, 0
 
-    if cmd == "refine":
-        rep = refine(M, args.width, args.budget, frobenius=frobenius)
-        return rep.to_dict(), 0 if rep.converged else 2
+    elif cmd == "refine":
+        def run(M):
+            rep = refine(M, args.width, args.budget, frobenius=frobenius)
+            return rep.to_dict(), 0 if rep.converged else 2
 
-    if cmd == "verify-bw":
-        rep = verify_berger_wang(M, args.tol, args.budget, frobenius=frobenius)
-        return rep.to_dict(), 0 if rep.passed else 2
+    elif cmd == "verify-bw":
+        def run(M):
+            rep = verify_berger_wang(M, args.tol, args.budget, frobenius=frobenius)
+            return rep.to_dict(), 0 if rep.passed else 2
 
-    if cmd == "lift-check":
-        rep = check_lift_identities(M, args.depth, tol=args.tol, width=args.width,
+    elif cmd == "lift-check":
+        from .lift import check_lift_identities
+
+        def run(M):
+            rep = check_lift_identities(M, args.depth, tol=args.tol, width=args.width,
+                                        budget=args.budget, frobenius=frobenius)
+            return rep.to_dict(), 0 if rep.passed and rep.w_pass else 2
+
+    elif cmd == "radical":
+        from .algebra import generated_subalgebra, jacobson_radical, quotient
+
+        def run(M):
+            A = generated_subalgebra(M, args.max_algebra_dim)
+            rad = jacobson_radical(A)
+            Q = quotient(A, rad)
+            return {"algebra_dim": A.dim, "unital": A.unital,
+                    "radical_dim": rad.dim, "quotient_rep_dim": Q.rep_dim}, 0
+
+    elif cmd == "inessential":
+        from .algebra import check_inessential
+
+        def run(M):
+            rep = check_inessential(M, width=args.width, budget=args.budget,
+                                    max_dim=args.max_algebra_dim, frobenius=frobenius)
+            return rep.to_dict(), 0 if rep.passed else 2
+
+    elif cmd == "chain":
+        from .algebra import generated_subalgebra, ideal_chain_monotonicity, radical_power_chain
+
+        def run(M):
+            A = generated_subalgebra(M, args.max_algebra_dim)
+            chain = radical_power_chain(A)
+            rep = ideal_chain_monotonicity(M, chain, width=args.width,
+                                           budget=args.budget, frobenius=frobenius)
+            return rep.to_dict(), 0
+
+    else:  # continuity: argparse admits no other command
+        def run(M):
+            rows = continuity_probe(M, args.eps, args.trials, args.seed,
                                     budget=args.budget, frobenius=frobenius)
-        return rep.to_dict(), 0 if rep.passed and rep.w_pass else 2
+            return ({"rows": [_as_dict(r) for r in rows]},
+                    0 if all(r.complete for r in rows) else 2)
 
-    if cmd == "radical":
-        A = generated_subalgebra(M, args.max_algebra_dim)
-        rad = jacobson_radical(A)
-        Q = quotient(A, rad)
-        return {"algebra_dim": A.dim, "unital": A.unital,
-                "radical_dim": rad.dim, "quotient_rep_dim": Q.rep_dim}, 0
-
-    if cmd == "inessential":
-        rep = check_inessential(M, width=args.width, budget=args.budget,
-                                max_dim=args.max_algebra_dim, frobenius=frobenius)
-        return rep.to_dict(), 0 if rep.passed else 2
-
-    if cmd == "chain":
-        A = generated_subalgebra(M, args.max_algebra_dim)
-        chain = radical_power_chain(A)
-        rep = ideal_chain_monotonicity(M, chain, width=args.width,
-                                       budget=args.budget, frobenius=frobenius)
-        return rep.to_dict(), 0
-
-    # continuity: argparse admits no other command
-    rows = continuity_probe(M, args.eps, args.trials, args.seed,
-                            budget=args.budget, frobenius=frobenius)
-    return {"rows": [_as_dict(r) for r in rows]}, 0 if all(r.complete for r in rows) else 2
+    return run
 
 
 def _emit_text(report: dict, out) -> None:
@@ -262,12 +283,12 @@ def _emit_text(report: dict, out) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = _command(args)
     t0 = time.perf_counter()
-    frobenius = args.norm == config.NORM_FROBENIUS
     try:
         M, digest = load_matrix_set(args.input)
         _enforce_caps(args, M)
-        result, code = _run_command(args, M, frobenius)
+        result, code = run(M)
     except JsrError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

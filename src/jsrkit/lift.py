@@ -20,9 +20,9 @@ from .errors import DimensionOverflow, SelfCheckFailed
 from .matrices import as_matrix, frobenius_norm, require_same_dim
 from .sets import MatrixSet
 
-_SELF_CHECK_SEED = 421
 _SELF_CHECK_TRIALS = 20
 _SELF_CHECK_TOL = 1e-10
+_GOLDEN = (1 + math.sqrt(5)) / 2
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -39,18 +39,30 @@ def _lifts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Each matrix of a and b is fitted by _kernels._fit_rows (a no-op in
     band).  Lift i is kron(b[i]^T, a[i]) of the fitted pair, as np.kron
-    forms it, replayed on 20 seeded random x (SelfCheckFailed beyond 1e-10
-    relative) and scaled back exactly; SelfCheckFailed also where that
-    would pass 2**1024.  DimensionOverflow when d^2 exceeds config.KRON_CAP.
+    forms it, replayed by _self_check on 20 fixed probes x and scaled back
+    exactly; SelfCheckFailed also where that would pass 2**1024.
+    DimensionOverflow when d^2 exceeds config.KRON_CAP.
     """
     n, d, _ = a.shape
     if d * d > config.KRON_CAP:
         raise DimensionOverflow(f"lift would act in dimension {d * d} > cap {config.KRON_CAP}")
     (a, ea), (b, eb) = _fit_rows(a), _fit_rows(b)
-    z = np.random.default_rng(_SELF_CHECK_SEED).standard_normal((_SELF_CHECK_TRIALS, 2, d, d))
-    x = z[:, 0] + 1j * z[:, 1]
     L = b.transpose(0, 2, 1)[:, :, None, :, None] * a[:, None, :, None, :]
     L = L.reshape(n, d * d, d * d)
+    _self_check(L, a, b)
+    # ldexp overflows exactly where frexp's exponent plus e passes 1024
+    e = np.reshape(ea + eb, (-1, 1, 1))
+    top = int((np.frexp(abs(L.view(np.float64)).max(axis=(1, 2), keepdims=True))[1] + e).max())
+    if top > 1024:
+        raise SelfCheckFailed(f"lift action residual is not finite: entries reach 2**{top - 1}")
+    return np.ldexp(L.view(np.float64), e).view(L.dtype)
+
+
+def _self_check(L: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """SelfCheckFailed unless each L[i] acts as x -> a[i] x b[i] on every probe x,
+    within 1e-10 relative to max(1, |a[i]| |b[i]|) max(1, |x|)."""
+    d = a.shape[-1]
+    x = _probes(d)
     # column-major vec of each x, and of each a[i] x b[i]
     got = L[:, None] @ x.transpose(0, 2, 1).reshape(-1, d * d, 1)
     want = (a[:, None] @ x @ b[:, None]).transpose(0, 1, 3, 2).reshape(got.shape)
@@ -61,12 +73,20 @@ def _lifts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if bad.any():
         r, t = resid[bad][0], limit[bad][0]
         raise SelfCheckFailed(f"lift action residual {r:.3e} is not within tolerance {t:.3e}")
-    # ldexp overflows exactly where frexp's exponent plus e passes 1024
-    e = np.reshape(ea + eb, (-1, 1, 1))
-    top = int((np.frexp(abs(L.view(np.float64)).max(axis=(1, 2), keepdims=True))[1] + e).max())
-    if top > 1024:
-        raise SelfCheckFailed(f"lift action residual is not finite: entries reach 2**{top - 1}")
-    return np.ldexp(L.view(np.float64), e).view(L.dtype)
+
+
+def _probes(d: int) -> np.ndarray:
+    """The self-check's 20 complex d x d probes.
+
+    Their real, then imaginary, parts are filled in C order from the
+    quadratic Weyl sequence frac(k^2 phi) - 1/2, k = 1, 2, ...: fixed and
+    as well spread as a seeded normal draw, without loading numpy.random.
+    (The linear frac(k phi) repeats too few patterns: its probes at
+    d = 4..6 are linearly dependent.)
+    """
+    k = np.arange(1, 2 * _SELF_CHECK_TRIALS * d * d + 1, dtype=np.float64)
+    z = ((k * k * _GOLDEN) % 1.0 - 0.5).reshape(_SELF_CHECK_TRIALS, 2, d, d)
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def lift_LR(a, b) -> np.ndarray:

@@ -474,3 +474,59 @@ class TestDeterminism:
             main(["--version"])
         assert info.value.code == 0
         assert "jsrkit" in capsys.readouterr().out
+
+
+# Run the CLI in a fresh interpreter the way `python -m jsrkit.cli` does, with
+# numpy imported first, and print (exit code, jsrkit modules loaded, whether
+# numpy.random was loaded by numpy itself, whether it is loaded at the end)
+# as the last stdout line.
+COLD_RUN = """
+import json, runpy, sys
+import numpy
+by_numpy = "numpy.random" in sys.modules
+sys.argv = ["jsr", *sys.argv[1:]]
+try:
+    runpy.run_module("jsrkit.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "jsrkit"),
+                  by_numpy, "numpy.random" in sys.modules]))
+"""
+
+# what every subcommand loads: the cli itself runs as __main__
+CORE = ["jsrkit", "jsrkit._kernels", "jsrkit.bounds", "jsrkit.config", "jsrkit.errors",
+        "jsrkit.matrices", "jsrkit.sets"]
+
+
+# (argv, modules beyond CORE)
+COLD_CASES = [
+    (["refine", "--width", "0.05"], []),
+    (["bounds", "--depth", "3"], []),
+    (["verify-bw", "--tol", "0.05", "--budget", "2000"], []),
+    (["lift-check", "--depth", "2"], ["jsrkit.lift"]),
+    (["radical"], ["jsrkit.algebra"]),
+    (["inessential"], ["jsrkit.algebra"]),
+    (["chain"], ["jsrkit.algebra"]),
+    (["continuity", "--eps", "0.1", "--trials", "1"], []),
+]
+
+
+class TestColdLoad:
+    @pytest.mark.parametrize("argv,extra", COLD_CASES, ids=[c[0][0] for c in COLD_CASES])
+    def test_subcommand_loads_only_what_it_runs(self, hand_file, argv, extra):
+        proc = subprocess.run([sys.executable, "-c", COLD_RUN, argv[0], hand_file, *argv[1:]],
+                              capture_output=True, text=True, env=oracles.cli_env())
+        assert proc.returncode == 0, proc.stderr
+        code, modules, by_numpy, random_loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code in (0, 2)
+        assert modules == sorted(CORE + extra)
+        # continuity draws its perturbations from numpy.random; no other
+        # subcommand loads it where numpy itself does not (numpy 1.x does)
+        assert random_loaded is (argv[0] == "continuity" or by_numpy)
+
+    def test_package_import_loads_no_submodule(self):
+        snippet = ("import sys, jsrkit; "
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] in ('jsrkit', 'numpy')))")
+        proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True,
+                              env=oracles.cli_env(), check=True)
+        assert proc.stdout.strip() == "['jsrkit']"

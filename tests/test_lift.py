@@ -83,6 +83,43 @@ class TestLiftLR:
         with pytest.raises(SelfCheckFailed, match="lift action residual"):
             lift._lifts(a, b.view(Untransposed))
 
+    @staticmethod
+    def unimodular_lift(d):
+        # every entry of the lift has modulus 1, so each one matters alike
+        rng = np.random.default_rng(51)
+        a, b = np.exp(2j * np.pi * rng.random((2, 1, d, d)))
+        L = lift._lifts(a, b)
+        lift._self_check(L, a, b)
+        return L, a, b
+
+    # the tolerance grows with |a| |b| = d^2, so past d = 4 an entry off by
+    # 1e-8 can stay within it on every probe
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_self_check_refuses_any_entry_off_by_1e_8(self, d):
+        L, a, b = self.unimodular_lift(d)
+        for i, j in np.ndindex(d * d, d * d):
+            bad = L.copy()
+            bad[0, i, j] *= 1 + 1e-8
+            with pytest.raises(SelfCheckFailed, match="lift action residual"):
+                lift._self_check(bad, a, b)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_self_check_refuses_any_two_columns_swapped(self, d):
+        L, a, b = self.unimodular_lift(d)
+        for j in range(d * d):
+            for k in range(j):
+                bad = L.copy()
+                bad[0][:, [j, k]] = L[0][:, [k, j]]
+                with pytest.raises(SelfCheckFailed, match="lift action residual"):
+                    lift._self_check(bad, a, b)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
+    def test_probes_span_as_many_directions_as_they_can(self, d):
+        # a wrong lift that only differs off their span would pass
+        s = np.linalg.svd(lift._probes(d).reshape(lift._SELF_CHECK_TRIALS, -1),
+                          compute_uv=False)
+        assert s[-1] > s[0] / 100
+
     def test_self_check_refuses_a_lift_past_the_double_range(self):
         # the lift's entries and the check's tolerance overflow to inf, and
         # NaN residuals never compared greater than it
