@@ -16,9 +16,11 @@ the Gram eigvalsh runs only where that bound could beat the depth's best
 2-norm.  Radius maxima r_k are taken over necklace representatives:
 rho(ab) = rho(ba), so one word per class of cyclic rotations, its
 lexicographically smallest, is measured, and only where its norm or
-bound could beat the depth's best radius.  In exact arithmetic that is
-the maximum over all words, and the smallest rotation is the necklace's
-first word, so the reported rank is unchanged.  refine_pass takes the
+bound could reach the tie band of the depth's largest radius, which the
+powers of the generator of the largest radius seed before the sweep
+reaches the depth.  In exact arithmetic that is the maximum over all
+words, and the smallest rotation is the necklace's first word, so the
+reported rank is unchanged.  refine_pass takes the
 2-norm of a child with m >= 2 generators only where its Frobenius root
 could beat the lower end; the others keep that root, are cut on it and
 skip eigvals, as their 2-norm roots would be (_measure).  It takes
@@ -305,33 +307,85 @@ def _least_rotations(first, k, m, idx):
     return (rot >= r).all(axis=0)
 
 
-def _may_beat(upper, side, k, le):
-    """Which length-k words, read at exponents le (an int, or one per
-    word), have an upper value that, times (1 + _SKIP_SLACK), exceeds the
-    best depth k holds on side.  Any other word's computed value, at most
-    (1 + O(d u)) times its upper value, cannot set a record: the best only
-    grows."""
-    best, exps, _ = side
-    thr = (scale(best[k], exps[k] - le) if isinstance(le, int) else
-           np.array([scale(best[k], exps[k] - x) for x in le.tolist()]))
-    return ~(upper * (1.0 + _SKIP_SLACK) <= thr)
+def _may_beat(upper, thr, le):
+    """Which words, read at exponents le (an int, or one per word), have an
+    upper value that, times (1 + _SKIP_SLACK), exceeds thr = (x, e), read
+    as x * 2**e.  Any other word's computed value, at most (1 + O(d u))
+    times its upper value, is below thr."""
+    x, e = thr
+    t = (scale(x, e - le) if isinstance(le, int) else
+         np.array([scale(x, e - y) for y in le.tolist()]))
+    return ~(upper * (1.0 + _SKIP_SLACK) <= t)
 
 
-def _update(side, k, vals, le, first, idx):
-    """Fold the values of the length-k words of ranks first + idx, each
-    read as vals[i] * 2**le (le an int, or one per word of the run),
-    into side's (best, exps, ranks) at depth k."""
+def _update(side, k, vals, le, first):
+    """Fold the norms of the length-k words of ranks first, first + 1, ...,
+    each read as vals[i] * 2**le (le an int, or one per word of the run),
+    into side's (best, exps, ranks) at depth k: a running best that a
+    value replaces where it beats it by the relative _TIE (_records)."""
     best, exps, ranks = side
     if isinstance(le, int):
         recs = _records(vals, scale(best[k], exps[k] - le))
         if recs:
             i, new = recs[-1]
-            best[k], exps[k], ranks[k] = new, le, first + int(idx[i])
+            best[k], exps[k], ranks[k] = new, le, first + i
         return
     # one exponent per product: _records' rule, one at a time
-    for y, ey, j in zip(vals.tolist(), le[idx].tolist(), idx.tolist()):
+    for j, (y, ey) in enumerate(zip(vals.tolist(), le.tolist())):
         if y > scale(best[k], exps[k] - ey) * (1.0 + _TIE):
             best[k], exps[k], ranks[k] = y, ey, first + j
+
+
+def _tie_floor(top):
+    """The radius side's threshold for _may_beat: a word whose computed
+    radius is below top / (1 + _TIE) is outside the depth's tie band.
+    Below a top of 0 nothing is skipped, as a radius of 0 ties it: words
+    whose upper value is 0 then read 0 unmeasured (_radii_or_zero)."""
+    y, e = top
+    return (y / (1.0 + _TIE), e) if y > 0.0 else (-1.0, 0)
+
+
+def _radii_or_zero(kids, upper, idx):
+    """radii of kids[idx], except that a word whose upper value is 0, the
+    zero matrix, reads its radius 0 without an eigensolve."""
+    live = upper[idx] > 0.0
+    if live.all():
+        return radii(kids[idx])
+    vals = np.zeros(idx.size)
+    if live.any():
+        vals[live] = radii(kids[idx[live]])
+    return vals
+
+
+def _enter(tops, cands, k, vals, le, ranks):
+    """Enter the radii of the length-k words of the given ranks (ascending),
+    each read as vals[i] * 2**le (le an int, or one per word), at depth k.
+
+    tops[k] = (y, e) is the largest value entered, y * 2**e, and cands[k]
+    lists as (rank, y, e) the words that may still be the depth's winner:
+    the lexicographically smallest word within _TIE of the top, that is
+    one whose value v has not top > v * (1 + _TIE).  A word is kept only
+    where it is in the band and beats the words before it in the call and
+    the kept words ranked before the call (one of those would win wherever
+    it is in the band); the band only narrows, so a dropped word never
+    returns.  A depth's calls come in rank order, after its seed (_seed).
+    """
+    if not isinstance(le, int):
+        for i, x in enumerate(le.tolist()):
+            _enter(tops, cands, k, vals[i:i + 1], x, ranks[i:i + 1])
+        return
+    y, e = tops[k]
+    hi = float(vals.max())
+    if hi > scale(y, e - le):
+        tops[k], y, e = (hi, le), hi, le
+    floor = max([scale(cy, ce - le) for r, cy, ce in cands[k] if r < ranks[0]], default=-1.0)
+    prev = np.maximum.accumulate(np.concatenate(([floor], vals)))[:-1]
+    # the band test reads each value at the top's exponent: a value far
+    # below the top may underflow to 0 there, never the top to 0 beside it
+    out = y > (vals if le == e else np.ldexp(vals, le - e)) * (1.0 + _TIE)
+    new = np.flatnonzero((vals > prev) & ~out).tolist()
+    cands[k] = [c for c in cands[k] if not y > scale(c[1], c[2] - e) * (1.0 + _TIE)]
+    cands[k] += [(int(ranks[j]), float(vals[j]), le) for j in new]
 
 
 def _path(g, prod, e, n):
@@ -363,6 +417,28 @@ def _path(g, prod, e, n):
     return block, exps, prod, e
 
 
+def _seed(gens, kids, tops, cands, nmax):
+    """Enter the powers a**2 .. a**nmax of a, the depth-1 winner, each as
+    the first value of its depth, with its rank; returns {depth: rank}.
+
+    a is a generator of the largest radius (within the tie band), whose
+    powers are the spectrum-maximizing words of every depth on the sets
+    the benchmark sweeps, so later words are measured against a full
+    threshold from the start.  _path forms them from kids[a], the depth-1
+    product, left to right and fitted as the sweep forms and fits its
+    runs, so each is the product the sweep forms of its word, bit for
+    bit, exponent included; one radii call measures them all."""
+    m = gens.shape[0]
+    a = min(cands[1])[0]
+    prod, e = _fit(kids[a])
+    block, exps, _, _ = _path(gens[a], prod, e, nmax - 1)
+    seeds = {}
+    for k, y, ey in zip(range(2, nmax + 1), radii(block).tolist(), exps):
+        seeds[k] = a * (m**k - 1) // (m - 1)  # the word a^k: every digit a
+        tops[k], cands[k] = (y, ey), [(seeds[k], y, ey)]
+    return seeds
+
+
 def sweep_tree(gens, nmax, fro=None, rho=False):
     """Maxima of the norm and of the spectral radius over the words of
     each length 1..nmax.
@@ -370,37 +446,45 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
     fro picks the norm side: None for no norms, else the Frobenius (True)
     or operator 2-norm (False) of every word; rho asks for the radius
     side.  Returns (norms, radii), each (best, exps, ranks) or None when
-    not asked for: best[k] * 2**exps[k] is the maximum over the words of
-    length k and ranks[k] the lexicographic rank of the smallest word
-    attaining it (its letters are the base-m digits).  Index 0 is unused;
-    best stays at -1 there.
+    not asked for: ranks[k] is the lexicographic rank of the word depth k
+    reports (its letters are the base-m digits) and best[k] * 2**exps[k]
+    its value.  Index 0 is unused; best stays at -1 there.  On the norm
+    side that word is a running best's, replaced by a word that beats it
+    by the relative _TIE, in lexicographic order (_update).  On the radius
+    side it is the lexicographically smallest word measured within _TIE of
+    the depth's largest value, whatever the order of measuring (_enter).
+    Both are the smallest word attaining the maximum, up to ties.
 
     A word's upper value is its measured norm or its Frobenius norm
     (_bound, a sum of squares, at least its 2-norm); its computed 2-norm
     and radius are at most (1 + O(d u)) times that, far inside
-    _SKIP_SLACK.  Each eigensolve runs only on the words whose upper value
-    can beat the best their depth holds on that side (_may_beat).
-    Frobenius sweeps measure every word's norm.  2-norm sweeps take the
-    Gram eigvalsh where the bound can beat the depth's best norm, and a
-    word skipped keeps its bound as its value, which cannot set a record
-    either.  Radius-only sweeps read the bound alone.
+    _SKIP_SLACK.  Frobenius sweeps measure every word's norm.  2-norm
+    sweeps take the Gram eigvalsh where the bound can beat the depth's
+    best norm (_may_beat), and a word skipped keeps its bound as its
+    value, which cannot set a record either.  Radius-only sweeps read the
+    bound alone.  eigvals runs only where the upper value can reach the
+    depth's tie band: beat its largest radius divided by 1 + _TIE
+    (_tie_floor).  A skipped word's computed radius is below that, so it
+    is neither the maximum nor the word reported.
 
     rho(ab) = rho(ba), so every cyclic rotation of a word has its radius,
     and the radius side measures one word per necklace: the rotation that
     is lexicographically smallest (_least_rotations), which is also the
-    necklace's first word in lexicographic order, so ranks[k] stays the
-    smallest word attaining the maximum.  Its best[k] is the maximum over
-    these representatives, which in exact arithmetic is the maximum over
-    all words.
+    necklace's first word in lexicographic order.  Its best[k] is the
+    maximum over these representatives, which in exact arithmetic is the
+    maximum over all words.
 
     The tree grows level run by level run, with nothing pruned: a stack of
     runs of fitted products of one length, deepest last.  A run's first
     nodes (one for a depth's first run, else as many as fill _BLOCK_BYTES
-    with their children) are split off,
-    their children formed with one matmul, measured, fitted each on its
-    own (fitted as one batch, small products could flush to zero) and
-    pushed as the next run.  So each depth sees its words in lexicographic
-    order, and every run after a depth's first meets a record.  A single
+    with their children) are split off, their children formed with one
+    matmul, measured, fitted each on its own (fitted as one batch, small
+    products could flush to zero) and pushed as the next run.  So each
+    depth meets its words in lexicographic order, and its first run, of m
+    words, gives its norm side a best.  Its radius side has one before:
+    once depth 1 is measured, _seed enters the powers of the depth-1
+    winner, each the first value of its depth, and the run that forms one
+    leaves it out, so each word is measured at most once.  A single
     generator's path goes a _path block at a time, one word per depth.
     """
     gens, e1 = _fit_set(gens)
@@ -424,6 +508,9 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
             if rside is not None:
                 rside[0][at], rside[1][at] = radii(block), exps
             k += n
+    # the radius side of m >= 2 sets, by depth: the top, the tie band's
+    # candidates (_enter), and the rank of the word _seed measured
+    tops, cands, seeds = [(-1.0, 0)] * (nmax + 1), [[] for _ in range(nmax + 1)], {}
     step = max(1, _BLOCK_BYTES // (16 * m * d * d))  # nodes whose children fill a call
     # run: (length k, fitted products, exponent (an int, or one per
     # product), rank of the first); a single generator's sweep has none
@@ -444,19 +531,30 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
         else:
             upper = _bound(kids)
             if nside is not None:
-                want = np.flatnonzero(_may_beat(upper, nside, k, e))
+                want = np.flatnonzero(_may_beat(upper, (nside[0][k], nside[1][k]), e))
                 if want.size:
                     upper[want] = norms(kids[want], False)
         if nside is not None:
-            _update(nside, k, upper, e, first, np.arange(kids.shape[0]))
+            _update(nside, k, upper, e, first)
         if rside is not None:
-            idx = np.flatnonzero(_may_beat(upper, rside, k, e))
-            idx = idx[_least_rotations(first, k, m, idx)]
+            thr = _tie_floor(tops[k])
+            idx = np.flatnonzero(_may_beat(upper, thr, e))
+            if idx.size:  # under a seeded top most runs have none
+                idx = idx[_least_rotations(first, k, m, idx)]
+                if first <= seeds.get(k, -1) < first + kids.shape[0]:
+                    idx = idx[idx != seeds[k] - first]  # measured by _seed
             if idx.size:
-                _update(rside, k, radii(kids[idx]), e, first, idx)
+                vals = radii(kids[idx]) if thr[0] >= 0.0 else _radii_or_zero(kids, upper, idx)
+                _enter(tops, cands, k, vals, e if isinstance(e, int) else e[idx], first + idx)
+            if k == 1 and nmax > 1:
+                seeds = _seed(gens, kids, tops, cands, nmax)
         if k < nmax:
             kids, s = _fit_rows(kids)
             runs.append((k, kids, e + s, first))
+    if rside is not None and m > 1:
+        for k in range(1, nmax + 1):
+            if cands[k]:  # each depth's winner: the smallest rank left in its band
+                rside[2][k], rside[0][k], rside[1][k] = min(cands[k])
     return tuple(None if side is None else
                  (side[0], [x + k * e1 for k, x in enumerate(side[1])], side[2])
                  for side in (nside, rside))

@@ -119,11 +119,13 @@ def lower_bound_r(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS) -> Lo
 
     rho is invariant under cyclic rotation, so the sweep measures one word
     per necklace, the smallest of its rotations, and only where its
-    Frobenius norm could beat its depth's best radius: the maximum over
-    these equals the maximum over all words in exact arithmetic.  Ties
-    resolve as the sweep resolves them (within 1e-12 relative, see
-    _kernels._records): to the shortest word, then the lexicographically
-    smallest.
+    Frobenius norm could come within 1e-12 relative of its depth's largest
+    radius, which the powers of the generator of the largest radius seed:
+    the maximum over these equals the maximum over all words in exact
+    arithmetic.  Ties within 1e-12 relative go to the shortest word (a
+    depth replaces a shorter one only where its root beats it by that,
+    _kernels._records), then to the lexicographically smallest word of
+    its depth within 1e-12 of the depth's largest radius (_kernels._enter).
     """
     _, radii = _sweep(M, n, budget, rho=True)
     i, best = _kernels._records(np.asarray(radii.root), -1.0)[-1]
@@ -146,7 +148,9 @@ def sandwich_profiles(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
     eigensolve runs only where it could set a record (_kernels.sweep_tree):
     2-norms on words whose Frobenius bound could beat their depth's best
     norm, radii on necklace representatives (as in lower_bound_r) whose
-    norm or bound could beat their depth's best radius.
+    norm or bound could come within 1e-12 of their depth's largest radius,
+    seeded by the powers of the generator of the largest radius.  Each
+    depth's radius word is chosen as in lower_bound_r.
     """
     norms, radii = _sweep(M, n, budget, fro=frobenius, rho=True)
     return np.maximum.accumulate(radii.root), np.minimum.accumulate(norms.root)

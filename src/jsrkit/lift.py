@@ -60,15 +60,20 @@ def _lifts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _self_check(L: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """SelfCheckFailed unless each L[i] acts as x -> a[i] x b[i] on every probe x,
-    within 1e-10 relative to max(1, |a[i]| |b[i]|) max(1, |x|)."""
+    entry by entry: each entry of the two sides agrees within 1e-10 of its
+    own scale, the entry of |a[i]| |x| |b[i]| (the entry of |L[i]| |vec x|,
+    which bounds the rounding of both sides), plus 2**-1022 for products
+    that underflow.  A limit from the norms of a, b and x would grow with d
+    against the share of one entry, and pass a lift with one entry off by
+    1e-8 from d = 6 on."""
     d = a.shape[-1]
     x = _probes(d)
     # column-major vec of each x, and of each a[i] x b[i]
     got = L[:, None] @ x.transpose(0, 2, 1).reshape(-1, d * d, 1)
     want = (a[:, None] @ x @ b[:, None]).transpose(0, 1, 3, 2).reshape(got.shape)
-    resid = np.linalg.norm((got - want)[..., 0], axis=-1)
-    scale = np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2)))
-    limit = _SELF_CHECK_TOL * scale[:, None] * np.maximum(1.0, np.linalg.norm(x, axis=(1, 2)))
+    resid = abs(got - want)
+    own = (abs(a)[:, None] @ abs(x) @ abs(b)[:, None]).transpose(0, 1, 3, 2).reshape(got.shape)
+    limit = _SELF_CHECK_TOL * own + 2.0**-1022
     bad = ~(resid <= limit)
     if bad.any():
         r, t = resid[bad][0], limit[bad][0]

@@ -98,10 +98,14 @@ class Peaks(NamedTuple):
 
     scale[k-1] is the maximum over the words of length k (inf past the
     double range), root[k-1] its k-th root (finite even where scale is
-    not), and word(k) the lexicographically smallest word attaining it.
-    A spectral radius is taken over necklace representatives, each the
-    smallest of its word's cyclic rotations (_kernels.sweep_tree): in
-    exact arithmetic that is the maximum over all words.
+    not), and word(k) the lexicographically smallest word attaining it,
+    up to ties within 1e-12 relative, with scale[k-1] that word's value.
+    A norm's ties go to the first word of a running best that a word
+    replaces where it beats it by 1e-12.  A spectral radius is taken over
+    necklace representatives, each the smallest of its word's cyclic
+    rotations (in exact arithmetic that is the maximum over all words),
+    and its word is the smallest representative within 1e-12 of the
+    largest (_kernels.sweep_tree).
     """
 
     scale: list[float]

@@ -240,9 +240,14 @@ def loop_sweep_tree(gens, nmax, want_rho, fro, every_word=False):
 
     Returns per-depth maxima of the norm and (optionally) the spectral
     radius with their exponents (the maximum is best[k] * 2**exps[k]), the
-    lexicographically smallest maximizing word per depth, and the number
-    of evaluated words.  Index 0 of the per-depth arrays is unused and
-    stays at -1.
+    word each depth reports, and the number of evaluated words.  Index 0
+    of the per-depth arrays is unused and stays at -1.
+
+    The norm side keeps a running best, which a word replaces where it
+    beats it by the relative _TIE.  The radius side reports the
+    lexicographically smallest word whose value v is within _TIE of the
+    depth's largest value top (not top > v * (1 + _TIE), v read at top's
+    exponent), with its own value.
 
     The norm is measured on every word.  rho is invariant under cyclic
     rotation, so it is measured only on words that are <= each of their
@@ -263,6 +268,10 @@ def loop_sweep_tree(gens, nmax, want_rho, fro, every_word=False):
             for t in range(k if m > 1 else 0):
                 words[name][k, t] = word[t]
 
+    # the radius side's (value, exponent, word) of every measured word, by
+    # depth, in lexicographic order
+    seen = [[] for _ in range(nmax + 1)]
+
     def least_rotation(w):
         # a single generator's only word of each length is its own rotation
         return m == 1 or all(w <= w[s:] + w[:s] for s in range(1, len(w)))
@@ -282,7 +291,7 @@ def loop_sweep_tree(gens, nmax, want_rho, fro, every_word=False):
         nodes += 1
         record("norm", k, loop_norm(prod[k], fro), pexp[k], word)
         if want_rho and (every_word or least_rotation(tuple(word[:k].tolist()))):
-            record("rho", k, loop_rho(prod[k]), pexp[k], word)
+            seen[k].append((loop_rho(prod[k]), pexp[k], word[:k].copy()))
         if depth < nmax:
             depth += 1
             word[depth - 1] = 0
@@ -291,6 +300,15 @@ def loop_sweep_tree(gens, nmax, want_rho, fro, every_word=False):
                 depth -= 1
             if depth > 0:
                 word[depth - 1] += 1
+    for k in range(1, nmax + 1):
+        top, te = -1.0, 0
+        for x, e, _ in seen[k]:
+            if x > _shifted(top, te - e):
+                top, te = x, e
+        for x, e, w in seen[k]:
+            if not top > _shifted(x, e - te) * (1.0 + _TIE):
+                record("rho", k, x, e, w)
+                break
     return (best["norm"], exps["norm"], best["rho"], exps["rho"],
             words["norm"], words["rho"], nodes)
 
