@@ -10,10 +10,11 @@ for bit, without the wrappers' per-call checks, which cost more than the
 eigensolves of a small batch; LAPACK's failure in one leaves the engine
 as NonConvergence (_lapack).
 
-A sweep pays an eigensolve only where it can set a record (sweep_tree).
-Every word's Frobenius norm bounds its 2-norm and its radius from above;
-the Gram eigvalsh runs only where that bound could beat the depth's best
-2-norm.  Radius maxima r_k are taken over necklace representatives:
+A sweep pays an eigensolve only where its value can reach the tie band
+of its depth's largest value (sweep_tree).  Every word's Frobenius norm
+bounds its 2-norm and its radius from above; the Gram eigvalsh runs only
+where that bound could reach the band of the depth's largest 2-norm.
+Radius maxima r_k are taken over necklace representatives:
 rho(ab) = rho(ba), so one word per class of cyclic rotations, its
 lexicographically smallest, is measured, and only where its norm or
 bound could reach the tie band of the depth's largest radius, which the
@@ -144,7 +145,7 @@ def _fit_rows(stack):
 
 def scale(x, e):
     """x * 2**e, inf past the double range; x <= 0 (an unset -1) stays."""
-    if x <= 0.0:
+    if not e or x <= 0.0:
         return x
     return math.ldexp(x, e) if math.frexp(x)[1] + e <= 1024 else math.inf
 
@@ -270,22 +271,23 @@ def witness_root(gens, word):
     return root(float(radii(prod[None])[0]), e, len(word)) * (1.0 - _EIG_SAFETY)
 
 
-def _records(vals, best):
+def _records(vals, best, tie=_TIE):
     """The records of a running best over vals, in order, as (index,
     value) pairs with value the element vals[index]; [] when there are none.
 
     A value replaces best, the given one at the start, when it exceeds
-    best * (1 + _TIE).  Only strict prefix maxima (index 0 and every index
+    best * (1 + tie).  Only strict prefix maxima (index 0 and every index
     whose value exceeds all values before it) can, so only those are
-    visited.
+    visited; at tie = 0 the records are the strict prefix maxima above
+    the given best.
     """
     run = np.maximum.accumulate(vals)
-    if not run[-1] > best * (1.0 + _TIE):
+    if not run[-1] > best * (1.0 + tie):
         return []
     recs = []
     for j in [0, *(np.flatnonzero(vals[1:] > run[:-1]) + 1).tolist()]:
         x = vals[j]
-        if x > best * (1.0 + _TIE):
+        if x > best * (1.0 + tie):
             best = x
             recs.append((j, x))
     return recs
@@ -307,42 +309,20 @@ def _least_rotations(first, k, m, idx):
     return (rot >= r).all(axis=0)
 
 
-def _may_beat(upper, thr, le):
+def _may_beat(upper, top, le):
     """Which words, read at exponents le (an int, or one per word), have an
-    upper value that, times (1 + _SKIP_SLACK), exceeds thr = (x, e), read
-    as x * 2**e.  Any other word's computed value, at most (1 + O(d u))
-    times its upper value, is below thr."""
-    x, e = thr
-    t = (scale(x, e - le) if isinstance(le, int) else
-         np.array([scale(x, e - y) for y in le.tolist()]))
-    return ~(upper * (1.0 + _SKIP_SLACK) <= t)
-
-
-def _update(side, k, vals, le, first):
-    """Fold the norms of the length-k words of ranks first, first + 1, ...,
-    each read as vals[i] * 2**le (le an int, or one per word of the run),
-    into side's (best, exps, ranks) at depth k: a running best that a
-    value replaces where it beats it by the relative _TIE (_records)."""
-    best, exps, ranks = side
-    if isinstance(le, int):
-        recs = _records(vals, scale(best[k], exps[k] - le))
-        if recs:
-            i, new = recs[-1]
-            best[k], exps[k], ranks[k] = new, le, first + i
-        return
-    # one exponent per product: _records' rule, one at a time
-    for j, (y, ey) in enumerate(zip(vals.tolist(), le.tolist())):
-        if y > scale(best[k], exps[k] - ey) * (1.0 + _TIE):
-            best[k], exps[k], ranks[k] = y, ey, first + j
-
-
-def _tie_floor(top):
-    """The radius side's threshold for _may_beat: a word whose computed
-    radius is below top / (1 + _TIE) is outside the depth's tie band.
-    Below a top of 0 nothing is skipped, as a radius of 0 ties it: words
-    whose upper value is 0 then read 0 unmeasured (_radii_or_zero)."""
+    upper value that, times (1 + _SKIP_SLACK), exceeds the floor of the
+    tie band of their depth's top = (y, e), the largest value entered,
+    y * 2**e: top / (1 + _TIE).  Any other word's computed value, at most
+    (1 + O(d u)) times its upper value, is below that, so it is neither
+    the depth's maximum nor the word it reports (_enter).  Below a top of
+    0 nothing is skipped, as a value of 0 ties it: a word whose upper
+    value is 0 then reads 0 unmeasured (_radii_or_zero)."""
     y, e = top
-    return (y / (1.0 + _TIE), e) if y > 0.0 else (-1.0, 0)
+    x = y / (1.0 + _TIE) if y > 0.0 else -1.0
+    t = (scale(x, e - le) if isinstance(le, int) else
+         np.array([scale(x, e - z) for z in le.tolist()]))
+    return ~(upper * (1.0 + _SKIP_SLACK) <= t)
 
 
 def _radii_or_zero(kids, upper, idx):
@@ -357,35 +337,40 @@ def _radii_or_zero(kids, upper, idx):
     return vals
 
 
-def _enter(tops, cands, k, vals, le, ranks):
-    """Enter the radii of the length-k words of the given ranks (ascending),
-    each read as vals[i] * 2**le (le an int, or one per word), at depth k.
+def _enter(tops, cands, k, vals, le, first, idx):
+    """Enter the values (norms or radii) of the length-k words of ranks
+    first + idx (idx ascending), each read as vals[i] * 2**le (le an int,
+    or one per word), at depth k.
 
     tops[k] = (y, e) is the largest value entered, y * 2**e, and cands[k]
     lists as (rank, y, e) the words that may still be the depth's winner:
     the lexicographically smallest word within _TIE of the top, that is
     one whose value v has not top > v * (1 + _TIE).  A word is kept only
-    where it is in the band and beats the words before it in the call and
-    the kept words ranked before the call (one of those would win wherever
-    it is in the band); the band only narrows, so a dropped word never
-    returns.  A depth's calls come in rank order, after its seed (_seed).
+    where it is in the band and is a record of the call over the kept
+    words ranked before it (_records at tie 0: one of those would win
+    wherever it is in the band); the band only narrows, so a dropped word
+    never returns.  A depth's calls come in rank order, after its seed
+    (_seed) on the radius side.
     """
     if not isinstance(le, int):
         for i, x in enumerate(le.tolist()):
-            _enter(tops, cands, k, vals[i:i + 1], x, ranks[i:i + 1])
+            _enter(tops, cands, k, vals[i:i + 1], x, first, idx[i:i + 1])
+        return
+    r0, floor = first + int(idx[0]), -1.0
+    for r, cy, ce in cands[k]:
+        if r < r0:
+            floor = max(floor, scale(cy, ce - le))
+    recs = _records(vals, floor, 0.0)
+    if not recs:  # then no value beats the top, which is at least the floor
         return
     y, e = tops[k]
-    hi = float(vals.max())
+    hi = float(recs[-1][1])
     if hi > scale(y, e - le):
         tops[k], y, e = (hi, le), hi, le
-    floor = max([scale(cy, ce - le) for r, cy, ce in cands[k] if r < ranks[0]], default=-1.0)
-    prev = np.maximum.accumulate(np.concatenate(([floor], vals)))[:-1]
     # the band test reads each value at the top's exponent: a value far
     # below the top may underflow to 0 there, never the top to 0 beside it
-    out = y > (vals if le == e else np.ldexp(vals, le - e)) * (1.0 + _TIE)
-    new = np.flatnonzero((vals > prev) & ~out).tolist()
-    cands[k] = [c for c in cands[k] if not y > scale(c[1], c[2] - e) * (1.0 + _TIE)]
-    cands[k] += [(int(ranks[j]), float(vals[j]), le) for j in new]
+    cands[k] = [c for c in cands[k] + [(first + int(idx[j]), float(x), le) for j, x in recs]
+                if not y > scale(c[1], c[2] - e) * (1.0 + _TIE)]
 
 
 def _path(g, prod, e, n):
@@ -448,24 +433,24 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
     side.  Returns (norms, radii), each (best, exps, ranks) or None when
     not asked for: ranks[k] is the lexicographic rank of the word depth k
     reports (its letters are the base-m digits) and best[k] * 2**exps[k]
-    its value.  Index 0 is unused; best stays at -1 there.  On the norm
-    side that word is a running best's, replaced by a word that beats it
-    by the relative _TIE, in lexicographic order (_update).  On the radius
-    side it is the lexicographically smallest word measured within _TIE of
-    the depth's largest value, whatever the order of measuring (_enter).
-    Both are the smallest word attaining the maximum, up to ties.
+    its value.  Index 0 is unused; best stays at -1 there.  On both sides
+    that word is the lexicographically smallest word measured within _TIE
+    of the depth's largest value, whatever the order of measuring
+    (_enter): the smallest word attaining the maximum, up to ties.  Its
+    value is its own.
 
     A word's upper value is its measured norm or its Frobenius norm
     (_bound, a sum of squares, at least its 2-norm); its computed 2-norm
     and radius are at most (1 + O(d u)) times that, far inside
-    _SKIP_SLACK.  Frobenius sweeps measure every word's norm.  2-norm
-    sweeps take the Gram eigvalsh where the bound can beat the depth's
-    best norm (_may_beat), and a word skipped keeps its bound as its
-    value, which cannot set a record either.  Radius-only sweeps read the
-    bound alone.  eigvals runs only where the upper value can reach the
-    depth's tie band: beat its largest radius divided by 1 + _TIE
-    (_tie_floor).  A skipped word's computed radius is below that, so it
-    is neither the maximum nor the word reported.
+    _SKIP_SLACK.  Each side of a run keeps the words whose upper value can
+    reach the tie band of the depth's largest value on that side
+    (_may_beat), measures them and enters them (_enter); a word skipped
+    has a computed value below the band, so it is neither the maximum nor
+    the word reported.  Frobenius sweeps have measured every word's norm
+    already.  2-norm sweeps take the Gram eigvalsh on the norm side's
+    words kept, and a word skipped keeps its bound as its upper value.
+    Radius-only sweeps read the bound alone.  eigvals runs on the radius
+    side's words kept.
 
     rho(ab) = rho(ba), so every cyclic rotation of a word has its radius,
     and the radius side measures one word per necklace: the rotation that
@@ -481,20 +466,18 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
     matmul, measured, fitted each on its own (fitted as one batch, small
     products could flush to zero) and pushed as the next run.  So each
     depth meets its words in lexicographic order, and its first run, of m
-    words, gives its norm side a best.  Its radius side has one before:
+    words, gives its norm side a top.  Its radius side has one before:
     once depth 1 is measured, _seed enters the powers of the depth-1
     winner, each the first value of its depth, and the run that forms one
     leaves it out, so each word is measured at most once.  A single
-    generator's path goes a _path block at a time, one word per depth.
+    generator's path goes a _path block at a time, one word per depth,
+    each its depth's maximum.
     """
     gens, e1 = _fit_set(gens)
     m, d, _ = gens.shape
-
-    def side():  # best, exps and ranks by depth
-        return np.full(nmax + 1, -1.0), [0] * (nmax + 1), [0] * (nmax + 1)
-
-    nside = None if fro is None else side()
-    rside = side() if rho else None
+    # by side: best, exps and ranks by depth
+    nside, rside = [(np.full(nmax + 1, -1.0), [0] * (nmax + 1), [0] * (nmax + 1)) if want
+                    else None for want in (fro is not None, rho)]
     eye = np.eye(d, dtype=gens.dtype)
     if m == 1:
         k, prod, e = 0, eye, 0
@@ -502,15 +485,17 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
         while k < nmax:
             n = min(size, nmax - k)
             block, exps, prod, e = _path(gens[0], prod, e, n)
-            at = slice(k + 1, k + n + 1)  # one word per depth: each is its record
+            at = slice(k + 1, k + n + 1)
             if nside is not None:
                 nside[0][at], nside[1][at] = norms(block, fro), exps
             if rside is not None:
                 rside[0][at], rside[1][at] = radii(block), exps
             k += n
-    # the radius side of m >= 2 sets, by depth: the top, the tie band's
-    # candidates (_enter), and the rank of the word _seed measured
-    tops, cands, seeds = [(-1.0, 0)] * (nmax + 1), [[] for _ in range(nmax + 1)], {}
+    # by side, for m >= 2 sets: each depth's top and its tie band's
+    # candidates (_enter); and by depth the rank of the word _seed measured
+    nstore, rstore = [([(-1.0, 0)] * (nmax + 1), [[] for _ in range(nmax + 1)])
+                      if side is not None and m > 1 else None for side in (nside, rside)]
+    seeds = {}
     step = max(1, _BLOCK_BYTES // (16 * m * d * d))  # nodes whose children fill a call
     # run: (length k, fitted products, exponent (an int, or one per
     # product), rank of the first); a single generator's sweep has none
@@ -526,40 +511,37 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
             e = np.repeat(e, m)
         k, first = k + 1, r0 * m
         # each word's upper value: its measured norm, or its Frobenius bound
-        if fro:
-            upper = norms(kids, True)
-        else:
-            upper = _bound(kids)
-            if nside is not None:
-                want = np.flatnonzero(_may_beat(upper, (nside[0][k], nside[1][k]), e))
-                if want.size:
-                    upper[want] = norms(kids[want], False)
-        if nside is not None:
-            _update(nside, k, upper, e, first)
-        if rside is not None:
-            thr = _tie_floor(tops[k])
-            idx = np.flatnonzero(_may_beat(upper, thr, e))
+        upper = norms(kids, True) if fro else _bound(kids)
+        if nstore:
+            idx = np.flatnonzero(_may_beat(upper, nstore[0][k], e))
+            if idx.size:
+                if fro:
+                    vals = upper[idx]
+                else:  # the radius side reads these tighter values too
+                    vals = upper[idx] = norms(kids[idx], False)
+                _enter(*nstore, k, vals, e if isinstance(e, int) else e[idx], first, idx)
+        if rstore:
+            tops, cands = rstore
+            idx = np.flatnonzero(_may_beat(upper, tops[k], e))
             if idx.size:  # under a seeded top most runs have none
                 idx = idx[_least_rotations(first, k, m, idx)]
                 if first <= seeds.get(k, -1) < first + kids.shape[0]:
                     idx = idx[idx != seeds[k] - first]  # measured by _seed
             if idx.size:
-                vals = radii(kids[idx]) if thr[0] >= 0.0 else _radii_or_zero(kids, upper, idx)
-                _enter(tops, cands, k, vals, e if isinstance(e, int) else e[idx], first + idx)
+                vals = radii(kids[idx]) if tops[k][0] > 0.0 else _radii_or_zero(kids, upper, idx)
+                _enter(tops, cands, k, vals, e if isinstance(e, int) else e[idx], first, idx)
             if k == 1 and nmax > 1:
                 seeds = _seed(gens, kids, tops, cands, nmax)
         if k < nmax:
             kids, s = _fit_rows(kids)
             runs.append((k, kids, e + s, first))
-    if rside is not None and m > 1:
-        for k in range(1, nmax + 1):
-            if cands[k]:  # each depth's winner: the smallest rank left in its band
-                rside[2][k], rside[0][k], rside[1][k] = min(cands[k])
+    for side, store in zip((nside, rside), (nstore, rstore)):
+        for k, band in enumerate(store[1] if store else ()):
+            if band:  # each depth's winner: the smallest rank left in its band
+                side[2][k], side[0][k], side[1][k] = min(band)
     return tuple(None if side is None else
                  (side[0], [x + k * e1 for k, x in enumerate(side[1])], side[2])
                  for side in (nside, rside))
-
-
 
 
 def _measure(kids, lengths, exps, lower, fro, square):

@@ -145,12 +145,13 @@ def sandwich_profiles(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
 
     Returns arrays (r, beta) of length n where r[k-1] = lower_bound_r(M, k)
     value and beta[k-1] = upper_bound(M, k), from a single sweep.  Each
-    eigensolve runs only where it could set a record (_kernels.sweep_tree):
-    2-norms on words whose Frobenius bound could beat their depth's best
-    norm, radii on necklace representatives (as in lower_bound_r) whose
-    norm or bound could come within 1e-12 of their depth's largest radius,
-    seeded by the powers of the generator of the largest radius.  Each
-    depth's radius word is chosen as in lower_bound_r.
+    eigensolve runs only where its value could come within 1e-12 of its
+    depth's largest value on its side (_kernels.sweep_tree): 2-norms on
+    words whose Frobenius bound could, radii on necklace representatives
+    (as in lower_bound_r) whose norm or bound could, seeded by the powers
+    of the generator of the largest radius.  Each depth's norm and radius
+    words are chosen by one rule, the smallest word within 1e-12 of the
+    depth's largest value (sets.Peaks).
     """
     norms, radii = _sweep(M, n, budget, fro=frobenius, rho=True)
     return np.maximum.accumulate(radii.root), np.minimum.accumulate(norms.root)

@@ -99,13 +99,13 @@ class Peaks(NamedTuple):
     scale[k-1] is the maximum over the words of length k (inf past the
     double range), root[k-1] its k-th root (finite even where scale is
     not), and word(k) the lexicographically smallest word attaining it,
-    up to ties within 1e-12 relative, with scale[k-1] that word's value.
-    A norm's ties go to the first word of a running best that a word
-    replaces where it beats it by 1e-12.  A spectral radius is taken over
-    necklace representatives, each the smallest of its word's cyclic
-    rotations (in exact arithmetic that is the maximum over all words),
-    and its word is the smallest representative within 1e-12 of the
-    largest (_kernels.sweep_tree).
+    up to ties: the smallest word measured within 1e-12 relative of the
+    largest value, with scale[k-1] that word's value.  Norms and radii
+    take their words by this one rule (_kernels.sweep_tree).  A spectral
+    radius is taken over necklace representatives, each the smallest of
+    its word's cyclic rotations (in exact arithmetic that is the maximum
+    over all words), so its word is the smallest representative in the
+    band.
     """
 
     scale: list[float]
@@ -176,8 +176,9 @@ def leading_products(M: MatrixSet, nmax: int, *, budget: int = config.MAX_WORDS,
     """Products achieving the running norm maximum at their own length.
 
     An entry (n, word, norm) is emitted exactly when the maximum norm over
-    all words of length <= n is attained at length n; ties go to the
-    lexicographically smallest word.  Norms along the list are
+    all words of length <= n is attained at length n; ties within 1e-12
+    relative of a length's largest norm go to the lexicographically
+    smallest word (Peaks).  Norms along the list are
     nondecreasing.
     """
     norms, _ = _sweep(M, nmax, budget, fro=frobenius)

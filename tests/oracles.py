@@ -243,11 +243,9 @@ def loop_sweep_tree(gens, nmax, want_rho, fro, every_word=False):
     word each depth reports, and the number of evaluated words.  Index 0
     of the per-depth arrays is unused and stays at -1.
 
-    The norm side keeps a running best, which a word replaces where it
-    beats it by the relative _TIE.  The radius side reports the
-    lexicographically smallest word whose value v is within _TIE of the
-    depth's largest value top (not top > v * (1 + _TIE), v read at top's
-    exponent), with its own value.
+    Each side reports the lexicographically smallest word whose value v
+    is within _TIE of the depth's largest value top (not top > v * (1 +
+    _TIE), v read at top's exponent), with its own value.
 
     The norm is measured on every word.  rho is invariant under cyclic
     rotation, so it is measured only on words that are <= each of their
@@ -261,16 +259,9 @@ def loop_sweep_tree(gens, nmax, want_rho, fro, every_word=False):
     shape = (1, 1) if m == 1 else (nmax + 1, nmax)
     words = {"norm": np.zeros(shape, np.int64), "rho": np.zeros(shape, np.int64)}
 
-    def record(name, k, x, e, word):
-        if x > _shifted(best[name][k], exps[name][k] - e) * (1.0 + _TIE):
-            best[name][k] = x
-            exps[name][k] = e
-            for t in range(k if m > 1 else 0):
-                words[name][k, t] = word[t]
-
-    # the radius side's (value, exponent, word) of every measured word, by
-    # depth, in lexicographic order
-    seen = [[] for _ in range(nmax + 1)]
+    # each side's (value, exponent, word) of every measured word, by depth,
+    # in lexicographic order
+    seen = {"norm": [[] for _ in range(nmax + 1)], "rho": [[] for _ in range(nmax + 1)]}
 
     def least_rotation(w):
         # a single generator's only word of each length is its own rotation
@@ -289,9 +280,9 @@ def loop_sweep_tree(gens, nmax, want_rho, fro, every_word=False):
         prod[k] = parent @ gens[word[k - 1]]
         pexp[k] = pexp[k - 1] + s + e1
         nodes += 1
-        record("norm", k, loop_norm(prod[k], fro), pexp[k], word)
+        seen["norm"][k].append((loop_norm(prod[k], fro), pexp[k], word[:k].copy()))
         if want_rho and (every_word or least_rotation(tuple(word[:k].tolist()))):
-            seen[k].append((loop_rho(prod[k]), pexp[k], word[:k].copy()))
+            seen["rho"][k].append((loop_rho(prod[k]), pexp[k], word[:k].copy()))
         if depth < nmax:
             depth += 1
             word[depth - 1] = 0
@@ -300,15 +291,18 @@ def loop_sweep_tree(gens, nmax, want_rho, fro, every_word=False):
                 depth -= 1
             if depth > 0:
                 word[depth - 1] += 1
-    for k in range(1, nmax + 1):
-        top, te = -1.0, 0
-        for x, e, _ in seen[k]:
-            if x > _shifted(top, te - e):
-                top, te = x, e
-        for x, e, w in seen[k]:
-            if not top > _shifted(x, e - te) * (1.0 + _TIE):
-                record("rho", k, x, e, w)
-                break
+    for name in seen:
+        for k in range(1, nmax + 1):
+            top, te = -1.0, 0
+            for x, e, _ in seen[name][k]:
+                if x > _shifted(top, te - e):
+                    top, te = x, e
+            for x, e, w in seen[name][k]:
+                if not top > _shifted(x, e - te) * (1.0 + _TIE):
+                    best[name][k], exps[name][k] = x, e
+                    for t in range(k if m > 1 else 0):
+                        words[name][k, t] = w[t]
+                    break
     return (best["norm"], exps["norm"], best["rho"], exps["rho"],
             words["norm"], words["rho"], nodes)
 

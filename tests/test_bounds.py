@@ -87,7 +87,8 @@ class TestLowerBound:
         # 1, 1 + 2800 ulp and 1 + 5600 ulp: the second is within _TIE of the
         # largest, the first is not.  A running best that a value replaces
         # only where it beats it by _TIE would climb 1 -> 1 + 5600 ulp and
-        # report (2,); the depth reports the smallest word in the band
+        # report (2,); the depth reports the smallest word in the band, on
+        # the radius side and the norm side alike
         ulp = 2.0**-52
         vals = [1.0, 1.0 + 2800 * ulp, 1.0 + 5600 * ulp]
         assert _kernels._records(np.array(vals), -1.0)[-1][0] == 2
@@ -99,8 +100,17 @@ class TestLowerBound:
         r, _ = sandwich_profiles(M, 1)
         assert r.tolist() == [vals[1]]
         for fro in (None, False, True):
-            _, (best, exps, ranks) = _kernels.sweep_tree(gens, 1, fro, True)
+            nside, (best, exps, ranks) = _kernels.sweep_tree(gens, 1, fro, True)
             assert (best[1], exps[1], ranks[1]) == (vals[1], 0, 1)
+            if fro is None:
+                continue
+            # a 1 x 1 generator's 2-norm and Frobenius norm are its entry
+            best, exps, ranks = nside
+            assert (best[1], exps[1], ranks[1]) == (vals[1], 0, 1)
+            bn, bne, _, _, nw, _, _ = oracles.loop_sweep_tree(gens.astype(complex), 1, False, fro)
+            assert (bn[1], bne[1], nw[1, 0]) == (vals[1], 0, 1)
+            assert set_norm(M, 1, frobenius=fro) == upper_bound(M, 1, frobenius=fro) == vals[1]
+            assert leading_products(M, 1, frobenius=fro) == [(1, (1,), vals[1])]
 
     def test_ranks_past_int64_are_refused(self):
         # 2**64 words of length 64 fit this budget, but their ranks do not
