@@ -436,8 +436,10 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
     its value.  Index 0 is unused; best stays at -1 there.  On both sides
     that word is the lexicographically smallest word measured within _TIE
     of the depth's largest value, whatever the order of measuring
-    (_enter): the smallest word attaining the maximum, up to ties.  Its
-    value is its own.
+    (_enter): the smallest word attaining the maximum, up to ties.  The
+    radius side reports that word's own radius, which its witness
+    attains; the norm side reports the largest norm, so no norm measured
+    exceeds the upper end it gives.
 
     A word's upper value is its measured norm or its Frobenius norm
     (_bound, a sum of squares, at least its 2-norm); its computed 2-norm
@@ -538,7 +540,9 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
     for side, store in zip((nside, rside), (nstore, rstore)):
         for k, band in enumerate(store[1] if store else ()):
             if band:  # each depth's winner: the smallest rank left in its band
-                side[2][k], side[0][k], side[1][k] = min(band)
+                side[2][k], y, e = min(band)
+                # a radius is the one its witness attains, a norm the largest
+                side[0][k], side[1][k] = (y, e) if side is rside else store[0][k]
     return tuple(None if side is None else
                  (side[0], [x + k * e1 for k, x in enumerate(side[1])], side[2])
                  for side in (nside, rside))

@@ -151,7 +151,8 @@ def sandwich_profiles(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
     (as in lower_bound_r) whose norm or bound could, seeded by the powers
     of the generator of the largest radius.  Each depth's norm and radius
     words are chosen by one rule, the smallest word within 1e-12 of the
-    depth's largest value (sets.Peaks).
+    depth's largest value, and beta reads each depth's largest norm
+    (sets.Peaks).
     """
     norms, radii = _sweep(M, n, budget, fro=frobenius, rho=True)
     return np.maximum.accumulate(radii.root), np.minimum.accumulate(norms.root)

@@ -100,8 +100,9 @@ class Peaks(NamedTuple):
     double range), root[k-1] its k-th root (finite even where scale is
     not), and word(k) the lexicographically smallest word attaining it,
     up to ties: the smallest word measured within 1e-12 relative of the
-    largest value, with scale[k-1] that word's value.  Norms and radii
-    take their words by this one rule (_kernels.sweep_tree).  A spectral
+    largest value.  Norms and radii take their words by this one rule
+    (_kernels.sweep_tree).  A norm's scale[k-1] is the largest norm
+    measured, a radius's that word's own, which the word attains.  A spectral
     radius is taken over necklace representatives, each the smallest of
     its word's cyclic rotations (in exact arithmetic that is the maximum
     over all words), so its word is the smallest representative in the
@@ -176,10 +177,9 @@ def leading_products(M: MatrixSet, nmax: int, *, budget: int = config.MAX_WORDS,
     """Products achieving the running norm maximum at their own length.
 
     An entry (n, word, norm) is emitted exactly when the maximum norm over
-    all words of length <= n is attained at length n; ties within 1e-12
-    relative of a length's largest norm go to the lexicographically
-    smallest word (Peaks).  Norms along the list are
-    nondecreasing.
+    all words of length <= n is attained at length n: norm is length n's
+    largest, and word the lexicographically smallest within 1e-12
+    relative of it (Peaks).  Norms along the list are nondecreasing.
     """
     norms, _ = _sweep(M, nmax, budget, fro=frobenius)
     out: list[LeadingProduct] = []

@@ -245,7 +245,8 @@ def loop_sweep_tree(gens, nmax, want_rho, fro, every_word=False):
 
     Each side reports the lexicographically smallest word whose value v
     is within _TIE of the depth's largest value top (not top > v * (1 +
-    _TIE), v read at top's exponent), with its own value.
+    _TIE), v read at top's exponent).  The radius side reports its own
+    value, the norm side top.
 
     The norm is measured on every word.  rho is invariant under cyclic
     rotation, so it is measured only on words that are <= each of their
@@ -299,7 +300,7 @@ def loop_sweep_tree(gens, nmax, want_rho, fro, every_word=False):
                     top, te = x, e
             for x, e, w in seen[name][k]:
                 if not top > _shifted(x, e - te) * (1.0 + _TIE):
-                    best[name][k], exps[name][k] = x, e
+                    best[name][k], exps[name][k] = (x, e) if name == "rho" else (top, te)
                     for t in range(k if m > 1 else 0):
                         words[name][k, t] = w[t]
                     break

@@ -104,13 +104,14 @@ class TestLowerBound:
             assert (best[1], exps[1], ranks[1]) == (vals[1], 0, 1)
             if fro is None:
                 continue
-            # a 1 x 1 generator's 2-norm and Frobenius norm are its entry
+            # a 1 x 1 generator's 2-norm and Frobenius norm are its entry;
+            # the norm side reports the largest, with the band's word
             best, exps, ranks = nside
-            assert (best[1], exps[1], ranks[1]) == (vals[1], 0, 1)
+            assert (best[1], exps[1], ranks[1]) == (vals[2], 0, 1)
             bn, bne, _, _, nw, _, _ = oracles.loop_sweep_tree(gens.astype(complex), 1, False, fro)
-            assert (bn[1], bne[1], nw[1, 0]) == (vals[1], 0, 1)
-            assert set_norm(M, 1, frobenius=fro) == upper_bound(M, 1, frobenius=fro) == vals[1]
-            assert leading_products(M, 1, frobenius=fro) == [(1, (1,), vals[1])]
+            assert (bn[1], bne[1], nw[1, 0]) == (vals[2], 0, 1)
+            assert set_norm(M, 1, frobenius=fro) == upper_bound(M, 1, frobenius=fro) == vals[2]
+            assert leading_products(M, 1, frobenius=fro) == [(1, (1,), vals[2])]
 
     def test_ranks_past_int64_are_refused(self):
         # 2**64 words of length 64 fit this budget, but their ranks do not
@@ -138,6 +139,19 @@ class TestUpperBound:
     def test_golden_depth_two(self):
         # norm of the balanced length-2 product already gives sqrt(phi^2)
         assert upper_bound(golden(), 2) == pytest.approx(oracles.PHI, rel=1e-12)
+
+    def test_a_norm_maximum_is_reported_as_measured(self):
+        # 1 and 1 + 2000 ulp lie within 1e-12, so depth 1 reports the word
+        # (0,), but with the largest norm: the upper end stays above rho =
+        # 1 + 2000 ulp, where the word's own norm, 1, would fall below it
+        rho = 1.0 + 2000 * 2.0**-52
+        M = MatrixSet(np.array([1.0, rho]).reshape(2, 1, 1))
+        for fro in (False, True):
+            assert upper_bound(M, 1, frobenius=fro) == set_norm(M, 1, frobenius=fro) == rho
+            assert leading_products(M, 1, frobenius=fro) == [(1, (0,), rho)]
+            r, beta = sandwich_profiles(M, 3, frobenius=fro)
+            assert beta[0] == rho and np.all(r <= beta)
+            assert verify_berger_wang(M, 1e-6, frobenius=fro).rho_upper == rho
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(23)
