@@ -21,16 +21,13 @@ bound could reach the tie band of the depth's largest radius, which the
 powers of the generator of the largest radius seed before the sweep
 reaches the depth.  In exact arithmetic that is the maximum over all
 words, and the smallest rotation is the necklace's first word, so the
-reported rank is unchanged.  refine_pass takes the
-2-norm of a child with m >= 2 generators only where its Frobenius root
-could beat the lower end; the others keep that root, are cut on it and
-skip eigvals, as their 2-norm roots would be (_measure).  It takes
-eigvals only where the child's radius root could beat the lower end: its
-norm root bounds it, and so does the square rule rho(P)^2 <= ||P^2||
-(_square_bound, one matmul and sum of squares per step).  A single
-generator's path blocks keep the norm bound alone: on the benchmark's
-Jordan powers the square rule cut no child of the d = 2 and 3 paths, and
-a check on every child cost more than it saved.
+reported rank is unchanged.  refine_pass takes the 2-norm of a child
+only where its Frobenius root could beat the lower end; the others keep
+that root, are cut on it and skip eigvals, as their 2-norm roots would
+be (_measure).  It takes eigvals only where the child's radius root
+could beat the lower end: its norm root bounds it, and so does the
+square rule rho(P)^2 <= ||P^2|| (_square_bound, one matmul and sum of
+squares per step).  A single generator's path is measured whole.
 
 refine_pass is one best-first search: each step expands the open nodes
 with the largest norm roots, at most the ones whose children fill
@@ -39,9 +36,9 @@ most of an expansion's cost is Python and numpy call overhead, which a
 step pays once instead of once per node.  Each node is measured once,
 and only the open nodes' fitted products are held, in a pool of rows
 under a heap of their roots, bounded by _STACK_BYTES.  sweep_tree grows
-the tree level run by level run with nothing pruned, and a single
-generator's path, in both, goes a block at a time through _path; refine
-scans a block in numpy segments between the points where lower rises.
+the tree level run by level run with nothing pruned.  In both, a single
+generator's path is _path's walk, a block at a time; refine scans a
+block in numpy segments between the points where lower rises.
 
 Generators are stored complex128, but a set none of whose entries has
 an imaginary part is measured in float64 from end to end (_fit_set at
@@ -373,33 +370,42 @@ def _enter(tops, cands, k, vals, le, first, idx):
                 if not y > scale(c[1], c[2] - e) * (1.0 + _TIE)]
 
 
-def _path(g, prod, e, n):
-    """The next n products of a single generator's path after the fitted
-    product prod * 2**e, formed left to right as a one-word-at-a-time walk
-    forms them: (block, exps, last, e), with block[t] * 2**exps[t] the
-    t-th product and last * 2**e the last one fitted, the next factor.
+def _path(g, n, prod=None, e=0, cap=None):
+    """The walk of a single generator g's powers: the first n products
+    after the fitted product prod * 2**e (the identity when prod is None),
+    formed left to right as a one-word-at-a-time walk forms them, yielded
+    a block at a time as (k, block, exps), block[t] * 2**exps[t] the
+    (k + t + 1)-th.  A block holds at most what fits _BLOCK_BYTES with its
+    norm temporaries and, where cap is given, at most cap(k) products.
+    Each product is formed from the last one fitted, so no value depends
+    on where a block ends.
 
     A step multiplies the largest part by less than 2 + 2 d |g|, so `run`
     steps from an in-band product stay below 2**1000: a run is formed
     unchecked, and its first product outside the band, fitted, starts the
     next (the products after it are formed again from it)."""
     d = g.shape[0]
-    block = np.empty((n, d, d), g.dtype)
+    prod = np.eye(d, dtype=g.dtype) if prod is None else prod
+    size = max(1, _BLOCK_BYTES // (3 * 16 * d * d))
     grow = math.log2(2.0 + 2 * d * float(abs(g.view(np.float64)).max()))
     run = max(1, int((1000 - _BAND) / grow))
-    exps = []
-    while len(exps) < n:
-        t0 = len(exps)
-        stop = min(n, t0 + run)
-        for row in block[t0:stop]:
-            prod = np.dot(prod, g, row)
-        top = abs(block[t0:stop].view(np.float64)).max(axis=(1, 2))
-        out = np.flatnonzero((top >= _HI) | (top < _LO) & (top > 0.0))
-        t = t0 + int(out[0]) if out.size else stop - 1
-        exps += [e] * (t + 1 - t0)
-        prod, shift = _fit(block[t])
-        e += shift
-    return block, exps, prod, e
+    k = 0
+    while k < n:
+        b = min(size, n - k, cap(k) if cap else n)
+        block, exps = np.empty((b, d, d), g.dtype), []
+        while len(exps) < b:
+            t0 = len(exps)
+            stop = min(b, t0 + run)
+            for row in block[t0:stop]:
+                prod = np.dot(prod, g, row)
+            top = abs(block[t0:stop].view(np.float64)).max(axis=(1, 2))
+            out = np.flatnonzero((top >= _HI) | (top < _LO) & (top > 0.0))
+            t = t0 + int(out[0]) if out.size else stop - 1
+            exps += [e] * (t + 1 - t0)
+            prod, shift = _fit(block[t])
+            e += shift
+        yield k, block, exps
+        k += b
 
 
 def _seed(gens, kids, tops, cands, nmax):
@@ -409,18 +415,17 @@ def _seed(gens, kids, tops, cands, nmax):
     a is a generator of the largest radius (within the tie band), whose
     powers are the spectrum-maximizing words of every depth on the sets
     the benchmark sweeps, so later words are measured against a full
-    threshold from the start.  _path forms them from kids[a], the depth-1
-    product, left to right and fitted as the sweep forms and fits its
-    runs, so each is the product the sweep forms of its word, bit for
-    bit, exponent included; one radii call measures them all."""
+    threshold from the start.  _path walks them from kids[a], the depth-1
+    product, fitted, as the sweep forms and fits its runs, so each is the
+    product the sweep forms of its word, bit for bit, exponent included;
+    one radii call measures each block."""
     m = gens.shape[0]
     a = min(cands[1])[0]
-    prod, e = _fit(kids[a])
-    block, exps, _, _ = _path(gens[a], prod, e, nmax - 1)
     seeds = {}
-    for k, y, ey in zip(range(2, nmax + 1), radii(block).tolist(), exps):
-        seeds[k] = a * (m**k - 1) // (m - 1)  # the word a^k: every digit a
-        tops[k], cands[k] = (y, ey), [(seeds[k], y, ey)]
+    for k, block, exps in _path(gens[a], nmax - 1, *_fit(kids[a])):
+        for j, y, ey in zip(range(k + 2, nmax + 1), radii(block).tolist(), exps):
+            seeds[j] = a * (m**j - 1) // (m - 1)  # the word a^j: every digit a
+            tops[j], cands[j] = (y, ey), [(seeds[j], y, ey)]
     return seeds
 
 
@@ -472,27 +477,21 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
     once depth 1 is measured, _seed enters the powers of the depth-1
     winner, each the first value of its depth, and the run that forms one
     leaves it out, so each word is measured at most once.  A single
-    generator's path goes a _path block at a time, one word per depth,
-    each its depth's maximum.
+    generator's path is _path's walk, one word per depth, each its
+    depth's maximum.
     """
     gens, e1 = _fit_set(gens)
     m, d, _ = gens.shape
     # by side: best, exps and ranks by depth
     nside, rside = [(np.full(nmax + 1, -1.0), [0] * (nmax + 1), [0] * (nmax + 1)) if want
                     else None for want in (fro is not None, rho)]
-    eye = np.eye(d, dtype=gens.dtype)
     if m == 1:
-        k, prod, e = 0, eye, 0
-        size = max(1, _BLOCK_BYTES // (3 * 16 * d * d))
-        while k < nmax:
-            n = min(size, nmax - k)
-            block, exps, prod, e = _path(gens[0], prod, e, n)
-            at = slice(k + 1, k + n + 1)
+        for k, block, exps in _path(gens[0], nmax):
+            at = slice(k + 1, k + len(exps) + 1)
             if nside is not None:
                 nside[0][at], nside[1][at] = norms(block, fro), exps
             if rside is not None:
                 rside[0][at], rside[1][at] = radii(block), exps
-            k += n
     # by side, for m >= 2 sets: each depth's top and its tie band's
     # candidates (_enter); and by depth the rank of the word _seed measured
     nstore, rstore = [([(-1.0, 0)] * (nmax + 1), [[] for _ in range(nmax + 1)])
@@ -501,7 +500,7 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
     step = max(1, _BLOCK_BYTES // (16 * m * d * d))  # nodes whose children fill a call
     # run: (length k, fitted products, exponent (an int, or one per
     # product), rank of the first); a single generator's sweep has none
-    runs = [] if m == 1 else [(0, eye[None], 0, 0)]
+    runs = [] if m == 1 else [(0, np.eye(d, dtype=gens.dtype)[None], 0, 0)]
     while runs:
         k, prods, e, r0 = runs.pop()
         n = step if r0 else 1
@@ -548,40 +547,39 @@ def sweep_tree(gens, nmax, fro=None, rho=False):
                  for side in (nside, rside))
 
 
-def _measure(kids, lengths, exps, lower, fro, square):
+def _measure(kids, lengths, exps, lower, fro):
     """(nroot, cand) for the products in kids, of length lengths[i] and read
     times 2**exps[i]: the one place a node's roots are derived.  nroot
     holds each ||P||^(1/k), cand its rho(P)^(1/k) shaved by _EIG_SAFETY, or
     -1 where eigvals was skipped.  One batched norms call measures them,
     one batched radii call those whose radius root can beat lower.
 
-    Where square is set, in the 2-norm and from lower > 0, each child first
-    takes its Frobenius norm (_bound), and only children whose Frobenius
-    root times 1 + _SKIP_SLACK exceeds lower take the Gram eigvalsh; the
-    rest keep the Frobenius root.  Their 2-norm roots are at most that, so
-    they are cut and skip eigvals either way, and nothing reported moves.
-
-    A child's radius root is at most its norm root and, where square is
-    set, at most the root of its _square_bound; eigvals is skipped where
-    either, times 1 + _SKIP_SLACK, is at most lower, so a skipped child
-    could not have raised lower.  Only children that pass the norm test
-    take the square bound, in one batch; a single generator's path blocks
-    keep the norm test alone."""
+    Three skips apply from lower > 0; at lower 0 every child is measured
+    whole.  In the 2-norm each child first takes its Frobenius norm
+    (_bound), and only children whose Frobenius root times 1 + _SKIP_SLACK
+    exceeds lower take the Gram eigvalsh; the rest keep the Frobenius
+    root.  Their 2-norm roots are at most that, so they are cut and skip
+    eigvals either way, and nothing reported moves.  A child's radius root
+    is at most its norm root and at most the root of its _square_bound;
+    eigvals is skipped where either, times 1 + _SKIP_SLACK, is at most
+    lower, so a skipped child could not have raised lower.  Only children
+    that pass the norm test take the square bound, in one batch."""
     n = kids.shape[0]
-    pre = square and not fro and lower > 0.0
+    pre = not fro and lower > 0.0
     nrm = (_bound(kids) if pre else norms(kids, fro)).tolist()
     nroot = [root(x, e, k) for x, e, k in zip(nrm, exps, lengths)]
-    want = [i for i, r in enumerate(nroot)
-            if not (lower > 0.0 and r * (1.0 + _SKIP_SLACK) <= lower)]
-    if pre and want:
-        for i, x in zip(want, norms(kids if len(want) == n else kids[want], False).tolist()):
-            nrm[i], nroot[i] = x, root(x, exps[i], lengths[i])
+    want = list(range(n))
+    if lower > 0.0:
         want = [i for i in want if not nroot[i] * (1.0 + _SKIP_SLACK) <= lower]
-    if square and lower > 0.0 and want:
-        sub = kids if len(want) == n else kids[want]
-        bound = _square_bound(sub, [nrm[i] for i in want])
-        want = [i for i, b in zip(want, bound)
-                if not root(b, exps[i], lengths[i]) * (1.0 + _SKIP_SLACK) <= lower]
+        if pre and want:
+            for i, x in zip(want, norms(kids if len(want) == n else kids[want], False).tolist()):
+                nrm[i], nroot[i] = x, root(x, exps[i], lengths[i])
+            want = [i for i in want if not nroot[i] * (1.0 + _SKIP_SLACK) <= lower]
+        if want:
+            sub = kids if len(want) == n else kids[want]
+            bound = _square_bound(sub, [nrm[i] for i in want])
+            want = [i for i, b in zip(want, bound)
+                    if not root(b, exps[i], lengths[i]) * (1.0 + _SKIP_SLACK) <= lower]
     cand = [-1.0] * n
     if want:
         for i, r in zip(want, radii(kids[want]).tolist()):
@@ -625,10 +623,9 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
     when the open set holds more than _STACK_BYTES.
 
     A single generator's tree is a path whose one open node is its last,
-    so a step is one node: the path goes a _path block at a time, its
-    block measured in one _measure call with no square bound, and is
-    scanned in numpy segments between the records of lower (_records) up
-    to its first cut or its first converged node.
+    so a step is one node: each _path block is measured whole, at lower 0
+    in one _measure call, and scanned in numpy segments between the
+    records of lower (_records) up to its first cut or converged node.
 
     A set outside the band is searched fitted, with width, lower_in and
     the results scaled by its exponent.  Returns (lower, witness, upper,
@@ -661,18 +658,13 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
         return u - lo <= width * (1.0 + 1e-9) or u <= lo + width
 
     if m == 1:
-        prod, e, k = np.eye(d, dtype=gens.dtype), 0, 0
-        size = max(1, _BLOCK_BYTES // (3 * 16 * d * d))
-        held = prod.nbytes
-        while stop is None:
-            # a block ends by the next of depths 1..8, 16, 32, ...: a path
-            # cut at depth c has measured fewer than 2 c products
-            n = min(size, depth_cap - k, budget - nodes, 1 if k < 8 else (1 << k.bit_length()) - k)
-            if not n:
-                stop = "depth_limit" if k == depth_cap else "budget"
-                break
-            block, exps, prod, e = _path(gens[0], prod, e, n)
-            nroot, cand = _measure(block, range(k + 1, k + n + 1), exps, lower, fro, False)
+        held = gens[0].nbytes
+        # a block ends by the next of depths 1..8, 16, 32, ...: a path cut
+        # at depth c has measured fewer than 2 c products
+        for k, block, exps in _path(gens[0], min(depth_cap, budget),
+                                    cap=lambda k: 1 if k < 8 else (1 << k.bit_length()) - k):
+            n = len(exps)
+            nroot, cand = _measure(block, range(k + 1, k + n + 1), exps, 0.0, fro)
             nodes += n
             i = 0
             # segment i..j-1 is scanned under one lower; node j is its next record
@@ -697,8 +689,11 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
                     break
                 i, lower, found = j, float(x), True
                 witness = (0,) * (k + j + 1)
-            if stop is None:
-                deepest = k = k + n
+            if stop:
+                break
+            deepest = k + n
+        else:
+            stop = "depth_limit" if deepest == depth_cap else "budget"
     else:
         step = max(1, _BLOCK_BYTES // (16 * m * d * d))  # nodes whose children fill a call
         # the open set is a heap of (-norm root, slot, row, exponent, length),
@@ -735,7 +730,7 @@ def refine_pass(gens, depth_cap, width, lower_in, budget, fro):
             kids = np.matmul(pool[rows][:, None], gens[None]).reshape(-1, d, d)
             kexps = [b[3] for b in batch for _ in range(m)]
             klens = [b[4] + 1 for b in batch for _ in range(m)]
-            nroot, cand = _measure(kids, klens, kexps, lower, fro, True)
+            nroot, cand = _measure(kids, klens, kexps, lower, fro)
             nodes += kids.shape[0]
             deepest = max(deepest, max(klens))
             recs = _records(np.asarray(cand), lower)

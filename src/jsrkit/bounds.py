@@ -143,8 +143,11 @@ def sandwich_profiles(M: MatrixSet, n: int, *, budget: int = config.MAX_WORDS,
                       frobenius: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative (lower, upper) sandwich values for every depth 1..n.
 
-    Returns arrays (r, beta) of length n where r[k-1] = lower_bound_r(M, k)
-    value and beta[k-1] = upper_bound(M, k), from a single sweep.  Each
+    Returns arrays (r, beta) of length n, from a single sweep.  r[k-1] is
+    the running maximum of the radius roots of depths 1..k: at least
+    lower_bound_r(M, k).value, and above it by less than 1e-12 relative,
+    since lower_bound_r keeps a shorter depth unless a deeper one beats it
+    by that.  beta[k-1] = upper_bound(M, k).  Each
     eigensolve runs only where its value could come within 1e-12 of its
     depth's largest value on its side (_kernels.sweep_tree): 2-norms on
     words whose Frobenius bound could, radii on necklace representatives

@@ -183,6 +183,25 @@ class TestSandwich:
             assert lower_bound_r(M, n).value == pytest.approx(r[n - 1], rel=1e-12)
             assert upper_bound(M, n) == pytest.approx(beta[n - 1], rel=1e-12)
 
+    def test_r_is_a_running_maximum_within_the_tie_of_lower_bound_r(self):
+        # lower_bound_r keeps a shorter depth unless a deeper one beats it
+        # by _TIE relative, while r[k-1] is the running maximum over depths
+        # 1..k: it may sit above lower_bound_r(M, k) by less than _TIE
+        sets = [g for g, _ in oracles.integer_triangular_sets(2026, 120)]
+        sets += [*oracles.jordan_pairs().values(), oracles.GOLDEN, oracles.HAND_PAIR]
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            d, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            sets.append(rng.integers(-1, 2, (m, d, d)).astype(float))
+        above = 0
+        for gens in sets:
+            M = MatrixSet.from_matrices(list(gens))
+            r, _ = sandwich_profiles(M, SWEEP_DEPTH[M.size])
+            values = [lower_bound_r(M, k).value for k in range(1, len(r) + 1)]
+            assert all(v <= x <= v * (1.0 + _kernels._TIE) for v, x in zip(values, r.tolist()))
+            above += any(x > v for v, x in zip(values, r.tolist()))
+        assert above > 0
+
 
 class TestRefine:
     def test_golden_converges(self):
@@ -276,6 +295,19 @@ class TestRefine:
                 lo = base.lower**k
                 hi = base.upper**k
                 assert interval_distance((lo, hi), pk.interval) <= 1e-9 * max(1.0, hi)
+
+    def test_single_generator_converges_inside_the_relative_slack(self):
+        # A is defective with rho 1 and ||A|| = 1 + sqrt(2).  At this width
+        # depth 1's upper - lower lies above the width but within its
+        # relative 1e-9, so the path converges at its first node on that
+        # slack, not on upper <= lower + width
+        A = np.array([[2.0, 1.0], [-1.0, 0.0]])
+        width = (op_norm(A) - spectral_radius(A) * (1.0 - 1e-12)) / (1.0 + 5e-10)
+        rep = refine(MatrixSet.from_matrices([A]), width, 1000)
+        assert rep.converged and rep.stop_reason == "converged"
+        assert rep.depth_used == rep.nodes_explored == 1
+        assert rep.upper == op_norm(A)
+        assert width < rep.upper - rep.lower <= width * (1.0 + 1e-9)
 
     def test_width_validation(self):
         # an infinite width used to certify upper = inf as converged
@@ -1405,8 +1437,8 @@ class TestSquareBound:
         assert 0 < cut[0] < radii.matrices
 
     def test_single_generator_paths_take_no_square_bound(self, monkeypatch):
-        # path blocks keep the norm test alone; siblings take the square
-        # bound and the Frobenius prefilter
+        # path blocks are measured whole; siblings take the square bound
+        # and the Frobenius prefilter
         calls = []
         for name in ("_square_bound", "_bound"):
             real = getattr(_kernels, name)
